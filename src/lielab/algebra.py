@@ -13,6 +13,7 @@ extensions - is exact linear algebra over the base field.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .fields import (
     field_to_json,
     is_squarefree,
 )
-from .linalg import Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import _Echelon, Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale, vec_sub
 from .verdict import Verdict
 
 
@@ -116,7 +117,52 @@ class LieAlgebra:
                     out[k] = -c
         return tuple(out)
 
+    def _res_table(self) -> Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]:
+        """Over F_p, the table as (i, j, ((k, c), ...)) with residues c,
+        built once and kept in the cache."""
+        table = self._cache.get("residue_table")
+        if table is None:
+            table = tuple(
+                (i, j, tuple((k, c.r) for k, c in coeffs.items()))
+                for (i, j), coeffs in self.table.items()
+            )
+            self._cache["residue_table"] = table
+        return table
+
+    def _res_vector(self, v: Sequence) -> List[int]:
+        if len(v) != self.dim:
+            raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
+        return self.field._to_k(v)
+
+    def _res_bracket(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
+        out = [0] * self.dim
+        for i, j, coeffs in self._res_table():
+            f = x[i] * y[j] - x[j] * y[i]
+            if f:
+                for k, c in coeffs:
+                    out[k] += f * c
+        p = self.field.p
+        return [c % p for c in out]
+
+    def _res_ad(self, x: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+        n = self.dim
+        rows = [[0] * n for _ in range(n)]
+        for i, j, coeffs in self._res_table():
+            xi, xj = x[i], x[j]
+            if xi:
+                for k, c in coeffs:
+                    rows[k][j] += xi * c
+            if xj:
+                for k, c in coeffs:
+                    rows[k][i] -= xj * c
+        p = self.field.p
+        return tuple(tuple(c % p for c in row) for row in rows)
+
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
+        if self.field.kind == "Fp":
+            return self.field._from_k(
+                self._res_bracket(self._res_vector(x), self._res_vector(y))
+            )
         x = self.coerce_vector(x)
         y = self.coerce_vector(y)
         out = [self.field.zero] * self.dim
@@ -129,8 +175,10 @@ class LieAlgebra:
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad(x) = [x, -] in the defining basis."""
-        x = self.coerce_vector(x)
         n = self.dim
+        if self.field.kind == "Fp":
+            return Matrix._of_k(self.field, self._res_ad(self._res_vector(x)), n)
+        x = self.coerce_vector(x)
         rows = [[self.field.zero] * n for _ in range(n)]
         for (i, j), coeffs in self.table.items():
             xi, xj = x[i], x[j]
@@ -150,6 +198,8 @@ class LieAlgebra:
 
     def jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
         """All basis triples where the Jacobi identity fails."""
+        if self.field.kind == "Fp":
+            return self._res_jacobi_violations()
         bad = []
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
@@ -166,12 +216,32 @@ class LieAlgebra:
                         bad.append(((i, j, k), defect))
         return bad
 
+    def _res_jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
+        """Jacobi over the sparse residue table: the defect at (i, j, k) is
+        sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
+        n, p = self.dim, self.field.p
+        br: List[List[tuple]] = [[()] * n for _ in range(n)]
+        for i, j, coeffs in self._res_table():
+            br[i][j] = coeffs
+            br[j][i] = tuple((k, p - c) for k, c in coeffs)
+        bad = []
+        for i, j, k in itertools.combinations(range(n), 3):
+            defect = [0] * n
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, cm in br[a][b]:
+                    for l, cl in br[m][c]:
+                        defect[l] += cm * cl
+            defect = [d % p for d in defect]
+            if any(defect):
+                bad.append(((i, j, k), self.field._from_k(defect)))
+        return bad
+
     # -- subspace queries ---------------------------------------------------
 
     def center(self) -> Subspace:
         if "center" not in self._cache:
-            stacked = [row for i in range(self.dim) for row in self.ad_basis(i).rows]
-            self._cache["center"] = Matrix(self.field, stacked, ncols=self.dim).kernel()
+            stacked = [row for i in range(self.dim) for row in self.ad_basis(i)._k]
+            self._cache["center"] = Matrix._of_k(self.field, stacked, self.dim).kernel()
         return self._cache["center"]
 
     def commutant(self) -> Subspace:
@@ -196,19 +266,30 @@ class LieAlgebra:
         return Matrix(self.field, rows, ncols=self.dim).kernel()
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
+        if self.field.kind == "Fp":
+            vecs = [self._res_bracket(u, v) for u in a._k for v in b._k]
+            return Subspace._span_k(self.field, self.dim, vecs)
         vecs = [self.bracket(u, v) for u in a.rows for v in b.rows]
         return Subspace.from_vectors(self.field, self.dim, vecs)
 
     def ideal_generated(self, vectors: Sequence[Sequence]) -> Subspace:
-        span = Subspace.from_vectors(self.field, self.dim, [self.coerce_vector(v) for v in vectors])
-        while True:
-            grown = span
-            for i in range(self.dim):
-                imgs = [self.bracket(self.basis_vector(i), u) for u in span.rows]
-                grown = grown.sum_with(Subspace.from_vectors(self.field, self.dim, imgs))
-            if grown.dim == span.dim:
-                return span
-            span = grown
+        """Smallest ideal containing the vectors: a worklist closure.
+
+        Each vector that enlarges the echelon basis is pushed once; popping
+        it adds ad(b_i) of it for every i, reduced against the basis, until
+        nothing new appears or the basis is full.
+        """
+        ech = _Echelon(self.field, self.dim)
+        todo = [ech.add(self.field._to_k(self.coerce_vector(v))) for v in vectors]
+        todo = [w for w in todo if w is not None]
+        ads = [self.ad_basis(i) for i in range(self.dim)]
+        while todo and not ech.full:
+            v = todo.pop()
+            for a in ads:
+                w = ech.add(a._apply_k(v))
+                if w is not None:
+                    todo.append(w)
+        return ech.subspace()
 
     def subalgebra_generated(self, vectors: Sequence[Sequence]) -> Subspace:
         span = Subspace.from_vectors(self.field, self.dim, [self.coerce_vector(v) for v in vectors])
@@ -315,7 +396,7 @@ class LieAlgebra:
         return Matrix(self.field, rows, ncols=self.dim).kernel()
 
     def invariant_forms(self) -> List[Matrix]:
-        """Echelon basis of symmetric bilinear forms with <[x,y],z> = <x,[y,z]>."""
+        """_Echelon basis of symmetric bilinear forms with <[x,y],z> = <x,[y,z]>."""
         n = self.dim
         idx = {}
         for i in range(n):
@@ -448,16 +529,13 @@ class BilinearForm:
         self.nondegenerate = gram.rank() == algebra.dim
 
     def _check_invariance(self) -> bool:
-        n = self.algebra.dim
-        for i in range(n):
-            for j in range(n):
-                bij = self.algebra.basis_bracket(i, j)
-                for k in range(n):
-                    bjk = self.algebra.basis_bracket(j, k)
-                    lhs = self.evaluate(bij, self.algebra.basis_vector(k))
-                    rhs = self.evaluate(self.algebra.basis_vector(i), bjk)
-                    if lhs != rhs:
-                        return False
+        """<[b_i, b_j], b_k> = <b_i, [b_j, b_k]> for all i, j, k, that is
+        G A_j + A_j^T G = 0 for every A_j = ad(b_j)."""
+        g = self.gram
+        for j in range(self.algebra.dim):
+            a = self.algebra.ad_basis(j)
+            if not (g * a + a.transpose() * g).is_zero():
+                return False
         return True
 
     def evaluate(self, x: Sequence, y: Sequence) -> Scalar:
@@ -584,6 +662,8 @@ class AssocAlgebra:
             if (i, j) in table:
                 raise StructureError(f"duplicate product entry for pair ({i}, {j})")
             table[(i, j)] = coeffs
+        if not all(isinstance(s, str) for s in obj["unit"]):
+            raise StructureError("unit entries must be strings")
         unit = [field.parse(s) for s in obj["unit"]]
         return cls(field, labels, table, unit)
 
@@ -613,16 +693,21 @@ def _parse_entry(field: Field, dim: int, entry) -> Tuple[int, int, Dict[int, Sca
     if not isinstance(entry, dict) or "i" not in entry or "j" not in entry:
         raise StructureError(f"bad table entry: {entry!r}")
     i, j = entry["i"], entry["j"]
-    if not isinstance(i, int) or not isinstance(j, int) or not (0 <= i < dim and 0 <= j < dim):
-        raise StructureError(f"table entry indices out of range: {entry!r}")
+    if any(type(t) is not int for t in (i, j)) or not (0 <= i < dim and 0 <= j < dim):
+        raise StructureError(f"table entry indices must be integers in range: {entry!r}")
+    raw = entry.get("coeffs", {})
+    if not isinstance(raw, dict):
+        raise StructureError(f"coeffs must be an object in entry ({i}, {j})")
     coeffs = {}
-    for k_str, c_str in entry.get("coeffs", {}).items():
+    for k_str, c_str in raw.items():
         try:
             k = int(k_str)
         except ValueError as exc:
             raise StructureError(f"bad component index {k_str!r}") from exc
         if not 0 <= k < dim:
             raise StructureError(f"component index {k} out of range in entry ({i}, {j})")
+        if not isinstance(c_str, str):
+            raise StructureError(f"coefficient {c_str!r} in entry ({i}, {j}) must be a string")
         coeffs[k] = field.parse(c_str)
     return i, j, coeffs
 
@@ -767,7 +852,7 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
 
 
 def centroid(L: LieAlgebra) -> List[Matrix]:
-    """Echelon basis of maps commuting with all brackets:
+    """_Echelon basis of maps commuting with all brackets:
     phi[x, y] = [phi x, y] = [x, phi y]."""
     n = L.dim
     field = L.field

@@ -801,8 +801,17 @@ def _emit(payload, human: bool) -> None:
         print(canonical_dumps(payload))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3 (bad input), not argparse's 2, which would read
+    as "inconclusive"; --help still exits 0."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="lielab",
         description="Exact structure-constant computations for finite-dimensional Lie algebras.",
     )

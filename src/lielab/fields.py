@@ -12,6 +12,15 @@ integer literals.
 A "field" in this package is a small descriptor object (RationalField or
 PrimeField) used for construction, parsing, printing and enumeration of
 scalars.  It is threaded through every matrix, polynomial and algebra.
+
+``Fp`` objects are the F_p scalars of the public API, not of the inner
+loops.  Linear algebra and the algebra primitives over F_p (elimination,
+products, characteristic polynomials, ad, brackets, Jacobi, ideal
+closure) run on plain ints in [0, p); ``PrimeField._to_k`` is the way
+into that kernel and ``PrimeField._from_k`` the way out, so an Fp is
+built only where a result leaves it: a row read from a Matrix or
+Subspace, a returned vector or scalar, a UniPoly coefficient.  The
+polynomial classes below still compute with Fp values.
 """
 from __future__ import annotations
 
@@ -158,6 +167,13 @@ class RationalField:
     def contains(self, x) -> bool:
         return isinstance(x, Fraction)
 
+    def _to_k(self, v: Sequence) -> List[Fraction]:
+        """Kernel scalars over Q are the Fractions themselves."""
+        return [c if type(c) is Fraction else self.of(c) for c in v]
+
+    def _from_k(self, v: Sequence) -> Tuple[Fraction, ...]:
+        return tuple(c if type(c) is Fraction else Fraction(c) for c in v)
+
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)
 
@@ -203,6 +219,23 @@ class PrimeField:
             return Fp(int(s.strip()), self.p)
         except ValueError as exc:
             raise ValueError(f"not an F_{self.p} scalar: {s!r}") from exc
+
+    def _to_k(self, v: Sequence) -> List[int]:
+        """Residues in [0, p) of F_p scalars or ints: the way into the kernel."""
+        p = self.p
+        return [c.r if type(c) is Fp and c.p == p else self._residue(c) for c in v]
+
+    def _residue(self, c) -> int:
+        if isinstance(c, Fp):
+            raise TypeError(f"scalar from F_{c.p} used in F_{self.p}")
+        if isinstance(c, int):
+            return c % self.p
+        raise TypeError(f"cannot coerce {c!r} into F_{self.p}")
+
+    def _from_k(self, rs: Sequence[int]) -> Tuple[Fp, ...]:
+        """Fp scalars for residues: the way out of the kernel."""
+        p = self.p
+        return tuple(Fp(r, p) for r in rs)
 
     def to_str(self, x: Fp) -> str:
         return str(x.r)

@@ -39,8 +39,8 @@ from .budgets import (
     symbolic_dim,
 )
 from .fields import Field, MultiPoly, Scalar, UniPoly, is_squarefree
-from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic
-from .verdict import Verdict
+from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic, _res_char_poly
+from .verdict import RecheckFailed, Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +54,15 @@ def ad_char_coeffs(L: LieAlgebra, x: Sequence) -> Tuple[Scalar, ...]:
 
 
 def zero_multiplicity(L: LieAlgebra, x: Sequence) -> int:
-    """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i."""
-    coeffs = ad_char_coeffs(L, x)
+    """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i.
+
+    Over F_p this stays in the residue kernel: residue table, residue
+    ad x, residue char poly, with no Matrix and no Fp built.
+    """
+    if L.field.kind == "Fp":
+        coeffs = _res_char_poly(L._res_ad(L._res_vector(x)), L.field.p)
+    else:
+        coeffs = ad_char_coeffs(L, x)
     for i, c in enumerate(coeffs):
         if c:
             return i
@@ -196,13 +203,16 @@ def _all_vectors(field: Field, n: int) -> Iterator[Vector]:
         yield tup
 
 
-def _rank_by_scan(L: LieAlgebra) -> int:
+def _rank_by_scan(L: LieAlgebra, lower: int = 1) -> int:
     """Pointwise rank by evaluating zero-multiplicities on a deciding set.
 
     Over F_p the whole space decides; over the rationals the grid
     {0..n}^n does, because each a_i has degree at most n in every
     coordinate and a nonzero polynomial cannot vanish on a full grid
-    with more points per axis than its degree.
+    with more points per axis than its degree.  `lower` is a proven
+    lower bound on every zero-multiplicity (1, since x kills itself, or
+    the formal rank), so the first point that attains it is a witness
+    and ends the scan.
     """
     n = L.dim
     if L.field.kind == "Fp":
@@ -224,7 +234,7 @@ def _rank_by_scan(L: LieAlgebra) -> int:
         nu = zero_multiplicity(L, pt)
         if nu < best:
             best = nu
-            if best == 1:
+            if best <= lower:
                 break
     return best
 
@@ -247,7 +257,8 @@ def rank(L: LieAlgebra) -> int:
             # cannot vanish at every point, so a witness element exists
             result = r
         else:
-            result = _rank_by_scan(L)
+            # a_0 .. a_{r-1} vanish identically, so nu >= r everywhere
+            result = _rank_by_scan(L, r)
     else:
         result = _rank_by_scan(L)
     L._cache["rank"] = result
@@ -271,23 +282,30 @@ class FittingDecomposition:
         return self.null.dim
 
 
+def _recheck(ok: bool, message: str) -> None:
+    """An explicit raise, so the recheck still runs under python -O."""
+    if not ok:
+        raise RecheckFailed(message)
+
+
 def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition) -> None:
     n = L.dim
-    assert dec.null.dim + dec.one.dim == n, "component dimensions must sum to dim"
-    assert dec.null.intersect(dec.one).is_zero(), "components must be independent"
+    _recheck(dec.null.dim + dec.one.dim == n, "component dimensions must sum to dim")
+    _recheck(dec.null.intersect(dec.one).is_zero(), "components must be independent")
     for u in dec.null.rows:
         for v in dec.null.rows:
-            assert dec.null.contains(L.bracket(u, v)), "null component must be a subalgebra"
+            _recheck(dec.null.contains(L.bracket(u, v)), "null component must be a subalgebra")
     for u in dec.null.rows:
         for v in dec.one.rows:
-            assert dec.one.contains(L.bracket(u, v)), "[null, one] must land in one"
+            _recheck(dec.one.contains(L.bracket(u, v)), "[null, one] must land in one")
     for x in dec.against:
         power = L.ad(x) ** n
         for u in dec.null.rows:
-            assert not any(power.apply(u)), "ad^dim must kill the null component"
+            _recheck(not any(power.apply(u)), "ad^dim must kill the null component")
         img = Subspace.from_vectors(L.field, n, [power.apply(v) for v in dec.one.rows])
-        assert img.dim == dec.one.dim or len(dec.against) > 1, (
-            "ad^dim must act injectively on the one component"
+        _recheck(
+            img.dim == dec.one.dim or len(dec.against) > 1,
+            "ad^dim must act injectively on the one component",
         )
 
 
@@ -338,7 +356,7 @@ def is_regular_element(L: LieAlgebra, x: Sequence) -> bool:
         raise ValueError("regularity of an element is defined for nonzero elements")
     r = rank(L)
     nu = zero_multiplicity(L, x)
-    assert fitting(L, x).nu == nu, "null component dimension must equal the zero multiplicity"
+    _recheck(fitting(L, x).nu == nu, "null component dimension must equal the zero multiplicity")
     return nu == r
 
 
@@ -379,8 +397,8 @@ def _search_schedule(
 
 def _recheck_not_regular(L: LieAlgebra, x: Vector, r: int) -> None:
     nu = zero_multiplicity(L, x)
-    assert nu != r, "witness recheck failed: element is regular after all"
-    assert fitting(L, x).nu == nu
+    _recheck(nu != r, "witness recheck failed: element is regular after all")
+    _recheck(fitting(L, x).nu == nu, "witness recheck failed: Fitting null component disagrees")
 
 
 def is_regular_algebra(

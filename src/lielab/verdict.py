@@ -11,6 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+
+class RecheckFailed(AssertionError):
+    """An independent recheck disagreed with the answer it was checking.
+
+    Raised explicitly rather than by ``assert``, so it survives
+    ``python -O``.
+    """
+
+
 CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"

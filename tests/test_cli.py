@@ -236,3 +236,38 @@ class TestCanonicalJson:
         text = su2q().canonical_json()
         data = json.loads(text)
         assert text == canonical_dumps(data)
+
+
+class TestParseBoundary:
+    """Malformed input exits 3, the bad-input code, never 1 or 2."""
+
+    def _write(self, tmp_path, entry):
+        doc = dict(GOOD, brackets=[entry])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_numeric_coefficient(self, capsys, tmp_path):
+        path = self._write(tmp_path, {"i": 0, "j": 1, "coeffs": {"2": 1}})
+        assert main(["validate", path]) == 3
+        assert "must be a string" in capsys.readouterr().err
+
+    def test_non_object_coeffs(self, capsys, tmp_path):
+        path = self._write(tmp_path, {"i": 0, "j": 1, "coeffs": ["1"]})
+        assert main(["analyze", path]) == 3
+        assert "coeffs must be an object" in capsys.readouterr().err
+
+    def test_bool_index(self, capsys, tmp_path):
+        path = self._write(tmp_path, {"i": 0, "j": True, "coeffs": {"2": "1"}})
+        assert main(["validate", path]) == 3
+        assert "must be integers" in capsys.readouterr().err
+
+    def test_usage_error_exits_3_and_help_exits_0(self, capsys, h3_file):
+        for argv in (["rank"], ["regular", h3_file, "--mode", "bogus"], ["no-such-command"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 3, argv
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()

@@ -262,3 +262,45 @@ class TestFactorizationAlongIdeals:
         ri, rq = relative_rank(D, summand)
         assert (ri, rq) == (1, 1)
         assert ri + rq == rank(D)
+
+
+_SABOTAGED_FITTING = """
+import sys
+assert False, "this check needs python -O, which strips asserts"
+import lielab
+from lielab import regularity
+from lielab.catalog import sl
+from lielab.fields import GF
+
+real = regularity.fitting
+
+def wrong_fitting(L, x):
+    dec = real(L, x)
+    return regularity.FittingDecomposition(dec.one, dec.null, dec.against)
+
+regularity.fitting = wrong_fitting
+try:
+    regularity.is_regular_algebra(sl(GF(5), 2), mode="exhaustive")
+except lielab.RecheckFailed as exc:
+    print("raised:", exc)
+    sys.exit(0)
+print("no raise")
+sys.exit(1)
+"""
+
+
+def test_recheck_survives_python_O():
+    """Under -O, a Fitting component that disagrees with the zero
+    multiplicity of a refuting witness still raises RecheckFailed."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SABOTAGED_FITTING],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "raised: witness recheck failed" in proc.stdout
