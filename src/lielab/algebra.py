@@ -6,7 +6,7 @@ is baked into the representation and the Jacobi identity is checked on
 every basis triple at construction time (the table enumerator uses the
 unchecked constructor and validates separately).
 
-Everything downstream - structure reports, Killing and invariant forms,
+Everything downstream - structure reports, the Killing form,
 quotients, sums, scalar extensions by a commutative algebra, derivations,
 centroid, second cohomology with trivial coefficients, central
 extensions - is exact linear algebra over the base field.
@@ -17,9 +17,9 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .budgets import BudgetExceeded, derivation_dim_cap
+from .budgets import DERIVATION_DIM_CAP, EXHAUSTIVE_CAP, BudgetExceeded
 from .fields import (
     Field,
     MultiPoly,
@@ -352,7 +352,7 @@ class LieAlgebra:
         radical_dim: Optional[int] = None
         semisimple: Optional[bool] = None
         if self.field.kind == "Q":
-            radical = self.killing_orthogonal(commutant)
+            radical = killing.orthogonal_of(commutant)
             radical_dim = radical.dim
             semisimple = killing_rank == self.dim
         report = StructureReport(
@@ -389,53 +389,6 @@ class LieAlgebra:
         form = BilinearForm(self, gram)
         self._cache["killing"] = form
         return form
-
-    def killing_orthogonal(self, space: Subspace) -> Subspace:
-        gram = self.killing_form().gram
-        rows = [gram.apply(u) for u in space.rows]
-        return Matrix(self.field, rows, ncols=self.dim).kernel()
-
-    def invariant_forms(self) -> List[Matrix]:
-        """_Echelon basis of symmetric bilinear forms with <[x,y],z> = <x,[y,z]>."""
-        n = self.dim
-        idx = {}
-        for i in range(n):
-            for j in range(i, n):
-                idx[(i, j)] = len(idx)
-        unknowns = len(idx)
-
-        def slot(i, j):
-            return idx[(i, j)] if i <= j else idx[(j, i)]
-
-        rows = []
-        for i in range(n):
-            for j in range(n):
-                bij = self.basis_bracket(i, j)
-                for k in range(n):
-                    bjk = self.basis_bracket(j, k)
-                    row = [self.field.zero] * unknowns
-                    touched = False
-                    for m, c in enumerate(bij):
-                        if c:
-                            s = slot(m, k)
-                            row[s] = row[s] + c
-                            touched = True
-                    for m, c in enumerate(bjk):
-                        if c:
-                            s = slot(i, m)
-                            row[s] = row[s] - c
-                            touched = True
-                    if touched and any(row):
-                        rows.append(row)
-        kernel = Matrix(self.field, rows, ncols=unknowns).kernel()
-        grams = []
-        for sol in kernel.rows:
-            gram = [[self.field.zero] * n for _ in range(n)]
-            for (i, j), s in idx.items():
-                gram[i][j] = sol[s]
-                gram[j][i] = sol[s]
-            grams.append(Matrix(self.field, gram, ncols=n))
-        return grams
 
     # -- serialization -------------------------------------------------------
 
@@ -794,6 +747,47 @@ def tensor_commutative(L: LieAlgebra, A: AssocAlgebra) -> LieAlgebra:
     return LieAlgebra(L.field, labels, table)
 
 
+def _map_equations(L: LieAlgebra) -> Iterator[tuple]:
+    """Linear equations on the entries of a map phi of L, unknown phi[r][k]
+    at index r * n + k.
+
+    For each pair i < j and each coordinate r, yields the r-th coordinates
+    of phi[b_i, b_j], [phi b_i, b_j] and [b_i, phi b_j].  Each part is
+    (offset, [(key, c), ...]): coefficient c on the unknown offset + key.
+    Pairs with a zero bracket yield equations too: their first part is
+    empty.
+    """
+    n = L.dim
+    bra = [[L.basis_bracket(s, j) for j in range(n)] for s in range(n)]
+    # nonzero structure constants by output coordinate r, keyed s * n:
+    # [b_s, b_j]_r in left[j][r] and [b_i, b_s]_r in right[i][r]
+    left = [[[(s * n, bra[s][j][r]) for s in range(n) if bra[s][j][r]] for r in range(n)] for j in range(n)]
+    right = [[[(s * n, bra[i][s][r]) for s in range(n) if bra[i][s][r]] for r in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = tuple(L.table.get((i, j), {}).items())
+            for r in range(n):
+                yield (r * n, image), (i, left[j][r]), (j, right[i][r])
+
+
+def _equation_row(field: Field, n: int, image, *brackets) -> list:
+    """Dense row of image minus the bracket parts, over the n * n unknowns."""
+    row = [field.zero] * (n * n)
+    offset, part = image
+    for key, c in part:
+        row[offset + key] = row[offset + key] + c
+    for offset, part in brackets:
+        for key, c in part:
+            row[offset + key] = row[offset + key] - c
+    return row
+
+
+def _map_solutions(field: Field, n: int, rows: list) -> Tuple[Subspace, List[Matrix]]:
+    """Solution space of the equations, and its rows as n x n matrices."""
+    kernel = Matrix(field, rows, ncols=n * n).kernel()
+    return kernel, [Matrix(field, [sol[r * n : (r + 1) * n] for r in range(n)], ncols=n) for sol in kernel.rows]
+
+
 def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     """The Lie algebra of derivations, with its matrix basis.
 
@@ -802,34 +796,17 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     kernel basis.
     """
     n = L.dim
-    if L.field.kind == "Fp" and n > derivation_dim_cap():
+    if L.field.kind == "Fp" and n > DERIVATION_DIM_CAP:
         raise BudgetExceeded(
-            f"derivation algebra over F_p limited to dim <= {derivation_dim_cap()}, got {n}"
+            f"derivation algebra over F_p limited to dim <= {DERIVATION_DIM_CAP}, got {n}"
         )
     field = L.field
-    zero = field.zero
-    # tensor of structure constants densified once: c[s][j] = [b_s, b_j]
-    bra = [[L.basis_bracket(s, j) for j in range(n)] for s in range(n)]
     rows = []
-    # Pairs with a zero bracket still constrain D: [D b_i, b_j] + [b_i, D b_j] = 0.
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = L.table.get((i, j), {})
-            for r in range(n):
-                row = [zero] * (n * n)
-                for k, c in coeffs.items():
-                    row[r * n + k] = row[r * n + k] + c
-                for s in range(n):
-                    c1 = bra[s][j][r]
-                    if c1:
-                        row[s * n + i] = row[s * n + i] - c1
-                    c2 = bra[i][s][r]
-                    if c2:
-                        row[s * n + j] = row[s * n + j] - c2
-                if any(row):
-                    rows.append(row)
-    kernel = Matrix(field, rows, ncols=n * n).kernel()
-    mats = [Matrix(field, [sol[r * n : (r + 1) * n] for r in range(n)], ncols=n) for sol in kernel.rows]
+    for image, left, right in _map_equations(L):
+        row = _equation_row(field, n, image, left, right)
+        if any(row):
+            rows.append(row)
+    kernel, mats = _map_solutions(field, n, rows)
 
     def flatten(mat: Matrix) -> Vector:
         return tuple(c for row in mat.rows for c in row)
@@ -856,36 +833,12 @@ def centroid(L: LieAlgebra) -> List[Matrix]:
     phi[x, y] = [phi x, y] = [x, phi y]."""
     n = L.dim
     field = L.field
-    zero = field.zero
-    bra = [[L.basis_bracket(s, j) for j in range(n)] for s in range(n)]
     rows = []
-    # Zero brackets contribute too: [phi b_i, b_j] = 0 and [b_i, phi b_j] = 0.
-    for i in range(n):
-        for j in range(i + 1, n):
-            coeffs = L.table.get((i, j), {})
-            for r in range(n):
-                # phi([b_i,b_j]) - [phi b_i, b_j] = 0
-                row = [zero] * (n * n)
-                for k, c in coeffs.items():
-                    row[r * n + k] = row[r * n + k] + c
-                for s in range(n):
-                    c1 = bra[s][j][r]
-                    if c1:
-                        row[s * n + i] = row[s * n + i] - c1
-                if any(row):
-                    rows.append(row)
-                # phi([b_i,b_j]) - [b_i, phi b_j] = 0
-                row = [zero] * (n * n)
-                for k, c in coeffs.items():
-                    row[r * n + k] = row[r * n + k] + c
-                for s in range(n):
-                    c2 = bra[i][s][r]
-                    if c2:
-                        row[s * n + j] = row[s * n + j] - c2
-                if any(row):
-                    rows.append(row)
-    kernel = Matrix(field, rows, ncols=n * n).kernel()
-    return [Matrix(field, [sol[r * n : (r + 1) * n] for r in range(n)], ncols=n) for sol in kernel.rows]
+    for image, left, right in _map_equations(L):
+        for row in (_equation_row(field, n, image, left), _equation_row(field, n, image, right)):
+            if any(row):
+                rows.append(row)
+    return _map_solutions(field, n, rows)[1]
 
 
 def _monic_rational_irreducible(p: UniPoly) -> Optional[bool]:
@@ -986,8 +939,6 @@ def is_simple(L: LieAlgebra) -> Verdict:
     is a field (irreducible minimal polynomial of full centroid degree,
     decided exactly up to degree 4).
     """
-    from .budgets import exhaustive_cap
-
     n = L.dim
     if n == 0:
         return Verdict.refuted(witness=(), reason="zero algebra")
@@ -1009,8 +960,8 @@ def is_simple(L: LieAlgebra) -> Verdict:
                 return Verdict.refuted(witness_vec, reason="proper-ideal", ideal_dim=ideal.dim)
     if L.field.kind == "Fp":
         total = L.field.p**n
-        if total > exhaustive_cap():
-            return Verdict.inconclusive(reason="budget", needed=total, cap=exhaustive_cap())
+        if total > EXHAUSTIVE_CAP:
+            return Verdict.inconclusive(reason="budget", needed=total, cap=EXHAUSTIVE_CAP)
         lines = _projective_points(L.field, n)
         for x in lines:
             ideal = L.ideal_generated([x])
@@ -1165,21 +1116,3 @@ def central_extension(L: LieAlgebra, omega: Dict[Tuple[int, int], Scalar]) -> Li
         entry[n] = c
     labels = L.labels + ("c",)
     return LieAlgebra(L.field, labels, table)
-
-
-def subspace_query(L: LieAlgebra, kind: str, arg=None) -> Subspace:
-    """Dispatcher used by the CLI: center/commutant/centralizer/normalizer/
-    ideal/subalgebra queries by name."""
-    if kind == "center":
-        return L.center()
-    if kind == "commutant":
-        return L.commutant()
-    if kind == "centralizer":
-        return L.centralizer(arg)
-    if kind == "normalizer":
-        return L.normalizer(arg)
-    if kind == "ideal":
-        return L.ideal_generated(arg)
-    if kind == "subalgebra":
-        return L.subalgebra_generated(arg)
-    raise ValueError(f"unknown subspace query: {kind!r}")

@@ -1,13 +1,12 @@
-"""Search and enumeration budgets, with environment overrides.
+"""Search and enumeration budgets.
 
 Every potentially expensive scan in the package (point searches over Q,
 exhaustive scans over F_p^n, table enumeration, subspace enumeration)
-reads its default limit from here.  Each limit can be overridden with an
-environment variable, so the CLI and the test suite share one knob.
+reads its limit from here.  The limits are constants: a question that
+needs more than they allow ends in BudgetExceeded or an Inconclusive
+verdict, never in a looser answer.
 """
 from __future__ import annotations
-
-import os
 
 
 class BudgetExceeded(RuntimeError):
@@ -18,56 +17,27 @@ class BudgetExceeded(RuntimeError):
 #: suite both start here so reported evidence is reproducible.
 DEFAULT_SEED = 1729
 
+#: Max coordinate height for deterministic integer point searches.
+SEARCH_HEIGHT = 5
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
-    return value
+#: Number of seeded random trials appended to a point search.
+SEARCH_TRIALS = 1000
 
+#: Cap on deterministic shell points per search (shells explode
+#: combinatorially with dimension).
+SEARCH_POINTS_CAP = 20_000
 
-def search_height() -> int:
-    """Max coordinate height for deterministic integer point searches."""
-    return _env_int("LIELAB_SEARCH_HEIGHT", 5)
+#: Largest p**dim allowed for exhaustive scans of F_p^dim.
+EXHAUSTIVE_CAP = 1_000_000
 
+#: Largest number of structure tables enumerate_tables may stream.
+ENUMERATION_CAP = 1_000_000
 
-def search_trials() -> int:
-    """Number of seeded random trials appended to a point search."""
-    return _env_int("LIELAB_SEARCH_TRIALS", 1000)
+#: Largest dimension for which generic char poly is computed symbolically.
+SYMBOLIC_DIM = 8
 
+#: Largest dimension for derivation_algebra over a finite field.
+DERIVATION_DIM_CAP = 12
 
-def search_points_cap() -> int:
-    """Cap on deterministic shell points per search (shells explode
-    combinatorially with dimension)."""
-    return _env_int("LIELAB_SEARCH_POINTS", 20_000)
-
-
-def exhaustive_cap() -> int:
-    """Largest p**dim allowed for exhaustive scans of F_p^dim."""
-    return _env_int("LIELAB_EXHAUSTIVE_CAP", 1_000_000)
-
-
-def enumeration_cap() -> int:
-    """Largest number of structure tables enumerate_tables may stream."""
-    return _env_int("LIELAB_ENUM_CAP", 1_000_000)
-
-
-def symbolic_dim() -> int:
-    """Largest dimension for which generic char poly is computed symbolically."""
-    return _env_int("LIELAB_SYMBOLIC_DIM", 8)
-
-
-def derivation_dim_cap() -> int:
-    """Largest dimension for derivation_algebra over a finite field."""
-    return _env_int("LIELAB_DERIVATION_DIM_CAP", 12)
-
-
-def subspace_cap() -> int:
-    """Largest number of subspaces is_minimal_non may enumerate."""
-    return _env_int("LIELAB_SUBSPACE_CAP", 5000)
+#: Largest number of subspaces is_minimal_non may enumerate.
+SUBSPACE_CAP = 5000

@@ -17,10 +17,10 @@ from itertools import product as iproduct
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import AssocAlgebra, LieAlgebra, StructureError, quotient
-from .budgets import BudgetExceeded, enumeration_cap, exhaustive_cap
+from .budgets import ENUMERATION_CAP, EXHAUSTIVE_CAP, BudgetExceeded
 from .fields import Field, QQ, Scalar
 from .linalg import Matrix, Subspace, Vector
-from .verdict import Verdict
+from .verdict import Verdict, _recheck
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +364,14 @@ def is_division(Q: QuaternionAlgebra, mode: str = "certificate") -> Verdict:
                 u = tuple(Q.field.of(c) for c in u)
                 v = tuple(Q.field.of(c) for c in v)
                 prod = Q.multiply(u, v)
-                assert not any(prod), "zero-divisor recheck failed"
+                _recheck(not any(prod), "zero-divisor recheck failed")
                 return Verdict.refuted((u, v), reason="square-parameter")
         return Verdict.inconclusive(reason="indefinite-norm-form-undecided")
     if mode == "exhaustive":
         if Q.field.kind != "Fp":
             raise ValueError("exhaustive scan needs a finite field")
         p = Q.field.p
-        if p**4 > exhaustive_cap():
+        if p**4 > EXHAUSTIVE_CAP:
             raise BudgetExceeded(f"{p ** 4} quaternions exceed the cap")
         scanned = 0
         for x in iproduct(tuple(Q.field.elements()), repeat=4):
@@ -381,7 +381,7 @@ def is_division(Q: QuaternionAlgebra, mode: str = "certificate") -> Verdict:
             if not Q.norm(x):
                 xb = Q.conjugate(x)  # nonzero whenever x is
                 prod = Q.multiply(x, xb)
-                assert not any(prod), "zero-divisor recheck failed"
+                _recheck(not any(prod), "zero-divisor recheck failed")
                 return Verdict.refuted((x, xb), scanned=scanned)
         return Verdict.certified("exhaustive", scanned=scanned)
     raise ValueError(f"unknown mode {mode!r}")
@@ -496,8 +496,8 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
         raise ValueError("table enumeration runs over finite fields")
     ncoeffs = dim * (dim * (dim - 1) // 2)
     total = field.p**ncoeffs
-    if total > enumeration_cap():
-        raise BudgetExceeded(f"{total} tables exceed the enumeration cap {enumeration_cap()}")
+    if total > ENUMERATION_CAP:
+        raise BudgetExceeded(f"{total} tables exceed the enumeration cap {ENUMERATION_CAP}")
     elements = tuple(field.of(r) for r in range(field.p))
     for combo in iproduct(elements, repeat=ncoeffs):
         t = EnumTable(dim, field, combo, False)

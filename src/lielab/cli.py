@@ -70,7 +70,6 @@ from .regularity import (
     rank,
     relative_rank,
 )
-from .verdict import Verdict
 
 
 class CliError(Exception):
@@ -147,10 +146,6 @@ def _str_rows(field: Field, rows) -> List[List[str]]:
     return [[field.to_str(c) for c in row] for row in rows]
 
 
-def _verdict_json(L_field: Field, v: Verdict) -> dict:
-    return v.to_json_dict(L_field)
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (exit_code, payload)
 
@@ -205,19 +200,15 @@ def cmd_analyze(args) -> Tuple[int, dict]:
     guarded("rank", lambda: rank(L))
     guarded(
         "regular",
-        lambda: _verdict_json(
-            L.field, is_regular_algebra(L, mode="certificate", seed=args.seed)
-        ),
+        lambda: is_regular_algebra(L, mode="certificate", seed=args.seed).to_json_dict(L.field),
     )
     guarded(
         "anisotropic",
-        lambda: _verdict_json(L.field, is_anisotropic(L, mode="certificate", seed=args.seed)),
+        lambda: is_anisotropic(L, mode="certificate", seed=args.seed).to_json_dict(L.field),
     )
     guarded(
         "nilpotent_free",
-        lambda: _verdict_json(
-            L.field, is_nilpotent_free(L, mode="certificate", seed=args.seed)
-        ),
+        lambda: is_nilpotent_free(L, mode="certificate", seed=args.seed).to_json_dict(L.field),
     )
     guarded("derivation_dim", lambda: derivation_algebra(L)[0].dim)
     guarded("centroid_dim", lambda: len(centroid(L)))
@@ -244,7 +235,7 @@ def cmd_regular(args) -> Tuple[int, dict]:
         raise CliError(str(exc)) from exc
     except BudgetExceeded as exc:
         return 2, {"mode": args.mode, "note": str(exc)}
-    return verdict.exit_code(), {"mode": args.mode, "regular": _verdict_json(L.field, verdict)}
+    return verdict.exit_code(), {"mode": args.mode, "regular": verdict.to_json_dict(L.field)}
 
 
 def cmd_fitting(args) -> Tuple[int, dict]:
@@ -280,8 +271,8 @@ def cmd_anisotropic(args) -> Tuple[int, dict]:
         return 2, {"mode": args.mode, "note": str(exc)}
     return aniso.exit_code(), {
         "mode": args.mode,
-        "anisotropic": _verdict_json(L.field, aniso),
-        "nilpotent_free": _verdict_json(L.field, nil_free),
+        "anisotropic": aniso.to_json_dict(L.field),
+        "nilpotent_free": nil_free.to_json_dict(L.field),
     }
 
 

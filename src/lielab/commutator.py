@@ -14,12 +14,12 @@ from itertools import combinations, product as iproduct
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import BilinearForm, LieAlgebra
-from .budgets import BudgetExceeded, search_height, subspace_cap
+from .budgets import SEARCH_HEIGHT, SUBSPACE_CAP, BudgetExceeded
 from .catalog import QuaternionAlgebra, is_division, reduced_trace
 from .fields import Field, Scalar
 from .linalg import Subspace, Vector, vec_is_zero, vec_scale
 from .regularity import _search_schedule, fitting_set, is_regular_algebra, rank
-from .verdict import Verdict
+from .verdict import RecheckFailed, Verdict
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ def quaternion_commutator(Q: QuaternionAlgebra, x: Sequence) -> Tuple[Vector, Ve
     uv = Q.multiply(u, v)
     vu = Q.multiply(v, u)
     if tuple(a - b for a, b in zip(uv, vu)) != x:
-        raise AssertionError("associative recheck failed")
+        raise RecheckFailed("associative recheck failed")
     return u, v
 
 
@@ -160,7 +160,7 @@ def commutator_search(
     if vec_is_zero(target):
         zero = L.zero_vector()
         return CommutatorWitness(L, target, zero, zero, "search")
-    height = search_height() if max_height is None else max_height
+    height = SEARCH_HEIGHT if max_height is None else max_height
     minus_target = vec_scale(target, -L.field.one)
     for y in _search_schedule(L.field, L.dim, height, 0, 0):
         z = L.ad(y).solve(minus_target)
@@ -240,8 +240,8 @@ def is_minimal_non(L: LieAlgebra, prop: str) -> Verdict:
         return Verdict.refuted(full.rows, reason="property-holds-on-the-whole-algebra")
     p, n = L.field.p, L.dim
     total = sum(_count_subspaces(p, n, d) for d in range(1, n))
-    if total > subspace_cap():
-        raise BudgetExceeded(f"{total} proper subspaces exceed the cap {subspace_cap()}")
+    if total > SUBSPACE_CAP:
+        raise BudgetExceeded(f"{total} proper subspaces exceed the cap {SUBSPACE_CAP}")
     checked = 0
     for d in range(1, n):
         for S in _subspaces(L.field, n, d):

@@ -564,24 +564,6 @@ def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
     return ((a * b).divmod(g)[0]).monic()
 
 
-def poly_extended_gcd(a: UniPoly, b: UniPoly) -> Tuple[UniPoly, UniPoly, UniPoly]:
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    field = a.field
-    r0, r1 = a, b
-    s0, s1 = UniPoly.one(field), UniPoly.zero(field)
-    t0, t1 = UniPoly.zero(field), UniPoly.one(field)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    lead = r0.leading()
-    inv = field.one / lead
-    return r0.scale(inv), s0.scale(inv), t0.scale(inv)
-
-
 def _pth_root(p: UniPoly) -> UniPoly:
     """For f with f' = 0 over F_p, return the p-th root of f.
 
@@ -789,7 +771,3 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.field!r}, {self.nvars}, {self.terms!r})"
-
-
-def mv_eval(p: MultiPoly, point: Sequence) -> Scalar:
-    return p.eval(point)

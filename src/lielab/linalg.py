@@ -29,7 +29,7 @@ from math import gcd
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .fields import Field, Scalar, UniPoly, poly_lcm, poly_extended_gcd, squarefree_part
+from .fields import Field, Scalar, UniPoly, poly_lcm
 
 Vector = Tuple[Scalar, ...]
 Residues = Tuple[int, ...]
@@ -496,60 +496,6 @@ class Matrix:
             acc = poly_lcm(acc, local)
         return acc if not acc.is_zero() else UniPoly.one(field)
 
-    # -- Jordan-Chevalley --------------------------------------------------
-
-    def eval_poly(self, p: UniPoly) -> "Matrix":
-        """p(self) by Horner."""
-        if not self.is_square():
-            raise ValueError("polynomial of a non-square matrix")
-        n = self.n
-        acc = Matrix.zeros(self.field, n, n)
-        for c in reversed(p.coeffs):
-            acc = acc * self
-            if c:
-                acc = acc + Matrix.identity(self.field, n).scale(c)
-        return acc
-
-    def jordan_chevalley(self) -> Tuple["Matrix", "Matrix"]:
-        """Split self = S + N, S semisimple, N nilpotent, both in K[self].
-
-        Newton lifting: with g the squarefree part of the characteristic
-        polynomial and u a Bezout inverse of g' modulo g, the map
-        x -> x - g(x) u(x) squares the g-adic accuracy each pass, so
-        ceil(log2(n)) + 1 passes reach g(S) = 0 exactly.
-        """
-        if not self.is_square():
-            raise ValueError("decomposition of a non-square matrix")
-        n = self.n
-        if n == 0:
-            return self, self
-        chi = self.char_poly()
-        g = squarefree_part(chi)
-        if g.degree == chi.degree:
-            s, nil = self, Matrix.zeros(self.field, n, n)
-        else:
-            gd = g.derivative()
-            bez, u, _ = poly_extended_gcd(gd, g)
-            if bez.degree != 0:
-                raise ArithmeticError("squarefree part not separable")
-            inv = self.field.one / bez.coeffs[0]
-            u = u.scale(inv)
-            iters = 1
-            while (1 << iters) < n:
-                iters += 1
-            x = self
-            for _ in range(iters + 1):
-                gx = x.eval_poly(g)
-                if gx.is_zero():
-                    break
-                x = x - gx * x.eval_poly(u)
-            s, nil = x, self - x
-        assert (s + nil) == self
-        assert (s * nil) == (nil * s)
-        assert (nil ** n).is_zero()
-        assert squarefree_part(s.min_poly()) == s.min_poly() or s.min_poly().degree == 0
-        return s, nil
-
 
 def diagonalize_quadratic(gram: Matrix) -> Tuple[Scalar, ...]:
     """Diagonal of a congruent diagonal form of a symmetric matrix over Q.
@@ -789,15 +735,3 @@ class _Echelon:
         pivots = tuple(sorted(self.rows))
         rows = tuple(tuple(self.rows[c]) for c in pivots)
         return Subspace._of_k(self.field, self.ambient, rows, pivots)
-
-
-def restrict_to_invariant(mat: Matrix, space: Subspace) -> Matrix:
-    """Matrix of mat's action on an invariant subspace, in its echelon basis."""
-    cols = []
-    for v in space.rows:
-        w = mat.apply(v)
-        coords = space.coords_of(w)
-        if coords is None:
-            raise ValueError("subspace is not invariant under the matrix")
-        cols.append(coords)
-    return Matrix.from_columns(space.field, cols, space.dim)

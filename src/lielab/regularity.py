@@ -26,21 +26,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra, StructureError
 from .budgets import (
     DEFAULT_SEED,
+    EXHAUSTIVE_CAP,
+    SEARCH_HEIGHT,
+    SEARCH_POINTS_CAP,
+    SEARCH_TRIALS,
+    SYMBOLIC_DIM,
     BudgetExceeded,
-    exhaustive_cap,
-    search_height,
-    search_points_cap,
-    search_trials,
-    symbolic_dim,
 )
 from .fields import Field, MultiPoly, Scalar, UniPoly, is_squarefree
 from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic, _res_char_poly
-from .verdict import RecheckFailed, Verdict
+from .verdict import Verdict, _recheck
 
 
 # ---------------------------------------------------------------------------
@@ -149,16 +149,16 @@ class GenericCharPoly:
     def __post_init__(self):
         n = self.algebra.dim
         if self.symbolic:
-            assert self.coeffs is not None and len(self.coeffs) == n + 1
+            _recheck(
+                self.coeffs is not None and len(self.coeffs) == n + 1,
+                "one coefficient per degree 0..dim",
+            )
             one = MultiPoly.const(self.algebra.field, n, 1)
-            assert self.coeffs[n] == one, "characteristic polynomial must be monic"
+            _recheck(self.coeffs[n] == one, "characteristic polynomial must be monic")
             if n >= 1:
-                assert self.coeffs[0].is_zero(), "a_0 must vanish (x kills itself)"
+                _recheck(self.coeffs[0].is_zero(), "a_0 must vanish (x kills itself)")
             for i, a in enumerate(self.coeffs):
-                assert a.is_homogeneous(n - i), f"a_{i} must be homogeneous of degree {n - i}"
-
-    def coeff_values(self, x: Sequence) -> Tuple[Scalar, ...]:
-        return ad_char_coeffs(self.algebra, x)
+                _recheck(a.is_homogeneous(n - i), f"a_{i} must be homogeneous of degree {n - i}")
 
     def formal_rank(self) -> int:
         """Least i with a_i not the zero polynomial (symbolic only)."""
@@ -181,11 +181,11 @@ def generic_char_poly(L: LieAlgebra, *, allow_evaluation_fallback: bool = False)
     if cached is not None:
         return cached
     n = L.dim
-    if n > symbolic_dim():
+    if n > SYMBOLIC_DIM:
         if allow_evaluation_fallback:
             return GenericCharPoly(L, None, False)
         raise BudgetExceeded(
-            f"symbolic characteristic coefficients limited to dim <= {symbolic_dim()}, got {n}"
+            f"symbolic characteristic coefficients limited to dim <= {SYMBOLIC_DIM}, got {n}"
         )
     mats = [L.ad_basis(i) for i in range(n)]
     coeffs = tuple(linear_family_char_coeffs(L.field, mats, n))
@@ -217,16 +217,16 @@ def _rank_by_scan(L: LieAlgebra, lower: int = 1) -> int:
     n = L.dim
     if L.field.kind == "Fp":
         total = L.field.p**n
-        if total > exhaustive_cap():
+        if total > EXHAUSTIVE_CAP:
             raise BudgetExceeded(
-                f"rank scan needs {total} points, over the cap {exhaustive_cap()}"
+                f"rank scan needs {total} points, over the cap {EXHAUSTIVE_CAP}"
             )
         points: Iterator[Sequence] = _all_vectors(L.field, n)
     else:
         total = (n + 1) ** n
-        if total > exhaustive_cap():
+        if total > EXHAUSTIVE_CAP:
             raise BudgetExceeded(
-                f"rank grid needs {total} points, over the cap {exhaustive_cap()}"
+                f"rank grid needs {total} points, over the cap {EXHAUSTIVE_CAP}"
             )
         points = iproduct(range(n + 1), repeat=n)
     best = n
@@ -250,7 +250,7 @@ def rank(L: LieAlgebra) -> int:
     elif L.structure_report().nilpotent:
         # every adjoint map is nilpotent, so chi = t^n throughout
         result = n
-    elif n <= symbolic_dim():
+    elif n <= SYMBOLIC_DIM:
         r = generic_char_poly(L).formal_rank()
         if L.field.kind == "Q" or n - r < L.field.p:
             # a nonzero polynomial of per-variable degree < field size
@@ -280,12 +280,6 @@ class FittingDecomposition:
     @property
     def nu(self) -> int:
         return self.null.dim
-
-
-def _recheck(ok: bool, message: str) -> None:
-    """An explicit raise, so the recheck still runs under python -O."""
-    if not ok:
-        raise RecheckFailed(message)
 
 
 def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition) -> None:
@@ -370,9 +364,8 @@ def _search_schedule(
     for i in range(n):
         yield tuple(o if t == i else z for t in range(n))
     emitted = 0
-    cap = search_points_cap()
     for h in range(1, height + 1):
-        if emitted >= cap:
+        if emitted >= SEARCH_POINTS_CAP:
             break
         for raw in iproduct(range(-h, h + 1), repeat=n):
             if max(abs(c) for c in raw) != h:
@@ -382,7 +375,7 @@ def _search_schedule(
                 continue
             yield vec
             emitted += 1
-            if emitted >= cap:
+            if emitted >= SEARCH_POINTS_CAP:
                 break
     rng = random.Random(seed)
     for _ in range(trials):
@@ -399,6 +392,39 @@ def _recheck_not_regular(L: LieAlgebra, x: Vector, r: int) -> None:
     nu = zero_multiplicity(L, x)
     _recheck(nu != r, "witness recheck failed: element is regular after all")
     _recheck(fitting(L, x).nu == nu, "witness recheck failed: Fitting null component disagrees")
+
+
+def _scan(
+    L: LieAlgebra, mode: str, seed: int, fails: Callable[[Vector], bool], **known
+) -> Verdict:
+    """Walk the candidates of `mode` and refute with the first x that
+    `fails`; `known` is evidence every verdict carries.
+
+    exhaustive: every nonzero vector of F_p^n within budget, so a scan
+    without failure certifies.  Any other mode walks _search_schedule,
+    which can only refute.
+    """
+    n = L.dim
+    if mode == "exhaustive":
+        if L.field.kind != "Fp":
+            raise ValueError("exhaustive mode requires a finite field")
+        total = L.field.p**n
+        if total > EXHAUSTIVE_CAP:
+            raise BudgetExceeded(f"{total} vectors exceed the cap {EXHAUSTIVE_CAP}")
+        known["total_nonzero"] = total - 1
+        candidates: Iterator[Vector] = (x for x in _all_vectors(L.field, n) if any(x))
+    else:
+        candidates = _search_schedule(L.field, n, SEARCH_HEIGHT, SEARCH_TRIALS, seed)
+    scanned = 0
+    for x in candidates:
+        scanned += 1
+        if fails(x):
+            return Verdict.refuted(x, scanned=scanned, **known)
+    if mode == "exhaustive":
+        return Verdict.certified("exhaustive", scanned=scanned, **known)
+    return Verdict.inconclusive(
+        scanned=scanned, height=SEARCH_HEIGHT, trials=SEARCH_TRIALS, seed=seed, **known
+    )
 
 
 def is_regular_algebra(
@@ -420,36 +446,15 @@ def is_regular_algebra(
     if L.structure_report().nilpotent:
         return Verdict.certified("structural", reason="nilpotent", rank=n)
     r = rank(L)
-    if mode == "exhaustive":
-        if L.field.kind != "Fp":
-            raise ValueError("exhaustive mode requires a finite field")
-        total = L.field.p**n
-        if total > exhaustive_cap():
-            raise BudgetExceeded(f"{total} vectors exceed the cap {exhaustive_cap()}")
-        scanned = 0
-        for x in _all_vectors(L.field, n):
-            if not any(x):
-                continue
-            scanned += 1
-            if zero_multiplicity(L, x) != r:
-                _recheck_not_regular(L, x, r)
-                return Verdict.refuted(
-                    x, rank=r, scanned=scanned, total_nonzero=total - 1
-                )
-        return Verdict.certified("exhaustive", rank=r, scanned=scanned, total_nonzero=total - 1)
     if mode == "certificate":
         cert = _definite_a1_certificate(L, r)
         if cert is not None:
             return cert
-        # fall through to search
-    height, trials = search_height(), search_trials()
-    scanned = 0
-    for x in _search_schedule(L.field, n, height, trials, seed):
-        scanned += 1
-        if zero_multiplicity(L, x) != r:
-            _recheck_not_regular(L, x, r)
-            return Verdict.refuted(x, rank=r, scanned=scanned)
-    return Verdict.inconclusive(rank=r, scanned=scanned, height=height, trials=trials, seed=seed)
+    # zero_multiplicity by module global: instrumentation may wrap it
+    verdict = _scan(L, mode, seed, lambda x: zero_multiplicity(L, x) != r, rank=r)
+    if verdict.is_refuted:
+        _recheck_not_regular(L, verdict.witness, r)
+    return verdict
 
 
 def _definite_a1_certificate(L: LieAlgebra, r: int) -> Optional[Verdict]:
@@ -509,15 +514,17 @@ def _noncentral_nilpotent_witness(L: LieAlgebra) -> Optional[Vector]:
 
 def is_anisotropic(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_SEED) -> Verdict:
     """Is ad x semisimple for every element x?"""
-    return _aniso_like(L, mode, seed, check_semisimple=True)
+    return _aniso_like(L, mode, seed, lambda x: not is_semisimple_ad(L, x))
 
 
 def is_nilpotent_free(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_SEED) -> Verdict:
     """Does every element with nilpotent ad lie in the center?"""
-    return _aniso_like(L, mode, seed, check_semisimple=False)
+    return _aniso_like(
+        L, mode, seed, lambda x: (L.ad(x) ** L.dim).is_zero() and not L.center().contains(x)
+    )
 
 
-def _aniso_like(L: LieAlgebra, mode: str, seed: int, *, check_semisimple: bool) -> Verdict:
+def _aniso_like(L: LieAlgebra, mode: str, seed: int, fails: Callable[[Vector], bool]) -> Verdict:
     if mode not in ("exhaustive", "search", "certificate"):
         raise ValueError(f"unknown mode {mode!r}")
     n = L.dim
@@ -529,43 +536,14 @@ def _aniso_like(L: LieAlgebra, mode: str, seed: int, *, check_semisimple: bool) 
         return Verdict.certified("structural", reason="abelian")
     if report.nilpotent:
         witness = _noncentral_nilpotent_witness(L)
-        assert witness is not None, "nilpotent non-abelian algebra must have noncentral elements"
-        assert not _passes_pointwise(L, witness, check_semisimple)
+        _recheck(witness is not None, "nilpotent non-abelian algebra must have noncentral elements")
+        _recheck(fails(witness), "witness recheck failed: noncentral nilpotent element passes")
         return Verdict.refuted(witness, reason="nilpotent-nonabelian")
-    if mode == "exhaustive":
-        if L.field.kind != "Fp":
-            raise ValueError("exhaustive mode requires a finite field")
-        total = L.field.p**n
-        if total > exhaustive_cap():
-            raise BudgetExceeded(f"{total} vectors exceed the cap {exhaustive_cap()}")
-        scanned = 0
-        for x in _all_vectors(L.field, n):
-            if not any(x):
-                continue
-            scanned += 1
-            if not _passes_pointwise(L, x, check_semisimple):
-                return Verdict.refuted(x, scanned=scanned, total_nonzero=total - 1)
-        return Verdict.certified("exhaustive", scanned=scanned, total_nonzero=total - 1)
     if mode == "certificate":
         cert = _aniso_certificate(L)
         if cert is not None:
             return cert
-    height, trials = search_height(), search_trials()
-    scanned = 0
-    for x in _search_schedule(L.field, n, height, trials, seed):
-        scanned += 1
-        if not _passes_pointwise(L, x, check_semisimple):
-            return Verdict.refuted(x, scanned=scanned)
-    return Verdict.inconclusive(scanned=scanned, height=height, trials=trials, seed=seed)
-
-
-def _passes_pointwise(L: LieAlgebra, x: Vector, check_semisimple: bool) -> bool:
-    if check_semisimple:
-        return is_semisimple_ad(L, x)
-    power = L.ad(x) ** L.dim
-    if not power.is_zero():
-        return True  # ad x not nilpotent: nothing to require
-    return L.center().contains(x)
+    return _scan(L, mode, seed, fails)
 
 
 def _aniso_certificate(L: LieAlgebra) -> Optional[Verdict]:
@@ -617,7 +595,7 @@ def ideal_action_matrices(L: LieAlgebra, ideal: Subspace) -> Tuple[List[Matrix],
         rows_in = [[L.field.zero] * d for _ in range(d)]
         for s, u in enumerate(ideal.rows):
             img = L.bracket(bm, u)
-            assert ideal.contains(img)
+            _recheck(ideal.contains(img), "[b_m, u] must stay in the ideal")
             for t, p in enumerate(ideal.pivots):
                 rows_in[t][s] = img[p]
         inner.append(Matrix(L.field, rows_in, ncols=d))
@@ -659,8 +637,8 @@ def relative_rank(L: LieAlgebra, ideal: Subspace) -> Tuple[int, int]:
     factors accordingly and generic x minimizes both factors at once.
     """
     n = L.dim
-    if n > symbolic_dim():
-        raise BudgetExceeded(f"relative rank limited to dim <= {symbolic_dim()}")
+    if n > SYMBOLIC_DIM:
+        raise BudgetExceeded(f"relative rank limited to dim <= {SYMBOLIC_DIM}")
     inner, outer = ideal_action_matrices(L, ideal)
     a_in = linear_family_char_coeffs(L.field, inner, n)
     a_out = linear_family_char_coeffs(L.field, outer, n)

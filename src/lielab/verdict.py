@@ -20,6 +20,12 @@ class RecheckFailed(AssertionError):
     """
 
 
+def _recheck(ok: bool, message: str) -> None:
+    """An explicit raise, so the recheck still runs under python -O."""
+    if not ok:
+        raise RecheckFailed(message)
+
+
 CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"

@@ -21,7 +21,6 @@ from lielab.algebra import (
     is_simple,
     quotient,
     quotient_with_projection,
-    subspace_query,
     tensor_commutative,
 )
 from lielab.catalog import (
@@ -142,12 +141,6 @@ class TestSubspaces:
         # but e alone spans only itself as a subalgebra
         assert sl2q.subalgebra_generated([sl2q.basis_vector(0)]).dim == 1
 
-    def test_subspace_query_dispatch(self):
-        assert subspace_query(h3, "center") == h3.center()
-        assert subspace_query(h3, "commutant") == h3.commutant()
-        with pytest.raises(ValueError):
-            subspace_query(h3, "radical")
-
 
 class TestSeries:
     def test_heisenberg_is_two_step(self):
@@ -205,27 +198,8 @@ class TestKillingForm:
 
     def test_killing_orthogonal(self):
         full = Subspace.full_space(QQ, 3)
-        assert sl2q.killing_orthogonal(full).is_zero()
-        assert h3.killing_orthogonal(Subspace.full_space(QQ, 3)).is_full()
-
-    def test_invariant_forms_sl2(self):
-        forms = sl2q.invariant_forms()
-        assert len(forms) == 1
-        g = forms[0]
-        # explicit invariance on all basis triples
-        for i in range(3):
-            for j in range(3):
-                for k in range(3):
-                    bi, bj, bk = (sl2q.basis_vector(t) for t in (i, j, k))
-                    lhs = sum(
-                        (c * g.rows[s][k] for s, c in enumerate(sl2q.basis_bracket(i, j)) if c),
-                        QQ.zero,
-                    )
-                    rhs = sum(
-                        (g.rows[i][s] * c for s, c in enumerate(sl2q.basis_bracket(j, k)) if c),
-                        QQ.zero,
-                    )
-                    assert lhs == rhs
+        assert sl2q.killing_form().orthogonal_of(full).is_zero()
+        assert h3.killing_form().orthogonal_of(Subspace.full_space(QQ, 3)).is_full()
 
 
 class TestDerivationsAndCentroid:
@@ -280,6 +254,27 @@ class TestDerivationsAndCentroid:
 
     def test_heisenberg_centroid(self):
         assert len(centroid(h3)) == 5
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="centroid imposes its equations only for pairs i < j, so it misses [phi b_i, b_i] = 0",
+    )
+    def test_centroid_maps_commute_with_every_ad(self):
+        # expected size: the dimension of the commutant of ad L
+        cases = [
+            (r2(QQ), 1),
+            (r2(F3), 1),
+            (heisenberg(QQ, 1), 3),
+            (heisenberg(QQ, 2), 5),
+            (strict_upper(QQ, 4), 4),
+        ]
+        for L, commutant_dim in cases:
+            mats = centroid(L)
+            for phi in mats:
+                for i in range(L.dim):
+                    ad = L.ad_basis(i)
+                    assert phi * ad == ad * phi, (L, i)
+            assert len(mats) == commutant_dim, L
 
 
 class TestSimplicity:

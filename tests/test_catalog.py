@@ -214,6 +214,42 @@ class TestDivisionVerdicts:
             is_division(QuaternionAlgebra(QQ, QQ.of(-1), QQ.of(3)), mode="exhaustive")
 
 
+_SABOTAGED_MULTIPLY = """
+import sys
+assert False, "this check needs python -O, which strips asserts"
+import lielab
+from lielab.catalog import QuaternionAlgebra, is_division
+from lielab.fields import GF
+
+QuaternionAlgebra.multiply = lambda self, x, y: (self.field.one,) * 4
+F5 = GF(5)
+try:
+    is_division(QuaternionAlgebra(F5, F5.of(-1), F5.of(-1)), "exhaustive")
+except lielab.RecheckFailed as exc:
+    print("raised:", exc)
+    sys.exit(0)
+print("no raise")
+sys.exit(1)
+"""
+
+
+def test_zero_divisor_recheck_survives_python_O():
+    """Under -O, a norm-zero element whose product with its conjugate
+    does not vanish still raises RecheckFailed."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _SABOTAGED_MULTIPLY],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "raised: zero-divisor recheck failed" in proc.stdout
+
+
 class TestEnumeration:
     def test_dim2_f2_census(self):
         tables = list(enumerate_tables(2, F2))

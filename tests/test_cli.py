@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, canonical JSON output, determinism."""
 
+import hashlib
 import json
 
 import pytest
+from test_golden_outputs import VERIFY_SHA256
 
 from lielab.algebra import LieAlgebra, canonical_dumps
 from lielab.catalog import canonical_instances, su2q
-from lielab.cli import main, run_verify
+from lielab.cli import main
 
 GOOD = {
     "field": {"kind": "Q"},
@@ -214,11 +216,11 @@ class TestVerify:
         assert main(["verify", "--check", "lemma9-nothing"]) == 3
         capsys.readouterr()
 
-    def test_full_run_is_deterministic(self):
-        code1, payload1, _ = run_verify(1729, None)
-        code2, payload2, _ = run_verify(1729, None)
-        assert canonical_dumps(payload1) == canonical_dumps(payload2)
-        assert code1 == code2
+    def test_full_run_is_deterministic(self, capsys):
+        # one run of the CLI against the recorded digest: stronger than two runs agreeing
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
 
     def test_seed_is_recorded(self, capsys):
         code, out = run(capsys, ["verify", "--check", "lemma3-r2", "--seed", "99"])

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielab.fields import GF, QQ, UniPoly, is_squarefree, poly_gcd
+from lielab.fields import GF, QQ, UniPoly
 from lielab.linalg import (
     Matrix,
     Subspace,
     diagonalize_quadratic,
-    restrict_to_invariant,
     vec_add,
     vec_is_zero,
     vec_scale,
@@ -28,6 +27,15 @@ def qmat(rows):
 
 def fmat(rows, field=F5):
     return Matrix(field, [[field.of(c) for c in row] for row in rows], ncols=len(rows[0]) if rows else 0)
+
+
+def horner(a, p):
+    """p(a) for a square matrix a."""
+    n = a.n
+    acc = Matrix.zeros(a.field, n, n)
+    for c in reversed(p.coeffs):
+        acc = acc * a + Matrix.identity(a.field, n).scale(c)
+    return acc
 
 
 def sq_strategy(field, n, lo=-4, hi=4):
@@ -142,14 +150,14 @@ class TestCharAndMinPoly:
     @given(a=sq_strategy(QQ, 4, -3, 3))
     @settings(max_examples=15)
     def test_cayley_hamilton(self, a):
-        assert a.eval_poly(a.char_poly()).is_zero()
+        assert horner(a, a.char_poly()).is_zero()
 
     @given(a=sq_strategy(F5, 3))
     @settings(max_examples=30)
     def test_min_poly_divides_char_poly(self, a):
         mp, cp = a.min_poly(), a.char_poly()
         assert (cp % mp).is_zero()
-        assert a.eval_poly(mp).is_zero()
+        assert horner(a, mp).is_zero()
         # minimality: no proper monic divisor of mp annihilates
         assert mp.leading() == F5.one
 
@@ -162,29 +170,6 @@ class TestCharAndMinPoly:
         a = qmat([[2, 1], [1, 1]])  # det 1
         cp = a.char_poly()
         assert cp.coeff(0) == QQ.of(1)  # (-1)^2 det
-
-
-class TestJordanChevalley:
-    @given(a=sq_strategy(QQ, 3, -2, 2))
-    @settings(max_examples=20, deadline=None)
-    def test_decomposition_postconditions(self, a):
-        s, n = a.jordan_chevalley()
-        assert s + n == a
-        assert s * n == n * s
-        assert (n ** 3).is_zero()
-        assert is_squarefree(s.min_poly()) or s.min_poly().degree <= 0
-
-    def test_nilpotent_input(self):
-        a = qmat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        s, n = a.jordan_chevalley()
-        assert s.is_zero()
-        assert n == a
-
-    def test_jordan_block(self):
-        a = qmat([[2, 1], [0, 2]])
-        s, n = a.jordan_chevalley()
-        assert s == qmat([[2, 0], [0, 2]])
-        assert n == qmat([[0, 1], [0, 0]])
 
 
 class TestQuadraticDiagonalization:
@@ -270,21 +255,3 @@ class TestSubspace:
         comp = u.complement_indices()
         assert len(comp) == 2
         assert set(comp) | set(u.pivots) == {0, 1, 2} or len(set(comp)) == 2
-
-
-def test_restrict_to_invariant():
-    # rotation-by-swap acts invariantly on span{(1,1,0)} + e3
-    m = qmat([[0, 1, 0], [1, 0, 0], [0, 0, 2]])
-    sub = Subspace.from_vectors(QQ, 3, [(QQ.one, QQ.one, QQ.zero), (QQ.zero, QQ.zero, QQ.one)])
-    r = restrict_to_invariant(m, sub)
-    assert r.n == 2
-    # eigenvalue 1 on (1,1,0) and 2 on e3
-    assert r.apply((QQ.one, QQ.zero)) == (QQ.one, QQ.zero)
-    assert r.apply((QQ.zero, QQ.one)) == (QQ.zero, QQ.of(2))
-
-
-def test_restrict_rejects_noninvariant():
-    m = qmat([[0, 1], [1, 0]])
-    sub = Subspace.from_vectors(QQ, 2, [(QQ.one, QQ.zero)])
-    with pytest.raises(ValueError):
-        restrict_to_invariant(m, sub)

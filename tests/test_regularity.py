@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lielab import regularity
 from lielab.algebra import direct_sum
 from lielab.catalog import abelian, gl, heisenberg, make, r2, sl, strict_upper, su2q
 from lielab.fields import GF, QQ, UniPoly
@@ -228,6 +229,20 @@ class TestAnisotropy:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             is_anisotropic(SU, mode="guess")
+
+    def test_search_without_witness_is_inconclusive(self, monkeypatch):
+        # su2q (+) a central line: every ad x is semisimple and the only
+        # ad-nilpotent elements are central, so no search point fails
+        monkeypatch.setattr(regularity, "SEARCH_HEIGHT", 1)
+        monkeypatch.setattr(regularity, "SEARCH_TRIALS", 10)
+        L = direct_sum(SU, abelian(QQ, 1))
+        for decide in (is_anisotropic, is_nilpotent_free):
+            v = decide(L, seed=5)
+            assert v.is_inconclusive
+            assert v.evidence == {"scanned": 4 + 80 + 10, "height": 1, "trials": 10, "seed": 5}
+        v = is_regular_algebra(SU, seed=5)
+        assert v.is_inconclusive
+        assert v.evidence == {"rank": 1, "scanned": 3 + 26 + 10, "height": 1, "trials": 10, "seed": 5}
 
 
 class TestFactorizationAlongIdeals:
