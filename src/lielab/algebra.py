@@ -6,6 +6,12 @@ is baked into the representation and the Jacobi identity is checked on
 every basis triple at construction time (the table enumerator uses the
 unchecked constructor and validates separately).
 
+The primitives (bracket, ad, the Jacobi check, bracket spans) are written
+once over both fields: they walk a cached copy of the sparse table in
+kernel scalars (Fractions over Q, residues over F_p, see linalg) and
+leave normalizing the result to the field's ``_to_k`` / ``_from_k`` or
+to ``Matrix._of_k``.
+
 Everything downstream - structure reports, the Killing form,
 quotients, sums, scalar extensions by a commutative algebra, derivations,
 centroid, second cohomology with trivial coefficients, central
@@ -20,17 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .budgets import DERIVATION_DIM_CAP, EXHAUSTIVE_CAP, BudgetExceeded
-from .fields import (
-    Field,
-    MultiPoly,
-    QQ,
-    Scalar,
-    UniPoly,
-    field_from_json,
-    field_to_json,
-    is_squarefree,
-)
-from .linalg import _Echelon, Matrix, Subspace, Vector, vec_add, vec_is_zero, vec_scale, vec_sub
+from .fields import Field, Scalar, UniPoly, field_from_json, field_to_json
+from .linalg import _Echelon, Matrix, Subspace, Vector
 from .verdict import Verdict
 
 
@@ -117,37 +114,40 @@ class LieAlgebra:
                     out[k] = -c
         return tuple(out)
 
-    def _res_table(self) -> Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]:
-        """Over F_p, the table as (i, j, ((k, c), ...)) with residues c,
+    def _k_table(self) -> Tuple[Tuple[int, int, Tuple[tuple, ...]], ...]:
+        """The table as (i, j, ((k, c), ...)) with c in kernel scalars,
         built once and kept in the cache."""
-        table = self._cache.get("residue_table")
+        table = self._cache.get("kernel_table")
         if table is None:
+            to_k = self.field._to_k
             table = tuple(
-                (i, j, tuple((k, c.r) for k, c in coeffs.items()))
+                (i, j, tuple(zip(coeffs, to_k(coeffs.values()))))
                 for (i, j), coeffs in self.table.items()
             )
-            self._cache["residue_table"] = table
+            self._cache["kernel_table"] = table
         return table
 
-    def _res_vector(self, v: Sequence) -> List[int]:
-        if len(v) != self.dim:
-            raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
-        return self.field._to_k(v)
-
-    def _res_bracket(self, x: Sequence[int], y: Sequence[int]) -> List[int]:
-        out = [0] * self.dim
-        for i, j, coeffs in self._res_table():
+    def _bracket_k(self, x: Sequence, y: Sequence) -> list:
+        """[x, y] for x, y in kernel scalars; the result is not yet reduced."""
+        out = self.field._to_k((0,)) * self.dim
+        for i, j, coeffs in self._k_table():
             f = x[i] * y[j] - x[j] * y[i]
             if f:
                 for k, c in coeffs:
                     out[k] += f * c
-        p = self.field.p
-        return [c % p for c in out]
+        return out
 
-    def _res_ad(self, x: Sequence[int]) -> Tuple[Tuple[int, ...], ...]:
+    def bracket(self, x: Sequence, y: Sequence) -> Vector:
+        x, y = (self.field._to_k(self.coerce_vector(v)) for v in (x, y))
+        return self.field._from_k(self._bracket_k(x, y))
+
+    def ad(self, x: Sequence) -> Matrix:
+        """Matrix of ad(x) = [x, -] in the defining basis."""
+        x = self.field._to_k(self.coerce_vector(x))
         n = self.dim
-        rows = [[0] * n for _ in range(n)]
-        for i, j, coeffs in self._res_table():
+        zero = self.field._to_k((0,))
+        rows = [zero * n for _ in range(n)]
+        for i, j, coeffs in self._k_table():
             xi, xj = x[i], x[j]
             if xi:
                 for k, c in coeffs:
@@ -155,40 +155,7 @@ class LieAlgebra:
             if xj:
                 for k, c in coeffs:
                     rows[k][i] -= xj * c
-        p = self.field.p
-        return tuple(tuple(c % p for c in row) for row in rows)
-
-    def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        if self.field.kind == "Fp":
-            return self.field._from_k(
-                self._res_bracket(self._res_vector(x), self._res_vector(y))
-            )
-        x = self.coerce_vector(x)
-        y = self.coerce_vector(y)
-        out = [self.field.zero] * self.dim
-        for (i, j), coeffs in self.table.items():
-            f = x[i] * y[j] - x[j] * y[i]
-            if f:
-                for k, c in coeffs.items():
-                    out[k] = out[k] + f * c
-        return tuple(out)
-
-    def ad(self, x: Sequence) -> Matrix:
-        """Matrix of ad(x) = [x, -] in the defining basis."""
-        n = self.dim
-        if self.field.kind == "Fp":
-            return Matrix._of_k(self.field, self._res_ad(self._res_vector(x)), n)
-        x = self.coerce_vector(x)
-        rows = [[self.field.zero] * n for _ in range(n)]
-        for (i, j), coeffs in self.table.items():
-            xi, xj = x[i], x[j]
-            if xi:
-                for k, c in coeffs.items():
-                    rows[k][j] = rows[k][j] + xi * c
-            if xj:
-                for k, c in coeffs.items():
-                    rows[k][i] = rows[k][i] - xj * c
-        return Matrix(self.field, rows, ncols=n)
+        return Matrix._of_k(self.field, rows, n)
 
     def ad_basis(self, i: int) -> Matrix:
         key = ("ad_basis", i)
@@ -197,41 +164,23 @@ class LieAlgebra:
         return self._cache[key]
 
     def jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
-        """All basis triples where the Jacobi identity fails."""
-        if self.field.kind == "Fp":
-            return self._res_jacobi_violations()
-        bad = []
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                bij = self.basis_bracket(i, j)
-                for k in range(j + 1, self.dim):
-                    defect = vec_add(
-                        vec_add(
-                            self.bracket(bij, self.basis_vector(k)),
-                            self.bracket(self.basis_bracket(j, k), self.basis_vector(i)),
-                        ),
-                        self.bracket(self.basis_bracket(k, i), self.basis_vector(j)),
-                    )
-                    if not vec_is_zero(defect):
-                        bad.append(((i, j, k), defect))
-        return bad
-
-    def _res_jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
-        """Jacobi over the sparse residue table: the defect at (i, j, k) is
+        """All basis triples where the Jacobi identity fails, over the
+        sparse table: the defect at (i, j, k) is
         sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
-        n, p = self.dim, self.field.p
+        n = self.dim
+        zero = self.field._to_k((0,))
         br: List[List[tuple]] = [[()] * n for _ in range(n)]
-        for i, j, coeffs in self._res_table():
+        for i, j, coeffs in self._k_table():
             br[i][j] = coeffs
-            br[j][i] = tuple((k, p - c) for k, c in coeffs)
+            br[j][i] = tuple((k, -c) for k, c in coeffs)
         bad = []
         for i, j, k in itertools.combinations(range(n), 3):
-            defect = [0] * n
+            defect = zero * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, cm in br[a][b]:
                     for l, cl in br[m][c]:
                         defect[l] += cm * cl
-            defect = [d % p for d in defect]
+            defect = self.field._to_k(defect)
             if any(defect):
                 bad.append(((i, j, k), self.field._from_k(defect)))
         return bad
@@ -266,11 +215,8 @@ class LieAlgebra:
         return Matrix(self.field, rows, ncols=self.dim).kernel()
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        if self.field.kind == "Fp":
-            vecs = [self._res_bracket(u, v) for u in a._k for v in b._k]
-            return Subspace._span_k(self.field, self.dim, vecs)
-        vecs = [self.bracket(u, v) for u in a.rows for v in b.rows]
-        return Subspace.from_vectors(self.field, self.dim, vecs)
+        vecs = [self._bracket_k(u, v) for u in a._k for v in b._k]
+        return Subspace._span_k(self.field, self.dim, vecs)
 
     def ideal_generated(self, vectors: Sequence[Sequence]) -> Subspace:
         """Smallest ideal containing the vectors: a worklist closure.
@@ -1004,13 +950,11 @@ def _centroid_probe_weights(k: int):
 
 def _projective_points(field, n: int) -> List[Vector]:
     """One representative per line of F_p^n: first nonzero coordinate 1."""
-    from itertools import product as iproduct
-
     p = field.p
     pts = []
     for lead in range(n):
         tail = n - lead - 1
-        for rest in iproduct(range(p), repeat=tail):
+        for rest in itertools.product(range(p), repeat=tail):
             vec = [0] * lead + [1] + list(rest)
             pts.append(tuple(field.of(c) for c in vec))
     return pts

@@ -43,7 +43,6 @@ from .catalog import (
     pgl,
     psl,
     r2,
-    reduced_trace,
     sl,
     sl_image_in_pgl,
     strict_upper,

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, product as iproduct
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .algebra import BilinearForm, LieAlgebra
 from .budgets import SEARCH_HEIGHT, SUBSPACE_CAP, BudgetExceeded
 from .catalog import QuaternionAlgebra, is_division, reduced_trace
-from .fields import Field, Scalar
+from .fields import Field
 from .linalg import Subspace, Vector, vec_is_zero, vec_scale
 from .regularity import _search_schedule, fitting_set, is_regular_algebra, rank
 from .verdict import RecheckFailed, Verdict

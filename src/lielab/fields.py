@@ -14,13 +14,16 @@ PrimeField) used for construction, parsing, printing and enumeration of
 scalars.  It is threaded through every matrix, polynomial and algebra.
 
 ``Fp`` objects are the F_p scalars of the public API, not of the inner
-loops.  Linear algebra and the algebra primitives over F_p (elimination,
-products, characteristic polynomials, ad, brackets, Jacobi, ideal
-closure) run on plain ints in [0, p); ``PrimeField._to_k`` is the way
-into that kernel and ``PrimeField._from_k`` the way out, so an Fp is
-built only where a result leaves it: a row read from a Matrix or
-Subspace, a returned vector or scalar, a UniPoly coefficient.  The
-polynomial classes below still compute with Fp values.
+loops.  Linear algebra and the algebra primitives (elimination, products,
+characteristic polynomials, ad, brackets, Jacobi, ideal closure) run on
+kernel scalars: the Fractions themselves over Q, plain ints in [0, p)
+over F_p.  ``_to_k`` is the way into that kernel and ``_from_k`` the way
+out, for both fields; both also normalize, so kernel code may leave
+unreduced ints (or, over Q, ints beside Fractions) for them to bring back
+to canonical form.  An Fp is built only where a result leaves the kernel:
+a row read from a Matrix or Subspace, a returned vector or scalar, a
+UniPoly coefficient.  The polynomial classes below still compute with Fp
+values.
 """
 from __future__ import annotations
 
@@ -223,7 +226,10 @@ class PrimeField:
     def _to_k(self, v: Sequence) -> List[int]:
         """Residues in [0, p) of F_p scalars or ints: the way into the kernel."""
         p = self.p
-        return [c.r if type(c) is Fp and c.p == p else self._residue(c) for c in v]
+        return [
+            c.r if type(c) is Fp and c.p == p else c % p if type(c) is int else self._residue(c)
+            for c in v
+        ]
 
     def _residue(self, c) -> int:
         if isinstance(c, Fp):
@@ -613,12 +619,8 @@ def is_squarefree(p: UniPoly) -> bool:
         return False
     if p.degree == 0:
         return True
-    if p.field.kind == "Q":
-        return poly_gcd(p, p.derivative()).degree == 0
-    dp = p.derivative()
-    if dp.is_zero():
-        return False
-    return poly_gcd(p, dp).degree == 0
+    # over F_p a zero derivative leaves gcd(p, 0) = p.monic(), of degree >= 1
+    return poly_gcd(p, p.derivative()).degree == 0
 
 
 # ---------------------------------------------------------------------------

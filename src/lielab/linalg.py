@@ -1,18 +1,22 @@
 """Exact dense linear algebra over Q and F_p, with one elimination kernel
-per field.
+for both fields.
 
 Matrices are immutable lists of rows of scalars tagged with their field;
 0x0 matrices are legal and show up as restrictions to the zero subspace.
 Subspaces are kept in reduced row echelon form, so equality of subspaces
 is equality of representations.
 
-The field kind selects the kernel.  Over Q the kernel works on the
-``Fraction`` entries themselves.  Over F_p it works on plain ints in
-[0, p): every Matrix and Subspace over F_p carries its rows as residue
-tuples (``_k``), elimination, products, char polys and reductions run on
-those, and division is multiplication by pow(a, p - 2, p).  ``Fp`` objects
-are built only when a caller reads ``rows`` (or gets a vector, a scalar or
-a polynomial back), which is where a result leaves the kernel.
+The kernel computes on kernel scalars: the ``Fraction`` entries over Q,
+plain ints in [0, p) over F_p (``Fp`` objects are built only when a caller
+reads ``rows`` or gets a vector, a scalar or a polynomial back, which is
+where a result leaves the kernel).  Every Matrix and Subspace carries its
+rows in kernel scalars (``_k``).  All row reduction goes through
+``_Echelon``, which grows a reduced echelon basis one vector at a time:
+``rref``, ``kernel``, ``solve``, ``image``, ``intersect``, subspace
+``reduce`` and ``contains``, and the ideal closure.  Its one per-field
+step is ``_axpy`` (taken mod p over F_p), and division over F_p is
+multiplication by pow(a, p - 2, p).  Products, ``apply`` and the
+Hessenberg characteristic polynomial keep one loop per field.
 
 Characteristic polynomials come from a Hessenberg reduction (no division
 by integer constants, so small characteristic is safe); over Q the matrix
@@ -22,12 +26,11 @@ chains off the standard basis and taking lcms.
 """
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar, UniPoly, poly_lcm
 
@@ -49,44 +52,27 @@ def vec_is_zero(u: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the F_p kernel: rows of plain ints in [0, p)
+# the elimination step, shared by both fields
 
 
-def _res_rref(rows: List[List[int]], ncols: int, p: int) -> Tuple[Tuple[Residues, ...], Tuple[int, ...]]:
-    """Reduced row echelon form of residue rows; consumes the list."""
-    pivots: List[int] = []
-    m = len(rows)
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        for i in range(r, m):
-            if rows[i][c]:
-                break
-        else:
-            continue
-        prow = rows[i]
-        rows[i] = rows[r]
-        if prow[c] != 1:
-            inv = pow(prow[c], p - 2, p)
-            prow = [x * inv % p for x in prow]
-        rows[r] = prow
-        for i in range(m):
-            f = rows[i][c]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+def _axpy(w: list, f, row: Sequence, p: int) -> list:
+    """w - f * row in kernel scalars; p = 0 stands for Q."""
+    if p:
+        return [(x - f * y) % p for x, y in zip(w, row)]
+    return [x - f * y if y else x for x, y in zip(w, row)]
 
 
-def _res_reduce(rows: Sequence[Residues], pivots: Sequence[int], w: List[int], p: int) -> List[int]:
-    """Remainder of the residue vector w modulo reduced echelon rows."""
-    for row, c in zip(rows, pivots):
+def _reduce(w: list, rows: Iterable[Tuple[int, Sequence]], p: int) -> list:
+    """Remainder of w modulo reduced echelon rows, given as (pivot, row)."""
+    for c, row in rows:
         f = w[c]
         if f:
-            w = [(x - f * y) % p for x, y in zip(w, row)]
+            w = _axpy(w, f, row, p)
     return w
+
+
+# ---------------------------------------------------------------------------
+# the F_p product, apply and Hessenberg loops: plain ints in [0, p)
 
 
 def _res_matmul(a: Sequence[Residues], b: Sequence[Residues], ncols: int, p: int) -> Tuple[Residues, ...]:
@@ -184,7 +170,7 @@ class Matrix:
         mat.field = field
         mat.m = len(rows)
         mat.n = ncols
-        mat._k = tuple(tuple(x % p for x in r) for r in rows)
+        mat._k = tuple([tuple([x % p for x in r]) for r in rows])
         return mat
 
     @cached_property
@@ -343,31 +329,15 @@ class Matrix:
 
     @cached_property
     def _rref(self) -> Tuple[Tuple[Sequence, ...], Tuple[int, ...]]:
-        """(echelon rows, pivot columns); over F_p the rows are residues."""
-        if self._fp:
-            return _res_rref([list(r) for r in self._k], self.n, self.field.p)
-        rows = [list(r) for r in self.rows]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.n):
-            pivot_row = None
-            for i in range(r, len(rows)):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = self.field.one / rows[r][c]
-            if inv != self.field.one:
-                rows[r] = [x * inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        return tuple(tuple(row) for row in rows[:r]), tuple(pivots)
+        """(echelon rows, pivot columns) in kernel scalars.  The reduced
+        echelon form is unique, so growing it row by row gives the same
+        rows as any other elimination order."""
+        ech = _Echelon(self.field, self.n)
+        for row in self._k:
+            if ech.full:
+                break
+            ech.add(row)
+        return ech.echelon()
 
     def rref(self) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
         rows, pivots = self._rref
@@ -408,23 +378,21 @@ class Matrix:
 
     def char_poly(self) -> UniPoly:
         """Monic characteristic polynomial det(t*I - self)."""
+        return UniPoly(self.field, self.field._from_k(self._char_coeffs()))
+
+    def _char_coeffs(self) -> list:
+        """Ascending coefficients of det(t*I - self) in kernel scalars."""
         if not self.is_square():
             raise ValueError("char poly of a non-square matrix")
-        n = self.n
-        field = self.field
-        if n == 0:
-            return UniPoly.one(field)
-        if field.kind == "Q":
+        if self.field.kind == "Q":
             den = 1
             for row in self.rows:
                 for c in row:
                     den = den * c.denominator // gcd(den, c.denominator)
             if den != 1:
-                scaled = self.scale(Fraction(den))
-                coeffs = scaled._charpoly_hessenberg()
-                d = Fraction(den)
-                return UniPoly(field, [coeffs[i] / d ** (n - i) for i in range(n + 1)])
-        return UniPoly(field, field._from_k(self._charpoly_hessenberg()))
+                coeffs = self.scale(Fraction(den))._charpoly_hessenberg()
+                return [c / den ** (self.n - i) for i, c in enumerate(coeffs)]
+        return self._charpoly_hessenberg()
 
     def _charpoly_hessenberg(self) -> List[Scalar]:
         """Ascending char poly coefficients; residues over F_p."""
@@ -613,31 +581,18 @@ class Subspace:
     def basis(self) -> Tuple[Vector, ...]:
         return self.rows
 
-    def _reduce_res(self, v: Sequence) -> List[int]:
+    def _remainder_k(self, v: Sequence) -> list:
         w = self.field._to_k(v)
         if len(w) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        return _res_reduce(self._k, self.pivots, w, self.field.p)
+        return _reduce(w, zip(self.pivots, self._k), self.field.char)
 
     def reduce(self, v: Sequence) -> Vector:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
-        if self._fp:
-            return self.field._from_k(self._reduce_res(v))
-        w = list(self.field.of(c) if isinstance(c, int) else c for c in v)
-        if len(w) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        for row, p in zip(self.rows, self.pivots):
-            f = w[p]
-            if f:
-                for i in range(self.ambient):
-                    if row[i]:
-                        w[i] = w[i] - f * row[i]
-        return tuple(w)
+        return self.field._from_k(self._remainder_k(v))
 
     def contains(self, v: Sequence) -> bool:
-        if self._fp:
-            return not any(self._reduce_res(v))
-        return vec_is_zero(self.reduce(v))
+        return not any(self._remainder_k(v))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other._k)
@@ -699,39 +654,33 @@ class _Echelon:
     def __init__(self, field: Field, ambient: int):
         self.field = field
         self.ambient = ambient
-        self.p = field.p if field.kind == "Fp" else 0
+        self.p = field.char
         self.rows: Dict[int, list] = {}
 
     @property
     def full(self) -> bool:
         return len(self.rows) == self.ambient
 
-    def _axpy(self, w: list, f, row: list) -> list:
-        """w - f * row."""
-        p = self.p
-        if p:
-            return [(x - f * y) % p for x, y in zip(w, row)]
-        return [x - f * y if y else x for x, y in zip(w, row)]
-
     def add(self, v: Sequence) -> Optional[list]:
-        w = list(v)
-        for c, row in self.rows.items():
-            if w[c]:
-                w = self._axpy(w, w[c], row)
+        p = self.p
+        w = _reduce(list(v), self.rows.items(), p)
         lead = next((c for c, x in enumerate(w) if x), None)
         if lead is None:
             return None
-        a, p = w[lead], self.p
+        a = w[lead]
         if a != 1:
             inv = pow(a, p - 2, p) if p else 1 / a
             w = [x * inv % p for x in w] if p else [x * inv for x in w]
         for c, row in self.rows.items():
             if row[lead]:
-                self.rows[c] = self._axpy(row, row[lead], w)
+                self.rows[c] = _axpy(row, row[lead], w, p)
         self.rows[lead] = w
         return w
 
-    def subspace(self) -> Subspace:
+    def echelon(self) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
+        """(rows sorted by pivot, pivots): the reduced echelon form."""
         pivots = tuple(sorted(self.rows))
-        rows = tuple(tuple(self.rows[c]) for c in pivots)
-        return Subspace._of_k(self.field, self.ambient, rows, pivots)
+        return tuple(tuple(self.rows[c]) for c in pivots), pivots
+
+    def subspace(self) -> Subspace:
+        return Subspace._of_k(self.field, self.ambient, *self.echelon())

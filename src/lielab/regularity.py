@@ -39,7 +39,7 @@ from .budgets import (
     BudgetExceeded,
 )
 from .fields import Field, MultiPoly, Scalar, UniPoly, is_squarefree
-from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic, _res_char_poly
+from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic
 from .verdict import Verdict, _recheck
 
 
@@ -54,16 +54,8 @@ def ad_char_coeffs(L: LieAlgebra, x: Sequence) -> Tuple[Scalar, ...]:
 
 
 def zero_multiplicity(L: LieAlgebra, x: Sequence) -> int:
-    """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i.
-
-    Over F_p this stays in the residue kernel: residue table, residue
-    ad x, residue char poly, with no Matrix and no Fp built.
-    """
-    if L.field.kind == "Fp":
-        coeffs = _res_char_poly(L._res_ad(L._res_vector(x)), L.field.p)
-    else:
-        coeffs = ad_char_coeffs(L, x)
-    for i, c in enumerate(coeffs):
+    """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i."""
+    for i, c in enumerate(L.ad(x)._char_coeffs()):
         if c:
             return i
     raise AssertionError("characteristic polynomial cannot be zero")
@@ -581,8 +573,12 @@ def ideal_action_matrices(L: LieAlgebra, ideal: Subspace) -> Tuple[List[Matrix],
     are the ambient basis vectors at non-pivot columns.  Returned lists
     feed the same symbolic machinery as the full adjoint family, so
     chi_{ad x} = chi_{restriction} * chi_{quotient} can be checked both
-    pointwise and generically.
+    pointwise and generically.  The pair is built once per ideal and kept
+    in the algebra's cache.
     """
+    key = ("ideal_action", ideal)
+    if key in L._cache:
+        return L._cache[key]
     if not L.is_ideal(ideal):
         raise StructureError("subspace is not an ideal")
     n = L.dim
@@ -606,6 +602,7 @@ def ideal_action_matrices(L: LieAlgebra, ideal: Subspace) -> Tuple[List[Matrix],
             for t, cc in enumerate(reps):
                 rows_out[t][s] = img[cc]
         outer.append(Matrix(L.field, rows_out, ncols=q))
+    L._cache[key] = inner, outer
     return inner, outer
 
 

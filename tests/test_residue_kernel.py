@@ -1,25 +1,30 @@
-"""The F_p residue kernel against the Fp-object loops it replaced.
+"""The shared exact kernel against the scalar loops it replaced, over Q
+and F_p.
 
 The reference functions below are the elimination and Hessenberg loops
-that ran on Fp objects before the kernel moved to plain ints mod p.  They
-stay here, and only here, as an independent oracle: every echelon form,
-kernel, solution and characteristic or minimal polynomial from the
-residue kernel must equal theirs exactly.  The fixed-point ideal closure
-that the worklist closure replaced is kept the same way.
+that ran on field scalars (Fp objects, Fractions) before elimination moved
+to one echelon kernel on residues mod p and Fractions.  They stay here,
+and only here, as an independent oracle: every echelon form, kernel,
+solution and characteristic or minimal polynomial from the kernel must
+equal theirs exactly, over Q and over F_p.  The dense Jacobi loop and the
+dense bracket and ad loops that the sparse table replaced, and the
+fixed-point ideal closure that the worklist closure replaced, are kept
+the same way.
 """
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielab import gl, heisenberg, pgl, sl, strict_upper, zero_multiplicity
+from lielab import LieAlgebra, gl, heisenberg, pgl, sl, strict_upper, su2q, zero_multiplicity
 from lielab.fields import GF, QQ, UniPoly, poly_lcm
-from lielab.linalg import Matrix, Subspace
+from lielab.linalg import Matrix, Subspace, vec_add
 
-FIELDS = [GF(2), GF(3), GF(5), GF(7), GF(2147483647)]
+FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(2147483647)]
 
 
-# -- reference: the Fp-object loops --------------------------------------
+# -- reference: the field-scalar loops ------------------------------------
 
 
 def ref_rref(field, rows, ncols):
@@ -140,29 +145,72 @@ def ref_min_poly(field, rows):
     return acc
 
 
+def ref_bracket(L, x, y):
+    """[x, y] from the table with field-scalar arithmetic."""
+    out = [L.field.zero] * L.dim
+    for (i, j), coeffs in L.table.items():
+        f = x[i] * y[j] - x[j] * y[i]
+        if f:
+            for k, c in coeffs.items():
+                out[k] = out[k] + f * c
+    return tuple(out)
+
+
+def ref_ad(L, x):
+    """Rows of ad x from the table with field-scalar arithmetic."""
+    n = L.dim
+    rows = [[L.field.zero] * n for _ in range(n)]
+    for (i, j), coeffs in L.table.items():
+        for k, c in coeffs.items():
+            rows[k][j] = rows[k][j] + x[i] * c
+            rows[k][i] = rows[k][i] - x[j] * c
+    return rows
+
+
+def ref_jacobi_violations(L):
+    """The dense Jacobi loop: cyclic sums of brackets of basis vectors."""
+    bad = []
+    for i, j, k in combinations(range(L.dim), 3):
+        defect = vec_add(
+            vec_add(
+                ref_bracket(L, L.basis_bracket(i, j), L.basis_vector(k)),
+                ref_bracket(L, L.basis_bracket(j, k), L.basis_vector(i)),
+            ),
+            ref_bracket(L, L.basis_bracket(k, i), L.basis_vector(j)),
+        )
+        if any(defect):
+            bad.append(((i, j, k), defect))
+    return bad
+
+
 # -- strategies --------------------------------------------------------------
+
+
+def scalars(field):
+    """Small signed fractions over Q; residues, small ones often, over F_p."""
+    if field.kind == "Q":
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    small = st.integers(0, min(field.p - 1, 3))
+    return st.one_of(small, st.integers(0, field.p - 1)).map(field.of)
 
 
 @st.composite
 def matrices(draw, square=False):
-    """(field, Fp rows, ncols): full-rank-ish or forced rank-deficient,
+    """(field, rows, ncols): full-rank-ish or forced rank-deficient,
     including the empty shapes 0x0, m x 0 and 0 x n."""
     field = draw(st.sampled_from(FIELDS))
-    p = field.p
     m = draw(st.integers(0, 6))
     n = m if square else draw(st.integers(0, 6))
-    small = st.integers(0, min(p - 1, 3))
-    entry = st.one_of(small, st.integers(0, p - 1))
+    entry = scalars(field)
     if draw(st.booleans()) and m and n:
         # rank at most k: every row a combination of k base rows
         k = draw(st.integers(0, min(m, n) - 1))
         base = [[draw(entry) for _ in range(n)] for _ in range(k)]
         coef = [[draw(entry) for _ in range(k)] for _ in range(m)]
-        ints = [[sum(c * b[j] for c, b in zip(cr, base)) for j in range(n)] for cr in coef]
+        rows = [[sum(c * b[j] for c, b in zip(cr, base)) for j in range(n)] for cr in coef]
     else:
-        ints = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    rows = [tuple(field.of(c) for c in row) for row in ints]
-    return field, rows, n
+        rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return field, [tuple(field.of(c) for c in row) for row in rows], n
 
 
 # -- kernel against reference ----------------------------------------------------
@@ -192,10 +240,10 @@ def test_solve_matches_reference(case, data):
     m = len(rows)
     if data.draw(st.booleans()):
         # a consistent right-hand side: the image of a random x
-        x = [field.of(data.draw(st.integers(0, field.p - 1))) for _ in range(n)]
+        x = [data.draw(scalars(field)) for _ in range(n)]
         b = ref_apply(field, rows, x)
     else:
-        b = tuple(field.of(data.draw(st.integers(0, field.p - 1))) for _ in range(m))
+        b = tuple(data.draw(scalars(field)) for _ in range(m))
     got = Matrix(field, rows, ncols=n).solve(b)
     assert got == ref_solve(field, rows, n, b)
     if got is not None:
@@ -233,24 +281,13 @@ def _first_nonzero(poly):
     return next(i for i, c in enumerate(poly.coeffs) if c)
 
 
-def _ad_by_fp_objects(L, x):
-    """ad x built from the Fp table with Fp arithmetic, not the residue table."""
-    n = L.dim
-    rows = [[L.field.zero] * n for _ in range(n)]
-    for (i, j), coeffs in L.table.items():
-        for k, c in coeffs.items():
-            rows[k][j] = rows[k][j] + x[i] * c
-            rows[k][i] = rows[k][i] - x[j] * c
-    return rows
-
-
 def test_zero_multiplicity_sl2_f5_every_point():
     F5 = GF(5)
     L = sl(F5, 2)
     for x in product(tuple(F5.elements()), repeat=L.dim):
         nu = zero_multiplicity(L, x)
         assert nu == _first_nonzero(L.ad(x).char_poly())
-        assert nu == _first_nonzero(ref_char_poly(F5, _ad_by_fp_objects(L, x)))
+        assert nu == _first_nonzero(ref_char_poly(F5, ref_ad(L, x)))
 
 
 def test_zero_multiplicity_pgl3_f3_every_point():
@@ -261,8 +298,60 @@ def test_zero_multiplicity_pgl3_f3_every_point():
         nu = zero_multiplicity(L, x)
         assert nu == _first_nonzero(L.ad(x).char_poly()), x
         if idx % 97 == 0:
-            assert nu == _first_nonzero(ref_char_poly(F3, _ad_by_fp_objects(L, x))), x
+            assert nu == _first_nonzero(ref_char_poly(F3, ref_ad(L, x))), x
 
+
+
+# -- sparse table against the dense loops ------------------------------------------
+
+
+TABLE_CASES = [
+    sl(QQ, 3),
+    gl(QQ, 2),
+    heisenberg(QQ, 2),
+    su2q(),
+    pgl(GF(3), 3),
+    gl(GF(5), 2),
+    strict_upper(GF(2), 4),
+]
+
+
+@st.composite
+def tables(draw):
+    """A catalog table, as it is or with up to three entries changed, which
+    mostly breaks Jacobi."""
+    L = draw(st.sampled_from(TABLE_CASES))
+    table = {key: dict(coeffs) for key, coeffs in L.table.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, L.dim - 2))
+        j = draw(st.integers(i + 1, L.dim - 1))
+        table.setdefault((i, j), {})[draw(st.integers(0, L.dim - 1))] = draw(scalars(L.field))
+    return LieAlgebra.unchecked(L.field, L.labels, table)
+
+
+@given(tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_primitives_match_dense_loops(L, data):
+    """Every Jacobi triple with its defect vector, and bracket and ad at
+    random elements, equal the dense field-scalar loops."""
+    assert L.jacobi_violations() == ref_jacobi_violations(L)
+    x, y = (tuple(data.draw(scalars(L.field)) for _ in range(L.dim)) for _ in range(2))
+    assert L.bracket(x, y) == ref_bracket(L, x, y)
+    assert L.ad(x) == Matrix(L.field, ref_ad(L, x), ncols=L.dim)
+
+
+def test_jacobi_defects_of_broken_tables():
+    """One changed structure constant over Q and over F_5: the full
+    violation lists, triples and defects, equal the dense loop's."""
+    for L, value in ((sl(QQ, 3), Fraction(1, 2)), (gl(GF(5), 3), GF(5).of(3))):
+        table = {key: dict(coeffs) for key, coeffs in L.table.items()}
+        key = sorted(table)[3]
+        k = min(table[key])
+        table[key][k] = table[key][k] + value
+        broken = LieAlgebra.unchecked(L.field, L.labels, table)
+        bad = broken.jacobi_violations()
+        assert bad and bad == ref_jacobi_violations(broken)
+        assert L.jacobi_violations() == ref_jacobi_violations(L) == []
 
 
 # -- worklist ideal closure against the fixed-point closure ------------------------
