@@ -549,10 +549,6 @@ class Subspace:
             return self.rows
         return tuple(tuple(self.field._to_k(r)) for r in self.rows)
 
-    @property
-    def _fp(self) -> bool:
-        return self.field.kind == "Fp"
-
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
         for v in vectors:
@@ -664,10 +660,11 @@ class _Echelon:
     def add(self, v: Sequence) -> Optional[list]:
         p = self.p
         w = _reduce(list(v), self.rows.items(), p)
-        lead = next((c for c, x in enumerate(w) if x), None)
-        if lead is None:
+        for lead, a in enumerate(w):
+            if a:
+                break
+        else:
             return None
-        a = w[lead]
         if a != 1:
             inv = pow(a, p - 2, p) if p else 1 / a
             w = [x * inv % p for x in w] if p else [x * inv for x in w]
