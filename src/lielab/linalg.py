@@ -378,21 +378,23 @@ class Matrix:
 
     def char_poly(self) -> UniPoly:
         """Monic characteristic polynomial det(t*I - self)."""
-        return UniPoly(self.field, self.field._from_k(self._char_coeffs()))
-
-    def _char_coeffs(self) -> list:
-        """Ascending coefficients of det(t*I - self) in kernel scalars."""
         if not self.is_square():
             raise ValueError("char poly of a non-square matrix")
-        if self.field.kind == "Q":
+        n = self.n
+        field = self.field
+        if n == 0:
+            return UniPoly.one(field)
+        if field.kind == "Q":
             den = 1
             for row in self.rows:
                 for c in row:
                     den = den * c.denominator // gcd(den, c.denominator)
             if den != 1:
-                coeffs = self.scale(Fraction(den))._charpoly_hessenberg()
-                return [c / den ** (self.n - i) for i, c in enumerate(coeffs)]
-        return self._charpoly_hessenberg()
+                scaled = self.scale(Fraction(den))
+                coeffs = scaled._charpoly_hessenberg()
+                d = Fraction(den)
+                return UniPoly(field, [coeffs[i] / d ** (n - i) for i in range(n + 1)])
+        return UniPoly(field, field._from_k(self._charpoly_hessenberg()))
 
     def _charpoly_hessenberg(self) -> List[Scalar]:
         """Ascending char poly coefficients; residues over F_p."""

@@ -55,7 +55,7 @@ def ad_char_coeffs(L: LieAlgebra, x: Sequence) -> Tuple[Scalar, ...]:
 
 def zero_multiplicity(L: LieAlgebra, x: Sequence) -> int:
     """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i."""
-    for i, c in enumerate(L.ad(x)._char_coeffs()):
+    for i, c in enumerate(L.ad(x).char_poly().coeffs):
         if c:
             return i
     raise AssertionError("characteristic polynomial cannot be zero")
