@@ -97,6 +97,12 @@ class LieAlgebra:
             raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
         return tuple(self.field.of(c) if isinstance(c, int) else c for c in v)
 
+    def _k_vector(self, v: Sequence) -> list:
+        """v in kernel scalars, after the length check of coerce_vector."""
+        if len(v) != self.dim:
+            raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
+        return self.field._to_k(v)
+
     def basis_bracket(self, i: int, j: int) -> Vector:
         """[b_i, b_j] as a coordinate vector."""
         z = self.field.zero
@@ -129,7 +135,7 @@ class LieAlgebra:
 
     def _bracket_k(self, x: Sequence, y: Sequence) -> list:
         """[x, y] for x, y in kernel scalars; the result is not yet reduced."""
-        out = self.field._to_k((0,)) * self.dim
+        out = [self.field._k_zero] * self.dim
         for i, j, coeffs in self._k_table():
             f = x[i] * y[j] - x[j] * y[i]
             if f:
@@ -138,15 +144,13 @@ class LieAlgebra:
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        x, y = (self.field._to_k(self.coerce_vector(v)) for v in (x, y))
-        return self.field._from_k(self._bracket_k(x, y))
+        return self.field._from_k(self._bracket_k(self._k_vector(x), self._k_vector(y)))
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad(x) = [x, -] in the defining basis."""
-        x = self.field._to_k(self.coerce_vector(x))
+        x = self._k_vector(x)
         n = self.dim
-        zero = self.field._to_k((0,))
-        rows = [zero * n for _ in range(n)]
+        rows = [[self.field._k_zero] * n for _ in range(n)]
         for i, j, coeffs in self._k_table():
             xi, xj = x[i], x[j]
             if xi:
@@ -168,14 +172,14 @@ class LieAlgebra:
         sparse table: the defect at (i, j, k) is
         sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
         n = self.dim
-        zero = self.field._to_k((0,))
+        zero = self.field._k_zero
         br: List[List[tuple]] = [[()] * n for _ in range(n)]
         for i, j, coeffs in self._k_table():
             br[i][j] = coeffs
             br[j][i] = tuple((k, -c) for k, c in coeffs)
         bad = []
         for i, j, k in itertools.combinations(range(n), 3):
-            defect = zero * n
+            defect = [zero] * n
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 for m, cm in br[a][b]:
                     for l, cl in br[m][c]:
@@ -226,7 +230,7 @@ class LieAlgebra:
         nothing new appears or the basis is full.
         """
         ech = _Echelon(self.field, self.dim)
-        todo = [ech.add(self.field._to_k(self.coerce_vector(v))) for v in vectors]
+        todo = [ech.add(self._k_vector(v)) for v in vectors]
         todo = [w for w in todo if w is not None]
         ads = [self.ad_basis(i) for i in range(self.dim)]
         while todo and not ech.full:

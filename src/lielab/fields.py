@@ -17,13 +17,13 @@ scalars.  It is threaded through every matrix, polynomial and algebra.
 loops.  Linear algebra and the algebra primitives (elimination, products,
 characteristic polynomials, ad, brackets, Jacobi, ideal closure) run on
 kernel scalars: the Fractions themselves over Q, plain ints in [0, p)
-over F_p.  ``_to_k`` is the way into that kernel and ``_from_k`` the way
-out, for both fields; both also normalize, so kernel code may leave
-unreduced ints (or, over Q, ints beside Fractions) for them to bring back
-to canonical form.  An Fp is built only where a result leaves the kernel:
-a row read from a Matrix or Subspace, a returned vector or scalar, a
-UniPoly coefficient.  The polynomial classes below still compute with Fp
-values.
+over F_p.  ``_to_k`` is the way into that kernel, ``_from_k`` the way
+out and ``_k_zero`` its zero, for both fields.  The two ways also
+normalize, so kernel code may leave unreduced ints (or, over Q, ints
+beside Fractions) for them to bring back to canonical form.  An Fp is
+built only where a result leaves the kernel: a row read from a Matrix or
+Subspace, a returned vector or scalar, a UniPoly coefficient.  The
+polynomial classes below still compute with Fp values.
 """
 from __future__ import annotations
 
@@ -142,6 +142,7 @@ class RationalField:
 
     kind = "Q"
     char = 0
+    _k_zero = Fraction(0)
 
     @property
     def zero(self) -> Fraction:
@@ -191,6 +192,7 @@ class PrimeField:
     """Descriptor for F_p with p prime, p < 2**31."""
 
     kind = "Fp"
+    _k_zero = 0
 
     def __init__(self, p: int):
         if not isinstance(p, int) or not _is_prime(p):
