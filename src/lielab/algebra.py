@@ -22,13 +22,34 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .budgets import DERIVATION_DIM_CAP, EXHAUSTIVE_CAP, BudgetExceeded
 from .fields import Field, Scalar, UniPoly, field_from_json, field_to_json
-from .linalg import _Echelon, Matrix, Subspace, Vector
+from .linalg import _dense, _Echelon, Matrix, Subspace, Vector
 from .verdict import Verdict
+
+
+def _jacobi_defects(field: Field, n: int, table) -> Iterator[Tuple[Tuple[int, int, int], list]]:
+    """The basis triples where Jacobi fails, with their defects in kernel
+    scalars, over a sparse table (i, j, ((k, c), ...)) in kernel scalars:
+    the defect at (i, j, k) is
+    sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
+    zero = field._k_zero
+    br: List[List[tuple]] = [[()] * n for _ in range(n)]
+    for i, j, coeffs in table:
+        br[i][j] = coeffs
+        br[j][i] = tuple((k, -c) for k, c in coeffs)
+    for i, j, k in itertools.combinations(range(n), 3):
+        defect = [zero] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in br[a][b]:
+                for l, cl in br[m][c]:
+                    defect[l] += cm * cl
+        defect = field._to_k(defect)
+        if any(defect):
+            yield (i, j, k), defect
 
 
 class StructureError(ValueError):
@@ -168,26 +189,9 @@ class LieAlgebra:
         return self._cache[key]
 
     def jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
-        """All basis triples where the Jacobi identity fails, over the
-        sparse table: the defect at (i, j, k) is
-        sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
-        n = self.dim
-        zero = self.field._k_zero
-        br: List[List[tuple]] = [[()] * n for _ in range(n)]
-        for i, j, coeffs in self._k_table():
-            br[i][j] = coeffs
-            br[j][i] = tuple((k, -c) for k, c in coeffs)
-        bad = []
-        for i, j, k in itertools.combinations(range(n), 3):
-            defect = [zero] * n
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                for m, cm in br[a][b]:
-                    for l, cl in br[m][c]:
-                        defect[l] += cm * cl
-            defect = self.field._to_k(defect)
-            if any(defect):
-                bad.append(((i, j, k), self.field._from_k(defect)))
-        return bad
+        """All basis triples where the Jacobi identity fails, with their defects."""
+        to_field = self.field._from_k
+        return [(t, to_field(d)) for t, d in _jacobi_defects(self.field, self.dim, self._k_table())]
 
     # -- subspace queries ---------------------------------------------------
 
@@ -229,16 +233,23 @@ class LieAlgebra:
         it adds ad(b_i) of it for every i, reduced against the basis, until
         nothing new appears or the basis is full.
         """
-        ech = _Echelon(self.field, self.dim)
-        todo = [ech.add(self._k_vector(v)) for v in vectors]
-        todo = [w for w in todo if w is not None]
-        ads = [self.ad_basis(i) for i in range(self.dim)]
+        n, zero = self.dim, self.field._k_zero
+        ech = _Echelon(self.field, n)
+        todo: List[list] = []
+
+        def push(v: Sequence) -> None:
+            w = ech.add(v)
+            if w is not None:
+                # a dense copy now: later rows reduce the stored row in place
+                todo.append(_dense(w, n, zero))
+
+        for v in vectors:
+            push(self._k_vector(v))
+        ads = [self.ad_basis(i) for i in range(n)]
         while todo and not ech.full:
             v = todo.pop()
             for a in ads:
-                w = ech.add(a._apply_k(v))
-                if w is not None:
-                    todo.append(w)
+                push(a._apply_k(v))
         return ech.subspace()
 
     def subalgebra_generated(self, vectors: Sequence[Sequence]) -> Subspace:
@@ -265,11 +276,10 @@ class LieAlgebra:
 
     # -- reports -------------------------------------------------------------
 
-    def lower_central_series(self) -> List[Subspace]:
-        full = Subspace.full_space(self.field, self.dim)
-        series = [full]
+    def _series(self, step: Callable[[Subspace], Subspace]) -> List[Subspace]:
+        series = [Subspace.full_space(self.field, self.dim)]
         while True:
-            nxt = self.bracket_span(full, series[-1])
+            nxt = step(series[-1])
             if nxt.dim == series[-1].dim:
                 break
             series.append(nxt)
@@ -277,16 +287,12 @@ class LieAlgebra:
                 break
         return series
 
+    def lower_central_series(self) -> List[Subspace]:
+        full = Subspace.full_space(self.field, self.dim)
+        return self._series(lambda s: self.bracket_span(full, s))
+
     def derived_series(self) -> List[Subspace]:
-        series = [Subspace.full_space(self.field, self.dim)]
-        while True:
-            nxt = self.bracket_span(series[-1], series[-1])
-            if nxt.dim == series[-1].dim:
-                break
-            series.append(nxt)
-            if nxt.is_zero():
-                break
-        return series
+        return self._series(lambda s: self.bracket_span(s, s))
 
     def structure_report(self) -> "StructureReport":
         if "report" in self._cache:
@@ -374,9 +380,6 @@ class LieAlgebra:
     def canonical_json(self) -> str:
         return canonical_dumps(self.to_json_dict())
 
-    def rename(self, labels: Sequence[str]) -> "LieAlgebra":
-        return LieAlgebra.unchecked(self.field, labels, self.table)
-
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim} over {self.field!r})"
 
@@ -403,19 +406,7 @@ class StructureReport:
             raise StructureError("inconsistent report: nilpotent but not solvable")
 
     def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "abelian": self.abelian,
-            "nilpotent": self.nilpotent,
-            "solvable": self.solvable,
-            "nilpotency_class": self.nilpotency_class,
-            "derived_length": self.derived_length,
-            "center_dim": self.center_dim,
-            "commutant_dim": self.commutant_dim,
-            "killing_rank": self.killing_rank,
-            "radical_dim": self.radical_dim,
-            "semisimple": self.semisimple,
-        }
+        return asdict(self)
 
 
 class BilinearForm:
@@ -702,40 +693,40 @@ def _map_equations(L: LieAlgebra) -> Iterator[tuple]:
     at index r * n + k.
 
     For each pair i < j and each coordinate r, yields the r-th coordinates
-    of phi[b_i, b_j], [phi b_i, b_j] and [b_i, phi b_j].  Each part is
-    (offset, [(key, c), ...]): coefficient c on the unknown offset + key.
-    Pairs with a zero bracket yield equations too: their first part is
-    empty.
+    of phi[b_i, b_j], -[phi b_i, b_j] and -[b_i, phi b_j].  Each part is a
+    list [(unknown, c), ...] with c in kernel scalars.  Pairs with a zero
+    bracket yield equations too: their first part is empty.
     """
     n = L.dim
-    bra = [[L.basis_bracket(s, j) for j in range(n)] for s in range(n)]
-    # nonzero structure constants by output coordinate r, keyed s * n:
-    # [b_s, b_j]_r in left[j][r] and [b_i, b_s]_r in right[i][r]
-    left = [[[(s * n, bra[s][j][r]) for s in range(n) if bra[s][j][r]] for r in range(n)] for j in range(n)]
-    right = [[[(s * n, bra[i][s][r]) for s in range(n) if bra[i][s][r]] for r in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            image = tuple(L.table.get((i, j), {}).items())
-            for r in range(n):
-                yield (r * n, image), (i, left[j][r]), (j, right[i][r])
+    # ads[j][r]: the nonzero [b_j, b_s]_r as (s, c), from the rows of ad b_j
+    ads = [[[(s, c) for s, c in enumerate(row) if c] for row in L.ad_basis(j)._k] for j in range(n)]
+    images = {(i, j): coeffs for i, j, coeffs in L._k_table()}
+    for i, j in itertools.combinations(range(n), 2):
+        image = images.get((i, j), ())
+        for r in range(n):
+            yield (
+                [(r * n + k, c) for k, c in image],
+                [(s * n + i, c) for s, c in ads[j][r]],
+                [(s * n + j, -c) for s, c in ads[i][r]],
+            )
 
 
-def _equation_row(field: Field, n: int, image, *brackets) -> list:
-    """Dense row of image minus the bracket parts, over the n * n unknowns."""
-    row = [field.zero] * (n * n)
-    offset, part = image
-    for key, c in part:
-        row[offset + key] = row[offset + key] + c
-    for offset, part in brackets:
+def _sparse_row(p: int, *parts) -> dict:
+    """The sum of the parts [(unknown, c), ...] as a sparse row in kernel
+    scalars; p = 0 stands for Q."""
+    row: dict = {}
+    for part in parts:
         for key, c in part:
-            row[offset + key] = row[offset + key] - c
-    return row
+            row[key] = row.get(key, 0) + c
+    if p:
+        return {k: x % p for k, x in row.items() if x % p}
+    return {k: x for k, x in row.items() if x}
 
 
-def _map_solutions(field: Field, n: int, rows: list) -> Tuple[Subspace, List[Matrix]]:
-    """Solution space of the equations, and its rows as n x n matrices."""
-    kernel = Matrix(field, rows, ncols=n * n).kernel()
-    return kernel, [Matrix(field, [sol[r * n : (r + 1) * n] for r in range(n)], ncols=n) for sol in kernel.rows]
+def _map_solutions(field: Field, n: int, rows: Iterable[dict]) -> Tuple[Subspace, List[Matrix]]:
+    """Solution space of the sparse equation rows, and its rows as n x n matrices."""
+    kernel = _Echelon(field, n * n, rows).kernel()
+    return kernel, [Matrix._of_k(field, [sol[r * n : (r + 1) * n] for r in range(n)], n) for sol in kernel._k]
 
 
 def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
@@ -751,29 +742,17 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
             f"derivation algebra over F_p limited to dim <= {DERIVATION_DIM_CAP}, got {n}"
         )
     field = L.field
-    rows = []
-    for image, left, right in _map_equations(L):
-        row = _equation_row(field, n, image, left, right)
-        if any(row):
-            rows.append(row)
+    rows = (_sparse_row(field.char, *parts) for parts in _map_equations(L))
     kernel, mats = _map_solutions(field, n, rows)
-
-    def flatten(mat: Matrix) -> Vector:
-        return tuple(c for row in mat.rows for c in row)
-
-    def coords(mat: Matrix) -> Vector:
-        got = kernel.coords_of(flatten(mat))
+    table: BracketTable = {}
+    for a, b in itertools.combinations(range(len(mats)), 2):
+        comm = mats[a] * mats[b] - mats[b] * mats[a]
+        got = kernel.coords_of([c for row in comm._k for c in row])
         if got is None:
             raise StructureError("commutator of derivations left the solution space")
-        return got
-
-    table: BracketTable = {}
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = mats[a] * mats[b] - mats[b] * mats[a]
-            cs = {k: c for k, c in enumerate(coords(comm)) if c}
-            if cs:
-                table[(a, b)] = cs
+        cs = {k: c for k, c in enumerate(got) if c}
+        if cs:
+            table[(a, b)] = cs
     labels = tuple(f"D{t}" for t in range(len(mats)))
     return LieAlgebra(field, labels, table), mats
 
@@ -781,14 +760,11 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
 def centroid(L: LieAlgebra) -> List[Matrix]:
     """_Echelon basis of maps commuting with all brackets:
     phi[x, y] = [phi x, y] = [x, phi y]."""
-    n = L.dim
-    field = L.field
-    rows = []
-    for image, left, right in _map_equations(L):
-        for row in (_equation_row(field, n, image, left), _equation_row(field, n, image, right)):
-            if any(row):
-                rows.append(row)
-    return _map_solutions(field, n, rows)[1]
+    p = L.field.char
+    rows = (
+        _sparse_row(p, image, part) for image, left, right in _map_equations(L) for part in (left, right)
+    )
+    return _map_solutions(L.field, L.dim, rows)[1]
 
 
 def _monic_rational_irreducible(p: UniPoly) -> Optional[bool]:
@@ -980,43 +956,31 @@ def cocycle_space(L: LieAlgebra) -> Subspace:
     """Z^2(L, K): alternating forms with w([x,y],z) + cyclic = 0."""
     n = L.dim
     idx = _pair_index(n)
-    unknowns = len(idx)
-    zero = L.field.zero
+    brackets = {(i, j): coeffs for i, j, coeffs in L._k_table()}
 
-    def add_term(row, vec, k):
-        # contributes w(vec, b_k) expanded in the unknowns
-        for m, c in enumerate(vec):
-            if not c or m == k:
-                continue
+    def term(pair, k, sign):
+        # sign * w([b_pair], b_k) in the unknowns w(b_m, b_k) = +-w[min, max]
+        for m, c in brackets.get(pair, ()):
             if m < k:
-                row[idx[(m, k)]] = row[idx[(m, k)]] + c
-            else:
-                row[idx[(k, m)]] = row[idx[(k, m)]] - c
+                yield idx[(m, k)], sign * c
+            elif m > k:
+                yield idx[(k, m)], -sign * c
 
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                row = [zero] * unknowns
-                add_term(row, L.basis_bracket(i, j), k)
-                add_term(row, L.basis_bracket(j, k), i)
-                add_term(row, L.basis_bracket(k, i), j)
-                if any(row):
-                    rows.append(row)
-    return Matrix(L.field, rows, ncols=unknowns).kernel()
+    rows = (
+        _sparse_row(L.field.char, term((i, j), k, 1), term((j, k), i, 1), term((i, k), j, -1))
+        for i, j, k in itertools.combinations(range(n), 3)
+    )
+    return _Echelon(L.field, len(idx), rows).kernel()
 
 
 def coboundary_space(L: LieAlgebra) -> Subspace:
-    """B^2(L, K): forms f([x, y]) for functionals f."""
-    n = L.dim
-    idx = _pair_index(n)
-    cols = []
-    for m in range(n):
-        col = [L.field.zero] * len(idx)
-        for (i, j), slot in idx.items():
-            col[slot] = L.basis_bracket(i, j)[m]
-        cols.append(col)
-    return Matrix.from_columns(L.field, cols, len(idx)).image()
+    """B^2(L, K): forms f([x, y]) for functionals f, spanned by f = b_m^*."""
+    idx = _pair_index(L.dim)
+    forms = [[L.field._k_zero] * len(idx) for _ in range(L.dim)]
+    for i, j, coeffs in L._k_table():
+        for m, c in coeffs:
+            forms[m][idx[(i, j)]] = c
+    return Subspace._span_k(L.field, len(idx), forms)
 
 
 def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]:
@@ -1027,11 +991,9 @@ def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]
     idx = _pair_index(L.dim)
     back = {slot: pair for pair, slot in idx.items()}
     reps = []
-    span = b2
-    for row in z2.rows:
-        grown = span.sum_with(Subspace.from_vectors(L.field, len(idx), [row]))
-        if grown.dim > span.dim:
-            span = grown
+    span = _Echelon(L.field, len(idx), b2._k)
+    for row, krow in zip(z2.rows, z2._k):
+        if span.add(krow) is not None:
             reps.append({back[s]: c for s, c in enumerate(row) if c})
         if len(reps) == dim:
             break

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .algebra import AssocAlgebra, LieAlgebra, StructureError, quotient
+from .algebra import _jacobi_defects, AssocAlgebra, LieAlgebra, StructureError, quotient
 from .budgets import ENUMERATION_CAP, EXHAUSTIVE_CAP, BudgetExceeded
 from .fields import Field, QQ, Scalar
 from .linalg import Matrix, Subspace, Vector
@@ -499,11 +499,17 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
     if total > ENUMERATION_CAP:
         raise BudgetExceeded(f"{total} tables exceed the enumeration cap {ENUMERATION_CAP}")
     elements = tuple(field.of(r) for r in range(field.p))
-    for combo in iproduct(elements, repeat=ncoeffs):
-        t = EnumTable(dim, field, combo, False)
-        alg = t.algebra()
-        t.jacobi_ok = not alg.jacobi_violations()
-        yield t
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    # every coefficient vector of one bracket, in lexicographic order, with
+    # its nonzero entries in kernel scalars; Jacobi runs on those alone
+    blocks = [
+        (vec, tuple((k, c) for k, c in enumerate(field._to_k(vec)) if c))
+        for vec in iproduct(elements, repeat=dim)
+    ]
+    for combo in iproduct(blocks, repeat=len(pairs)):
+        table = [(i, j, coeffs) for (i, j), (_, coeffs) in zip(pairs, combo) if coeffs]
+        ok = next(_jacobi_defects(field, dim, table), None) is None
+        yield EnumTable(dim, field, tuple(c for vec, _ in combo for c in vec), ok)
 
 
 def canonical_instances() -> List[Tuple[str, LieAlgebra]]:

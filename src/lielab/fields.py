@@ -378,12 +378,6 @@ class UniPoly:
         s = self.field.of(s) if isinstance(s, int) else s
         return UniPoly(self.field, [c * s for c in self.coeffs])
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
         self._same_field(other)
         if other.is_zero():

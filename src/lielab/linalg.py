@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over Q and F_p, with one elimination kernel
+"""Exact linear algebra over Q and F_p, with one sparse elimination kernel
 for both fields.
 
 Matrices are immutable lists of rows of scalars tagged with their field;
@@ -11,12 +11,16 @@ plain ints in [0, p) over F_p (``Fp`` objects are built only when a caller
 reads ``rows`` or gets a vector, a scalar or a polynomial back, which is
 where a result leaves the kernel).  Every Matrix and Subspace carries its
 rows in kernel scalars (``_k``).  All row reduction goes through
-``_Echelon``, which grows a reduced echelon basis one vector at a time:
-``rref``, ``kernel``, ``solve``, ``image``, ``intersect``, subspace
-``reduce`` and ``contains``, and the ideal closure.  Its one per-field
-step is ``_axpy`` (taken mod p over F_p), and division over F_p is
-multiplication by pow(a, p - 2, p).  Products, ``apply`` and the
-Hessenberg characteristic polynomial keep one loop per field.
+``_Echelon``, which grows a reduced echelon basis one vector at a time and
+keeps its rows as ``{column: scalar}`` dicts: ``rref``, ``kernel``,
+``solve``, ``image``, ``intersect``, subspace ``reduce`` and ``contains``,
+the ideal closure and the sparse equation systems of the derivation
+algebra, the centroid and the 2-cocycles.  Dense rows are turned into
+dicts on the way in and back into dense rows by ``echelon()``.  Its one
+reduce step is ``_reduce``, built on the row update ``_axpy`` (taken
+mod p over F_p), and division over F_p is multiplication by
+pow(a, p - 2, p).  Products, ``apply`` and the Hessenberg characteristic
+polynomial stay dense, with one loop per field.
 
 Characteristic polynomials come from a Hessenberg reduction (no division
 by integer constants, so small characteristic is safe); over Q the matrix
@@ -52,22 +56,37 @@ def vec_is_zero(u: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the elimination step, shared by both fields
+# the elimination step, shared by both fields, on sparse rows
 
 
-def _axpy(w: list, f, row: Sequence, p: int) -> list:
-    """w - f * row in kernel scalars; p = 0 stands for Q."""
-    if p:
-        return [(x - f * y) % p for x, y in zip(w, row)]
-    return [x - f * y if y else x for x, y in zip(w, row)]
+def _sparse(v: Sequence) -> dict:
+    """A vector in kernel scalars as {column: scalar}, zeros left out."""
+    return {k: x for k, x in enumerate(v) if x}
 
 
-def _reduce(w: list, rows: Iterable[Tuple[int, Sequence]], p: int) -> list:
-    """Remainder of w modulo reduced echelon rows, given as (pivot, row)."""
-    for c, row in rows:
-        f = w[c]
-        if f:
-            w = _axpy(w, f, row, p)
+def _dense(w: dict, n: int, zero) -> list:
+    return [w.get(k, zero) for k in range(n)]
+
+
+def _axpy(w: dict, f, row: dict, p: int) -> None:
+    """w - f * row in place, dropping the entries that cancel; p = 0
+    stands for Q."""
+    for k, y in row.items():
+        x = w.get(k, 0) - f * y
+        if p:
+            x %= p
+        if x:
+            w[k] = x
+        else:
+            del w[k]
+
+
+def _reduce(w: dict, rows: Dict[int, dict], p: int) -> dict:
+    """w modulo reduced echelon rows keyed by pivot, in place.  The rows
+    vanish on each other's pivots, so each pivot of w is cleared by its
+    own row with the coefficient w has on entry."""
+    for c, f in [(c, f) for c, f in w.items() if c in rows]:
+        _axpy(w, f, rows[c], p)
     return w
 
 
@@ -328,34 +347,25 @@ class Matrix:
     # -- echelon machinery ------------------------------------------------
 
     @cached_property
+    def _echelon(self) -> "_Echelon":
+        return _Echelon(self.field, self.n, self._k)
+
+    @cached_property
     def _rref(self) -> Tuple[Tuple[Sequence, ...], Tuple[int, ...]]:
         """(echelon rows, pivot columns) in kernel scalars.  The reduced
         echelon form is unique, so growing it row by row gives the same
         rows as any other elimination order."""
-        ech = _Echelon(self.field, self.n)
-        for row in self._k:
-            if ech.full:
-                break
-            ech.add(row)
-        return ech.echelon()
+        return self._echelon.echelon()
 
     def rref(self) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
         rows, pivots = self._rref
         return tuple(self.field._from_k(r) for r in rows), pivots
 
     def rank(self) -> int:
-        return len(self._rref[1])
+        return len(self._echelon.rows)
 
     def kernel(self) -> "Subspace":
-        rows, pivots = self._rref
-        basis = []
-        for f in (c for c in range(self.n) if c not in set(pivots)):
-            v = [0] * self.n
-            v[f] = 1
-            for r, c in enumerate(pivots):
-                v[c] = -rows[r][f]
-            basis.append(v)
-        return Subspace._span_k(self.field, self.n, basis)
+        return self._echelon.kernel()
 
     def image(self) -> "Subspace":
         rows = self._k
@@ -535,10 +545,7 @@ class Subspace:
     @classmethod
     def _span_k(cls, field: Field, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
         """The span of vectors of length ambient in kernel scalars."""
-        if not vectors:
-            return cls.zero_space(field, ambient)
-        rows, pivots = Matrix._of_k(field, vectors, ambient)._rref
-        return cls._of_k(field, ambient, rows, pivots)
+        return cls._of_k(field, ambient, *Matrix._of_k(field, vectors, ambient)._rref)
 
     @cached_property
     def rows(self) -> Tuple[Vector, ...]:
@@ -579,18 +586,23 @@ class Subspace:
     def basis(self) -> Tuple[Vector, ...]:
         return self.rows
 
-    def _remainder_k(self, v: Sequence) -> list:
+    @cached_property
+    def _pivot_rows(self) -> Dict[int, dict]:
+        """The basis rows as sparse rows keyed by pivot, as ``_reduce`` reads them."""
+        return {c: _sparse(row) for c, row in zip(self.pivots, self._k)}
+
+    def _remainder_k(self, v: Sequence) -> dict:
         w = self.field._to_k(v)
         if len(w) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
-        return _reduce(w, zip(self.pivots, self._k), self.field.char)
+        return _reduce(_sparse(w), self._pivot_rows, self.field.char)
 
     def reduce(self, v: Sequence) -> Vector:
         """Remainder of v modulo this subspace (pivot coordinates cleared)."""
-        return self.field._from_k(self._remainder_k(v))
+        return self.field._from_k(_dense(self._remainder_k(v), self.ambient, self.field._k_zero))
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self._remainder_k(v))
+        return not self._remainder_k(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other._k)
@@ -644,42 +656,61 @@ class Subspace:
 class _Echelon:
     """A reduced echelon basis grown one vector at a time.
 
-    Vectors are in kernel scalars: residues over F_p, Fractions over Q.
-    ``add`` returns the reduced, normalized vector when it enlarges the
-    span, and ``subspace`` gives the canonical Subspace of everything added.
+    Vectors are in kernel scalars (residues over F_p, Fractions over Q),
+    dense or as {column: scalar} dicts; the rows are kept as dicts keyed
+    by pivot.  ``add`` returns the reduced, normalized row when it
+    enlarges the span, ``echelon`` gives the dense reduced echelon form,
+    ``subspace`` its Subspace and ``kernel`` the null space of the rows.
     """
 
-    def __init__(self, field: Field, ambient: int):
+    def __init__(self, field: Field, ambient: int, vectors: Iterable = ()):
         self.field = field
         self.ambient = ambient
         self.p = field.char
-        self.rows: Dict[int, list] = {}
+        self.rows: Dict[int, dict] = {}
+        for v in vectors:
+            if self.full:
+                break
+            self.add(v)
 
     @property
     def full(self) -> bool:
         return len(self.rows) == self.ambient
 
-    def add(self, v: Sequence) -> Optional[list]:
+    def add(self, v) -> Optional[dict]:
         p = self.p
-        w = _reduce(list(v), self.rows.items(), p)
-        for lead, a in enumerate(w):
-            if a:
-                break
-        else:
+        w = _reduce(dict(v) if isinstance(v, dict) else _sparse(v), self.rows, p)
+        if not w:
             return None
+        lead = min(w)
+        a = w[lead]
         if a != 1:
             inv = pow(a, p - 2, p) if p else 1 / a
-            w = [x * inv % p for x in w] if p else [x * inv for x in w]
-        for c, row in self.rows.items():
-            if row[lead]:
-                self.rows[c] = _axpy(row, row[lead], w, p)
+            w = {k: x * inv % p for k, x in w.items()} if p else {k: x * inv for k, x in w.items()}
+        for row in self.rows.values():
+            f = row.get(lead)
+            if f:
+                _axpy(row, f, w, p)
         self.rows[lead] = w
         return w
 
     def echelon(self) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
-        """(rows sorted by pivot, pivots): the reduced echelon form."""
+        """(dense rows sorted by pivot, pivots): the reduced echelon form."""
         pivots = tuple(sorted(self.rows))
-        return tuple(tuple(self.rows[c]) for c in pivots), pivots
+        zero = self.field._k_zero
+        return tuple(tuple(_dense(self.rows[c], self.ambient, zero)) for c in pivots), pivots
 
     def subspace(self) -> Subspace:
         return Subspace._of_k(self.field, self.ambient, *self.echelon())
+
+    def kernel(self) -> Subspace:
+        """{x : row . x = 0 for every row}: one basis vector per free
+        column f, with 1 at f and minus column f of the rows at their pivots."""
+        p = self.p
+        one = self.field._to_k((1,))[0]
+        free = {f: {f: one} for f in range(self.ambient) if f not in self.rows}
+        for c, row in self.rows.items():
+            for k, x in row.items():
+                if k != c:
+                    free[k][c] = -x % p if p else -x
+        return _Echelon(self.field, self.ambient, free.values()).subspace()

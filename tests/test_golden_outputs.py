@@ -1,9 +1,11 @@
-"""Golden outputs: the canonical `verify` payload and the `analyze` JSON of
-every canonical instance must stay byte for byte what they were when these
-digests were recorded.  A refactor that changes any answer, evidence key or
-message fails here, naming the instance."""
+"""Golden outputs: the canonical `verify` payload, the `analyze` JSON of
+every canonical instance and the `analyze` JSON of every benchmark input
+table must stay byte for byte what they were when these digests were
+recorded.  A refactor that changes any answer, evidence key or message
+fails here, naming the instance."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,24 @@ ANALYZE_SHA256 = {
     "pgl3@F3": "598f93a1f2eabb8972469b8506edf36caac6b89d3e0eaaccc1b53869159e897e",
 }
 
+# sha256 of `lielab analyze perfbench/inputs/<name>.json` stdout; the tables
+# are read where the benchmark keeps them and are not modified
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+INPUT_ANALYZE_SHA256 = {
+    "gl3f5": "93a24c5bc6f550bf97c284c11f6f6ce961af5b95a29c9cee2a1a1cf7edc2bfec",
+    "gl3q": "24af8001a2f2a5b061fd9b836d097e7793d4fa79bf6919bf6133197edd4c2146",
+    "heisenberg2q": "4ebc15943a1562493cafb6deac2407e4dab5ecec9cb3d7f0089e32a64496680d",
+    "pgl3f3": "2cd7a7bb3284f52219ecc2dae69bbfd5e65576ef40fa6fed6304a5785061617e",
+    "psl3f3": "98b490fbae5ed7a3f2418fb0c2ba0e33750ca56bc2adae3ddd456b6372689061",
+    "sl2f5": "0958e54727c2689ff41bbb9d8d0be50c6e03e4a5da5b68bb9b82770d1275adb3",
+    "sl3f3": "1a6b8e4695347eb4a1288cdaa19b048abdad192e92f772ab22c20f3cedd37489",
+    "sl3q": "4f6a42d828060da24799ceb2d99ee9ba0da5404b99a1298b6978c39a3670ac1d",
+    "sl4q": "a3e94cf2dd93d81c26d8d92af187d51c27fe8f355f41791c1a9f4066c6a6b044",
+    "sl5q": "17264cd73540274abf8496aa30f32c5d1b7c4ea1329eb37abd29e7b0475f4332",
+    "strict_upper5q": "6a572e8fc67453c14133d20a675eb92ac506c69158f61c53677cad5284d4878f",
+    "su2q": "1ecb14671c91cb32330679ce3092b03658dd9d572cc83727f03dec28203ca0cd",
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -54,3 +74,14 @@ def test_analyze_output(name, L, tmp_path, capsys):
     assert main(["analyze", str(path)]) == 0
     out = capsys.readouterr().out
     assert _sha256(out) == ANALYZE_SHA256[name], f"analyze output of {name} changed:\n{out}"
+
+
+def test_golden_list_covers_the_benchmark_inputs():
+    assert sorted(path.stem for path in INPUTS.glob("*.json")) == list(INPUT_ANALYZE_SHA256)
+
+
+@pytest.mark.parametrize("name", list(INPUT_ANALYZE_SHA256))
+def test_analyze_benchmark_input(name, capsys):
+    assert main(["analyze", str(INPUTS / f"{name}.json")]) == 0
+    out = capsys.readouterr().out
+    assert _sha256(out) == INPUT_ANALYZE_SHA256[name], f"analyze output of {name}.json changed:\n{out}"

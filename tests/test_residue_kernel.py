@@ -7,17 +7,23 @@ to one echelon kernel on residues mod p and Fractions.  They stay here,
 and only here, as an independent oracle: every echelon form, kernel,
 solution and characteristic or minimal polynomial from the kernel must
 equal theirs exactly, over Q and over F_p.  The dense Jacobi loop and the
-dense bracket and ad loops that the sparse table replaced, and the
-fixed-point ideal closure that the worklist closure replaced, are kept
-the same way.
+dense bracket and ad loops that the sparse table replaced, the fixed-point
+ideal closure that the worklist closure replaced, and the dense equation
+rows of the derivation, centroid and 2-cocycle systems that the sparse
+rows replaced, are kept the same way.
 """
+import json
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lielab import LieAlgebra, gl, heisenberg, pgl, sl, strict_upper, su2q, zero_multiplicity
+from lielab.algebra import centroid, cocycle_space, derivation_algebra
+from lielab.catalog import canonical_instances
 from lielab.fields import GF, QQ, UniPoly, poly_lcm
 from lielab.linalg import Matrix, Subspace, vec_add
 
@@ -197,11 +203,26 @@ def scalars(field):
 @st.composite
 def matrices(draw, square=False):
     """(field, rows, ncols): full-rank-ish or forced rank-deficient,
-    including the empty shapes 0x0, m x 0 and 0 x n."""
+    including the empty shapes 0x0, m x 0 and 0 x n; when not square, also
+    sparse and wide like the equation systems (up to 12 x 24, at most three
+    nonzeros in a fresh row, some rows sums of two earlier ones)."""
     field = draw(st.sampled_from(FIELDS))
+    entry = scalars(field)
+    if not square and draw(st.booleans()):
+        n = draw(st.integers(1, 24))
+        rows = []
+        for _ in range(draw(st.integers(1, 12))):
+            if len(rows) > 1 and draw(st.integers(0, 3)) == 0:
+                a, b = draw(st.lists(st.sampled_from(range(len(rows))), min_size=2, max_size=2))
+                rows.append(vec_add(rows[a], rows[b]))
+                continue
+            row = [field.zero] * n
+            for col in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+                row[col] = field.of(draw(entry))
+            rows.append(tuple(row))
+        return field, rows, n
     m = draw(st.integers(0, 6))
     n = m if square else draw(st.integers(0, 6))
-    entry = scalars(field)
     if draw(st.booleans()) and m and n:
         # rank at most k: every row a combination of k base rows
         k = draw(st.integers(0, min(m, n) - 1))
@@ -389,3 +410,107 @@ def test_ideal_generated_matches_fixed_point(L, data):
     lo, hi = (0, L.field.p - 1) if L.field.kind == "Fp" else (-3, 3)
     vectors = data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=L.dim, max_size=L.dim), max_size=2))
     assert L.ideal_generated(vectors) == _ideal_by_fixed_point(L, vectors)
+
+
+# -- sparse equation rows against the dense builder --------------------------------
+
+
+def ref_map_equations(L):
+    """The equation parts in field scalars, (offset, [(key, c), ...]) with
+    coefficient c on the unknown offset + key: the r-th coordinates of
+    phi[b_i, b_j], [phi b_i, b_j] and [b_i, phi b_j], unknown phi[r][k] at
+    r * n + k."""
+    n = L.dim
+    bra = [[L.basis_bracket(s, j) for j in range(n)] for s in range(n)]
+    left = [[[(s * n, bra[s][j][r]) for s in range(n) if bra[s][j][r]] for r in range(n)] for j in range(n)]
+    right = [[[(s * n, bra[i][s][r]) for s in range(n) if bra[i][s][r]] for r in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            image = tuple(L.table.get((i, j), {}).items())
+            for r in range(n):
+                yield (r * n, image), (i, left[j][r]), (j, right[i][r])
+
+
+def ref_equation_row(field, n, image, *brackets):
+    """Dense row of image minus the bracket parts, over the n * n unknowns."""
+    row = [field.zero] * (n * n)
+    offset, part = image
+    for key, c in part:
+        row[offset + key] = row[offset + key] + c
+    for offset, part in brackets:
+        for key, c in part:
+            row[offset + key] = row[offset + key] - c
+    return tuple(row)
+
+
+def ref_derivation_rows(L):
+    return [ref_equation_row(L.field, L.dim, image, left, right) for image, left, right in ref_map_equations(L)]
+
+
+def ref_centroid_rows(L):
+    return [
+        ref_equation_row(L.field, L.dim, image, part)
+        for image, left, right in ref_map_equations(L)
+        for part in (left, right)
+    ]
+
+
+def ref_cocycle_rows(L):
+    """Dense rows of w([b_i, b_j], b_k) + cyclic over the unknowns w(b_m, b_k), m < k."""
+    n = L.dim
+    idx = {pair: slot for slot, pair in enumerate(combinations(range(n), 2))}
+
+    def add_term(row, vec, k):
+        for m, c in enumerate(vec):
+            if not c or m == k:
+                continue
+            if m < k:
+                row[idx[(m, k)]] = row[idx[(m, k)]] + c
+            else:
+                row[idx[(k, m)]] = row[idx[(k, m)]] - c
+
+    rows = []
+    for i, j, k in combinations(range(n), 3):
+        row = [L.field.zero] * len(idx)
+        add_term(row, L.basis_bracket(i, j), k)
+        add_term(row, L.basis_bracket(j, k), i)
+        add_term(row, L.basis_bracket(k, i), j)
+        rows.append(tuple(row))
+    return rows
+
+
+def _input_table(name):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs" / f"{name}.json"
+    return LieAlgebra.from_json_dict(json.loads(path.read_text()))
+
+
+# The canonical instances are solved by the field-scalar reference
+# elimination; the larger benchmark tables (225 unknowns for Der(sl4))
+# by the dense rows through Matrix.kernel, which the tests above hold to
+# the reference.
+EQUATION_CASES = [(name, L, True) for name, L in canonical_instances()] + [
+    (name, _input_table(name), False) for name in ("sl4q", "gl3f5", "heisenberg2q")
+]
+
+
+def _dense_solutions(field, rows, ncols, by_reference):
+    rows = list(dict.fromkeys(row for row in rows if any(row)))
+    if by_reference:
+        return ref_kernel(field, rows, ncols)
+    return Matrix(field, rows, ncols=ncols).kernel().rows
+
+
+@pytest.mark.parametrize("name,L,by_reference", EQUATION_CASES, ids=[c[0] for c in EQUATION_CASES])
+def test_equation_systems_match_dense_rows(name, L, by_reference):
+    """Der, the centroid and Z^2 from the sparse rows are the solution
+    spaces of the dense rows: the same canonical echelon basis, so the
+    same Subspace."""
+    n = L.dim
+
+    def flat(mats):
+        return tuple(tuple(c for row in mat.rows for c in row) for mat in mats)
+
+    field = L.field
+    assert flat(derivation_algebra(L)[1]) == _dense_solutions(field, ref_derivation_rows(L), n * n, by_reference)
+    assert flat(centroid(L)) == _dense_solutions(field, ref_centroid_rows(L), n * n, by_reference)
+    assert cocycle_space(L).rows == _dense_solutions(field, ref_cocycle_rows(L), n * (n - 1) // 2, by_reference)
