@@ -6,16 +6,19 @@ is baked into the representation and the Jacobi identity is checked on
 every basis triple at construction time (the table enumerator uses the
 unchecked constructor and validates separately).
 
-The primitives (bracket, ad, the Jacobi check, bracket spans) are written
-once over both fields: they walk a cached copy of the sparse table in
-kernel scalars (Fractions over Q, residues over F_p, see linalg) and
+The primitives (bracket, ad, the Jacobi check, bracket spans, the lower
+central and derived series, the Killing form and its invariance test, the
+structure constants of the derivation algebra) are written once over both
+fields: they walk a cached copy of the sparse table in kernel scalars
+(Fractions over Q, residues over F_p, see linalg), or its per-index
+adjacency, or the nonzero entries of the cached adjoint matrices, and
 leave normalizing the result to the field's ``_to_k`` / ``_from_k`` or
-to ``Matrix._of_k``.
+to ``Matrix._of_k``.  None of them forms a Matrix product.
 
-Everything downstream - structure reports, the Killing form,
-quotients, sums, scalar extensions by a commutative algebra, derivations,
-centroid, second cohomology with trivial coefficients, central
-extensions - is exact linear algebra over the base field.
+Everything downstream - structure reports, quotients, sums, scalar
+extensions by a commutative algebra, derivations, centroid, second
+cohomology with trivial coefficients, central extensions - is exact
+linear algebra over the base field.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from .budgets import DERIVATION_DIM_CAP, EXHAUSTIVE_CAP, BudgetExceeded
 from .fields import Field, Scalar, UniPoly, field_from_json, field_to_json
-from .linalg import _dense, _Echelon, Matrix, Subspace, Vector
+from .linalg import _dense, _Echelon, _reduce, _sparse, Matrix, Subspace, Vector
 from .verdict import Verdict
 
 
@@ -50,6 +53,11 @@ def _jacobi_defects(field: Field, n: int, table) -> Iterator[Tuple[Tuple[int, in
         defect = field._to_k(defect)
         if any(defect):
             yield (i, j, k), defect
+
+
+def _entries(rows: Sequence[Sequence]) -> Dict[Tuple[int, int], Scalar]:
+    """The nonzero entries of a matrix in kernel scalars, keyed (row, column)."""
+    return {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row) if v}
 
 
 class StructureError(ValueError):
@@ -154,14 +162,54 @@ class LieAlgebra:
             self._cache["kernel_table"] = table
         return table
 
+    def _k_adjacency(self) -> List[List[Tuple[int, tuple]]]:
+        """adj[i]: the (j, ((k, c), ...)) with [b_i, b_j] = sum c b_k != 0,
+        for j on either side of i (the sign applied), in kernel scalars."""
+        adj = self._cache.get("kernel_adjacency")
+        if adj is None:
+            adj = [[] for _ in range(self.dim)]
+            for i, j, coeffs in self._k_table():
+                adj[i].append((j, coeffs))
+                adj[j].append((i, tuple((k, -c) for k, c in coeffs)))
+            self._cache["kernel_adjacency"] = adj
+        return adj
+
     def _bracket_k(self, x: Sequence, y: Sequence) -> list:
-        """[x, y] for x, y in kernel scalars; the result is not yet reduced."""
-        out = [self.field._k_zero] * self.dim
-        for i, j, coeffs in self._k_table():
-            f = x[i] * y[j] - x[j] * y[i]
-            if f:
-                for k, c in coeffs:
-                    out[k] += f * c
+        """[x, y] for x, y in kernel scalars; the result is not yet reduced.
+
+        When fewer than half the coordinates of x are nonzero, only the
+        adjacency of the nonzero x_i is walked, skipping the j with x_j and
+        y_j both zero; a pair with x_i and x_j both nonzero is taken once,
+        at its lower end.  Otherwise the whole table is walked once: an
+        adjacency entry costs more than a table pair, so on dense x the
+        table is the cheaper walk.
+        """
+        n, zero = self.dim, self.field._k_zero
+        out = [zero] * n
+        if 2 * x.count(zero) <= n:
+            for i, j, coeffs in self._k_table():
+                f = x[i] * y[j] - x[j] * y[i]
+                if f:
+                    for k, c in coeffs:
+                        out[k] += f * c
+            return out
+        adj = self._k_adjacency()
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, coeffs in adj[i]:
+                xj, yj = x[j], y[j]
+                if xj:
+                    if j < i:
+                        continue
+                    f = a * yj - xj * y[i]
+                elif yj:
+                    f = a * yj
+                else:
+                    continue
+                if f:
+                    for k, c in coeffs:
+                        out[k] += f * c
         return out
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
@@ -277,14 +325,16 @@ class LieAlgebra:
     # -- reports -------------------------------------------------------------
 
     def _series(self, step: Callable[[Subspace], Subspace]) -> List[Subspace]:
+        """L, then [L, L] (the cached commutant: the first step of both
+        series), then step of the last term until it stops shrinking or
+        reaches zero."""
         series = [Subspace.full_space(self.field, self.dim)]
-        while True:
-            nxt = step(series[-1])
-            if nxt.dim == series[-1].dim:
-                break
+        nxt = self.commutant()
+        while nxt.dim < series[-1].dim:
             series.append(nxt)
             if nxt.is_zero():
                 break
+            nxt = step(nxt)
         return series
 
     def lower_central_series(self) -> List[Subspace]:
@@ -330,19 +380,18 @@ class LieAlgebra:
     def killing_form(self) -> "BilinearForm":
         if "killing" in self._cache:
             return self._cache["killing"]
-        n = self.dim
-        ads = [self.ad_basis(i) for i in range(n)]
-        gram_rows = []
+        n, zero = self.dim, self.field._k_zero
+        # K_ij = tr(ad b_i ad b_j) = sum of (ad b_i)_rc (ad b_j)_cr over the
+        # nonzero entries (r, c) of ad b_i
+        ents = [_entries(self.ad_basis(i)._k) for i in range(n)]
+        gram = [[zero] * n for _ in range(n)]
         for i in range(n):
-            row = []
-            for j in range(n):
-                if j < i:
-                    row.append(gram_rows[j][i])
-                else:
-                    row.append((ads[i] * ads[j]).trace())
-            gram_rows.append(row)
-        gram = Matrix(self.field, gram_rows, ncols=n)
-        form = BilinearForm(self, gram)
+            for j in range(i, n):
+                other = ents[j]
+                gram[i][j] = gram[j][i] = sum(
+                    (v * other[c, r] for (r, c), v in ents[i].items() if (c, r) in other), zero
+                )
+        form = BilinearForm(self, Matrix._of_k(self.field, gram, n))
         self._cache["killing"] = form
         return form
 
@@ -424,11 +473,22 @@ class BilinearForm:
 
     def _check_invariance(self) -> bool:
         """<[b_i, b_j], b_k> = <b_i, [b_j, b_k]> for all i, j, k, that is
-        G A_j + A_j^T G = 0 for every A_j = ad(b_j)."""
-        g = self.gram
+        G A_j + A_j^T G = 0 for every A_j = ad(b_j), summed in kernel
+        scalars over the nonzero entries of A_j and of G."""
+        g = self.gram._k
+        rows = [[(c, x) for c, x in enumerate(row) if x] for row in g]
+        cols = [[(r, row[c]) for r, row in enumerate(g) if row[c]] for c in range(len(g))]
+        p = self.algebra.field.char
         for j in range(self.algebra.dim):
-            a = self.algebra.ad_basis(j)
-            if not (g * a + a.transpose() * g).is_zero():
+            acc: dict = {}
+            for (t, s), v in _entries(self.algebra.ad_basis(j)._k).items():
+                # G A_j: column s gains v * column t of G; A_j^T G: row s
+                # gains v * row t of G
+                for r, x in cols[t]:
+                    acc[r, s] = acc.get((r, s), 0) + x * v
+                for c, x in rows[t]:
+                    acc[s, c] = acc.get((s, c), 0) + v * x
+            if any(x % p if p else x for x in acc.values()):
                 return False
         return True
 
@@ -741,16 +801,28 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
         raise BudgetExceeded(
             f"derivation algebra over F_p limited to dim <= {DERIVATION_DIM_CAP}, got {n}"
         )
-    field = L.field
-    rows = (_sparse_row(field.char, *parts) for parts in _map_equations(L))
+    field, p = L.field, L.field.char
+    rows = (_sparse_row(p, *parts) for parts in _map_equations(L))
     kernel, mats = _map_solutions(field, n, rows)
+    # [D_a, D_b] = D_a D_b - D_b D_a from sparse rows in kernel scalars; its
+    # coordinates in the reduced echelon basis are its entries at the pivots
+    sparse = [[_sparse(row) for row in m._k] for m in mats]
+    negated = [[{c: -x for c, x in row.items()} for row in m] for m in sparse]
+
+    def product(left, right) -> list:
+        return [
+            (r * n + c, x * y)
+            for r, row in enumerate(left)
+            for t, x in row.items()
+            for c, y in right[t].items()
+        ]
+
     table: BracketTable = {}
     for a, b in itertools.combinations(range(len(mats)), 2):
-        comm = mats[a] * mats[b] - mats[b] * mats[a]
-        got = kernel.coords_of([c for row in comm._k for c in row])
-        if got is None:
+        comm = _sparse_row(p, product(sparse[a], sparse[b]), product(negated[b], sparse[a]))
+        if _reduce(dict(comm), kernel._pivot_rows, p):
             raise StructureError("commutator of derivations left the solution space")
-        cs = {k: c for k, c in enumerate(got) if c}
+        cs = {k: comm[q] for k, q in enumerate(kernel.pivots) if q in comm}
         if cs:
             table[(a, b)] = cs
     labels = tuple(f"D{t}" for t in range(len(mats)))

@@ -9,7 +9,11 @@ adjoint maps); x is regular when that minimum is attained at x, and the
 algebra is regular when every nonzero element is regular.
 
 The symbolic route computes the a_i exactly as multivariate polynomials
-(a determinant of linear forms, feasible for dim <= 8); over a finite
+(a determinant of linear forms, feasible for dim <= 8).  The expansion
+runs on Python ints over both fields: over Q the adjoint family is first
+scaled to integers by the lcm den of its denominators, and because a_i is
+homogeneous of degree n - i the integer expansion gives den^(n-i) a_i,
+which one division per coefficient undoes.  Over a finite
 field the definition is pointwise, so formal results are only trusted
 when the degree is below the field size and otherwise the whole space is
 scanned.  Over the rationals a full grid of side dim+1 decides vanishing
@@ -25,7 +29,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product as iproduct
+from math import gcd
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra, StructureError
@@ -67,8 +73,14 @@ def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) 
     mats holds one square matrix per variable; the result is the list
     a_0..a_d of MultiPoly in nvars variables with
     det(t*Id - M(x)) = sum a_i(x) t^i.  Determinant by minor expansion
-    with column-subset dynamic programming over polynomial entries, so
-    the cost grows as 2^d; callers enforce the budget.
+    with column-subset dynamic programming, so the cost grows as 2^d;
+    callers enforce the budget.
+
+    The expansion runs on Python ints over both fields, each polynomial
+    a dict from a packed monomial (exponent e_m of variable m, t last,
+    as the digit of weight base^m) to its coefficient.  Over Q the family
+    is first scaled by the lcm den of its denominators: a_i is homogeneous
+    of degree d - i, so the expansion of den*M gives den^(d-i) a_i.
     """
     if len(mats) != nvars:
         raise ValueError("one coefficient matrix per variable required")
@@ -76,52 +88,59 @@ def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) 
     for m in mats:
         if not m.is_square() or m.n != d:
             raise ValueError("coefficient matrices must be square of equal size")
-    # entries live in nvars+1 variables, t last
-    nv = nvars + 1
-    zero = MultiPoly.zero(field, nv)
+    p = field.char
+    ks = [m._k for m in mats]
+    den = 1
+    if not p:
+        for rows in ks:
+            for row in rows:
+                for c in row:
+                    den = den * c.denominator // gcd(den, c.denominator)
+    base = d + 1  # no exponent exceeds d
+    weights = [base**m for m in range(nvars + 1)]
 
-    def entry(r: int, c: int) -> MultiPoly:
-        terms: Dict[Tuple[int, ...], Scalar] = {}
-        for m, mat in enumerate(mats):
-            coef = mat.rows[r][c]
-            if coef:
-                exps = [0] * nv
-                exps[m] = 1
-                terms[tuple(exps)] = -coef
-        if r == c:
-            exps = [0] * nv
-            exps[nv - 1] = 1
-            terms[tuple(exps)] = field.one
-        return MultiPoly(field, nv, terms)
+    def entry(r: int, col: int) -> List[Tuple[int, int]]:
+        """t*Id - den*M(x) at (r, col) as [(monomial, coefficient), ...]."""
+        e = [(w, -c if p else -c.numerator * (den // c.denominator))
+             for w, c in zip(weights, (rows[r][col] for rows in ks)) if c]
+        if r == col:
+            e.append((weights[nvars], 1))
+        return e
 
-    entries = [[entry(r, c) for c in range(d)] for r in range(d)]
-    minors: Dict[int, MultiPoly] = {0: MultiPoly.const(field, nv, 1)}
+    entries = [[entry(r, col) for col in range(d)] for r in range(d)]
+    minors: Dict[int, Dict[int, int]] = {0: {0: 1}}
     for row in range(d):
-        grown: Dict[int, MultiPoly] = {}
+        grown: Dict[int, Dict[int, int]] = {}
         for mask, det in minors.items():
             for col in range(d):
                 bit = 1 << col
-                if mask & bit:
-                    continue
                 e = entries[row][col]
-                if e.is_zero():
+                if mask & bit or not e:
                     continue
-                pos = bin(mask & (bit - 1)).count("1")
-                term = e * det
-                if (row + pos) % 2:
-                    term = -term
-                key = mask | bit
-                acc = grown.get(key)
-                grown[key] = term if acc is None else acc + term
-        minors = grown
-        if not minors:
-            minors = {0: zero}
-            break
-    full = minors.get((1 << d) - 1, MultiPoly.const(field, nv, 1) if d == 0 else zero)
-    # split by t-degree
+                sign = -1 if (row + (mask & (bit - 1)).bit_count()) % 2 else 1
+                acc = grown.setdefault(mask | bit, {})
+                for w, a in e:
+                    a *= sign
+                    for mono, v in det.items():
+                        mono += w
+                        acc[mono] = acc.get(mono, 0) + a * v
+        minors = {}
+        for mask, poly in grown.items():
+            if p:
+                poly = {mono: v % p for mono, v in poly.items() if v % p}
+            else:
+                poly = {mono: v for mono, v in poly.items() if v}
+            if poly:
+                minors[mask] = poly
+    full = minors.get((1 << d) - 1, {})
+    # unpack and split by t-degree, undoing the scaling over Q
     out_terms: List[Dict[Tuple[int, ...], Scalar]] = [{} for _ in range(d + 1)]
-    for exps, c in full.terms.items():
-        out_terms[exps[-1]][exps[:-1]] = c
+    for mono, v in full.items():
+        exps = []
+        for _ in range(nvars):
+            mono, e = divmod(mono, base)
+            exps.append(e)
+        out_terms[mono][tuple(exps)] = v if p else Fraction(v, den ** (d - mono))
     return [MultiPoly(field, nvars, t) for t in out_terms]
 
 

@@ -10,7 +10,12 @@ equal theirs exactly, over Q and over F_p.  The dense Jacobi loop and the
 dense bracket and ad loops that the sparse table replaced, the fixed-point
 ideal closure that the worklist closure replaced, and the dense equation
 rows of the derivation, centroid and 2-cocycle systems that the sparse
-rows replaced, are kept the same way.
+rows replaced, are kept the same way.  So are the structure-layer bodies
+that ran on Matrix products and MultiPoly arithmetic before the sparse
+bracket, the Killing form and the integer symbolic expansion: the Killing
+Gram by traces of products, the invariance test by G A + A^T G, the
+series from [L, L] by bracket spans, the MultiPoly minor expansion and
+the Der structure constants from dense commutators.
 """
 import json
 from fractions import Fraction
@@ -21,11 +26,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielab import LieAlgebra, gl, heisenberg, pgl, sl, strict_upper, su2q, zero_multiplicity
-from lielab.algebra import centroid, cocycle_space, derivation_algebra
+from lielab import LieAlgebra, abelian, gl, heisenberg, pgl, sl, strict_upper, su2q, zero_multiplicity
+from lielab.algebra import BilinearForm, StructureError, centroid, cocycle_space, derivation_algebra
 from lielab.catalog import canonical_instances
-from lielab.fields import GF, QQ, UniPoly, poly_lcm
+from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_lcm
 from lielab.linalg import Matrix, Subspace, vec_add
+from lielab.regularity import linear_family_char_coeffs
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(2147483647)]
 
@@ -514,3 +520,219 @@ def test_equation_systems_match_dense_rows(name, L, by_reference):
     assert flat(derivation_algebra(L)[1]) == _dense_solutions(field, ref_derivation_rows(L), n * n, by_reference)
     assert flat(centroid(L)) == _dense_solutions(field, ref_centroid_rows(L), n * n, by_reference)
     assert cocycle_space(L).rows == _dense_solutions(field, ref_cocycle_rows(L), n * (n - 1) // 2, by_reference)
+
+
+# -- structure layer against the Matrix and MultiPoly bodies ------------------------
+
+
+def ref_killing_gram(L):
+    """K_ij = (ad_i * ad_j).trace() with Matrix products."""
+    n = L.dim
+    ads = [L.ad_basis(i) for i in range(n)]
+    gram_rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if j < i:
+                row.append(gram_rows[j][i])
+            else:
+                row.append((ads[i] * ads[j]).trace())
+        gram_rows.append(row)
+    return Matrix(L.field, gram_rows, ncols=n)
+
+
+def ref_invariant(L, g):
+    """G A_j + A_j^T G = 0 for every A_j = ad(b_j), with Matrix products."""
+    for j in range(L.dim):
+        a = L.ad_basis(j)
+        if not (g * a + a.transpose() * g).is_zero():
+            return False
+    return True
+
+
+def ref_bracket_span(L, a, b):
+    return Subspace.from_vectors(L.field, L.dim, [ref_bracket(L, u, v) for u in a.rows for v in b.rows])
+
+
+def ref_series(L, step):
+    """The series loop that took bracket_span(full, full) as its second term."""
+    series = [Subspace.full_space(L.field, L.dim)]
+    while True:
+        nxt = step(series[-1])
+        if nxt.dim == series[-1].dim:
+            break
+        series.append(nxt)
+        if nxt.is_zero():
+            break
+    return series
+
+
+def ref_lower_central_series(L):
+    full = Subspace.full_space(L.field, L.dim)
+    return ref_series(L, lambda s: ref_bracket_span(L, full, s))
+
+
+def ref_derived_series(L):
+    return ref_series(L, lambda s: ref_bracket_span(L, s, s))
+
+
+def ref_linear_family_char_coeffs(field, mats, nvars):
+    """The minor expansion over MultiPoly entries with field-scalar coefficients."""
+    d = mats[0].n if mats else 0
+    nv = nvars + 1
+    zero = MultiPoly.zero(field, nv)
+
+    def entry(r, c):
+        terms = {}
+        for m, mat in enumerate(mats):
+            coef = mat.rows[r][c]
+            if coef:
+                exps = [0] * nv
+                exps[m] = 1
+                terms[tuple(exps)] = -coef
+        if r == c:
+            exps = [0] * nv
+            exps[nv - 1] = 1
+            terms[tuple(exps)] = field.one
+        return MultiPoly(field, nv, terms)
+
+    entries = [[entry(r, c) for c in range(d)] for r in range(d)]
+    minors = {0: MultiPoly.const(field, nv, 1)}
+    for row in range(d):
+        grown = {}
+        for mask, det in minors.items():
+            for col in range(d):
+                bit = 1 << col
+                if mask & bit:
+                    continue
+                e = entries[row][col]
+                if e.is_zero():
+                    continue
+                pos = bin(mask & (bit - 1)).count("1")
+                term = e * det
+                if (row + pos) % 2:
+                    term = -term
+                key = mask | bit
+                acc = grown.get(key)
+                grown[key] = term if acc is None else acc + term
+        minors = grown
+        if not minors:
+            minors = {0: zero}
+            break
+    full = minors.get((1 << d) - 1, MultiPoly.const(field, nv, 1) if d == 0 else zero)
+    out_terms = [{} for _ in range(d + 1)]
+    for exps, c in full.terms.items():
+        out_terms[exps[-1]][exps[:-1]] = c
+    return [MultiPoly(field, nvars, t) for t in out_terms]
+
+
+def ref_der_table(L, mats):
+    """Der structure constants from dense commutators and coords_of in the
+    solution space spanned by mats."""
+    n = L.dim
+    kernel = Subspace.from_vectors(L.field, n * n, [[c for row in m.rows for c in row] for m in mats])
+    table = {}
+    for a, b in combinations(range(len(mats)), 2):
+        comm = mats[a] * mats[b] - mats[b] * mats[a]
+        got = kernel.coords_of([c for row in comm._k for c in row])
+        if got is None:
+            raise StructureError("commutator of derivations left the solution space")
+        cs = {k: c for k, c in enumerate(got) if c}
+        if cs:
+            table[(a, b)] = cs
+    return table
+
+
+def _rescaled(L, scales):
+    """L in the basis b_i / s_i: c_ij^k becomes c_ij^k s_k / (s_i s_j), so
+    integer constants turn into fractions."""
+    table = {
+        (i, j): {k: c * scales[k] / (scales[i] * scales[j]) for k, c in coeffs.items()}
+        for (i, j), coeffs in L.table.items()
+    }
+    return LieAlgebra(L.field, L.labels, table)
+
+
+def _assert_structure_layer(L):
+    gram = L.killing_form().gram
+    assert gram == ref_killing_gram(L)
+    assert L.killing_form().invariant == ref_invariant(L, gram)
+    assert L.lower_central_series() == ref_lower_central_series(L)
+    assert L.derived_series() == ref_derived_series(L)
+    D, mats = derivation_algebra(L)
+    assert D.table == ref_der_table(L, mats)
+    if L.dim <= 8:
+        ads = [L.ad_basis(i) for i in range(L.dim)]
+        got = linear_family_char_coeffs(L.field, ads, L.dim)
+        assert got == ref_linear_family_char_coeffs(L.field, ads, L.dim)
+
+
+def sparse_vectors(field, n):
+    """Vectors with about half their coordinates zero."""
+    return st.lists(st.one_of(st.just(field.zero), scalars(field)), min_size=n, max_size=n).map(tuple)
+
+
+@given(tables(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_structure_layer_matches_reference(L, data):
+    """Killing Gram, invariance, both series, Der structure constants and
+    the symbolic coefficients of the ad family equal the Matrix and
+    MultiPoly bodies on catalog tables and on tables with up to three
+    constants changed, and the sparse bracket and bracket span equal the
+    dense loop on sparse vectors."""
+    _assert_structure_layer(L)
+    x, y = (data.draw(sparse_vectors(L.field, L.dim)) for _ in range(2))
+    assert L.bracket(x, y) == ref_bracket(L, x, y)
+    a, b = (
+        Subspace.from_vectors(L.field, L.dim, data.draw(st.lists(sparse_vectors(L.field, L.dim), max_size=3)))
+        for _ in range(2)
+    )
+    assert L.bracket_span(a, b) == ref_bracket_span(L, a, b)
+
+
+STRUCTURE_CASES = [(name, L) for name, L in canonical_instances()] + [
+    ("zero@Q", LieAlgebra(QQ, [], {})),
+    ("zero@F3", LieAlgebra(GF(3), [], {})),
+    ("abelian3@F5", abelian(GF(5), 3)),
+    ("strict_upper4@F2", strict_upper(GF(2), 4)),
+    ("sl3@Q-rescaled", _rescaled(sl(QQ, 3), [Fraction(s) for s in (1, 2, "1/3", 3, "2/5", 1, 7, "1/2")])),
+    (
+        "heisenberg2@Q-rescaled",
+        _rescaled(heisenberg(QQ, 2), [Fraction(s) for s in ("1/2", 3, "2/3", 5, "1/7")]),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,L", STRUCTURE_CASES, ids=[c[0] for c in STRUCTURE_CASES])
+def test_structure_layer_on_fixed_cases(name, L):
+    """Dimension 0, abelian, nilpotent and ℚ tables with non-integer constants
+    (which exercise the denominator clearing) beside the canonical instances."""
+    _assert_structure_layer(L)
+
+
+@st.composite
+def families(draw):
+    """(field, mats, nvars): nvars square matrices of one size d, including
+    d = 0 and nvars = 0, with fractional entries over Q."""
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(0, 3))
+    d = draw(st.integers(0, 4)) if nvars else 0
+    entry = st.one_of(st.just(field.zero), scalars(field))
+    mats = [Matrix(field, [[draw(entry) for _ in range(d)] for _ in range(d)], ncols=d) for _ in range(nvars)]
+    return field, mats, nvars
+
+
+@given(families())
+@settings(max_examples=100, deadline=None)
+def test_linear_family_char_coeffs_matches_reference(case):
+    field, mats, nvars = case
+    assert linear_family_char_coeffs(field, mats, nvars) == ref_linear_family_char_coeffs(field, mats, nvars)
+
+
+def test_identity_form_on_sl2_is_not_invariant():
+    for field in (QQ, GF(5)):
+        L = sl(field, 2)
+        form = BilinearForm(L, Matrix.identity(field, 3))
+        assert form.invariant is False
+        assert ref_invariant(L, form.gram) is False
+        assert L.killing_form().invariant is True
