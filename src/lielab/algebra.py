@@ -177,22 +177,11 @@ class LieAlgebra:
     def _bracket_k(self, x: Sequence, y: Sequence) -> list:
         """[x, y] for x, y in kernel scalars; the result is not yet reduced.
 
-        When fewer than half the coordinates of x are nonzero, only the
-        adjacency of the nonzero x_i is walked, skipping the j with x_j and
-        y_j both zero; a pair with x_i and x_j both nonzero is taken once,
-        at its lower end.  Otherwise the whole table is walked once: an
-        adjacency entry costs more than a table pair, so on dense x the
-        table is the cheaper walk.
+        Only the adjacency of the nonzero x_i is walked, skipping the j with
+        x_j and y_j both zero; a pair with x_i and x_j both nonzero is taken
+        once, at its lower end.
         """
-        n, zero = self.dim, self.field._k_zero
-        out = [zero] * n
-        if 2 * x.count(zero) <= n:
-            for i, j, coeffs in self._k_table():
-                f = x[i] * y[j] - x[j] * y[i]
-                if f:
-                    for k, c in coeffs:
-                        out[k] += f * c
-            return out
+        out = [self.field._k_zero] * self.dim
         adj = self._k_adjacency()
         for i, a in enumerate(x):
             if not a:
