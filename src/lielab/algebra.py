@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .budgets import DERIVATION_DIM_CAP, EXHAUSTIVE_CAP, BudgetExceeded
-from .fields import Field, Scalar, UniPoly, field_from_json, field_to_json
+from .fields import Field, Scalar, UniPoly, common_denominator, field_from_json, field_to_json
 from .linalg import _dense, _Echelon, _reduce, _sparse, Matrix, Subspace, Vector
 from .verdict import Verdict
 
@@ -843,9 +843,7 @@ def _monic_rational_irreducible(p: UniPoly) -> Optional[bool]:
     if deg > 4:
         return None
     # substitute t -> s/m to land on a monic integer polynomial
-    m = 1
-    for c in p.coeffs:
-        m = m * c.denominator // math.gcd(m, c.denominator)
+    m = common_denominator(p.coeffs)
     ints = []
     for i, c in enumerate(p.coeffs):
         val = c * m ** (deg - i)

@@ -133,23 +133,21 @@ def pgl(field: Field, n: int) -> LieAlgebra:
     """gl(n) modulo the scalar line; needs char p with p | n."""
     if field.kind != "Fp" or n % field.p != 0:
         raise ValueError("pgl(n) needs a finite field whose characteristic divides n")
-    base = gl(field, n)
-    ident = [field.zero] * (n * n)
-    for k in range(n):
-        ident[k * n + k] = field.one
-    line = Subspace.from_vectors(field, base.dim, [tuple(ident)])
-    return quotient(base, line)
+    return quotient(gl(field, n), _scalar_line(field, n))
+
+
+def _scalar_line(field: Field, n: int) -> Subspace:
+    """The span of the identity matrix in gl(n)'s coordinates."""
+    return Subspace.from_vectors(
+        field, n * n, [[field.one if i % (n + 1) == 0 else field.zero for i in range(n * n)]]
+    )
 
 
 def sl_image_in_pgl(field: Field, n: int) -> Subspace:
     """The coset image of the traceless matrices inside pgl(n)'s coordinates."""
     if field.kind != "Fp" or n % field.p != 0:
         raise ValueError("requires a finite field whose characteristic divides n")
-    base = gl(field, n)
-    ident = [field.zero] * (n * n)
-    for k in range(n):
-        ident[k * n + k] = field.one
-    line = Subspace.from_vectors(field, base.dim, [tuple(ident)])
+    line = _scalar_line(field, n)
     reps = line.complement_indices()
     vecs = []
     for r in range(n):

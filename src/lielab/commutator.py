@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .algebra import BilinearForm, LieAlgebra
 from .budgets import SEARCH_HEIGHT, SUBSPACE_CAP, BudgetExceeded
-from .catalog import QuaternionAlgebra, is_division, reduced_trace
+from .catalog import QuaternionAlgebra, is_division, quotient_by_unit_line, reduced_trace
 from .fields import Field
 from .linalg import Subspace, Vector, vec_is_zero, vec_scale
 from .regularity import _search_schedule, fitting_set, is_regular_algebra, rank
@@ -102,23 +102,6 @@ def rank1_commutator(L: LieAlgebra, form: BilinearForm, x: Sequence) -> Commutat
     raise ValueError("no orthogonal direction reaches the target; hypotheses violated")
 
 
-def _trace_zero_lie(Q: QuaternionAlgebra) -> LieAlgebra:
-    """The span of i, j, k under xy - yx, read off the associative table."""
-    units = ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    table = {}
-    for s in range(3):
-        for t in range(s + 1, 3):
-            fwd = Q.multiply(units[s], units[t])
-            bwd = Q.multiply(units[t], units[s])
-            comm = tuple(a - b for a, b in zip(fwd, bwd))
-            if comm[0]:
-                raise ValueError("trace-zero part is not closed under the commutator")
-            entry = {k: comm[k + 1] for k in range(3) if comm[k + 1]}
-            if entry:
-                table[(s, t)] = entry
-    return LieAlgebra(Q.field, ("i", "j", "k"), table)
-
-
 def quaternion_commutator(Q: QuaternionAlgebra, x: Sequence) -> Tuple[Vector, Vector]:
     """Write a trace-free quaternion as an associative commutator uv - vu.
 
@@ -137,7 +120,8 @@ def quaternion_commutator(Q: QuaternionAlgebra, x: Sequence) -> Tuple[Vector, Ve
     division = is_division(Q, "certificate") if Q.field.kind == "Q" else is_division(Q, "exhaustive")
     if not division.is_certified:
         raise ValueError("commutator representation needs a division algebra")
-    T = _trace_zero_lie(Q)
+    # the cosets of i, j, k modulo the unit line: the trace-zero part
+    T = quotient_by_unit_line(Q.assoc)
     w = rank1_commutator(T, T.killing_form(), x[1:])
     u = (Q.field.zero,) + w.z
     v = (Q.field.zero,) + w.y

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 Scalar = Union[Fraction, "Fp"]
 
@@ -195,10 +195,11 @@ class PrimeField:
     _k_zero = 0
 
     def __init__(self, p: int):
+        # the bound first: trial division of a huge modulus runs for minutes
+        if isinstance(p, int) and p >= 2**31:
+            raise ValueError(f"modulus too large: {p}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p!r}")
-        if p >= 2**31:
-            raise ValueError(f"modulus too large: {p}")
         self.p = p
         self.char = p
 
@@ -294,6 +295,11 @@ def field_from_json(obj) -> Field:
             raise ValueError(f"bad field descriptor: {obj!r}")
         return GF(obj["p"])
     raise ValueError(f"unknown field kind: {obj['kind']!r}")
+
+
+def common_denominator(cs: Iterable[Fraction]) -> int:
+    """Least common multiple of the denominators of some Fractions; 1 for none."""
+    return math.lcm(*(c.denominator for c in cs))
 
 
 # ---------------------------------------------------------------------------
@@ -460,103 +466,13 @@ class UniPoly:
 # --- gcd machinery --------------------------------------------------------
 
 
-def _euclid_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic() if not a.is_zero() else a
-
-
-def _int_content(v: List[int]) -> int:
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-    return g
-
-
-def _int_primitive(v: List[int]) -> List[int]:
-    g = _int_content(v)
-    if g == 0:
-        return v
-    if v[-1] < 0:
-        g = -g
-    return [c // g for c in v]
-
-
-def _int_degree(v: List[int]) -> int:
-    return len(v) - 1
-
-
-def _int_prem(a: List[int], b: List[int]) -> List[int]:
-    """Pseudo-remainder prem(a, b) = lc(b)^(da-db+1) * a mod b, all integer."""
-    da, db = _int_degree(a), _int_degree(b)
-    if da < db:
-        return list(a)
-    lb = b[-1]
-    r = list(a)
-    for k in range(da - db, -1, -1):
-        # r <- lb * r - r[k+db] * t^k * b
-        lead = r[k + db]
-        r = [c * lb for c in r]
-        for i in range(db + 1):
-            r[k + i] -= lead * b[i]
-        assert r[k + db] == 0
-    del r[db:]
-    while r and r[-1] == 0:
-        r.pop()
-    return r
-
-
-def _int_gcd_subresultant(a: List[int], b: List[int]) -> List[int]:
-    """Primitive gcd of nonzero integer polynomials by the subresultant PRS.
-
-    The fraction-free remainder sequence keeps intermediate coefficients
-    the size of Sylvester minors instead of letting them explode, and
-    every division below is exact.
-    """
-    if _int_degree(a) < _int_degree(b):
-        a, b = b, a
-    a, b = _int_primitive(list(a)), _int_primitive(list(b))
-    g, h = 1, 1
-    while True:
-        d = _int_degree(a) - _int_degree(b)
-        r = _int_prem(a, b)
-        if not r:
-            return _int_primitive(b)
-        if _int_degree(r) == 0:
-            return [1]
-        denom = g * h**d
-        a, b = b, [c // denom for c in r]
-        g = a[-1]
-        if d > 0:
-            h = g**d // h ** (d - 1) if d > 1 else g
-
-
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic gcd; gcd(0, 0) = 0.
-
-    Over Q the work happens on denominator-cleared integer polynomials via
-    the subresultant PRS; over F_p the plain Euclid loop is already exact
-    and cheap.
-    """
+    """Monic gcd by one Euclid loop over either field; gcd(0, 0) = 0."""
     if a.field != b.field:
         raise TypeError("gcd of polynomials over different fields")
-    if a.is_zero():
-        return b.monic()
-    if b.is_zero():
-        return a.monic()
-    if a.field.kind == "Fp":
-        return _euclid_gcd(a, b)
-    ia = _clear_denominators(a)
-    ib = _clear_denominators(b)
-    g = _int_gcd_subresultant(ia, ib)
-    return UniPoly(a.field, [Fraction(c) for c in g]).monic()
-
-
-def _clear_denominators(p: UniPoly) -> List[int]:
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return [int(c * den) for c in p.coeffs]
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
 
 
 def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -564,50 +480,6 @@ def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
         return UniPoly.zero(a.field)
     g = poly_gcd(a, b)
     return ((a * b).divmod(g)[0]).monic()
-
-
-def _pth_root(p: UniPoly) -> UniPoly:
-    """For f with f' = 0 over F_p, return the p-th root of f.
-
-    Over the prime field the Frobenius fixes every scalar, so f = g(t^p)
-    implies f = (g(t))^p with the same coefficients.
-    """
-    char = p.field.char
-    root = [p.field.zero] * (p.degree // char + 1)
-    for i, c in enumerate(p.coeffs):
-        if c:
-            if i % char:
-                raise ValueError("polynomial is not a p-th power")
-            root[i // char] = c
-    return UniPoly(p.field, root)
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p (p nonzero).
-
-    Over F_p the derivative can vanish on factors whose multiplicity is
-    divisible by p; those are peeled off by taking p-th roots, which is
-    exact over a prime field.
-    """
-    if p.is_zero():
-        raise ValueError("squarefree part of the zero polynomial")
-    p = p.monic()
-    if p.degree == 0:
-        return UniPoly.one(p.field)
-    dp = p.derivative()
-    if dp.is_zero():
-        return squarefree_part(_pth_root(p))
-    g = poly_gcd(p, dp)
-    s = (p.divmod(g)[0]).monic()
-    # factors with multiplicity divisible by char survive entirely inside g
-    h = g
-    d = poly_gcd(h, s)
-    while d.degree > 0:
-        h = h.divmod(d)[0]
-        d = poly_gcd(h, s)
-    if h.degree <= 0:
-        return s
-    return (s * squarefree_part(_pth_root(h))).monic()
 
 
 def is_squarefree(p: UniPoly) -> bool:

@@ -32,11 +32,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field, Scalar, UniPoly, poly_lcm
+from .fields import Field, Scalar, UniPoly, common_denominator, poly_lcm
 
 Vector = Tuple[Scalar, ...]
 Residues = Tuple[int, ...]
@@ -395,10 +394,7 @@ class Matrix:
         if n == 0:
             return UniPoly.one(field)
         if field.kind == "Q":
-            den = 1
-            for row in self.rows:
-                for c in row:
-                    den = den * c.denominator // gcd(den, c.denominator)
+            den = common_denominator(c for row in self.rows for c in row)
             if den != 1:
                 scaled = self.scale(Fraction(den))
                 coeffs = scaled._charpoly_hessenberg()

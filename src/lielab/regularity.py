@@ -16,8 +16,8 @@ homogeneous of degree n - i the integer expansion gives den^(n-i) a_i,
 which one division per coefficient undoes.  Over a finite
 field the definition is pointwise, so formal results are only trusted
 when the degree is below the field size and otherwise the whole space is
-scanned.  Over the rationals a full grid of side dim+1 decides vanishing
-deterministically when the symbolic route is out of budget.
+scanned.  Over the rationals the rank is known only within the symbolic
+budget.
 
 All positive regularity answers over an infinite field come from one of
 two honest certificates: nilpotency (rank = dim, so every zero-
@@ -31,7 +31,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .algebra import LieAlgebra, StructureError
@@ -44,7 +43,7 @@ from .budgets import (
     SYMBOLIC_DIM,
     BudgetExceeded,
 )
-from .fields import Field, MultiPoly, Scalar, UniPoly, is_squarefree
+from .fields import Field, MultiPoly, Scalar, UniPoly, common_denominator, is_squarefree
 from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic
 from .verdict import Verdict, _recheck
 
@@ -90,12 +89,7 @@ def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) 
             raise ValueError("coefficient matrices must be square of equal size")
     p = field.char
     ks = [m._k for m in mats]
-    den = 1
-    if not p:
-        for rows in ks:
-            for row in rows:
-                for c in row:
-                    den = den * c.denominator // gcd(den, c.denominator)
+    den = 1 if p else common_denominator(c for rows in ks for row in rows for c in row)
     base = d + 1  # no exponent exceeds d
     weights = [base**m for m in range(nvars + 1)]
 
@@ -175,10 +169,12 @@ class GenericCharPoly:
         """Least i with a_i not the zero polynomial (symbolic only)."""
         if not self.symbolic:
             raise BudgetExceeded("formal rank needs the symbolic coefficients")
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                return i
-        raise AssertionError("monic coefficient a_n is never zero")
+        return _least_nonzero(self.coeffs)
+
+
+def _least_nonzero(coeffs: Sequence[MultiPoly]) -> int:
+    """Index of the first a_i that is not the zero polynomial; a monic family has one."""
+    return next(i for i, a in enumerate(coeffs) if not a.is_zero())
 
 
 def generic_char_poly(L: LieAlgebra, *, allow_evaluation_fallback: bool = False) -> GenericCharPoly:
@@ -215,33 +211,17 @@ def _all_vectors(field: Field, n: int) -> Iterator[Vector]:
 
 
 def _rank_by_scan(L: LieAlgebra, lower: int = 1) -> int:
-    """Pointwise rank by evaluating zero-multiplicities on a deciding set.
-
-    Over F_p the whole space decides; over the rationals the grid
-    {0..n}^n does, because each a_i has degree at most n in every
-    coordinate and a nonzero polynomial cannot vanish on a full grid
-    with more points per axis than its degree.  `lower` is a proven
-    lower bound on every zero-multiplicity (1, since x kills itself, or
-    the formal rank), so the first point that attains it is a witness
-    and ends the scan.
+    """Pointwise rank over F_p by evaluating zero-multiplicities on the
+    whole space.  `lower` is a proven lower bound on every zero-
+    multiplicity (1, since x kills itself, or the formal rank), so the
+    first point that attains it is a witness and ends the scan.
     """
     n = L.dim
-    if L.field.kind == "Fp":
-        total = L.field.p**n
-        if total > EXHAUSTIVE_CAP:
-            raise BudgetExceeded(
-                f"rank scan needs {total} points, over the cap {EXHAUSTIVE_CAP}"
-            )
-        points: Iterator[Sequence] = _all_vectors(L.field, n)
-    else:
-        total = (n + 1) ** n
-        if total > EXHAUSTIVE_CAP:
-            raise BudgetExceeded(
-                f"rank grid needs {total} points, over the cap {EXHAUSTIVE_CAP}"
-            )
-        points = iproduct(range(n + 1), repeat=n)
+    total = L.field.p**n
+    if total > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"rank scan needs {total} points, over the cap {EXHAUSTIVE_CAP}")
     best = n
-    for pt in points:
+    for pt in _all_vectors(L.field, n):
         nu = zero_multiplicity(L, pt)
         if nu < best:
             best = nu
@@ -270,6 +250,10 @@ def rank(L: LieAlgebra) -> int:
         else:
             # a_0 .. a_{r-1} vanish identically, so nu >= r everywhere
             result = _rank_by_scan(L, r)
+    elif L.field.kind == "Q":
+        # the deciding grid {0..n}^n has (n+1)^n >= 10^9 points above the
+        # symbolic budget, more than EXHAUSTIVE_CAP allows
+        raise BudgetExceeded(f"rank grid needs {(n + 1) ** n} points, over the cap {EXHAUSTIVE_CAP}")
     else:
         result = _rank_by_scan(L)
     L._cache["rank"] = result
@@ -293,7 +277,8 @@ class FittingDecomposition:
         return self.null.dim
 
 
-def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition) -> None:
+def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition, powers: Sequence[Matrix]) -> None:
+    """Recheck dec against powers, the (ad x)^dim of each x in dec.against."""
     n = L.dim
     _recheck(dec.null.dim + dec.one.dim == n, "component dimensions must sum to dim")
     _recheck(dec.null.intersect(dec.one).is_zero(), "components must be independent")
@@ -304,24 +289,19 @@ def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition) -> None:
     for u in dec.null._k:
         for v in dec.one._k:
             _recheck(dec.one.contains(L._bracket_k(u, v)), "[null, one] must land in one")
-    for x in dec.against:
-        power = L.ad(x) ** n
+    for power in powers:
         for u in dec.null._k:
             _recheck(not any(power._apply_k(u)), "ad^dim must kill the null component")
         img = Subspace._span_k(L.field, n, [power._apply_k(v) for v in dec.one._k])
         _recheck(
-            img.dim == dec.one.dim or len(dec.against) > 1,
+            img.dim == dec.one.dim or len(powers) > 1,
             "ad^dim must act injectively on the one component",
         )
 
 
 def fitting(L: LieAlgebra, x: Sequence) -> FittingDecomposition:
     """Kernel and image of (ad x)^dim."""
-    x = L.coerce_vector(x)
-    power = L.ad(x) ** L.dim
-    dec = FittingDecomposition(power.kernel(), power.image(), (x,))
-    _assert_fitting(L, dec)
-    return dec
+    return fitting_set(L, [x])
 
 
 def fitting_set(L: LieAlgebra, xs: Sequence[Sequence]) -> FittingDecomposition:
@@ -335,19 +315,17 @@ def fitting_set(L: LieAlgebra, xs: Sequence[Sequence]) -> FittingDecomposition:
     vecs = [L.coerce_vector(x) for x in xs]
     if not vecs:
         raise ValueError("empty element set")
-    n = L.dim
-    powers = [L.ad(x) ** n for x in vecs]
+    powers = [L.ad(x) ** L.dim for x in vecs]
     for p in powers:
         for y in vecs:
             if any(p.apply(y)):
                 raise StructureError("set is not almost commuting")
-    null = Subspace.full_space(L.field, n)
-    one = Subspace.zero_space(L.field, n)
-    for p in powers:
+    null, one = powers[0].kernel(), powers[0].image()
+    for p in powers[1:]:
         null = null.intersect(p.kernel())
         one = one.sum_with(p.image())
     dec = FittingDecomposition(null, one, tuple(vecs))
-    _assert_fitting(L, dec)
+    _assert_fitting(L, dec, powers)
     return dec
 
 
@@ -657,13 +635,7 @@ def relative_rank(L: LieAlgebra, ideal: Subspace) -> Tuple[int, int]:
     if n > SYMBOLIC_DIM:
         raise BudgetExceeded(f"relative rank limited to dim <= {SYMBOLIC_DIM}")
     inner, outer = ideal_action_matrices(L, ideal)
-    a_in = linear_family_char_coeffs(L.field, inner, n)
-    a_out = linear_family_char_coeffs(L.field, outer, n)
-
-    def least(coeffs: List[MultiPoly]) -> int:
-        for i, a in enumerate(coeffs):
-            if not a.is_zero():
-                return i
-        raise AssertionError("monic family cannot vanish entirely")
-
-    return least(a_in), least(a_out)
+    return (
+        _least_nonzero(linear_family_char_coeffs(L.field, inner, n)),
+        _least_nonzero(linear_family_char_coeffs(L.field, outer, n)),
+    )

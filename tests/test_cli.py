@@ -264,6 +264,17 @@ class TestParseBoundary:
         assert main(["validate", path]) == 3
         assert "must be integers" in capsys.readouterr().err
 
+    def test_huge_modulus_in_table(self, capsys, tmp_path):
+        # 2^61 - 1 is prime; the size bound must answer before any primality test
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(GOOD, field={"kind": "Fp", "p": 2**61 - 1})))
+        assert main(["validate", str(path)]) == 3
+        assert "modulus too large" in capsys.readouterr().err
+
+    def test_huge_modulus_in_field_option(self, capsys):
+        assert main(["catalog", "emit", "sl", "--field", f"F{2**61 - 1}"]) == 3
+        assert "modulus too large" in capsys.readouterr().err
+
     def test_usage_error_exits_3_and_help_exits_0(self, capsys, h3_file):
         for argv in (["rank"], ["regular", h3_file, "--mode", "bogus"], ["no-such-command"]):
             with pytest.raises(SystemExit) as exc:

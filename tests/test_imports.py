@@ -1,14 +1,19 @@
-"""Every module imports only names it uses.
+"""Every module imports only names it uses, and every definition is reached.
 
 Each module of the package except ``__init__.py`` (which imports in order
 to re-export) is parsed with ``ast``; a name bound by a top-level
 ``import`` or ``from ... import`` that the module never reads is dead code
-and fails here, naming the module and the name.
+and fails here, naming the module and the name.  So is a top-level
+function or class that no code of the package reads outside the
+definition's own body and that ``lielab.__all__`` does not export.
 """
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
+
+import lielab
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lielab"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -42,3 +47,38 @@ def test_no_unused_imports(path):
 
 def test_scan_sees_an_unused_import():
     assert _unused_imports("import os\nfrom typing import List, Tuple\nx: Tuple = ()\n") == [(1, "os"), (2, "List")]
+
+
+def _dead_definitions(sources, exported):
+    """(module, name) of each top-level function or class of `sources`
+    (module name -> source text) that is not in `exported` and whose name
+    is read, as a name or an attribute, nowhere outside its own body."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    reads = defaultdict(list)
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                reads[node.id if isinstance(node, ast.Name) else node.attr].append((mod, node.lineno))
+    dead = []
+    for mod, tree in trees.items():
+        for d in tree.body:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name in exported:
+                continue
+            outside = [r for r in reads[d.name] if r[0] != mod or not d.lineno <= r[1] <= d.end_lineno]
+            if not outside:
+                dead.append((mod, d.name))
+    return sorted(dead)
+
+
+def test_no_unreached_definitions():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    dead = _dead_definitions(sources, set(lielab.__all__))
+    assert not dead, "defined but never reached: " + ", ".join(f"{m}.{n}" for m, n in dead)
+
+
+def test_scan_sees_an_unreached_definition():
+    sources = {
+        "a": "def used():\n    return 1\n\ndef selfish(n):\n    return selfish(n - 1)\n\nclass Shown:\n    pass\n",
+        "b": "from a import used\nx = used()\n",
+    }
+    assert _dead_definitions(sources, {"Shown"}) == [("a", "selfish")]

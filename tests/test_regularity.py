@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from lielab import regularity
 from lielab.algebra import direct_sum
-from lielab.catalog import abelian, gl, heisenberg, make, r2, sl, strict_upper, su2q
+from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM, BudgetExceeded
+from lielab.catalog import abelian, gl, heisenberg, make, pgl, r2, sl, strict_upper, su2q
 from lielab.fields import GF, QQ, UniPoly
-from lielab.linalg import Subspace, vec_is_zero
+from lielab.linalg import Matrix, Subspace, vec_is_zero
 from lielab.regularity import (
+    FittingDecomposition,
     ad_char_coeffs,
     char_poly_factorization,
     fitting,
@@ -24,8 +26,10 @@ from lielab.regularity import (
     relative_rank,
     zero_multiplicity,
     _all_vectors,
+    _assert_fitting,
     _rank_by_scan,
 )
+from lielab.verdict import RecheckFailed
 
 F2 = GF(2)
 F3 = GF(3)
@@ -66,6 +70,15 @@ class TestRank:
     def test_scan_route_agrees_with_generic(self):
         for L in (sl(F3, 2), r2(F3), heisenberg(F2, 1)):
             assert _rank_by_scan(L) == rank(L)
+
+    def test_rational_rank_beyond_symbolic_budget_is_over_the_cap(self):
+        # rank over Q has no route above SYMBOLIC_DIM: the smallest deciding
+        # grid there, {0..n}^n with n = SYMBOLIC_DIM + 1, is over the cap
+        n = SYMBOLIC_DIM + 1
+        assert (n + 1) ** n > EXHAUSTIVE_CAP
+        L = direct_sum(sl(QQ, 3), abelian(QQ, n - 8))  # sl3 has dimension 8
+        with pytest.raises(BudgetExceeded, match=f"rank grid needs {(n + 1) ** n} points, over the cap"):
+            rank(L)
 
     def test_nilpotent_means_full_rank(self):
         for L in (heisenberg(QQ, 1), strict_upper(QQ, 4), abelian(F5, 2)):
@@ -137,6 +150,35 @@ class TestFitting:
     def test_fitting_set_rejects_empty(self):
         with pytest.raises(ValueError):
             fitting_set(sl2q, [])
+
+    @pytest.mark.parametrize(
+        "L,x",
+        [
+            (sl2q, sl2q.basis_vector(1)),
+            (SU, SU.basis_vector(0)),
+            # E22 in pgl3/F3: a 4-dimensional null and a 4-dimensional one component
+            (pgl(F3, 3), pgl(F3, 3).basis_vector(3)),
+        ],
+        ids=["sl2q", "su2q", "pgl3f3"],
+    )
+    def test_recheck_rejects_swapped_components(self, L, x):
+        dec = fitting(L, x)
+        assert dec.null.dim and dec.one.dim
+        powers = [L.ad(x) ** L.dim]
+        _assert_fitting(L, dec, powers)
+        with pytest.raises(RecheckFailed):
+            _assert_fitting(L, FittingDecomposition(dec.one, dec.null, dec.against), powers)
+
+    def test_one_power_per_element(self, monkeypatch):
+        calls = []
+        power = Matrix.__pow__
+        monkeypatch.setattr(Matrix, "__pow__", lambda m, k: calls.append(k) or power(m, k))
+        fitting(sl2q, sl2q.basis_vector(1))
+        assert len(calls) == 1
+        calls.clear()
+        L = direct_sum(sl2q, sl2q)
+        fitting_set(L, [L.basis_vector(1), L.basis_vector(4)])
+        assert len(calls) == 2
 
 
 class TestRegularElements:
