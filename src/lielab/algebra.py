@@ -627,6 +627,8 @@ def _parse_common(obj: dict) -> Tuple[Field, Tuple[str, ...]]:
     labels = obj["basis"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise StructureError("basis must be a list of strings")
+    if type(obj["dim"]) is not int:
+        raise StructureError(f"dim must be an integer, got {obj['dim']!r}")
     if obj["dim"] != len(labels):
         raise StructureError(f"dim {obj['dim']} does not match basis length {len(labels)}")
     return field, tuple(labels)

@@ -20,25 +20,24 @@ dicts on the way in and back into dense rows by ``echelon()``.  Its one
 reduce step is ``_reduce``, built on the row update ``_axpy`` (taken
 mod p over F_p), and division over F_p is multiplication by
 pow(a, p - 2, p).  Products, ``apply`` and the Hessenberg characteristic
-polynomial stay dense, with one loop per field.
+polynomial stay dense, and each is one body for both fields too: it
+reads p = 0 as Q and reduces mod p only where p is set.  The product and
+``apply`` walk only the nonzero entries of each row (``_nonzero``).
 
 Characteristic polynomials come from a Hessenberg reduction (no division
-by integer constants, so small characteristic is safe); over Q the matrix
-is first scaled to integer entries so the reduction works on
-denominator-free input.  Minimal polynomials are built by spinning Krylov
-chains off the standard basis and taking lcms.
+by integer constants, so small characteristic is safe), ``_char_poly``,
+on the entries as they are.  Minimal polynomials are built by spinning
+Krylov chains off the standard basis and taking lcms.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field, Scalar, UniPoly, common_denominator, poly_lcm
+from .fields import Field, Scalar, UniPoly, poly_lcm
 
 Vector = Tuple[Scalar, ...]
-Residues = Tuple[int, ...]
 
 
 def vec_add(u: Sequence, v: Sequence) -> Vector:
@@ -90,32 +89,17 @@ def _reduce(w: dict, rows: Dict[int, dict], p: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the F_p product, apply and Hessenberg loops: plain ints in [0, p)
+# the Hessenberg characteristic polynomial, shared by both fields
 
 
-def _res_matmul(a: Sequence[Residues], b: Sequence[Residues], ncols: int, p: int) -> Tuple[Residues, ...]:
-    out = []
-    for row in a:
-        acc = [0] * ncols
-        for x, brow in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(tuple(s % p for s in acc))
-    return tuple(out)
-
-
-def _res_apply(a: Sequence[Residues], v: Sequence[int], p: int) -> List[int]:
-    return [sum(map(mul, row, v)) % p for row in a]
-
-
-def _res_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
-    """Ascending coefficients of det(t*I - mat), a square residue matrix.
-
-    The same Hessenberg reduction and minor recurrence as the Q kernel,
-    on residues.
+def _char_poly(mat: Sequence[Sequence], p: int) -> list:
+    """Ascending coefficients of det(t*I - mat), a square matrix in kernel
+    scalars; p = 0 stands for Q.  The coefficients may be left as ints
+    (over Q beside Fractions) for ``_from_k`` to bring into canonical form.
     """
     n = len(mat)
     h = [list(row) for row in mat]
+    # similarity reduction to upper Hessenberg form
     for c in range(n - 2):
         for r in range(c + 1, n):
             if h[r][c]:
@@ -127,13 +111,17 @@ def _res_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
             for row in h:
                 row[c + 1], row[r] = row[r], row[c + 1]
         hc1 = h[c + 1]
-        inv = pow(hc1[c], p - 2, p)
+        inv = pow(hc1[c], p - 2, p) if p else 1 / hc1[c]
         for r in range(c + 2, n):
-            f = h[r][c] * inv % p
+            f = h[r][c] * inv
+            if p:
+                f %= p
             if f:
-                h[r] = [(x - f * y) % p for x, y in zip(h[r], hc1)]
+                hr = [x - f * y for x, y in zip(h[r], hc1)]
+                h[r] = [x % p for x in hr] if p else hr
                 for row in h:
-                    row[c + 1] = (row[c + 1] + f * row[r]) % p
+                    x = row[c + 1] + f * row[r]
+                    row[c + 1] = x % p if p else x
     # char polys of the leading principal minors of the Hessenberg form
     polys = [[1]]
     for m in range(1, n + 1):
@@ -144,7 +132,9 @@ def _res_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
             poly[i] -= d * a
         prod = 1
         for i in range(1, m):
-            prod = prod * h[m - i][m - i - 1] % p
+            prod *= h[m - i][m - i - 1]
+            if p:
+                prod %= p
             if not prod:
                 break
             coeff = h[m - 1 - i][m - 1]
@@ -152,7 +142,7 @@ def _res_char_poly(mat: Sequence[Sequence[int]], p: int) -> List[int]:
                 s = coeff * prod
                 for k, a in enumerate(polys[m - 1 - i]):
                     poly[k] -= s * a
-        polys.append([x % p for x in poly])
+        polys.append([x % p for x in poly] if p else poly)
     return polys[n]
 
 
@@ -202,9 +192,16 @@ class Matrix:
             return self.rows
         return tuple(tuple(self.field._to_k(r)) for r in self.rows)
 
-    @property
-    def _fp(self) -> bool:
-        return self.field.kind == "Fp"
+    @cached_property
+    def _nonzero(self) -> Tuple[Tuple[list, list], ...]:
+        """Each row as (columns, scalars) of its nonzero entries, for the
+        product and ``apply``: a zero entry costs little over F_p but a full
+        Fraction product over Q."""
+        out = []
+        for row in self._k:
+            cols = [j for j, x in enumerate(row) if x]
+            out.append((cols, [row[j] for j in cols]))
+        return tuple(out)
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "Matrix":
@@ -266,22 +263,17 @@ class Matrix:
         self._same_field(other)
         if self.n != other.m:
             raise ValueError("shape mismatch in product")
-        if self._fp:
-            return Matrix._of_k(self.field, _res_matmul(self._k, other._k, other.n, self.field.p), other.n)
-        zero = self.field.zero
-        bt = other.rows
+        zero = self.field._k_zero
         out = []
-        for row in self.rows:
-            new = [zero] * other.n
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                brow = bt[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        new[j] = new[j] + a * b
-            out.append(new)
-        return Matrix(self.field, out, ncols=other.n)
+        for row in self._k:
+            acc = [zero] * other.n
+            for x, (cols, vals) in zip(row, other._nonzero):
+                if x:
+                    for j, y in zip(cols, vals):
+                        acc[j] += x * y
+            out.append(acc)
+        # _of_k reduces mod p
+        return Matrix._of_k(self.field, out, other.n)
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square():
@@ -300,24 +292,14 @@ class Matrix:
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.n:
             raise ValueError("vector length mismatch")
-        if self._fp:
-            p = self.field.p
-            return self.field._from_k(_res_apply(self._k, self.field._to_k(v), p))
-        zero = self.field.zero
-        out = []
-        for row in self.rows:
-            acc = zero
-            for a, x in zip(row, v):
-                if a and x:
-                    acc = acc + a * x
-            out.append(acc)
-        return tuple(out)
+        return self.field._from_k(self._apply_k(self.field._to_k(v)))
 
     def _apply_k(self, v: Sequence) -> list:
-        """self * v with v and the result in kernel scalars (residues over F_p)."""
-        if self._fp:
-            return _res_apply(self._k, v, self.field.p)
-        return list(self.apply(v))
+        """self * v with v and the result in kernel scalars."""
+        p = self.field.char
+        zero = self.field._k_zero
+        out = [sum(map(mul, vals, map(v.__getitem__, cols)), zero) for cols, vals in self._nonzero]
+        return [x % p for x in out] if p else out
 
     def transpose(self) -> "Matrix":
         rows = self._k
@@ -389,64 +371,7 @@ class Matrix:
         """Monic characteristic polynomial det(t*I - self)."""
         if not self.is_square():
             raise ValueError("char poly of a non-square matrix")
-        n = self.n
-        field = self.field
-        if n == 0:
-            return UniPoly.one(field)
-        if field.kind == "Q":
-            den = common_denominator(c for row in self.rows for c in row)
-            if den != 1:
-                scaled = self.scale(Fraction(den))
-                coeffs = scaled._charpoly_hessenberg()
-                d = Fraction(den)
-                return UniPoly(field, [coeffs[i] / d ** (n - i) for i in range(n + 1)])
-        return UniPoly(field, field._from_k(self._charpoly_hessenberg()))
-
-    def _charpoly_hessenberg(self) -> List[Scalar]:
-        """Ascending char poly coefficients; residues over F_p."""
-        if self._fp:
-            return _res_char_poly(self._k, self.field.p)
-        n = self.n
-        field = self.field
-        h = [list(row) for row in self.rows]
-        # similarity reduction to upper Hessenberg form
-        for c in range(n - 2):
-            pivot_row = None
-            for r in range(c + 1, n):
-                if h[r][c]:
-                    pivot_row = r
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != c + 1:
-                h[c + 1], h[pivot_row] = h[pivot_row], h[c + 1]
-                for row in h:
-                    row[c + 1], row[pivot_row] = row[pivot_row], row[c + 1]
-            piv = h[c + 1][c]
-            for r in range(c + 2, n):
-                if h[r][c]:
-                    f = h[r][c] / piv
-                    hr, hc1 = h[r], h[c + 1]
-                    for j in range(n):
-                        hr[j] = hr[j] - f * hc1[j]
-                    for row in h:
-                        row[c + 1] = row[c + 1] + f * row[r]
-        # char polys of leading principal minors of the Hessenberg form
-        one = UniPoly.one(field)
-        t = UniPoly.t(field)
-        polys = [one]
-        for m in range(1, n + 1):
-            p = (t - UniPoly(field, [h[m - 1][m - 1]])) * polys[m - 1]
-            prod = field.one
-            for i in range(1, m):
-                prod = prod * h[m - i][m - i - 1]
-                coeff = h[m - 1 - i][m - 1]
-                if coeff and prod:
-                    p = p - polys[m - 1 - i].scale(coeff * prod)
-            polys.append(p)
-        coeffs = list(polys[n].coeffs)
-        coeffs += [field.zero] * (n + 1 - len(coeffs))
-        return coeffs
+        return UniPoly(self.field, self.field._from_k(_char_poly(self._k, self.field.char)))
 
     def min_poly(self) -> UniPoly:
         """Monic minimal polynomial via Krylov chains off the standard basis."""

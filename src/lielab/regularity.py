@@ -140,35 +140,24 @@ def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) 
 
 @dataclass
 class GenericCharPoly:
-    """The coefficients of chi_{ad x} as functions of the coordinates of x.
-
-    When `symbolic` the a_i are exact MultiPoly values; otherwise the
-    dimension exceeded the symbolic budget and only pointwise evaluation
-    (through concrete adjoint matrices) is available.
-    """
+    """The coefficients a_0..a_n of chi_{ad x} as exact MultiPoly values
+    in the coordinates of x."""
 
     algebra: LieAlgebra
-    coeffs: Optional[Tuple[MultiPoly, ...]]
-    symbolic: bool
+    coeffs: Tuple[MultiPoly, ...]
 
     def __post_init__(self):
         n = self.algebra.dim
-        if self.symbolic:
-            _recheck(
-                self.coeffs is not None and len(self.coeffs) == n + 1,
-                "one coefficient per degree 0..dim",
-            )
-            one = MultiPoly.const(self.algebra.field, n, 1)
-            _recheck(self.coeffs[n] == one, "characteristic polynomial must be monic")
-            if n >= 1:
-                _recheck(self.coeffs[0].is_zero(), "a_0 must vanish (x kills itself)")
-            for i, a in enumerate(self.coeffs):
-                _recheck(a.is_homogeneous(n - i), f"a_{i} must be homogeneous of degree {n - i}")
+        _recheck(len(self.coeffs) == n + 1, "one coefficient per degree 0..dim")
+        one = MultiPoly.const(self.algebra.field, n, 1)
+        _recheck(self.coeffs[n] == one, "characteristic polynomial must be monic")
+        if n >= 1:
+            _recheck(self.coeffs[0].is_zero(), "a_0 must vanish (x kills itself)")
+        for i, a in enumerate(self.coeffs):
+            _recheck(a.is_homogeneous(n - i), f"a_{i} must be homogeneous of degree {n - i}")
 
     def formal_rank(self) -> int:
-        """Least i with a_i not the zero polynomial (symbolic only)."""
-        if not self.symbolic:
-            raise BudgetExceeded("formal rank needs the symbolic coefficients")
+        """Least i with a_i not the zero polynomial."""
         return _least_nonzero(self.coeffs)
 
 
@@ -177,26 +166,19 @@ def _least_nonzero(coeffs: Sequence[MultiPoly]) -> int:
     return next(i for i, a in enumerate(coeffs) if not a.is_zero())
 
 
-def generic_char_poly(L: LieAlgebra, *, allow_evaluation_fallback: bool = False) -> GenericCharPoly:
-    """Symbolic a_0..a_n for dim <= the symbolic budget.
-
-    Beyond the budget: with permission, an evaluation-only object is
-    returned (callers sample concrete elements); otherwise the budget
-    error propagates.
-    """
+def generic_char_poly(L: LieAlgebra) -> GenericCharPoly:
+    """Symbolic a_0..a_n for dim <= the symbolic budget; beyond it the
+    budget error propagates."""
     cached = L._cache.get("generic")
     if cached is not None:
         return cached
     n = L.dim
     if n > SYMBOLIC_DIM:
-        if allow_evaluation_fallback:
-            return GenericCharPoly(L, None, False)
         raise BudgetExceeded(
             f"symbolic characteristic coefficients limited to dim <= {SYMBOLIC_DIM}, got {n}"
         )
     mats = [L.ad_basis(i) for i in range(n)]
-    coeffs = tuple(linear_family_char_coeffs(L.field, mats, n))
-    g = GenericCharPoly(L, coeffs, True)
+    g = GenericCharPoly(L, tuple(linear_family_char_coeffs(L.field, mats, n)))
     L._cache["generic"] = g
     return g
 
@@ -281,7 +263,8 @@ def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition, powers: Sequence[M
     """Recheck dec against powers, the (ad x)^dim of each x in dec.against."""
     n = L.dim
     _recheck(dec.null.dim + dec.one.dim == n, "component dimensions must sum to dim")
-    _recheck(dec.null.intersect(dec.one).is_zero(), "components must be independent")
+    # with the dimensions summing to n, the components are independent iff they span L
+    _recheck(dec.null.sum_with(dec.one).dim == n, "components must be independent")
     # in kernel scalars, so no bracket makes a round trip through Fp objects
     for u in dec.null._k:
         for v in dec.null._k:

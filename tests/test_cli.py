@@ -1,14 +1,22 @@
 """Command-line surface: exit codes, canonical JSON output, determinism."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_golden_outputs import VERIFY_SHA256
 
 from lielab.algebra import LieAlgebra, canonical_dumps
-from lielab.catalog import canonical_instances, su2q
+from lielab.catalog import canonical_instances, heisenberg, sl, su2q
 from lielab.cli import main
+from lielab.fields import GF, QQ
 
 GOOD = {
     "field": {"kind": "Q"},
@@ -264,6 +272,14 @@ class TestParseBoundary:
         assert main(["validate", path]) == 3
         assert "must be integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim,basis", [(3.0, ["x", "y", "z"]), (True, ["x"])], ids=["float", "bool"])
+    def test_non_integer_dim(self, capsys, tmp_path, dim, basis):
+        # 3.0 == 3 and True == 1, so only a type test tells them from a dim
+        path = tmp_path / "dim.json"
+        path.write_text(json.dumps(dict(GOOD, dim=dim, basis=basis, brackets=[])))
+        assert main(["validate", str(path)]) == 3
+        assert "dim must be an integer" in capsys.readouterr().err
+
     def test_huge_modulus_in_table(self, capsys, tmp_path):
         # 2^61 - 1 is prime; the size bound must answer before any primality test
         path = tmp_path / "huge.json"
@@ -284,3 +300,116 @@ class TestParseBoundary:
             main(["--help"])
         assert exc.value.code == 0
         capsys.readouterr()
+
+
+# -- the exit-code contract on mutated tables ---------------------------------
+
+SMALL_TABLES = [
+    json.loads(L.canonical_json()) for L in (sl(QQ, 2), su2q(), heisenberg(GF(3), 1))
+]
+# the type each slot of a table document must have
+SLOT_TYPES = {
+    "field": dict, "dim": int, "basis": list, "label": str, "brackets": list,
+    "entry": dict, "i": int, "j": int, "coeffs": dict, "coeff": str,
+}
+WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# no digits, so neither Fraction nor int can read any of them
+BAD_COEFFS = st.text(alphabet="xyz!#/.,- ", max_size=4)
+BAD_FIELDS = [
+    {"kind": "R"}, {"kind": "F3"}, {"kind": "q"}, {"kind": ""}, {"kind": None}, {"kind": 3},
+    {"kind": ["Q"]}, {"kind": "Fp", "p": 4}, {"kind": "Fp", "p": 1}, {"kind": "Fp", "p": -3},
+    {"kind": "Fp", "p": "3"}, {"kind": "Fp", "p": 3.0}, {"kind": "Fp", "p": 2**31},
+]
+
+
+@st.composite
+def malformed_tables(draw):
+    """A small valid table with one defect that makes the document malformed:
+    a key dropped, a wrong type (also a float or bool equal to the integer
+    it replaces), an out-of-range or bool index, a bad coefficient string,
+    an unknown field kind or a duplicate entry."""
+    doc = copy.deepcopy(draw(st.sampled_from(SMALL_TABLES)))
+    dim = doc["dim"]
+    entry = draw(st.sampled_from(doc["brackets"]))
+    coeffs = entry["coeffs"]
+    key = draw(st.sampled_from(sorted(coeffs)))
+    holders = {"dim": doc, "i": entry, "j": entry, "p": doc["field"]}
+    defect = draw(st.sampled_from(["drop", "type", "retype", "index", "coeff", "field", "duplicate"]))
+    if defect == "drop":
+        where = draw(st.sampled_from(["field", "dim", "basis", "brackets", "i", "j", "kind"] + ["p"] * ("p" in doc["field"])))
+        del (entry if where in ("i", "j") else doc["field"] if where in ("kind", "p") else doc)[where]
+    elif defect == "type":
+        where = draw(st.sampled_from(sorted(SLOT_TYPES)))
+        wrong = draw(WRONG_TYPES.filter(lambda w: not isinstance(w, SLOT_TYPES[where]) or type(w) is bool))
+        if where == "label":
+            doc["basis"][draw(st.integers(0, dim - 1))] = wrong
+        elif where == "entry":
+            doc["brackets"][doc["brackets"].index(entry)] = wrong
+        elif where == "coeff":
+            coeffs[key] = wrong
+        else:
+            (entry if where in ("i", "j", "coeffs") else doc)[where] = wrong
+    elif defect == "retype":
+        # the same number as a float or a bool, which compares equal to it
+        where = draw(st.sampled_from(["dim", "i", "j"] + ["p"] * ("p" in doc["field"])))
+        value = holders[where][where]
+        holders[where][where] = draw(st.sampled_from([float(value)] + [bool(value)] * (value in (0, 1))))
+    elif defect == "index":
+        where = draw(st.sampled_from(["i", "j", "component"]))
+        if where == "component":
+            coeffs[draw(st.sampled_from([str(dim), str(dim + 1), "-1", "x", "1.0", "", "True"]))] = coeffs.pop(key)
+        else:
+            entry[where] = draw(st.sampled_from([dim, dim + 1, -1, True, False]))
+    elif defect == "coeff":
+        coeffs[key] = draw(BAD_COEFFS)
+    elif defect == "field":
+        doc["field"] = draw(st.sampled_from(BAD_FIELDS))
+    else:
+        twin = dict(entry, coeffs={})
+        if draw(st.booleans()):
+            twin["i"], twin["j"] = entry["j"], entry["i"]
+        doc["brackets"].append(twin)
+    return doc
+
+
+def _run_on(command, doc):
+    """(exit code, stderr) of cli.main on doc written to a table file; an
+    exception escaping main fails the test."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    return code, err.getvalue()
+
+
+class TestExitContract:
+    """Every run exits in {0, 1, 2, 3} without a traceback; a malformed
+    document exits 3."""
+
+    @given(doc=malformed_tables(), command=st.sampled_from(["validate", "rank"]))
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_table_exits_3(self, doc, command):
+        code, err = _run_on(command, doc)
+        assert code == 3, (doc, err)
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @given(
+        doc=st.sampled_from(SMALL_TABLES),
+        coeff=st.integers(-3, 3).map(str),
+        command=st.sampled_from(["validate", "rank"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_changed_coefficient_keeps_the_contract(self, doc, coeff, command):
+        # a well-formed table that may break Jacobi: validate reports it
+        # (exit 1), rank refuses it as input (exit 3)
+        doc = copy.deepcopy(doc)
+        entry = doc["brackets"][0]
+        entry["coeffs"][min(entry["coeffs"])] = coeff
+        code, err = _run_on(command, doc)
+        assert code in {0, 1, 2, 3}
+        assert "Traceback" not in err

@@ -5,7 +5,9 @@ to re-export) is parsed with ``ast``; a name bound by a top-level
 ``import`` or ``from ... import`` that the module never reads is dead code
 and fails here, naming the module and the name.  So is a top-level
 function or class that no code of the package reads outside the
-definition's own body and that ``lielab.__all__`` does not export.
+definition's own body and that ``lielab.__all__`` does not export, and a
+private method (one leading underscore, not a dunder) of a top-level
+class that no code of the package reads outside the method's own body.
 """
 import ast
 from collections import defaultdict
@@ -51,22 +53,35 @@ def test_scan_sees_an_unused_import():
 
 def _dead_definitions(sources, exported):
     """(module, name) of each top-level function or class of `sources`
-    (module name -> source text) that is not in `exported` and whose name
-    is read, as a name or an attribute, nowhere outside its own body."""
+    (module name -> source text) that is not in `exported`, and (module,
+    "Class._method") of each private method of a top-level class, whose
+    name is read, as a name or an attribute, nowhere outside its own body."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     reads = defaultdict(list)
     for mod, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 reads[node.id if isinstance(node, ast.Name) else node.attr].append((mod, node.lineno))
+
+    def unread(mod, d):
+        return not [r for r in reads[d.name] if r[0] != mod or not d.lineno <= r[1] <= d.end_lineno]
+
     dead = []
     for mod, tree in trees.items():
         for d in tree.body:
-            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or d.name in exported:
+            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            outside = [r for r in reads[d.name] if r[0] != mod or not d.lineno <= r[1] <= d.end_lineno]
-            if not outside:
+            if d.name not in exported and unread(mod, d):
                 dead.append((mod, d.name))
+            if isinstance(d, ast.ClassDef):
+                for m in d.body:
+                    if (
+                        isinstance(m, ast.FunctionDef)
+                        and m.name.startswith("_")
+                        and not m.name.startswith("__")
+                        and unread(mod, m)
+                    ):
+                        dead.append((mod, f"{d.name}.{m.name}"))
     return sorted(dead)
 
 
@@ -82,3 +97,16 @@ def test_scan_sees_an_unreached_definition():
         "b": "from a import used\nx = used()\n",
     }
     assert _dead_definitions(sources, {"Shown"}) == [("a", "selfish")]
+
+
+def test_scan_sees_an_unreached_private_method():
+    sources = {
+        "a": (
+            "class Shown:\n"
+            "    def __init__(self):\n        self.n = self._read()\n"
+            "    def _read(self):\n        return 1\n"
+            "    @property\n    def _left(self):\n        return self._left\n"
+            "    def public(self):\n        return 2\n"
+        ),
+    }
+    assert _dead_definitions(sources, {"Shown"}) == [("a", "Shown._left")]

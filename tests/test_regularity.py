@@ -90,7 +90,6 @@ class TestGenericCharPoly:
     @settings(max_examples=40)
     def test_symbolic_matches_pointwise_sl2(self, x):
         g = generic_char_poly(sl2q)
-        assert g.symbolic
         vals = tuple(c.eval(x) for c in g.coeffs)
         assert vals == ad_char_coeffs(sl2q, x)
 
@@ -168,6 +167,21 @@ class TestFitting:
         _assert_fitting(L, dec, powers)
         with pytest.raises(RecheckFailed):
             _assert_fitting(L, FittingDecomposition(dec.one, dec.null, dec.against), powers)
+
+    @pytest.mark.parametrize(
+        "L,x",
+        [(sl2q, sl2q.basis_vector(1)), (pgl(F3, 3), pgl(F3, 3).basis_vector(3))],
+        ids=["sl2q", "pgl3f3"],
+    )
+    def test_recheck_rejects_overlapping_components(self, L, x):
+        # one basis vector of the one component traded for one of the null
+        # component: the dimensions still sum to dim, the components meet
+        dec = fitting(L, x)
+        one = Subspace.from_vectors(L.field, L.dim, dec.null.basis()[:1] + dec.one.basis()[1:])
+        assert dec.null.dim + one.dim == L.dim
+        assert not dec.null.intersect(one).is_zero()
+        with pytest.raises(RecheckFailed, match="components must be independent"):
+            _assert_fitting(L, FittingDecomposition(dec.null, one, dec.against), [L.ad(x) ** L.dim])
 
     def test_one_power_per_element(self, monkeypatch):
         calls = []

@@ -15,7 +15,9 @@ that ran on Matrix products and MultiPoly arithmetic before the sparse
 bracket, the Killing form and the integer symbolic expansion: the Killing
 Gram by traces of products, the invariance test by G A + A^T G, the
 series from [L, L] by bracket spans, the MultiPoly minor expansion and
-the Der structure constants from dense commutators.
+the Der structure constants from dense commutators.  The dense product,
+``apply`` and matrix powers, one body for both fields, are checked against
+the field-scalar triple loop ``ref_matmul``.
 """
 import json
 from fractions import Fraction
@@ -134,6 +136,14 @@ def ref_apply(field, rows, v):
             acc = acc + a * x
         out.append(acc)
     return tuple(out)
+
+
+def ref_matmul(field, a, b, ncols):
+    """Rows of a * b, b with ncols columns, by the field-scalar triple loop."""
+    return tuple(
+        tuple(sum((x * brow[j] for x, brow in zip(row, b)), field.zero) for j in range(ncols))
+        for row in a
+    )
 
 
 def ref_min_poly(field, rows):
@@ -289,6 +299,49 @@ def test_char_poly_matches_reference(case):
 def test_min_poly_matches_reference(case):
     field, rows, n = case
     assert Matrix(field, rows, ncols=n).min_poly() == ref_min_poly(field, rows)
+
+
+@st.composite
+def products(draw):
+    """(field, a, b, k, n, v): a is m x k, b is k x n and v has length k,
+    every size 0..5, so rectangular and empty shapes come up."""
+    field = draw(st.sampled_from(FIELDS))
+    entry = scalars(field)
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [tuple(field.of(draw(entry)) for _ in range(k)) for _ in range(m)]
+    b = [tuple(field.of(draw(entry)) for _ in range(n)) for _ in range(k)]
+    v = tuple(field.of(draw(entry)) for _ in range(k))
+    return field, a, b, k, n, v
+
+
+def _in_field(field, rows):
+    return all(field.contains(c) for row in rows for c in row)
+
+
+@given(products())
+@settings(max_examples=150, deadline=None)
+def test_product_and_apply_match_reference(case):
+    field, a, b, k, n, v = case
+    ma = Matrix(field, a, ncols=k)
+    prod = ma * Matrix(field, b, ncols=n)
+    assert (prod.m, prod.n) == (len(a), n)
+    assert prod.rows == ref_matmul(field, a, b, n)
+    assert _in_field(field, prod.rows)
+    got = ma.apply(v)
+    assert got == ref_apply(field, a, v)
+    assert _in_field(field, [got])
+
+
+@given(matrices(square=True), st.integers(0, 5))
+@settings(max_examples=100, deadline=None)
+def test_power_matches_reference(case, e):
+    field, rows, n = case
+    want = tuple(tuple(field.of(int(i == j)) for j in range(n)) for i in range(n))
+    for _ in range(e):
+        want = ref_matmul(field, want, rows, n)
+    got = Matrix(field, rows, ncols=n) ** e
+    assert got.rows == want
+    assert _in_field(field, got.rows)
 
 
 def test_empty_shapes():
