@@ -13,7 +13,8 @@ fields: they walk a cached copy of the sparse table in kernel scalars
 (Fractions over Q, residues over F_p, see linalg), or its per-index
 adjacency, or the nonzero entries of the cached adjoint matrices, and
 leave normalizing the result to the field's ``_to_k`` / ``_from_k`` or
-to ``Matrix._of_k``.  None of them forms a Matrix product.
+to the ``Matrix`` constructor, which stores kernel rows only.  None of
+them forms a Matrix product.
 
 Everything downstream - structure reports, quotients, sums, scalar
 extensions by a commutative algebra, derivations, centroid, second
@@ -217,7 +218,7 @@ class LieAlgebra:
             if xj:
                 for k, c in coeffs:
                     rows[k][i] -= xj * c
-        return Matrix._of_k(self.field, rows, n)
+        return Matrix(self.field, rows, n)
 
     def ad_basis(self, i: int) -> Matrix:
         key = ("ad_basis", i)
@@ -235,7 +236,7 @@ class LieAlgebra:
     def center(self) -> Subspace:
         if "center" not in self._cache:
             stacked = [row for i in range(self.dim) for row in self.ad_basis(i)._k]
-            self._cache["center"] = Matrix._of_k(self.field, stacked, self.dim).kernel()
+            self._cache["center"] = Matrix(self.field, stacked, self.dim).kernel()
         return self._cache["center"]
 
     def commutant(self) -> Subspace:
@@ -380,7 +381,7 @@ class LieAlgebra:
                 gram[i][j] = gram[j][i] = sum(
                     (v * other[c, r] for (r, c), v in ents[i].items() if (c, r) in other), zero
                 )
-        form = BilinearForm(self, Matrix._of_k(self.field, gram, n))
+        form = BilinearForm(self, Matrix(self.field, gram, n))
         self._cache["killing"] = form
         return form
 
@@ -777,7 +778,7 @@ def _sparse_row(p: int, *parts) -> dict:
 def _map_solutions(field: Field, n: int, rows: Iterable[dict]) -> Tuple[Subspace, List[Matrix]]:
     """Solution space of the sparse equation rows, and its rows as n x n matrices."""
     kernel = _Echelon(field, n * n, rows).kernel()
-    return kernel, [Matrix._of_k(field, [sol[r * n : (r + 1) * n] for r in range(n)], n) for sol in kernel._k]
+    return kernel, [Matrix(field, [sol[r * n : (r + 1) * n] for r in range(n)], n) for sol in kernel._k]
 
 
 def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
@@ -956,14 +957,8 @@ def is_simple(L: LieAlgebra) -> Verdict:
                 return Verdict.refuted(x, reason="proper-ideal", ideal_dim=ideal.dim)
         return Verdict.certified("exhaustive", lines_scanned=len(lines))
     # Q route
-    killing = L.killing_form()
-    if not killing.nondegenerate:
-        radical = killing.gram.kernel()
-        if 0 < radical.dim < n:
-            witness_vec = radical.rows[0]
-            ideal = L.ideal_generated([witness_vec])
-            if 0 < ideal.dim < n:
-                return Verdict.refuted(witness_vec, reason="proper-ideal", ideal_dim=ideal.dim)
+    # a proper Killing radical was already tried as the second candidate
+    if not L.killing_form().nondegenerate:
         return Verdict.inconclusive(reason="degenerate-killing-no-witness")
     cent = centroid(L)
     cdim = len(cent)

@@ -424,22 +424,16 @@ def _check_nilpotent_is_regular(L: LieAlgebra) -> None:
     _require(v.is_certified and v.certificate == "structural", verdict=v.status)
 
 
-def check_lemma1_heisenberg(seed: int) -> dict:
-    for f in (QQ, GF(5)):
-        _check_nilpotent_is_regular(heisenberg(f, 1))
-    return {"dims": [3], "fields": ["Q", "F5"]}
+def _lemma1_check(build: Callable[[Field], LieAlgebra]) -> Callable[[int], dict]:
+    """Lemma 1 on build(Q) and build(F5): a nilpotent algebra is regular."""
 
+    def check(seed: int) -> dict:
+        for f in (QQ, GF(5)):
+            L = build(f)
+            _check_nilpotent_is_regular(L)
+        return {"dims": [L.dim], "fields": ["Q", "F5"]}
 
-def check_lemma1_heisenberg5(seed: int) -> dict:
-    for f in (QQ, GF(5)):
-        _check_nilpotent_is_regular(heisenberg(f, 2))
-    return {"dims": [5], "fields": ["Q", "F5"]}
-
-
-def check_lemma1_strict_upper4(seed: int) -> dict:
-    for f in (QQ, GF(5)):
-        _check_nilpotent_is_regular(strict_upper(f, 4))
-    return {"dims": [6], "fields": ["Q", "F5"]}
+    return check
 
 
 def check_lemma2_heisenberg_f3(seed: int) -> dict:
@@ -601,22 +595,15 @@ def check_der_psl3f3(seed: int) -> dict:
     return {"der_dim": 8, "algebra_dim": P.dim}
 
 
-def check_h2_sl2q(seed: int) -> dict:
-    d, _ = h2_trivial(sl(QQ, 2))
-    _require(d == 0, h2=d)
-    return {"h2_dim": 0}
+def _h2_check(build: Callable[[], LieAlgebra], expected: int) -> Callable[[int], dict]:
+    """dim H^2(build(), trivial coefficients) == expected."""
 
+    def check(seed: int) -> dict:
+        d, _ = h2_trivial(build())
+        _require(d == expected, h2=d)
+        return {"h2_dim": expected}
 
-def check_h2_h3(seed: int) -> dict:
-    d, _ = h2_trivial(heisenberg(QQ, 1))
-    _require(d == 2, h2=d)
-    return {"h2_dim": 2}
-
-
-def check_h2_psl3f3(seed: int) -> dict:
-    d, _ = h2_trivial(psl(GF(3), 3))
-    _require(d == 1, h2=d)
-    return {"h2_dim": 1}
+    return check
 
 
 def check_central_ext_psl3f3(seed: int) -> dict:
@@ -669,9 +656,9 @@ def check_conjecture_su2q(seed: int) -> dict:
 
 
 _CHECKS: List[Tuple[str, Callable[[int], dict]]] = [
-    ("lemma1-heisenberg", check_lemma1_heisenberg),
-    ("lemma1-heisenberg5", check_lemma1_heisenberg5),
-    ("lemma1-strict-upper4", check_lemma1_strict_upper4),
+    ("lemma1-heisenberg", _lemma1_check(lambda f: heisenberg(f, 1))),
+    ("lemma1-heisenberg5", _lemma1_check(lambda f: heisenberg(f, 2))),
+    ("lemma1-strict-upper4", _lemma1_check(lambda f: strict_upper(f, 4))),
     ("lemma2-heisenberg-f3", check_lemma2_heisenberg_f3),
     ("lemma3-r2", check_lemma3_r2),
     ("lemma4-eqchi-r2", check_lemma4_eqchi_r2),
@@ -685,9 +672,9 @@ _CHECKS: List[Tuple[str, Callable[[int], dict]]] = [
     ("th-minnonreg-ii-su2q", check_minnonreg_su2q),
     ("psl-pgl-dims", check_psl_pgl_dims),
     ("der-psl3f3", check_der_psl3f3),
-    ("h2-sl2q", check_h2_sl2q),
-    ("h2-h3", check_h2_h3),
-    ("h2-psl3f3", check_h2_psl3f3),
+    ("h2-sl2q", _h2_check(lambda: sl(QQ, 2), 0)),
+    ("h2-h3", _h2_check(lambda: heisenberg(QQ, 1), 2)),
+    ("h2-psl3f3", _h2_check(lambda: psl(GF(3), 3), 1)),
     ("central-ext-psl3f3", check_central_ext_psl3f3),
     ("negative-sl2q-regular", check_negative_sl2q),
     ("negative-sl2f5-regular", check_negative_sl2f5),

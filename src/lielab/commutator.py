@@ -181,18 +181,17 @@ def _count_subspaces(p: int, n: int, d: int) -> int:
 
 def _subspaces(field: Field, n: int, d: int) -> Iterator[Subspace]:
     """All d-dimensional subspaces, one canonical echelon matrix each."""
-    elements = tuple(field.of(r) for r in range(field.p))
     for pivots in combinations(range(n), d):
         slots = [
             (t, c) for t in range(d) for c in range(pivots[t] + 1, n) if c not in pivots
         ]
-        for vals in iproduct(elements, repeat=len(slots)):
-            rows = [[field.zero] * n for _ in range(d)]
+        for vals in iproduct(range(field.p), repeat=len(slots)):
+            rows = [[0] * n for _ in range(d)]
             for t in range(d):
-                rows[t][pivots[t]] = field.one
+                rows[t][pivots[t]] = 1
             for (t, c), val in zip(slots, vals):
                 rows[t][c] = val
-            yield Subspace(field, n, tuple(tuple(r) for r in rows), tuple(pivots))
+            yield Subspace(field, n, rows, pivots)
 
 
 def _restrict_lie(L: LieAlgebra, S: Subspace) -> Optional[LieAlgebra]:

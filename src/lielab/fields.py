@@ -160,8 +160,13 @@ class RationalField:
         raise TypeError(f"cannot coerce {n!r} into Q")
 
     def parse(self, s: str) -> Fraction:
+        t = s.strip()
         try:
-            return Fraction(s.strip())
+            # lielab writes n or n/d; Fraction would expand an exponent such
+            # as 1e10000000 into a huge integer before anything could refuse it
+            if "e" in t or "E" in t:
+                raise ValueError("exponent notation")
+            return Fraction(t)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational scalar: {s!r}") from exc
 
@@ -230,7 +235,7 @@ class PrimeField:
         """Residues in [0, p) of F_p scalars or ints: the way into the kernel."""
         p = self.p
         return [
-            c.r if type(c) is Fp and c.p == p else c % p if type(c) is int else self._residue(c)
+            c % p if type(c) is int else c.r if type(c) is Fp and c.p == p else self._residue(c)
             for c in v
         ]
 

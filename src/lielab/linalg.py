@@ -7,22 +7,26 @@ Subspaces are kept in reduced row echelon form, so equality of subspaces
 is equality of representations.
 
 The kernel computes on kernel scalars: the ``Fraction`` entries over Q,
-plain ints in [0, p) over F_p (``Fp`` objects are built only when a caller
-reads ``rows`` or gets a vector, a scalar or a polynomial back, which is
-where a result leaves the kernel).  Every Matrix and Subspace carries its
-rows in kernel scalars (``_k``).  All row reduction goes through
-``_Echelon``, which grows a reduced echelon basis one vector at a time and
-keeps its rows as ``{column: scalar}`` dicts: ``rref``, ``kernel``,
-``solve``, ``image``, ``intersect``, subspace ``reduce`` and ``contains``,
-the ideal closure and the sparse equation systems of the derivation
-algebra, the centroid and the 2-cocycles.  Dense rows are turned into
-dicts on the way in and back into dense rows by ``echelon()``.  Its one
-reduce step is ``_reduce``, built on the row update ``_axpy`` (taken
-mod p over F_p), and division over F_p is multiplication by
-pow(a, p - 2, p).  Products, ``apply`` and the Hessenberg characteristic
-polynomial stay dense, and each is one body for both fields too: it
-reads p = 0 as Q and reduces mod p only where p is set.  The product and
-``apply`` walk only the nonzero entries of each row (``_nonzero``).
+plain ints in [0, p) over F_p (``Fp`` objects are built only when a
+caller reads ``rows`` or gets a vector, a scalar or a polynomial back,
+which is where a result leaves the kernel).  Matrices and subspaces
+store only kernel rows (``_k``).  Each has one constructor; it takes
+field scalars or kernel scalars, unreduced ints included, and passes
+every entry through ``field._to_k``, which refuses a scalar of another
+field.  ``rows`` is the field-scalar view, built by ``_from_k`` when
+read.  All row reduction goes through ``_Echelon``, which grows a
+reduced echelon basis one vector at a time and keeps its rows as
+``{column: scalar}`` dicts: ``rref``, ``kernel``, ``solve``, ``image``,
+``intersect``, subspace ``reduce`` and ``contains``, the ideal closure
+and the sparse equation systems of the derivation algebra, the centroid
+and the 2-cocycles.  Dense rows are turned into dicts on the way in and
+back into dense rows by ``echelon()``.  Its one reduce step is
+``_reduce``, built on the row update ``_axpy`` (taken mod p over F_p),
+and division over F_p is multiplication by pow(a, p - 2, p).  Products,
+``apply`` and the Hessenberg characteristic polynomial stay dense, and
+each is one body for both fields too: it reads p = 0 as Q and reduces
+mod p only where p is set.  The product and ``apply`` walk only the
+nonzero entries of each row (``_nonzero``).
 
 Characteristic polynomials come from a Hessenberg reduction (no division
 by integer constants, so small characteristic is safe), ``_char_poly``,
@@ -147,50 +151,29 @@ def _char_poly(mat: Sequence[Sequence], p: int) -> list:
 
 
 class Matrix:
-    """Immutable exact matrix over a fixed field."""
+    """Immutable exact matrix over a fixed field, stored as kernel rows."""
 
-    __slots__ = ("field", "m", "n", "__dict__")
+    __slots__ = ("field", "m", "n", "_k", "__dict__")
 
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
-        converted = []
-        width = ncols
-        for row in rows:
-            r = tuple(field.of(c) if isinstance(c, int) else c for c in row)
-            if width is None:
-                width = len(r)
-            elif len(r) != width:
+        """Rows of field scalars or kernel scalars (ints need not be
+        reduced); ``ncols`` is needed only when there are no rows.  Every
+        entry goes through ``field._to_k``, which refuses a scalar of
+        another field."""
+        to_k = field._to_k
+        k = tuple([tuple(to_k(r)) for r in rows])
+        width = ncols if ncols is not None else len(k[0]) if k else 0
+        for r in k:
+            if len(r) != width:
                 raise ValueError("ragged rows")
-            converted.append(r)
         self.field = field
-        self.m = len(converted)
-        self.n = width if width is not None else 0
-        self.rows = tuple(converted)
-
-    @classmethod
-    def _of_k(cls, field: Field, rows: Sequence[Sequence], ncols: int) -> "Matrix":
-        """A matrix from rows in kernel scalars (ints are fine over either
-        field).  Over F_p the entries are reduced mod p and the Fp entries
-        wait until ``rows`` is read."""
-        if field.kind != "Fp":
-            return cls(field, rows, ncols=ncols)
-        p = field.p
-        mat = cls.__new__(cls)
-        mat.field = field
-        mat.m = len(rows)
-        mat.n = ncols
-        mat._k = tuple([tuple([x % p for x in r]) for r in rows])
-        return mat
+        self.m = len(k)
+        self.n = width
+        self._k = k
 
     @cached_property
     def rows(self) -> Tuple[Vector, ...]:
         return tuple(self.field._from_k(r) for r in self._k)
-
-    @cached_property
-    def _k(self) -> Tuple[tuple, ...]:
-        """Rows in kernel scalars: residues over F_p, the Fractions over Q."""
-        if self.field.kind != "Fp":
-            return self.rows
-        return tuple(tuple(self.field._to_k(r)) for r in self.rows)
 
     @cached_property
     def _nonzero(self) -> Tuple[Tuple[list, list], ...]:
@@ -205,11 +188,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "Matrix":
-        return cls._of_k(field, [[0] * n for _ in range(m)], n)
+        return cls(field, [[0] * n for _ in range(m)], n)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls._of_k(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
+        return cls(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence], nrows: Optional[int] = None) -> "Matrix":
@@ -244,20 +227,20 @@ class Matrix:
         self._same_field(other)
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("shape mismatch")
-        return Matrix._of_k(self.field, [vec_add(a, b) for a, b in zip(self._k, other._k)], self.n)
+        return Matrix(self.field, [vec_add(a, b) for a, b in zip(self._k, other._k)], self.n)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_field(other)
         if (self.m, self.n) != (other.m, other.n):
             raise ValueError("shape mismatch")
-        return Matrix._of_k(self.field, [vec_sub(a, b) for a, b in zip(self._k, other._k)], self.n)
+        return Matrix(self.field, [vec_sub(a, b) for a, b in zip(self._k, other._k)], self.n)
 
     def __neg__(self) -> "Matrix":
         return self.scale(-1)
 
     def scale(self, s) -> "Matrix":
         s = self.field._to_k((s,))[0]
-        return Matrix._of_k(self.field, [vec_scale(r, s) for r in self._k], self.n)
+        return Matrix(self.field, [vec_scale(r, s) for r in self._k], self.n)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._same_field(other)
@@ -272,22 +255,22 @@ class Matrix:
                     for j, y in zip(cols, vals):
                         acc[j] += x * y
             out.append(acc)
-        # _of_k reduces mod p
-        return Matrix._of_k(self.field, out, other.n)
+        # the constructor reduces mod p
+        return Matrix(self.field, out, other.n)
 
     def __pow__(self, k: int) -> "Matrix":
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        acc = Matrix.identity(self.field, self.n)
+        acc = None
         base = self
         while k:
             if k & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             base = base * base if k > 1 else base
             k >>= 1
-        return acc
+        return Matrix.identity(self.field, self.n) if acc is None else acc
 
     def apply(self, v: Sequence) -> Vector:
         if len(v) != self.n:
@@ -303,7 +286,7 @@ class Matrix:
 
     def transpose(self) -> "Matrix":
         rows = self._k
-        return Matrix._of_k(self.field, [[row[j] for row in rows] for j in range(self.n)], self.m)
+        return Matrix(self.field, [[row[j] for row in rows] for j in range(self.n)], self.m)
 
     def trace(self) -> Scalar:
         if not self.is_square():
@@ -357,7 +340,7 @@ class Matrix:
         if len(b) != self.m:
             raise ValueError("rhs length mismatch")
         aug = [tuple(row) + (bb,) for row, bb in zip(self._k, self.field._to_k(b))]
-        rows, pivots = Matrix._of_k(self.field, aug, self.n + 1)._rref
+        rows, pivots = Matrix(self.field, aug, self.n + 1)._rref
         if self.n in pivots:
             return None
         x = [0] * self.n
@@ -443,48 +426,32 @@ def diagonalize_quadratic(gram: Matrix) -> Tuple[Scalar, ...]:
 class Subspace:
     """Subspace of K^n held as canonical reduced-row-echelon basis rows."""
 
-    __slots__ = ("field", "ambient", "pivots", "__dict__")
+    __slots__ = ("field", "ambient", "pivots", "_k", "__dict__")
 
-    def __init__(self, field: Field, ambient: int, rows: Tuple[Vector, ...], pivots: Tuple[int, ...]):
+    def __init__(self, field: Field, ambient: int, rows: Sequence[Sequence], pivots: Tuple[int, ...]):
+        """Reduced echelon rows of field scalars or kernel scalars, and
+        their pivot columns; every entry goes through ``field._to_k``."""
+        to_k = field._to_k
         self.field = field
         self.ambient = ambient
-        self.rows = rows
         self.pivots = pivots
-
-    @classmethod
-    def _of_k(cls, field: Field, ambient: int, rows: Tuple[tuple, ...], pivots: Tuple[int, ...]) -> "Subspace":
-        """A subspace from reduced echelon rows in kernel scalars."""
-        if field.kind != "Fp":
-            return cls(field, ambient, rows, pivots)
-        space = cls.__new__(cls)
-        space.field = field
-        space.ambient = ambient
-        space.pivots = pivots
-        space._k = rows
-        return space
+        self._k = tuple([tuple(to_k(r)) for r in rows])
 
     @classmethod
     def _span_k(cls, field: Field, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
-        """The span of vectors of length ambient in kernel scalars."""
-        return cls._of_k(field, ambient, *Matrix._of_k(field, vectors, ambient)._rref)
+        """The span of vectors of length ambient, in field or kernel scalars."""
+        return cls(field, ambient, *Matrix(field, vectors, ambient)._rref)
 
     @cached_property
     def rows(self) -> Tuple[Vector, ...]:
         return tuple(self.field._from_k(r) for r in self._k)
-
-    @cached_property
-    def _k(self) -> Tuple[tuple, ...]:
-        """Basis rows in kernel scalars: residues over F_p, Fractions over Q."""
-        if self.field.kind != "Fp":
-            return self.rows
-        return tuple(tuple(self.field._to_k(r)) for r in self.rows)
 
     @classmethod
     def from_vectors(cls, field: Field, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        return cls._span_k(field, ambient, [field._to_k(v) for v in vectors])
+        return cls._span_k(field, ambient, vectors)
 
     @classmethod
     def zero_space(cls, field: Field, ambient: int) -> "Subspace":
@@ -492,7 +459,7 @@ class Subspace:
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls._of_k(field, ambient, Matrix.identity(field, ambient)._k, tuple(range(ambient)))
+        return cls(field, ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)], tuple(range(ambient)))
 
     @property
     def dim(self) -> int:
@@ -532,8 +499,8 @@ class Subspace:
         """Coordinates of v in the echelon basis, or None if outside."""
         if not self.contains(v):
             return None
-        vv = tuple(self.field.of(c) if isinstance(c, int) else c for c in v)
-        return tuple(vv[p] for p in self.pivots)
+        w = self.field._to_k(v)
+        return self.field._from_k([w[p] for p in self.pivots])
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._compat(other)
@@ -547,7 +514,7 @@ class Subspace:
         block = [tuple(r) + tuple(r) for r in self._k] + [tuple(r) + (0,) * n for r in other._k]
         if not block:
             return Subspace.zero_space(self.field, n)
-        rows, _ = Matrix._of_k(self.field, block, 2 * n)._rref
+        rows, _ = Matrix(self.field, block, 2 * n)._rref
         return Subspace._span_k(self.field, n, [row[n:] for row in rows if not any(row[:n])])
 
     def complement_indices(self) -> Tuple[int, ...]:
@@ -622,7 +589,7 @@ class _Echelon:
         return tuple(tuple(_dense(self.rows[c], self.ambient, zero)) for c in pivots), pivots
 
     def subspace(self) -> Subspace:
-        return Subspace._of_k(self.field, self.ambient, *self.echelon())
+        return Subspace(self.field, self.ambient, *self.echelon())
 
     def kernel(self) -> Subspace:
         """{x : row . x = 0 for every row}: one basis vector per free

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,20 @@ class TestParseBoundary:
         path.write_text(json.dumps(dict(GOOD, dim=dim, basis=basis, brackets=[])))
         assert main(["validate", str(path)]) == 3
         assert "dim must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeff", ["1e10000000", "1e1000000", "1E5", "-2.5e-3"])
+    def test_exponent_coefficient(self, capsys, tmp_path, coeff):
+        # Fraction would expand the exponent into a huge integer first
+        path = self._write(tmp_path, {"i": 0, "j": 1, "coeffs": {"2": coeff}})
+        assert main(["validate", path]) == 3
+        assert "not a rational scalar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeff,value", [("1.5", Fraction(3, 2)), ("-3/4", Fraction(-3, 4)), (" 2 ", Fraction(2))])
+    def test_plain_coefficient_still_parses(self, capsys, tmp_path, coeff, value):
+        assert QQ.parse(coeff) == value
+        path = self._write(tmp_path, {"i": 0, "j": 1, "coeffs": {"2": coeff}})
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
 
     def test_huge_modulus_in_table(self, capsys, tmp_path):
         # 2^61 - 1 is prime; the size bound must answer before any primality test

@@ -8,9 +8,17 @@ function or class that no code of the package reads outside the
 definition's own body and that ``lielab.__all__`` does not export, and a
 private method (one leading underscore, not a dunder) of a top-level
 class that no code of the package reads outside the method's own body.
+
+The benchmark's span recorder (``perfbench/spans.py``) patches named
+functions and methods of the package, so each of its targets must exist
+here too; a rename fails tier-1, not only the benchmark smoke run.
 """
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import defaultdict
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -110,3 +118,35 @@ def test_scan_sees_an_unreached_private_method():
         ),
     }
     assert _dead_definitions(sources, {"Shown"}) == [("a", "Shown._left")]
+
+
+def _benchmark_spans(monkeypatch):
+    """SPANS of perfbench/spans.py, loaded by path without writing bytecode
+    next to it (the file imports only the standard library)."""
+    path = PACKAGE.parent.parent / "perfbench" / "spans.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPANS
+
+
+def test_benchmark_span_targets_exist(monkeypatch):
+    missing = []
+    for name, targets in _benchmark_spans(monkeypatch).items():
+        for modname, owner, attr in targets:
+            mod = importlib.import_module(f"lielab.{modname}")
+            # the recorder reads a method from the class's own __dict__
+            holder = getattr(mod, owner) if owner is not None else mod
+            if attr not in vars(holder):
+                missing.append(f"{name}: lielab.{modname}.{owner + '.' if owner else ''}{attr}")
+    assert not missing, "benchmark span targets missing: " + ", ".join(missing)
+
+
+def test_benchmark_hooks_still_apply():
+    # the rref span wraps a cached_property, and the ad_basis hit counter
+    # reads the cache key ("ad_basis", i)
+    assert isinstance(vars(lielab.Matrix)["_rref"], cached_property)
+    L = lielab.sl(lielab.QQ, 2)
+    L.ad_basis(1)
+    assert ("ad_basis", 1) in L._cache

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielab.fields import GF, QQ, UniPoly
+from lielab.fields import GF, QQ, Fp, UniPoly
 from lielab.linalg import (
     Matrix,
     Subspace,
@@ -108,6 +108,56 @@ class TestMatrixBasics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             qmat([[1, 2]]) * qmat([[1, 2]])
+
+
+class TestOneConstructor:
+    """Matrix and Subspace each have one constructor.  It takes field
+    scalars or kernel scalars (ints need not be reduced), stores kernel rows
+    only and refuses a scalar of another field."""
+
+    @pytest.mark.parametrize(
+        "field,entry",
+        [(QQ, 1.5), (QQ, Fp(1, 5)), (F5, Fp(1, 7)), (F5, Fraction(1, 2)), (F5, 1.0)],
+        ids=["float-in-Q", "F5-in-Q", "F7-in-F5", "Fraction-in-F5", "float-in-F5"],
+    )
+    def test_foreign_scalar_refused(self, field, entry):
+        with pytest.raises(TypeError):
+            Matrix(field, [[field.one, entry]])
+        with pytest.raises(TypeError):
+            Subspace(field, 2, [[field.one, entry]], (0,))
+
+    def test_ragged_rows_refused(self):
+        with pytest.raises(ValueError):
+            Matrix(F5, [[1, 2], [3]])
+        with pytest.raises(ValueError):
+            Matrix(QQ, [[1, 2]], ncols=3)
+
+    @pytest.mark.parametrize("field", [QQ, F2, F5], ids=str)
+    @given(data=st.data())
+    @settings(max_examples=30)
+    def test_field_and_kernel_scalars_agree(self, field, data):
+        m, n = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        ints = [[data.draw(st.integers(-12, 12)) for _ in range(n)] for _ in range(m)]
+        from_ints = Matrix(field, ints, ncols=n)
+        from_field = Matrix(field, [[field.of(c) for c in row] for row in ints], ncols=n)
+        assert from_ints == from_field and hash(from_ints) == hash(from_field)
+        assert (from_ints.m, from_ints.n) == (m, n)
+        assert all(field.contains(c) for row in from_ints.rows for c in row)
+        assert from_ints.rows == tuple(tuple(field.of(c) for c in row) for row in ints)
+        # the stored rows are kernel scalars: Fractions over Q, residues over F_p
+        for row in from_ints._k:
+            for x in row:
+                assert type(x) is Fraction if field is QQ else type(x) is int and 0 <= x < field.p
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=str)
+    def test_subspace_from_field_and_kernel_scalars(self, field):
+        ints = [[1, 0, 7, -3], [0, 1, -1, 10]]
+        from_ints = Subspace(field, 4, ints, (0, 1))
+        from_field = Subspace(field, 4, [[field.of(c) for c in row] for row in ints], (0, 1))
+        assert from_ints == from_field and hash(from_ints) == hash(from_field)
+        assert from_ints == Subspace.from_vectors(field, 4, ints)
+        assert all(field.contains(c) for row in from_ints.rows for c in row)
+        assert from_ints.rows == tuple(tuple(field.of(c) for c in row) for row in ints)
 
 
 class TestRankSolveKernel:
