@@ -26,13 +26,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .budgets import DERIVATION_DIM_CAP, EXHAUSTIVE_CAP, BudgetExceeded
 from .fields import Field, Scalar, UniPoly, common_denominator, field_from_json, field_to_json
 from .linalg import _dense, _Echelon, _reduce, _sparse, Matrix, Subspace, Vector
-from .verdict import Verdict
+from .verdict import _Record, Verdict
 
 
 def _jacobi_defects(field: Field, n: int, table) -> Iterator[Tuple[Tuple[int, int, int], list]]:
@@ -423,29 +422,54 @@ class LieAlgebra:
         return f"LieAlgebra(dim {self.dim} over {self.field!r})"
 
 
-@dataclass
-class StructureReport:
-    dim: int
-    abelian: bool
-    nilpotent: bool
-    solvable: bool
-    nilpotency_class: Optional[int]
-    derived_length: Optional[int]
-    center_dim: int
-    commutant_dim: int
-    killing_rank: int
-    radical_dim: Optional[int]
-    semisimple: Optional[bool]
+class StructureReport(_Record):
+    __slots__ = (
+        "dim",
+        "abelian",
+        "nilpotent",
+        "solvable",
+        "nilpotency_class",
+        "derived_length",
+        "center_dim",
+        "commutant_dim",
+        "killing_rank",
+        "radical_dim",
+        "semisimple",
+    )
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        dim: int,
+        abelian: bool,
+        nilpotent: bool,
+        solvable: bool,
+        nilpotency_class: Optional[int],
+        derived_length: Optional[int],
+        center_dim: int,
+        commutant_dim: int,
+        killing_rank: int,
+        radical_dim: Optional[int],
+        semisimple: Optional[bool],
+    ):
         # abelian => nilpotent => solvable, recorded defensively
-        if self.abelian and not self.nilpotent:
+        if abelian and not nilpotent:
             raise StructureError("inconsistent report: abelian but not nilpotent")
-        if self.nilpotent and not self.solvable:
+        if nilpotent and not solvable:
             raise StructureError("inconsistent report: nilpotent but not solvable")
+        self.dim = dim
+        self.abelian = abelian
+        self.nilpotent = nilpotent
+        self.solvable = solvable
+        self.nilpotency_class = nilpotency_class
+        self.derived_length = derived_length
+        self.center_dim = center_dim
+        self.commutant_dim = commutant_dim
+        self.killing_rank = killing_rank
+        self.radical_dim = radical_dim
+        self.semisimple = semisimple
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._values()))
 
 
 class BilinearForm:

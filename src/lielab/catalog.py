@@ -11,7 +11,6 @@ rationals, recorded directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -20,7 +19,7 @@ from .algebra import _jacobi_defects, AssocAlgebra, LieAlgebra, StructureError, 
 from .budgets import ENUMERATION_CAP, EXHAUSTIVE_CAP, BudgetExceeded
 from .fields import Field, QQ, Scalar
 from .linalg import Matrix, Subspace, Vector
-from .verdict import Verdict, _recheck
+from .verdict import _recheck, _Record, Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +458,16 @@ def make(name: str, field: Optional[Field] = None, **params) -> Union[LieAlgebra
 # enumeration
 
 
-@dataclass
-class EnumTable:
+class EnumTable(_Record):
     """One raw structure-constant assignment from the enumerator."""
 
-    dim: int
-    field: Field
-    coeffs: Tuple[Scalar, ...]
-    jacobi_ok: bool
+    __slots__ = ("dim", "field", "coeffs", "jacobi_ok")
+
+    def __init__(self, dim: int, field: Field, coeffs: Tuple[Scalar, ...], jacobi_ok: bool):
+        self.dim = dim
+        self.field = field
+        self.coeffs = coeffs
+        self.jacobi_ok = jacobi_ok
 
     def algebra(self) -> LieAlgebra:
         """The algebra, built without re-validating Jacobi."""

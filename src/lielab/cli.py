@@ -13,7 +13,6 @@ names the exact claim that broke.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import random
 import sys
 import time
@@ -168,6 +167,8 @@ def cmd_validate(args) -> Tuple[int, dict]:
 
 
 def _identity(L: LieAlgebra, path: str) -> dict:
+    import hashlib  # only analyze hashes, so other commands do not load it
+
     digest = hashlib.sha256(L.canonical_json().encode()).hexdigest()[:16]
     name = "stdin" if path == "-" else path.rsplit("/", 1)[-1]
     return {"source": name, "table_sha256": digest}

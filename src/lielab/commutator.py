@@ -9,7 +9,6 @@ answer in the associative table, so the two routes stay independent.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product as iproduct
 from typing import Iterator, Optional, Sequence, Tuple
 
@@ -19,23 +18,23 @@ from .catalog import QuaternionAlgebra, is_division, quotient_by_unit_line, redu
 from .fields import Field
 from .linalg import Subspace, Vector, vec_is_zero, vec_scale
 from .regularity import _search_schedule, fitting_set, is_regular_algebra, rank
-from .verdict import RecheckFailed, Verdict
+from .verdict import _Record, RecheckFailed, Verdict
 
 
-@dataclass(frozen=True)
-class CommutatorWitness:
-    """A pair (z, y) with [z, y] = target, rechecked at construction."""
+class CommutatorWitness(_Record):
+    """A pair (z, y) with [z, y] = target, rechecked at construction and
+    read-only after it."""
 
-    algebra: LieAlgebra
-    target: Vector
-    z: Vector
-    y: Vector
-    provenance: str
+    __slots__ = ("algebra", "target", "z", "y", "provenance")
 
-    def __post_init__(self):
-        got = self.algebra.bracket(self.z, self.y)
-        if got != self.algebra.coerce_vector(self.target):
+    def __init__(self, algebra: LieAlgebra, target: Vector, z: Vector, y: Vector, provenance: str):
+        if algebra.bracket(z, y) != algebra.coerce_vector(target):
             raise ValueError("witness recheck failed: [z, y] != target")
+        for name, value in zip(self.__slots__, (algebra, target, z, y, provenance)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
 def _require_geometry(L: LieAlgebra, form: BilinearForm) -> None:
@@ -55,13 +54,15 @@ def orthogonal_complement(form: BilinearForm, space: Subspace) -> Subspace:
     return form.orthogonal_of(space)
 
 
-@dataclass
-class FittingOrthogonality:
+class FittingOrthogonality(_Record):
     """Both sides of the complement identity for one almost-commuting set."""
 
-    null_component: Subspace
-    one_component: Subspace
-    null_perp: Subspace
+    __slots__ = ("null_component", "one_component", "null_perp")
+
+    def __init__(self, null_component: Subspace, one_component: Subspace, null_perp: Subspace):
+        self.null_component = null_component
+        self.one_component = one_component
+        self.null_perp = null_perp
 
     @property
     def equal(self) -> bool:

@@ -17,13 +17,14 @@ scalars.  It is threaded through every matrix, polynomial and algebra.
 loops.  Linear algebra and the algebra primitives (elimination, products,
 characteristic polynomials, ad, brackets, Jacobi, ideal closure) run on
 kernel scalars: the Fractions themselves over Q, plain ints in [0, p)
-over F_p.  ``_to_k`` is the way into that kernel, ``_from_k`` the way
-out and ``_k_zero`` its zero, for both fields.  The two ways also
-normalize, so kernel code may leave unreduced ints (or, over Q, ints
-beside Fractions) for them to bring back to canonical form.  An Fp is
-built only where a result leaves the kernel: a row read from a Matrix or
-Subspace, a returned vector or scalar, a UniPoly coefficient.  The
-polynomial classes below still compute with Fp values.
+over F_p.  ``_to_k`` is the way into that kernel (``_rows_to_k`` for a
+whole matrix in one call), ``_from_k`` the way out and ``_k_zero`` its
+zero, for both fields.  The two ways also normalize, so kernel code may
+leave unreduced ints (or, over Q, ints beside Fractions) for them to
+bring back to canonical form.  An Fp is built only where a result
+leaves the kernel: a row read from a Matrix or Subspace, a returned
+vector or scalar, a UniPoly coefficient.  The polynomial classes below
+still compute with Fp values.
 """
 from __future__ import annotations
 
@@ -180,6 +181,11 @@ class RationalField:
         """Kernel scalars over Q are the Fractions themselves."""
         return [c if type(c) is Fraction else self.of(c) for c in v]
 
+    def _rows_to_k(self, rows: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
+        """``_to_k`` of each row, as tuples."""
+        of = self.of
+        return tuple([tuple([c if type(c) is Fraction else of(c) for c in r]) for r in rows])
+
     def _from_k(self, v: Sequence) -> Tuple[Fraction, ...]:
         return tuple(c if type(c) is Fraction else Fraction(c) for c in v)
 
@@ -238,6 +244,15 @@ class PrimeField:
             c % p if type(c) is int else c.r if type(c) is Fp and c.p == p else self._residue(c)
             for c in v
         ]
+
+    def _rows_to_k(self, rows: Sequence[Sequence]) -> Tuple[Tuple[int, ...], ...]:
+        """``_to_k`` of each row, as tuples."""
+        p = self.p
+        residue = self._residue
+        return tuple([
+            tuple([c % p if type(c) is int else c.r if type(c) is Fp and c.p == p else residue(c) for c in r])
+            for r in rows
+        ])
 
     def _residue(self, c) -> int:
         if isinstance(c, Fp):

@@ -12,11 +12,11 @@ caller reads ``rows`` or gets a vector, a scalar or a polynomial back,
 which is where a result leaves the kernel).  Matrices and subspaces
 store only kernel rows (``_k``).  Each has one constructor; it takes
 field scalars or kernel scalars, unreduced ints included, and passes
-every entry through ``field._to_k``, which refuses a scalar of another
-field.  ``rows`` is the field-scalar view, built by ``_from_k`` when
-read.  All row reduction goes through ``_Echelon``, which grows a
-reduced echelon basis one vector at a time and keeps its rows as
-``{column: scalar}`` dicts: ``rref``, ``kernel``, ``solve``, ``image``,
+all its rows, in one call, through ``field._rows_to_k``, which refuses
+a scalar of another field.  ``rows`` is the field-scalar view, built by
+``_from_k`` when read.  All row reduction goes through ``_Echelon``,
+which grows a reduced echelon basis one vector at a time and keeps its
+rows as ``{column: scalar}`` dicts: ``rref``, ``kernel``, ``solve``, ``image``,
 ``intersect``, subspace ``reduce`` and ``contains``, the ideal closure
 and the sparse equation systems of the derivation algebra, the centroid
 and the 2-cocycles.  Dense rows are turned into dicts on the way in and
@@ -158,10 +158,9 @@ class Matrix:
     def __init__(self, field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None):
         """Rows of field scalars or kernel scalars (ints need not be
         reduced); ``ncols`` is needed only when there are no rows.  Every
-        entry goes through ``field._to_k``, which refuses a scalar of
+        entry goes through ``field._rows_to_k``, which refuses a scalar of
         another field."""
-        to_k = field._to_k
-        k = tuple([tuple(to_k(r)) for r in rows])
+        k = field._rows_to_k(rows)
         width = ncols if ncols is not None else len(k[0]) if k else 0
         for r in k:
             if len(r) != width:
@@ -430,12 +429,11 @@ class Subspace:
 
     def __init__(self, field: Field, ambient: int, rows: Sequence[Sequence], pivots: Tuple[int, ...]):
         """Reduced echelon rows of field scalars or kernel scalars, and
-        their pivot columns; every entry goes through ``field._to_k``."""
-        to_k = field._to_k
+        their pivot columns; every entry goes through ``field._rows_to_k``."""
         self.field = field
         self.ambient = ambient
         self.pivots = pivots
-        self._k = tuple([tuple(to_k(r)) for r in rows])
+        self._k = field._rows_to_k(rows)
 
     @classmethod
     def _span_k(cls, field: Field, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":

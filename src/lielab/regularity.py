@@ -28,7 +28,6 @@ with the search evidence attached.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -45,7 +44,7 @@ from .budgets import (
 )
 from .fields import Field, MultiPoly, Scalar, UniPoly, common_denominator, is_squarefree
 from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic
-from .verdict import Verdict, _recheck
+from .verdict import _recheck, _Record, Verdict
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +137,23 @@ def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) 
     return [MultiPoly(field, nvars, t) for t in out_terms]
 
 
-@dataclass
-class GenericCharPoly:
+class GenericCharPoly(_Record):
     """The coefficients a_0..a_n of chi_{ad x} as exact MultiPoly values
     in the coordinates of x."""
 
-    algebra: LieAlgebra
-    coeffs: Tuple[MultiPoly, ...]
+    __slots__ = ("algebra", "coeffs")
 
-    def __post_init__(self):
-        n = self.algebra.dim
-        _recheck(len(self.coeffs) == n + 1, "one coefficient per degree 0..dim")
-        one = MultiPoly.const(self.algebra.field, n, 1)
-        _recheck(self.coeffs[n] == one, "characteristic polynomial must be monic")
+    def __init__(self, algebra: LieAlgebra, coeffs: Tuple[MultiPoly, ...]):
+        n = algebra.dim
+        _recheck(len(coeffs) == n + 1, "one coefficient per degree 0..dim")
+        one = MultiPoly.const(algebra.field, n, 1)
+        _recheck(coeffs[n] == one, "characteristic polynomial must be monic")
         if n >= 1:
-            _recheck(self.coeffs[0].is_zero(), "a_0 must vanish (x kills itself)")
-        for i, a in enumerate(self.coeffs):
+            _recheck(coeffs[0].is_zero(), "a_0 must vanish (x kills itself)")
+        for i, a in enumerate(coeffs):
             _recheck(a.is_homogeneous(n - i), f"a_{i} must be homogeneous of degree {n - i}")
+        self.algebra = algebra
+        self.coeffs = coeffs
 
     def formal_rank(self) -> int:
         """Least i with a_i not the zero polynomial."""
@@ -246,13 +245,15 @@ def rank(L: LieAlgebra) -> int:
 # Fitting decompositions
 
 
-@dataclass
-class FittingDecomposition:
+class FittingDecomposition(_Record):
     """L = null + one with respect to (ad x)^dim for x in `against`."""
 
-    null: Subspace
-    one: Subspace
-    against: Tuple[Vector, ...]
+    __slots__ = ("null", "one", "against")
+
+    def __init__(self, null: Subspace, one: Subspace, against: Tuple[Vector, ...]):
+        self.null = null
+        self.one = one
+        self.against = against
 
     @property
     def nu(self) -> int:

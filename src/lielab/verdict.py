@@ -8,7 +8,6 @@ bigger budget can be tried.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 
@@ -31,18 +30,43 @@ REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass
-class Verdict:
-    status: str
-    certificate: Optional[str] = None
-    witness: Optional[Tuple] = None
-    evidence: dict = field(default_factory=dict)
+class _Record:
+    """A plain slotted record: equal to a record of the same class with
+    equal slots, and shown as ``Class(slot=value, ...)`` in slot order."""
 
-    def __post_init__(self):
-        if self.status not in (CERTIFIED, REFUTED, INCONCLUSIVE):
-            raise ValueError(f"bad verdict status: {self.status!r}")
-        if self.status == REFUTED and self.witness is None:
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Verdict(_Record):
+    __slots__ = ("status", "certificate", "witness", "evidence")
+
+    def __init__(
+        self,
+        status: str,
+        certificate: Optional[str] = None,
+        witness: Optional[Tuple] = None,
+        evidence: Optional[dict] = None,
+    ):
+        if status not in (CERTIFIED, REFUTED, INCONCLUSIVE):
+            raise ValueError(f"bad verdict status: {status!r}")
+        if status == REFUTED and witness is None:
             raise ValueError("a refutation must carry a witness")
+        self.status = status
+        self.certificate = certificate
+        self.witness = witness
+        self.evidence = {} if evidence is None else evidence
 
     @classmethod
     def certified(cls, certificate: str, **evidence) -> "Verdict":
