@@ -67,18 +67,24 @@ class StructureError(ValueError):
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 
 
-def _clean_table(field: Field, dim: int, table) -> BracketTable:
+def _clean_table(field: Field, dim: int, table, *, lie: bool = True) -> BracketTable:
+    """The table with every coefficient through ``field.of`` and the zeros
+    dropped.  A Lie table names the pairs i < j only, an associative
+    table any pair."""
+    kind = "bracket" if lie else "product"
     out: BracketTable = {}
     for (i, j), coeffs in table.items():
-        if not (0 <= i < j < dim):
-            raise StructureError(f"bracket pair ({i}, {j}) must satisfy 0 <= i < j < dim")
+        if not (0 <= i < dim and 0 <= j < dim) or (lie and i >= j):
+            rule = "0 <= i < j < dim" if lie else "0 <= i, j < dim"
+            raise StructureError(f"{kind} pair ({i}, {j}) must satisfy {rule}")
         cleaned = {}
         for k, c in coeffs.items():
             if not 0 <= k < dim:
-                raise StructureError(f"bracket ({i}, {j}) names component {k} outside the basis")
-            c = field.of(c) if isinstance(c, int) else c
-            if not field.contains(c):
-                raise StructureError(f"coefficient {c!r} is not a {field!r} scalar")
+                raise StructureError(f"{kind} ({i}, {j}) names component {k} outside the basis")
+            try:
+                c = field.of(c)
+            except TypeError:
+                raise StructureError(f"coefficient {c!r} is not a {field!r} scalar") from None
             if c:
                 cleaned[k] = c
         if cleaned:
@@ -86,7 +92,21 @@ def _clean_table(field: Field, dim: int, table) -> BracketTable:
     return out
 
 
-class LieAlgebra:
+class _Presented:
+    """What a Lie and an associative table share: basis vectors and the
+    canonical JSON of ``to_json_dict``."""
+
+    __slots__ = ()
+
+    def basis_vector(self, i: int) -> Vector:
+        z, o = self.field.zero, self.field.one
+        return tuple(o if t == i else z for t in range(self.dim))
+
+    def canonical_json(self) -> str:
+        return canonical_dumps(self.to_json_dict())
+
+
+class LieAlgebra(_Presented):
     """Finite-dimensional Lie algebra over Q or F_p given by its table."""
 
     __slots__ = ("field", "dim", "labels", "table", "_cache")
@@ -117,14 +137,10 @@ class LieAlgebra:
     def zero_vector(self) -> Vector:
         return (self.field.zero,) * self.dim
 
-    def basis_vector(self, i: int) -> Vector:
-        z, o = self.field.zero, self.field.one
-        return tuple(o if t == i else z for t in range(self.dim))
-
     def coerce_vector(self, v: Sequence) -> Vector:
         if len(v) != self.dim:
             raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
-        return tuple(self.field.of(c) if isinstance(c, int) else c for c in v)
+        return tuple(self.field.of(c) for c in v)
 
     def _k_vector(self, v: Sequence) -> list:
         """v in kernel scalars, after the length check of coerce_vector."""
@@ -400,23 +416,10 @@ class LieAlgebra:
 
     @classmethod
     def from_json_dict(cls, obj: dict, *, validate: bool = True) -> "LieAlgebra":
-        field, labels = _parse_common(obj)
-        if "brackets" not in obj or not isinstance(obj["brackets"], list):
-            raise StructureError("missing brackets array")
-        table: BracketTable = {}
-        for entry in obj["brackets"]:
-            i, j, coeffs = _parse_entry(field, len(labels), entry)
-            if i >= j:
-                raise StructureError(f"bracket entry has i >= j: {entry!r}")
-            if (i, j) in table:
-                raise StructureError(f"duplicate bracket entry for pair ({i}, {j})")
-            table[(i, j)] = coeffs
+        field, labels, table = _parse_document(obj, "brackets")
         if validate:
             return cls(field, labels, table)
         return cls.unchecked(field, labels, table)
-
-    def canonical_json(self) -> str:
-        return canonical_dumps(self.to_json_dict())
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim} over {self.field!r})"
@@ -528,7 +531,7 @@ class BilinearForm:
 # associative algebras
 
 
-class AssocAlgebra:
+class AssocAlgebra(_Presented):
     """Associative unital algebra by structure constants (all basis pairs)."""
 
     __slots__ = ("field", "dim", "labels", "table", "unit")
@@ -537,28 +540,11 @@ class AssocAlgebra:
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        cleaned: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for (i, j), coeffs in table.items():
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise StructureError(f"product pair ({i}, {j}) out of range")
-            entry = {}
-            for k, c in coeffs.items():
-                if not 0 <= k < self.dim:
-                    raise StructureError(f"product ({i}, {j}) names component {k} out of range")
-                c = field.of(c) if isinstance(c, int) else c
-                if c:
-                    entry[k] = c
-            if entry:
-                cleaned[(i, j)] = entry
-        self.table = cleaned
-        self.unit = tuple(field.of(c) if isinstance(c, int) else c for c in unit)
+        self.table = _clean_table(field, self.dim, table, lie=False)
+        self.unit = tuple(field.of(c) for c in unit)
         if len(self.unit) != self.dim:
             raise StructureError("unit vector has wrong length")
         self._validate()
-
-    def basis_vector(self, i: int) -> Vector:
-        z, o = self.field.zero, self.field.one
-        return tuple(o if t == i else z for t in range(self.dim))
 
     def basis_product(self, i: int, j: int) -> Vector:
         z = self.field.zero
@@ -568,29 +554,37 @@ class AssocAlgebra:
         return tuple(out)
 
     def multiply(self, x: Sequence, y: Sequence) -> Vector:
-        x = tuple(self.field.of(c) if isinstance(c, int) else c for c in x)
-        y = tuple(self.field.of(c) if isinstance(c, int) else c for c in y)
+        of = self.field.of
+        return self._product([of(c) for c in x], [of(c) for c in y])
+
+    def _product(self, x: Sequence, y: Sequence) -> Vector:
+        """xy for vectors of field scalars, from the products of their
+        nonzero coordinates only."""
+        table = self.table
+        ys = [(j, b) for j, b in enumerate(y) if b]
         out = [self.field.zero] * self.dim
-        for (i, j), coeffs in self.table.items():
-            f = x[i] * y[j]
-            if f:
-                for k, c in coeffs.items():
-                    out[k] = out[k] + f * c
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, b in ys:
+                coeffs = table.get((i, j))
+                if coeffs:
+                    f = a * b
+                    for k, c in coeffs.items():
+                        out[k] = out[k] + f * c
         return tuple(out)
 
     def _validate(self) -> None:
-        n = self.dim
-        for i in range(n):
-            bi = self.basis_vector(i)
-            if self.multiply(self.unit, bi) != bi or self.multiply(bi, self.unit) != bi:
+        n, mul = self.dim, self._product
+        basis = [self.basis_vector(i) for i in range(n)]
+        for i, bi in enumerate(basis):
+            if mul(self.unit, bi) != bi or mul(bi, self.unit) != bi:
                 raise StructureError(f"unit fails on basis element {i}")
+        products = [[self.basis_product(i, j) for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
-                ij = self.basis_product(i, j)
                 for k in range(n):
-                    left = self.multiply(ij, self.basis_vector(k))
-                    right = self.multiply(self.basis_vector(i), self.basis_product(j, k))
-                    if left != right:
+                    if mul(products[i][j], basis[k]) != mul(basis[i], products[j][k]):
                         raise StructureError(f"associativity fails on triple ({i}, {j}, {k})")
 
     def is_commutative(self) -> bool:
@@ -619,35 +613,26 @@ class AssocAlgebra:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AssocAlgebra":
-        field, labels = _parse_common(obj)
-        if "products" not in obj or not isinstance(obj["products"], list):
-            raise StructureError("missing products array")
+        field, labels, table = _parse_document(obj, "products")
         if "unit" not in obj or not isinstance(obj["unit"], list):
             raise StructureError("missing unit vector")
-        table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        for entry in obj["products"]:
-            i, j, coeffs = _parse_entry(field, len(labels), entry)
-            if (i, j) in table:
-                raise StructureError(f"duplicate product entry for pair ({i}, {j})")
-            table[(i, j)] = coeffs
         if not all(isinstance(s, str) for s in obj["unit"]):
             raise StructureError("unit entries must be strings")
         unit = [field.parse(s) for s in obj["unit"]]
         return cls(field, labels, table, unit)
 
-    def canonical_json(self) -> str:
-        return canonical_dumps(self.to_json_dict())
-
     def __repr__(self) -> str:
         return f"AssocAlgebra(dim {self.dim} over {self.field!r})"
 
 
-def _parse_common(obj: dict) -> Tuple[Field, Tuple[str, ...]]:
+def _parse_document(obj: dict, key: str) -> Tuple[Field, Tuple[str, ...], BracketTable]:
+    """Field, labels and table of an algebra document whose entries are
+    the list obj[key]: "brackets" (pairs i < j) or "products" (any pair)."""
     if not isinstance(obj, dict):
         raise StructureError("algebra file must contain a JSON object")
-    for key in ("field", "dim", "basis"):
-        if key not in obj:
-            raise StructureError(f"missing {key!r}")
+    for name in ("field", "dim", "basis"):
+        if name not in obj:
+            raise StructureError(f"missing {name!r}")
     field = field_from_json(obj["field"])
     labels = obj["basis"]
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
@@ -656,7 +641,17 @@ def _parse_common(obj: dict) -> Tuple[Field, Tuple[str, ...]]:
         raise StructureError(f"dim must be an integer, got {obj['dim']!r}")
     if obj["dim"] != len(labels):
         raise StructureError(f"dim {obj['dim']} does not match basis length {len(labels)}")
-    return field, tuple(labels)
+    if key not in obj or not isinstance(obj[key], list):
+        raise StructureError(f"missing {key} array")
+    table: BracketTable = {}
+    for entry in obj[key]:
+        i, j, coeffs = _parse_entry(field, len(labels), entry)
+        if key == "brackets" and i >= j:
+            raise StructureError(f"bracket entry has i >= j: {entry!r}")
+        if (i, j) in table:
+            raise StructureError(f"duplicate {key[:-1]} entry for pair ({i}, {j})")
+        table[(i, j)] = coeffs
+    return field, tuple(labels), table
 
 
 def _parse_entry(field: Field, dim: int, entry) -> Tuple[int, int, Dict[int, Scalar]]:
@@ -1086,7 +1081,7 @@ def is_cocycle(L: LieAlgebra, omega: Dict[Tuple[int, int], Scalar]) -> bool:
     for (i, j), c in omega.items():
         if not (0 <= i < j < L.dim):
             raise ValueError(f"cocycle key ({i}, {j}) must satisfy i < j")
-        vec[idx[(i, j)]] = L.field.of(c) if isinstance(c, int) else c
+        vec[idx[(i, j)]] = L.field.of(c)
     return cocycle_space(L).contains(vec)
 
 
@@ -1099,7 +1094,7 @@ def central_extension(L: LieAlgebra, omega: Dict[Tuple[int, int], Scalar]) -> Li
     for (i, j), coeffs in L.table.items():
         table[(i, j)] = dict(coeffs)
     for (i, j), c in omega.items():
-        c = L.field.of(c) if isinstance(c, int) else c
+        c = L.field.of(c)
         if not c:
             continue
         entry = table.setdefault((i, j), {})

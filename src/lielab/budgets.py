@@ -1,10 +1,10 @@
 """Search and enumeration budgets.
 
 Every potentially expensive scan in the package (point searches over Q,
-exhaustive scans over F_p^n, table enumeration, subspace enumeration)
-reads its limit from here.  The limits are constants: a question that
-needs more than they allow ends in BudgetExceeded or an Inconclusive
-verdict, never in a looser answer.
+exhaustive scans over F_p^n, table enumeration, subspace enumeration,
+the associativity check of ``on``) reads its limit from here.  The
+limits are constants: a question that needs more than they allow ends
+in BudgetExceeded or an Inconclusive verdict, never in a looser answer.
 """
 from __future__ import annotations
 
@@ -41,3 +41,8 @@ DERIVATION_DIM_CAP = 12
 
 #: Largest number of subspaces is_minimal_non may enumerate.
 SUBSPACE_CAP = 5000
+
+#: Largest dimension p**n of a reduced polynomial algebra ``on`` builds:
+#: its associativity check multiplies all n**3 basis triples, about a
+#: second at dimension 32.
+ON_DIM_CAP = 32

@@ -6,18 +6,20 @@ hard-coded tables; quotient families (psl, pgl) reuse the generic
 quotient construction with the scalar line spelled out in the chosen
 basis.  Quaternion algebras carry their (a, b) parameters and the norm
 form; su2q is the trace-zero quaternion bracket table over the
-rationals, recorded directly.
+rationals, recorded directly.  The registry behind ``make`` calls every
+builder the same way, builder(field, *parameters), and refuses a
+parameter the entry does not list.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import product as iproduct
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .algebra import _jacobi_defects, AssocAlgebra, LieAlgebra, StructureError, quotient
-from .budgets import ENUMERATION_CAP, EXHAUSTIVE_CAP, BudgetExceeded
-from .fields import Field, QQ, Scalar
+from .algebra import _jacobi_defects, AssocAlgebra, LieAlgebra, StructureError, quotient, tensor_commutative
+from .budgets import ENUMERATION_CAP, EXHAUSTIVE_CAP, ON_DIM_CAP, BudgetExceeded
+from .fields import GF, Field, QQ, Scalar
 from .linalg import Matrix, Subspace, Vector
 from .verdict import _recheck, _Record, Verdict
 
@@ -207,9 +209,12 @@ def on(field: Field, n: int) -> AssocAlgebra:
     """
     if field.kind != "Fp":
         raise ValueError("the reduced polynomial algebra lives over a finite field")
+    if n < 0:
+        raise ValueError("on needs n >= 0")
     p = field.p
-    if p**n > 512:
-        raise BudgetExceeded(f"reduced polynomial algebra of dimension {p ** n} refused")
+    # p**n >= 2**n: a large n is refused before p**n is formed
+    if n >= ON_DIM_CAP.bit_length() or p**n > ON_DIM_CAP:
+        raise BudgetExceeded(f"reduced polynomial algebra of dimension {p}^{n} exceeds the cap {ON_DIM_CAP}")
     exps = sorted(iproduct(range(p), repeat=n), key=lambda e: (sum(e), e))
     index = {e: i for i, e in enumerate(exps)}
 
@@ -332,18 +337,16 @@ def _is_rational_square(c) -> bool:
     return rn * rn == num and rd * rd == den
 
 
-def is_division(Q: QuaternionAlgebra, mode: str = "certificate") -> Verdict:
-    """Has the algebra no zero divisors?
+def is_division(Q: QuaternionAlgebra) -> Verdict:
+    """Has the algebra no zero divisors?  The field picks the route.
 
-    certificate (rationals): a < 0 and b < 0 make the norm form
+    Over the rationals, a certificate: a < 0 and b < 0 make the norm form
     definite, so nonzero elements have nonzero norm and invert via the
     conjugate; a square parameter yields an explicit zero divisor; other
-    sign patterns are Inconclusive.  exhaustive (finite fields): scan
-    for a norm-zero element; its product with the conjugate vanishes.
+    sign patterns are Inconclusive.  Over a finite field, an exhaustive
+    scan for a norm-zero element; its product with the conjugate vanishes.
     """
-    if mode == "certificate":
-        if Q.field.kind != "Q":
-            raise ValueError("the definiteness certificate needs the rationals")
+    if Q.field.kind == "Q":
         if Q.a < 0 and Q.b < 0:
             return Verdict.certified(
                 "definite-quadratic-form",
@@ -364,94 +367,72 @@ def is_division(Q: QuaternionAlgebra, mode: str = "certificate") -> Verdict:
                 _recheck(not any(prod), "zero-divisor recheck failed")
                 return Verdict.refuted((u, v), reason="square-parameter")
         return Verdict.inconclusive(reason="indefinite-norm-form-undecided")
-    if mode == "exhaustive":
-        if Q.field.kind != "Fp":
-            raise ValueError("exhaustive scan needs a finite field")
-        p = Q.field.p
-        if p**4 > EXHAUSTIVE_CAP:
-            raise BudgetExceeded(f"{p ** 4} quaternions exceed the cap")
-        scanned = 0
-        for x in iproduct(tuple(Q.field.elements()), repeat=4):
-            if not any(x):
-                continue
-            scanned += 1
-            if not Q.norm(x):
-                xb = Q.conjugate(x)  # nonzero whenever x is
-                prod = Q.multiply(x, xb)
-                _recheck(not any(prod), "zero-divisor recheck failed")
-                return Verdict.refuted((x, xb), scanned=scanned)
-        return Verdict.certified("exhaustive", scanned=scanned)
-    raise ValueError(f"unknown mode {mode!r}")
+    p = Q.field.p
+    if p**4 > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"{p ** 4} quaternions exceed the cap")
+    scanned = 0
+    for x in iproduct(tuple(Q.field.elements()), repeat=4):
+        if not any(x):
+            continue
+        scanned += 1
+        if not Q.norm(x):
+            xb = Q.conjugate(x)  # nonzero whenever x is
+            prod = Q.multiply(x, xb)
+            _recheck(not any(prod), "zero-divisor recheck failed")
+            return Verdict.refuted((x, xb), scanned=scanned)
+    return Verdict.certified("exhaustive", scanned=scanned)
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-def _tensor_sl2_o1_f3() -> LieAlgebra:
-    from .algebra import tensor_commutative
-    from .fields import GF
-
-    F3 = GF(3)
-    return tensor_commutative(sl(F3, 2), on(F3, 1))
-
-
-_BUILDERS: Dict[str, Callable[..., Union[LieAlgebra, AssocAlgebra]]] = {}
+def sl2_o1_f3(field: Field) -> LieAlgebra:
+    """sl(2) tensored with the 1-variable reduced polynomial algebra, over F_3."""
+    if field != GF(3):
+        raise ValueError("sl2_o1_f3 is defined over F_3")
+    return tensor_commutative(sl(field, 2), on(field, 1))
 
 
-def _register(name):
-    def wrap(fn):
-        _BUILDERS[name] = fn
-        return fn
-
-    return wrap
-
-
-_register("abelian")(lambda field, n=3: abelian(field, n))
-_register("heisenberg")(lambda field, n=1: heisenberg(field, n))
-_register("r2")(lambda field: r2(field))
-_register("sl")(lambda field, n=2: sl(field, n))
-_register("gl")(lambda field, n=2: gl(field, n))
-_register("psl")(lambda field, n: psl(field, n))
-_register("pgl")(lambda field, n: pgl(field, n))
-_register("su2q")(lambda field=QQ: su2q(field))
-_register("on")(lambda field, n=1: on(field, n))
-_register("strict_upper")(lambda field, n=4: strict_upper(field, n))
-_register("sl2_o1_f3")(lambda field=None: _tensor_sl2_o1_f3())
-
-
-CATALOG_HELP = {
-    "abelian": "zero bracket; params: n (dimension), field",
-    "heisenberg": "[x_i, y_i] = z, dimension 2n+1; params: n, field",
-    "r2": "[x, y] = y; params: field",
-    "sl": "traceless n x n matrices; params: n, field",
-    "gl": "all n x n matrices; params: n, field",
-    "psl": "sl(n) mod scalars; params: n, field F_p with p | n",
-    "pgl": "gl(n) mod scalars; params: n, field F_p with p | n",
-    "su2q": "trace-zero quaternions (a=b=-1) over the rationals",
-    "on": "reduced polynomial algebra K[x_1..x_n]/(x_i^p), associative; params: n, field F_p",
-    "strict_upper": "strictly upper triangular n x n matrices; params: n, field",
-    "sl2_o1_f3": "sl(2) over F_3 tensored with the 1-variable reduced polynomial algebra (dim 9)",
+# name -> (builder, default field, parameters with their defaults, about).
+# Every builder is called as builder(field, *parameter values), in the
+# order listed; a parameter whose default is None must be given.
+_CATALOG: Dict[str, tuple] = {
+    "abelian": (abelian, QQ, {"n": 3}, "zero bracket; params: n (dimension), field"),
+    "heisenberg": (heisenberg, QQ, {"n": 1}, "[x_i, y_i] = z, dimension 2n+1; params: n, field"),
+    "r2": (r2, QQ, {}, "[x, y] = y; params: field"),
+    "sl": (sl, QQ, {"n": 2}, "traceless n x n matrices; params: n, field"),
+    "gl": (gl, QQ, {"n": 2}, "all n x n matrices; params: n, field"),
+    "psl": (psl, QQ, {"n": None}, "sl(n) mod scalars; params: n, field F_p with p | n"),
+    "pgl": (pgl, QQ, {"n": None}, "gl(n) mod scalars; params: n, field F_p with p | n"),
+    "su2q": (su2q, QQ, {}, "trace-zero quaternions (a=b=-1) over the rationals"),
+    "on": (on, QQ, {"n": 1}, "reduced polynomial algebra K[x_1..x_n]/(x_i^p), associative; params: n, field F_p"),
+    "strict_upper": (strict_upper, QQ, {"n": 4}, "strictly upper triangular n x n matrices; params: n, field"),
+    "sl2_o1_f3": (sl2_o1_f3, GF(3), {}, "sl(2) over F_3 tensored with the 1-variable reduced polynomial algebra (dim 9)"),
 }
+
+CATALOG_HELP = {name: entry[3] for name, entry in _CATALOG.items()}
 
 
 def catalog_names() -> List[str]:
-    return sorted(_BUILDERS)
+    return sorted(_CATALOG)
 
 
 def make(name: str, field: Optional[Field] = None, **params) -> Union[LieAlgebra, AssocAlgebra]:
-    """Build a named catalog algebra; `field` defaults to the rationals
-    where the family is field-generic."""
-    if name not in _BUILDERS:
+    """Build a named catalog algebra over `field`, or over the entry's
+    default field; a parameter the entry does not take is refused."""
+    if name not in _CATALOG:
         raise ValueError(f"unknown catalog name {name!r}; try: {', '.join(catalog_names())}")
-    builder = _BUILDERS[name]
-    if name == "su2q":
-        return builder(field if field is not None else QQ)
-    if name == "sl2_o1_f3":
-        return builder()
-    if field is None:
-        field = QQ
-    return builder(field, **params)
+    builder, default_field, defaults, _ = _CATALOG[name]
+    takes = ", ".join(defaults) or "no parameters"
+    for key in params:
+        if key not in defaults:
+            raise ValueError(f"{name} takes {takes}, not {key}")
+    values = {**defaults, **params}
+    for key, value in values.items():
+        if value is None:
+            raise ValueError(f"{name} needs the parameter {key}")
+    return builder(default_field if field is None else field, *values.values())
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +474,8 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
     outcome of the Jacobi check."""
     if field.kind != "Fp":
         raise ValueError("table enumeration runs over finite fields")
+    if dim < 0:
+        raise ValueError(f"table enumeration needs a dimension >= 0, got {dim}")
     ncoeffs = dim * (dim * (dim - 1) // 2)
     total = field.p**ncoeffs
     if total > ENUMERATION_CAP:
@@ -513,8 +496,6 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
 
 def canonical_instances() -> List[Tuple[str, LieAlgebra]]:
     """The fixed cross-field instance list used by invariant sweeps."""
-    from .fields import GF
-
     F3, F5 = GF(3), GF(5)
     return [
         ("abelian3@Q", abelian(QQ, 3)),

@@ -118,8 +118,7 @@ def quaternion_commutator(Q: QuaternionAlgebra, x: Sequence) -> Tuple[Vector, Ve
         raise ValueError("target must be nonzero")
     if reduced_trace(Q, x):
         raise ValueError("target must have reduced trace zero")
-    division = is_division(Q, "certificate") if Q.field.kind == "Q" else is_division(Q, "exhaustive")
-    if not division.is_certified:
+    if not is_division(Q).is_certified:
         raise ValueError("commutator representation needs a division algebra")
     # the cosets of i, j, k modulo the unit line: the trace-zero part
     T = quotient_by_unit_line(Q.assoc)
@@ -133,9 +132,7 @@ def quaternion_commutator(Q: QuaternionAlgebra, x: Sequence) -> Tuple[Vector, Ve
     return u, v
 
 
-def commutator_search(
-    L: LieAlgebra, target: Sequence, *, max_height: Optional[int] = None
-) -> Optional[CommutatorWitness]:
+def commutator_search(L: LieAlgebra, target: Sequence) -> Optional[CommutatorWitness]:
     """Look for [z, y] = target by scanning deterministic directions y
     (basis vectors, then small integer combinations) and solving the
     linear system for z.  Returns None when the scan is exhausted."""
@@ -145,9 +142,8 @@ def commutator_search(
     if vec_is_zero(target):
         zero = L.zero_vector()
         return CommutatorWitness(L, target, zero, zero, "search")
-    height = SEARCH_HEIGHT if max_height is None else max_height
     minus_target = vec_scale(target, -L.field.one)
-    for y in _search_schedule(L.field, L.dim, height, 0, 0):
+    for y in _search_schedule(L.field, L.dim, SEARCH_HEIGHT, 0, 0):
         z = L.ad(y).solve(minus_target)
         if z is not None:
             return CommutatorWitness(L, target, z, y, "search")
@@ -211,6 +207,17 @@ def _restrict_lie(L: LieAlgebra, S: Subspace) -> Optional[LieAlgebra]:
     return LieAlgebra.unchecked(L.field, tuple(f"s{t + 1}" for t in range(d)), table)
 
 
+def proper_subalgebras(L: LieAlgebra) -> Iterator[Tuple[Subspace, LieAlgebra]]:
+    """Every nonzero proper subalgebra of an algebra over a finite field,
+    as its subspace and the algebra on the subspace's echelon basis, by
+    dimension and then in the order of ``_subspaces``."""
+    for d in range(1, L.dim):
+        for S in _subspaces(L.field, L.dim, d):
+            sub = _restrict_lie(L, S)
+            if sub is not None:
+                yield S, sub
+
+
 def is_minimal_non(L: LieAlgebra, prop: str) -> Verdict:
     """Does the algebra fail the property while every proper subalgebra
     satisfies it?  Decided by scanning all proper subspaces of the
@@ -227,16 +234,10 @@ def is_minimal_non(L: LieAlgebra, prop: str) -> Verdict:
     if total > SUBSPACE_CAP:
         raise BudgetExceeded(f"{total} proper subspaces exceed the cap {SUBSPACE_CAP}")
     checked = 0
-    for d in range(1, n):
-        for S in _subspaces(L.field, n, d):
-            sub = _restrict_lie(L, S)
-            if sub is None:
-                continue
-            checked += 1
-            if not _holds(sub, prop):
-                return Verdict.refuted(
-                    S.rows, reason="proper-subalgebra-fails", subalgebra_dim=d
-                )
+    for S, sub in proper_subalgebras(L):
+        checked += 1
+        if not _holds(sub, prop):
+            return Verdict.refuted(S.rows, reason="proper-subalgebra-fails", subalgebra_dim=sub.dim)
     return Verdict.certified(
         "exhaustive", subalgebras_checked=checked, subspaces_scanned=total
     )

@@ -7,7 +7,9 @@ exactly the canonical form the wire format wants.  Prime field scalars are
 ``Fp`` instances that carry their modulus.  Mixing an Fp with a Fraction,
 or two Fp values with different moduli, raises TypeError; plain ints
 coerce into either field so that tables and matrices can be written with
-integer literals.
+integer literals.  ``field.of`` is the one door for a scalar from outside:
+it takes an int or the field's own scalar and refuses anything else, so
+every container (polynomial, vector, table) calls it on what it is given.
 
 A "field" in this package is a small descriptor object (RationalField or
 PrimeField) used for construction, parsing, printing and enumeration of
@@ -337,7 +339,7 @@ class UniPoly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs: Sequence):
-        cs = [field.of(c) if isinstance(c, int) else c for c in coeffs]
+        cs = [field.of(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.field = field
@@ -401,7 +403,7 @@ class UniPoly:
         return UniPoly(self.field, out)
 
     def scale(self, s) -> "UniPoly":
-        s = self.field.of(s) if isinstance(s, int) else s
+        s = self.field.of(s)
         return UniPoly(self.field, [c * s for c in self.coeffs])
 
     def divmod(self, other: "UniPoly") -> Tuple["UniPoly", "UniPoly"]:
@@ -439,7 +441,7 @@ class UniPoly:
         return UniPoly(self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
     def eval_scalar(self, a):
-        a = self.field.of(a) if isinstance(a, int) else a
+        a = self.field.of(a)
         acc = self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * a + c
@@ -529,7 +531,7 @@ class MultiPoly:
         for exps, c in terms.items():
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} has wrong arity (nvars={nvars})")
-            c = field.of(c) if isinstance(c, int) else c
+            c = field.of(c)
             if c:
                 clean[tuple(exps)] = c
         self.field = field
@@ -591,14 +593,14 @@ class MultiPoly:
         return MultiPoly(self.field, self.nvars, out)
 
     def scale(self, s) -> "MultiPoly":
-        s = self.field.of(s) if isinstance(s, int) else s
+        s = self.field.of(s)
         return MultiPoly(self.field, self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def eval(self, point: Sequence) -> Scalar:
         """Evaluate at a point; arity mismatch is an error."""
         if len(point) != self.nvars:
             raise ValueError(f"expected {self.nvars} coordinates, got {len(point)}")
-        pt = [self.field.of(x) if isinstance(x, int) else x for x in point]
+        pt = [self.field.of(x) for x in point]
         acc = self.field.zero
         for exps, c in self.terms.items():
             term = c

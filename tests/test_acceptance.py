@@ -243,7 +243,7 @@ def test_negative_instances_are_refuted():
     c.check(w.evidence.get("total_nonzero") == 124, f"evidence {w.evidence}")
 
     H = QuaternionAlgebra(F5, F5.of(-1), F5.of(-1))
-    d = is_division(H, mode="exhaustive")
+    d = is_division(H)
     c.check(d.is_refuted, f"F5 quaternions: {d.status}")
     if d.is_refuted:
         x, y = d.witness

@@ -36,7 +36,7 @@ from lielab.catalog import (
     strict_upper,
     su2q,
 )
-from lielab.fields import GF, QQ
+from lielab.fields import GF, QQ, Fp
 from lielab.linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale
 
 F3 = GF(3)
@@ -428,3 +428,68 @@ class TestAssocAlgebra:
         A = QuaternionAlgebra(GF(7), GF(7).of(-1), GF(7).of(-1)).assoc
         back = AssocAlgebra.from_json_dict(A.to_json_dict())
         assert back.canonical_json() == A.canonical_json()
+
+
+class TestForeignScalars:
+    """Vectors and tables take their scalars through ``field.of`` too."""
+
+    def test_lie_vector(self):
+        L = sl(GF(5), 2)
+        with pytest.raises(TypeError):
+            L.coerce_vector((Fp(1, 7), 0, 0))
+        with pytest.raises(TypeError):
+            L.bracket((Fp(1, 7), 0, 0), (0, 1, 0))
+
+    def test_lie_table(self):
+        with pytest.raises(StructureError, match="not a"):
+            LieAlgebra(QQ, ("x", "y"), {(0, 1): {1: 1.0}})
+
+    def test_assoc_table_and_unit(self):
+        with pytest.raises(StructureError, match="not a"):
+            AssocAlgebra(QQ, ("1",), {(0, 0): {0: 1.0}}, (1,))
+        with pytest.raises(StructureError, match="not a"):
+            AssocAlgebra(GF(5), ("1",), {(0, 0): {0: Fp(1, 7)}}, (1,))
+        with pytest.raises(TypeError):
+            AssocAlgebra(QQ, ("1",), {(0, 0): {0: 1}}, (1.0,))
+
+    def test_assoc_product(self):
+        A = QuaternionAlgebra(QQ, QQ.of(-1), QQ.of(-1)).assoc
+        with pytest.raises(TypeError):
+            A.multiply((0.5, 0, 0, 0), (1, 0, 0, 0))
+
+
+class TestAssocTable:
+    """The associative table shares the Lie cleaner; the pair rule is its
+    only difference."""
+
+    def test_any_pair_but_in_range(self):
+        A = AssocAlgebra(QQ, ("1", "x"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}, (1, 0))
+        assert A.basis_product(1, 0) == (QQ.zero, QQ.one)
+        with pytest.raises(StructureError, match="product pair"):
+            AssocAlgebra(QQ, ("1",), {(0, 1): {0: 1}}, (1,))
+        with pytest.raises(StructureError, match="outside the basis"):
+            AssocAlgebra(QQ, ("1",), {(0, 0): {1: 1}}, (1,))
+
+    def test_zero_coefficients_dropped(self):
+        table = {(0, 0): {0: 1}, (0, 1): {0: 0, 1: 1}, (1, 0): {1: 1}, (1, 1): {0: 0}}
+        A = AssocAlgebra(QQ, ("1", "x"), table, (1, 0))
+        assert A.table == {(0, 0): {0: QQ.one}, (0, 1): {1: QQ.one}, (1, 0): {1: QQ.one}}
+
+    def test_sparse_product_matches_the_definition(self):
+        A = QuaternionAlgebra(GF(7), GF(7).of(3), GF(7).of(5)).assoc
+        x, y = (1, 0, 2, 6), (0, 4, 0, 3)
+        want = [GF(7).zero] * 4
+        for i in range(4):
+            for j in range(4):
+                for k, c in A.table.get((i, j), {}).items():
+                    want[k] = want[k] + GF(7).of(x[i]) * GF(7).of(y[j]) * c
+        assert A.multiply(x, y) == tuple(want)
+
+    def test_json_errors_name_the_kind(self):
+        doc = QuaternionAlgebra(QQ, QQ.of(-1), QQ.of(-1)).assoc.to_json_dict()
+        doc["products"].append(dict(doc["products"][0]))
+        with pytest.raises(StructureError, match="duplicate product entry"):
+            AssocAlgebra.from_json_dict(doc)
+        del doc["products"]
+        with pytest.raises(StructureError, match="missing products array"):
+            AssocAlgebra.from_json_dict(doc)

@@ -29,6 +29,7 @@ from lielab.catalog import (
     strict_upper,
     su2q,
 )
+from lielab.budgets import ON_DIM_CAP, BudgetExceeded
 from lielab.fields import GF, QQ
 from lielab.linalg import vec_is_zero
 from lielab.regularity import is_regular_algebra, rank
@@ -111,6 +112,34 @@ class TestRegistry:
     def test_make_unknown(self):
         with pytest.raises(ValueError):
             make("so8")
+
+    def test_make_refuses_a_parameter_the_entry_lacks(self):
+        for name in ("su2q", "r2", "sl2_o1_f3"):
+            with pytest.raises(ValueError, match=f"{name} takes no parameters, not n"):
+                make(name, n=7)
+        with pytest.raises(ValueError, match="sl takes n, not m"):
+            make("sl", m=2)
+        with pytest.raises(ValueError, match="psl needs the parameter n"):
+            make("psl", F3)
+
+    def test_make_refuses_a_wrong_field(self):
+        with pytest.raises(ValueError, match="F_3"):
+            make("sl2_o1_f3", QQ)
+        with pytest.raises(ValueError, match="rationals"):
+            make("su2q", F5)
+
+    def test_default_field_per_entry(self):
+        assert make("sl2_o1_f3").field == F3 and make("sl2_o1_f3").dim == 9
+        assert make("sl2_o1_f3", F3).canonical_json() == make("sl2_o1_f3").canonical_json()
+        assert make("su2q").field == QQ
+        assert make("heisenberg", F5, n=2).canonical_json() == heisenberg(F5, 2).canonical_json()
+
+    def test_on_cap(self):
+        # the largest allowed dimension builds; the first refused ones do not
+        assert on(F2, 5).dim == ON_DIM_CAP == 32
+        for field, n in ((GF(37), 1), (F2, 6), (F2, 10**9)):
+            with pytest.raises(BudgetExceeded):
+                on(field, n)
 
     def test_canonical_instances_all_valid(self):
         seen = set()
@@ -203,15 +232,11 @@ class TestDivisionVerdicts:
 
     def test_finite_field_always_splits(self):
         H = QuaternionAlgebra(F5, F5.of(-1), F5.of(-1))
-        v = is_division(H, mode="exhaustive")
+        v = is_division(H)
         assert v.is_refuted
         x, y = v.witness
         assert vec_is_zero(H.multiply(x, y))
         assert tuple(c.r for c in x) == (0, 0, 1, 2)
-
-    def test_exhaustive_needs_finite_field(self):
-        with pytest.raises(ValueError):
-            is_division(QuaternionAlgebra(QQ, QQ.of(-1), QQ.of(3)), mode="exhaustive")
 
 
 _SABOTAGED_MULTIPLY = """
@@ -224,7 +249,7 @@ from lielab.fields import GF
 QuaternionAlgebra.multiply = lambda self, x, y: (self.field.one,) * 4
 F5 = GF(5)
 try:
-    is_division(QuaternionAlgebra(F5, F5.of(-1), F5.of(-1)), "exhaustive")
+    is_division(QuaternionAlgebra(F5, F5.of(-1), F5.of(-1)))
 except lielab.RecheckFailed as exc:
     print("raised:", exc)
     sys.exit(0)
@@ -278,7 +303,9 @@ class TestEnumeration:
             assert (rank(L) == 3) == L.structure_report().nilpotent
 
     def test_enumeration_budget(self):
-        from lielab.budgets import BudgetExceeded
-
         with pytest.raises(BudgetExceeded):
             next(iter(enumerate_tables(4, F5)))
+
+    def test_negative_dimension_refused(self):
+        with pytest.raises(ValueError, match="dimension >= 0"):
+            next(iter(enumerate_tables(-1, F3)))

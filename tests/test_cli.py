@@ -201,6 +201,27 @@ class TestCatalog:
         assert main(["catalog", "emit", "so31"]) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["su2q", "--n", "7"], "su2q takes no parameters, not n"),
+            (["r2", "--n", "7"], "r2 takes no parameters, not n"),
+            (["quaternion", "--n", "3"], "quaternion takes a and b, not n"),
+            (["sl2_o1_f3", "--field", "Q"], "sl2_o1_f3 is defined over F_3"),
+            (["su2q", "--field", "F5"], "su2q is defined over the rationals"),
+            (["psl", "--field", "F3"], "psl needs the parameter n"),
+        ],
+    )
+    def test_emit_checks_parameters_and_field(self, capsys, argv, message):
+        assert main(["catalog", "emit", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_emit_on_beyond_the_cap_exits_3(self, capsys):
+        assert main(["catalog", "emit", "on", "--n", "6", "--field", "F2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the cap 32" in captured.err
+
 
 class TestEnumerate:
     def test_dim2_f2(self, capsys):
@@ -213,6 +234,15 @@ class TestEnumerate:
     def test_requires_prime_field(self, capsys):
         assert main(["enumerate", "--dim", "2", "--field", "Q"]) == 3
         capsys.readouterr()
+
+    def test_negative_dim_exits_3(self, capsys):
+        assert main(["enumerate", "--dim", "-1", "--field", "F3"]) == 3
+        assert "dimension >= 0" in capsys.readouterr().err
+
+    def test_over_the_cap_exits_2_with_a_note(self, capsys):
+        code, out = run(capsys, ["enumerate", "--dim", "4", "--field", "F2"])
+        assert code == 2
+        assert out == {"note": "16777216 tables exceed the enumeration cap 1000000"}
 
 
 class TestVerify:
@@ -428,3 +458,31 @@ class TestExitContract:
         code, err = _run_on(command, doc)
         assert code in {0, 1, 2, 3}
         assert "Traceback" not in err
+
+
+BENCH_INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.json"))
+
+
+class TestBenchmarkInputs:
+    """Each command keeps the exit-code contract on every benchmark table:
+    main maps a bad input to 3 and an exhausted budget to 2."""
+
+    @pytest.mark.parametrize("path", BENCH_INPUTS, ids=lambda p: p.stem)
+    def test_exit_contract(self, path):
+        dim = json.loads(path.read_text())["dim"]
+        e1 = ",".join(["1"] + ["0"] * (dim - 1))
+        for argv in (
+            ["rank"], ["regular"], ["anisotropic"], ["validate"],
+            ["fitting", f"--element={e1}"], ["commutator", "--form", "killing", f"--target={e1}"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([argv[0], str(path), *argv[1:]])
+            assert code in {0, 1, 2, 3}, (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
+
+    def test_budget_bound_commutator_exits_2(self, capsys):
+        path = next(p for p in BENCH_INPUTS if p.stem == "sl4q")
+        code, out = run(capsys, ["commutator", str(path), "--form", "killing", "--target=" + ",".join(["1"] + ["0"] * 14)])
+        assert code == 2
+        assert list(out) == ["note"] and "over the cap" in out["note"]

@@ -13,6 +13,7 @@ from lielab.commutator import (
     fitting_orthogonality,
     is_minimal_non,
     orthogonal_complement,
+    proper_subalgebras,
     quaternion_commutator,
     rank1_commutator,
     _count_subspaces,
@@ -163,6 +164,19 @@ class TestSubspaceScan:
             assert s.dim == 2
             seen.add(s)
         assert len(seen) == _count_subspaces(3, 3, 2)
+
+    def test_proper_subalgebras_are_the_closed_proper_subspaces(self):
+        L = heisenberg(F3, 1)
+        found = list(proper_subalgebras(L))
+        closed = [S for d in range(1, L.dim) for S in _subspaces(F3, L.dim, d) if L.is_subalgebra(S)]
+        assert [S for S, _ in found] == closed
+        for S, sub in found:
+            assert sub.dim == S.dim < L.dim and sub.jacobi_violations() == []
+            assert sub.basis_bracket(0, sub.dim - 1) == S.coords_of(L.bracket(S.rows[0], S.rows[-1]))
+        # [L, L] is the line of z: all 13 lines of F_3^3 are closed, and of
+        # the 13 planes the 4 that contain z
+        assert len(found) == 13 + 4
+        assert is_minimal_non(r2(F3), "regular").evidence["subalgebras_checked"] == len(list(proper_subalgebras(r2(F3))))
 
 
 class TestMinimalNon:

@@ -252,3 +252,26 @@ class TestMultiPoly:
         x, y, _ = self.build()
         f = x * y
         assert f.scale(QQ.of(-2)).eval(p) == QQ.of(-2) * f.eval(p)
+
+
+class TestForeignScalars:
+    """``field.of`` is the one door for a scalar: a polynomial refuses a
+    scalar of another field, wherever it is handed one."""
+
+    @pytest.mark.parametrize("field,entry", [(QQ, Fp(1, 5)), (QQ, 1.0), (F5, Fraction(1, 2)), (F5, Fp(1, 7))])
+    def test_unipoly(self, field, entry):
+        with pytest.raises(TypeError):
+            UniPoly(field, [entry])
+        with pytest.raises(TypeError):
+            UniPoly.one(field).scale(entry)
+        with pytest.raises(TypeError):
+            UniPoly.t(field).eval_scalar(entry)
+
+    @pytest.mark.parametrize("field,entry", [(F5, Fraction(1, 2)), (F5, Fp(1, 7)), (QQ, Fp(1, 5)), (QQ, 0.5)])
+    def test_multipoly(self, field, entry):
+        with pytest.raises(TypeError):
+            MultiPoly(field, 1, {(1,): entry})
+        with pytest.raises(TypeError):
+            MultiPoly.variable(field, 1, 0).scale(entry)
+        with pytest.raises(TypeError):
+            MultiPoly.variable(field, 1, 0).eval((entry,))
