@@ -34,16 +34,14 @@ from .linalg import _dense, _Echelon, _reduce, _sparse, Matrix, Subspace, Vector
 from .verdict import _Record, Verdict
 
 
-def _jacobi_defects(field: Field, n: int, table) -> Iterator[Tuple[Tuple[int, int, int], list]]:
+def _jacobi_defects(
+    field: Field, n: int, br: Sequence[Sequence[tuple]]
+) -> Iterator[Tuple[Tuple[int, int, int], list]]:
     """The basis triples where Jacobi fails, with their defects in kernel
-    scalars, over a sparse table (i, j, ((k, c), ...)) in kernel scalars:
-    the defect at (i, j, k) is
-    sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
+    scalars, over an n x n bracket array: br[a][b] holds the nonzero
+    ((k, c), ...) of [b_a, b_b] in kernel scalars, signed.  The defect at
+    (i, j, k) is sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
     zero = field._k_zero
-    br: List[List[tuple]] = [[()] * n for _ in range(n)]
-    for i, j, coeffs in table:
-        br[i][j] = coeffs
-        br[j][i] = tuple((k, -c) for k, c in coeffs)
     for i, j, k in itertools.combinations(range(n), 3):
         defect = [zero] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
@@ -243,8 +241,13 @@ class LieAlgebra(_Presented):
 
     def jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
         """All basis triples where the Jacobi identity fails, with their defects."""
+        n = self.dim
+        br: List[List[tuple]] = [[()] * n for _ in range(n)]
+        for i, row in enumerate(self._k_adjacency()):
+            for j, coeffs in row:
+                br[i][j] = coeffs
         to_field = self.field._from_k
-        return [(t, to_field(d)) for t, d in _jacobi_defects(self.field, self.dim, self._k_table())]
+        return [(t, to_field(d)) for t, d in _jacobi_defects(self.field, n, br)]
 
     # -- subspace queries ---------------------------------------------------
 
@@ -257,8 +260,9 @@ class LieAlgebra(_Presented):
     def commutant(self) -> Subspace:
         """The derived subalgebra [L, L]."""
         if "commutant" not in self._cache:
-            vecs = [self.basis_bracket(i, j) for (i, j) in self.table]
-            self._cache["commutant"] = Subspace.from_vectors(self.field, self.dim, vecs)
+            n, zero = self.dim, self.field._k_zero
+            vecs = [_dense(dict(coeffs), n, zero) for _, _, coeffs in self._k_table()]
+            self._cache["commutant"] = Subspace._span_k(self.field, n, vecs)
         return self._cache["commutant"]
 
     def centralizer(self, x: Sequence) -> Subspace:
@@ -350,36 +354,10 @@ class LieAlgebra(_Presented):
         return self._series(lambda s: self.bracket_span(s, s))
 
     def structure_report(self) -> "StructureReport":
-        if "report" in self._cache:
-            return self._cache["report"]
-        lcs = self.lower_central_series()
-        ds = self.derived_series()
-        nilpotent = lcs[-1].is_zero()
-        solvable = ds[-1].is_zero()
-        commutant = self.commutant()
-        center = self.center()
-        killing = self.killing_form()
-        killing_rank = killing.gram.rank()
-        radical_dim: Optional[int] = None
-        semisimple: Optional[bool] = None
-        if self.field.kind == "Q":
-            radical = killing.orthogonal_of(commutant)
-            radical_dim = radical.dim
-            semisimple = killing_rank == self.dim
-        report = StructureReport(
-            dim=self.dim,
-            abelian=commutant.is_zero(),
-            nilpotent=nilpotent,
-            solvable=solvable,
-            nilpotency_class=len(lcs) - 1 if nilpotent else None,
-            derived_length=len(ds) - 1 if solvable else None,
-            center_dim=center.dim,
-            commutant_dim=commutant.dim,
-            killing_rank=killing_rank,
-            radical_dim=radical_dim,
-            semisimple=semisimple,
-        )
-        self._cache["report"] = report
+        """The report, built once; each field is computed when first read."""
+        report = self._cache.get("report")
+        if report is None:
+            report = self._cache["report"] = StructureReport._on_read(self)
         return report
 
     def killing_form(self) -> "BilinearForm":
@@ -425,7 +403,50 @@ class LieAlgebra(_Presented):
         return f"LieAlgebra(dim {self.dim} over {self.field!r})"
 
 
-class StructureReport(_Record):
+def _series_end(series: List[Subspace]) -> tuple:
+    """Whether the series reaches zero, and then its length."""
+    zero = series[-1].is_zero()
+    return zero, len(series) - 1 if zero else None
+
+
+def _killing_fields(L: LieAlgebra) -> tuple:
+    killing = L.killing_form()
+    killing_rank = killing.gram.rank()
+    if L.field.kind != "Q":
+        return killing_rank, None, None
+    return killing_rank, killing.orthogonal_of(L.commutant()).dim, killing_rank == L.dim
+
+
+# each report field -> the fields one computation gives, and that computation
+_REPORT_FILL = {
+    name: (names, fill)
+    for names, fill in (
+        (("abelian", "commutant_dim"), lambda L: (L.commutant().is_zero(), L.commutant().dim)),
+        (("nilpotent", "nilpotency_class"), lambda L: _series_end(L.lower_central_series())),
+        (("solvable", "derived_length"), lambda L: _series_end(L.derived_series())),
+        (("center_dim",), lambda L: (L.center().dim,)),
+        (("killing_rank", "radical_dim", "semisimple"), _killing_fields),
+    )
+    for name in names
+}
+
+
+class _ReportSource(_Record):
+    """The slot for the algebra a report reads, kept in a base class so
+    that it is not one of the record's fields."""
+
+    __slots__ = ("_algebra",)
+
+
+class StructureReport(_ReportSource):
+    """Structural invariants of a Lie algebra.
+
+    Built positionally it records the values given.  From
+    ``LieAlgebra.structure_report`` its fields start unset, and reading
+    one computes its group (see ``_REPORT_FILL``).  abelian => nilpotent
+    => solvable is checked whenever both fields of a pair are known.
+    """
+
     __slots__ = (
         "dim",
         "abelian",
@@ -454,11 +475,6 @@ class StructureReport(_Record):
         radical_dim: Optional[int],
         semisimple: Optional[bool],
     ):
-        # abelian => nilpotent => solvable, recorded defensively
-        if abelian and not nilpotent:
-            raise StructureError("inconsistent report: abelian but not nilpotent")
-        if nilpotent and not solvable:
-            raise StructureError("inconsistent report: nilpotent but not solvable")
         self.dim = dim
         self.abelian = abelian
         self.nilpotent = nilpotent
@@ -470,6 +486,36 @@ class StructureReport(_Record):
         self.killing_rank = killing_rank
         self.radical_dim = radical_dim
         self.semisimple = semisimple
+        self._check()
+
+    @classmethod
+    def _on_read(cls, L: LieAlgebra) -> "StructureReport":
+        report = cls.__new__(cls)
+        report._algebra = L
+        report.dim = L.dim
+        return report
+
+    def __getattr__(self, name: str):
+        # reached only when the slot `name` is still unset
+        if name not in _REPORT_FILL:
+            raise AttributeError(name)
+        names, fill = _REPORT_FILL[name]
+        for key, value in zip(names, fill(self._algebra)):
+            setattr(self, key, value)
+        self._check()
+        return object.__getattribute__(self, name)
+
+    def _check(self) -> None:
+        """abelian => nilpotent => solvable, over the fields already set;
+        ``object.__getattribute__`` reads a slot without filling it."""
+        get = object.__getattribute__
+        for weak, strong in (("abelian", "nilpotent"), ("nilpotent", "solvable")):
+            try:
+                holds = not get(self, weak) or get(self, strong)
+            except AttributeError:
+                continue
+            if not holds:
+                raise StructureError(f"inconsistent report: {weak} but not {strong}")
 
     def to_json_dict(self) -> dict:
         return dict(zip(self.__slots__, self._values()))
@@ -941,10 +987,11 @@ def _int_monic_quartic_splits(ints: List[int]) -> bool:
 def is_simple(L: LieAlgebra) -> Verdict:
     """Simplicity: no proper nonzero ideals and [L, L] = L.
 
-    Over small F_p every line's generated ideal is scanned; over Q the
-    certificate route is nondegenerate Killing form plus a centroid that
-    is a field (irreducible minimal polynomial of full centroid degree,
-    decided exactly up to degree 4).
+    Over small F_p every line generates L at once when the ad(b_i)
+    generate all of End(L); otherwise every line's generated ideal is
+    scanned.  Over Q the certificate route is nondegenerate Killing form
+    plus a centroid that is a field (irreducible minimal polynomial of
+    full centroid degree, decided exactly up to degree 4).
     """
     n = L.dim
     if n == 0:
@@ -969,6 +1016,11 @@ def is_simple(L: LieAlgebra) -> Verdict:
         total = L.field.p**n
         if total > EXHAUSTIVE_CAP:
             return Verdict.inconclusive(reason="budget", needed=total, cap=EXHAUSTIVE_CAP)
+        if _ad_envelope_is_full(L):
+            # End(L) carries every nonzero x onto all of L, so every line
+            # generates L: the scan below would certify each one
+            lines = (total - 1) // (L.field.p - 1)
+            return Verdict.certified("exhaustive", lines_decided=lines, envelope_dim=n * n)
         lines = _projective_points(L.field, n)
         for x in lines:
             ideal = L.ideal_generated([x])
@@ -995,6 +1047,28 @@ def is_simple(L: LieAlgebra) -> Verdict:
             if verdict is False:
                 return Verdict.inconclusive(reason="centroid-splits", centroid_dim=cdim)
     return Verdict.inconclusive(reason="centroid-undecided", centroid_dim=cdim)
+
+
+def _ad_envelope_is_full(L: LieAlgebra) -> bool:
+    """Whether the unital associative algebra generated by the ad(b_i) is
+    all of End(L).  Its elements carry x onto the ideal x generates, so
+    then every nonzero x generates L.  A worklist closure: each matrix
+    that enlarges the span of the flattened matrices is multiplied on the
+    left by every ad(b_i), until nothing new appears or the span is full."""
+    n = L.dim
+    ads = [L.ad_basis(i) for i in range(n)]
+    ech = _Echelon(L.field, n * n)
+    todo: List[Matrix] = []
+    for m in [Matrix.identity(L.field, n)] + ads:
+        if ech.add([x for row in m._k for x in row]) is not None:
+            todo.append(m)
+    while todo and not ech.full:
+        m = todo.pop()
+        for a in ads:
+            am = a * m
+            if ech.add([x for row in am._k for x in row]) is not None:
+                todo.append(am)
+    return ech.full
 
 
 def _centroid_probe_weights(k: int):

@@ -477,21 +477,28 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
     if dim < 0:
         raise ValueError(f"table enumeration needs a dimension >= 0, got {dim}")
     ncoeffs = dim * (dim * (dim - 1) // 2)
-    total = field.p**ncoeffs
-    if total > ENUMERATION_CAP:
+    p = field.p
+    # p**ncoeffs >= 2**ncoeffs: a large exponent is refused before the count
+    # is formed, and a count past 64 bits is named by its exponent
+    if ncoeffs >= ENUMERATION_CAP.bit_length() or p**ncoeffs > ENUMERATION_CAP:
+        total = p**ncoeffs if ncoeffs * p.bit_length() <= 64 else f"{p}^{ncoeffs}"
         raise BudgetExceeded(f"{total} tables exceed the enumeration cap {ENUMERATION_CAP}")
-    elements = tuple(field.of(r) for r in range(field.p))
+    elements = tuple(field.of(r) for r in range(p))
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     # every coefficient vector of one bracket, in lexicographic order, with
-    # its nonzero entries in kernel scalars; Jacobi runs on those alone
-    blocks = [
-        (vec, tuple((k, c) for k, c in enumerate(field._to_k(vec)) if c))
-        for vec in iproduct(elements, repeat=dim)
-    ]
+    # its nonzero entries in kernel scalars and their negation; Jacobi runs
+    # on one bracket array whose pair cells each table rewrites
+    blocks = []
+    for vec in iproduct(elements, repeat=dim):
+        coeffs = tuple((k, c) for k, c in enumerate(field._to_k(vec)) if c)
+        blocks.append((vec, coeffs, tuple((k, -c) for k, c in coeffs)))
+    br: List[List[tuple]] = [[()] * dim for _ in range(dim)]
     for combo in iproduct(blocks, repeat=len(pairs)):
-        table = [(i, j, coeffs) for (i, j), (_, coeffs) in zip(pairs, combo) if coeffs]
-        ok = next(_jacobi_defects(field, dim, table), None) is None
-        yield EnumTable(dim, field, tuple(c for vec, _ in combo for c in vec), ok)
+        for (i, j), (_, coeffs, negated) in zip(pairs, combo):
+            br[i][j] = coeffs
+            br[j][i] = negated
+        ok = next(_jacobi_defects(field, dim, br), None) is None
+        yield EnumTable(dim, field, tuple(c for vec, _, _ in combo for c in vec), ok)
 
 
 def canonical_instances() -> List[Tuple[str, LieAlgebra]]:

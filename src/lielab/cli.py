@@ -331,12 +331,13 @@ def cmd_catalog(args) -> Tuple[int, dict]:
     if not args.name:
         raise CliError("catalog emit needs a name")
     field = _parse_field(args.field) if args.field else None
-    params = {} if args.n is None else {"n": args.n}
+    params = {k: v for k, v in (("n", args.n), ("a", args.a), ("b", args.b)) if v is not None}
     if args.name == "quaternion":
-        if params:
+        if "n" in params:
             raise CliError("quaternion takes a and b, not n")
         f = field if field is not None else QQ
-        return 0, QuaternionAlgebra(f, f.parse(args.a), f.parse(args.b)).assoc.to_json_dict()
+        a, b = (f.parse(params.get(k, "-1")) for k in ("a", "b"))
+        return 0, QuaternionAlgebra(f, a, b).assoc.to_json_dict()
     try:
         alg = make(args.name, field, **params)
     except BudgetExceeded as exc:  # a refused size is bad input here, not an open question
@@ -816,8 +817,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", help="catalog name for emit")
     p.add_argument("--field", default=None, help="Q or F<p>")
     p.add_argument("--n", type=int, default=None, help="size parameter")
-    p.add_argument("--a", default="-1", help="quaternion parameter a")
-    p.add_argument("--b", default="-1", help="quaternion parameter b")
+    p.add_argument("--a", default=None, help="quaternion parameter a (default -1)")
+    p.add_argument("--b", default=None, help="quaternion parameter b (default -1)")
     p.add_argument("--human", action="store_true")
     p.set_defaults(fn=cmd_catalog)
 

@@ -1,6 +1,11 @@
 """Structure-constant algebras: brackets, series, forms, derivations,
 quotients, extensions, and second cohomology."""
 
+import itertools
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +14,8 @@ from lielab.algebra import (
     AssocAlgebra,
     LieAlgebra,
     StructureError,
+    StructureReport,
+    _ad_envelope_is_full,
     canonical_dumps,
     central_extension,
     centroid,
@@ -27,6 +34,7 @@ from lielab.catalog import (
     QuaternionAlgebra,
     abelian,
     canonical_instances,
+    enumerate_tables,
     heisenberg,
     make,
     on,
@@ -36,6 +44,7 @@ from lielab.catalog import (
     strict_upper,
     su2q,
 )
+from lielab.budgets import SYMBOLIC_DIM
 from lielab.fields import GF, QQ, Fp
 from lielab.linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale
 
@@ -176,6 +185,112 @@ class TestSeries:
         canonical_dumps(d)  # must serialize
 
 
+def _eager_report(L):
+    """The report built positionally from L's series, center and Killing
+    form, the way every field used to be computed at once."""
+    lcs, ds = L.lower_central_series(), L.derived_series()
+    nilpotent, solvable = lcs[-1].is_zero(), ds[-1].is_zero()
+    commutant = L.commutant()
+    killing = L.killing_form()
+    killing_rank = killing.gram.rank()
+    rational = L.field.kind == "Q"
+    return StructureReport(
+        L.dim,
+        commutant.is_zero(),
+        nilpotent,
+        solvable,
+        len(lcs) - 1 if nilpotent else None,
+        len(ds) - 1 if solvable else None,
+        L.center().dim,
+        commutant.dim,
+        killing_rank,
+        killing.orthogonal_of(commutant).dim if rational else None,
+        killing_rank == L.dim if rational else None,
+    )
+
+
+def _fresh(L):
+    """The same table with an empty cache."""
+    return LieAlgebra.unchecked(L.field, L.labels, L.table)
+
+
+_REPORT_FIELDS = StructureReport.__slots__
+_BENCH_INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.json"))
+
+
+def _small_bench_inputs():
+    for path in _BENCH_INPUTS:
+        L = LieAlgebra.from_json_dict(json.loads(path.read_text()))
+        if L.dim <= SYMBOLIC_DIM:
+            yield path.stem, L
+
+
+def _valid_census(dim, field):
+    return [t.algebra() for t in enumerate_tables(dim, field) if t.jacobi_ok]
+
+
+class TestLazyReport:
+    """Each field of structure_report is computed when first read, and
+    equals the field of the eager positional record in any read order."""
+
+    @staticmethod
+    def _check_orders(L, orders):
+        want = _eager_report(_fresh(L))
+        for order in orders:
+            report = _fresh(L).structure_report()
+            for name in order:
+                assert getattr(report, name) == getattr(want, name), (L, order, name)
+            assert report == want and repr(report) == repr(want)
+            assert list(report.to_json_dict().items()) == list(want.to_json_dict().items())
+
+    @staticmethod
+    def _orders(seed, shuffles):
+        rng = random.Random(seed)
+        orders = [_REPORT_FIELDS, _REPORT_FIELDS[::-1]]
+        for _ in range(shuffles):
+            order = list(_REPORT_FIELDS)
+            rng.shuffle(order)
+            orders.append(order)
+        return orders
+
+    @pytest.mark.parametrize("name,L", [pytest.param(n, L, id=n) for n, L in canonical_instances()])
+    def test_canonical_instances(self, name, L):
+        self._check_orders(L, self._orders(name, 4))
+
+    @pytest.mark.parametrize("name,L", [pytest.param(n, L, id=n) for n, L in _small_bench_inputs()])
+    def test_benchmark_inputs(self, name, L):
+        self._check_orders(L, self._orders(name, 2))
+
+    @pytest.mark.parametrize("field", [GF(2), F3], ids=["F2", "F3"])
+    def test_dim3_census(self, field):
+        valid = _valid_census(3, field)
+        assert len(valid) == {2: 120, 3: 1431}[field.p]
+        for t, L in enumerate(valid):
+            self._check_orders(L, self._orders(t, 1))
+
+    def test_nilpotent_alone_computes_neither_center_nor_killing_form(self):
+        for L in (sl(QQ, 2), psl(F3, 3), strict_upper(QQ, 4), *_valid_census(3, F3)[:40]):
+            L = _fresh(L)
+            L.structure_report().nilpotent
+            assert "killing" not in L._cache and "center" not in L._cache
+
+    def test_the_implications_are_checked_on_read(self):
+        report = _fresh(sl2q).structure_report()
+        report.abelian = True  # a wrong value, to see the check fire
+        with pytest.raises(StructureError, match="abelian but not nilpotent"):
+            report.nilpotent
+        report = _fresh(sl2q).structure_report()
+        report.nilpotent = True
+        with pytest.raises(StructureError, match="nilpotent but not solvable"):
+            report.solvable
+
+    def test_report_is_kept(self):
+        L = _fresh(sl2q)
+        assert L.structure_report() is L.structure_report()
+        with pytest.raises(AttributeError):
+            L.structure_report().no_such_field
+
+
 class TestKillingForm:
     def test_sl2_gram(self):
         k = sl2q.killing_form()
@@ -294,6 +409,65 @@ class TestSimplicity:
 
     def test_abelian_line_not_simple(self):
         assert is_simple(abelian(QQ, 1)).is_refuted
+
+    @staticmethod
+    def _simple_by_lines(L):
+        """The oracle: L is perfect and nonzero, and the ideal generated by
+        each line of F_p^n is all of L (lines listed here, not by lielab)."""
+        n, p = L.dim, L.field.p
+        if n == 0 or L.commutant().dim < n:
+            return False
+        for lead in range(n):
+            for rest in itertools.product(range(p), repeat=n - lead - 1):
+                x = fvec(L.field, *([0] * lead + [1] + list(rest)))
+                if L.ideal_generated([x]).dim < n:
+                    return False
+        return True
+
+    @pytest.mark.parametrize("field", [GF(2), F3], ids=["F2", "F3"])
+    def test_dim3_census_agrees_with_the_line_oracle(self, field):
+        simple = 0
+        for L in _valid_census(3, field):
+            v = is_simple(_fresh(L))
+            assert v.is_certified == self._simple_by_lines(L), L.table
+            assert v.is_certified or v.is_refuted
+            simple += v.is_certified
+        assert simple > 0
+
+    def test_finite_field_instances_agree_with_the_line_oracle(self):
+        small = [
+            (n, L) for n, L in canonical_instances() if L.field.kind == "Fp" and L.field.p**L.dim <= 3**8
+        ]
+        assert small
+        for name, L in small:
+            assert is_simple(_fresh(L)).is_certified == self._simple_by_lines(L), name
+
+    def test_full_envelope_certifies_every_line_at_once(self):
+        v = is_simple(psl(F3, 3))
+        assert v.certificate == "exhaustive"
+        assert v.evidence == {"lines_decided": 1093, "envelope_dim": 49}
+
+    def test_simple_without_full_envelope_falls_back_to_the_scan(self):
+        # sl2 over F_9, seen as a 6-dimensional algebra over F_3: simple,
+        # but the ad(b_i) commute with multiplication by t, so they
+        # generate only an 18-dimensional algebra of F_3-linear maps
+        t_squared_is_minus_one = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: -1}}
+        F9 = AssocAlgebra(F3, ("1", "t"), t_squared_is_minus_one, (1, 0))
+        L = tensor_commutative(sl(F3, 2), F9)
+        assert not _ad_envelope_is_full(L)
+        v = is_simple(L)
+        assert v.is_certified and v.certificate == "exhaustive"
+        assert v.evidence == {"lines_scanned": (3**6 - 1) // 2}
+        assert self._simple_by_lines(L)
+
+    def test_semisimple_sum_is_refuted_by_the_scan(self):
+        # perfect, centerless, nondegenerate Killing form: only the line
+        # scan finds the summand ideal
+        L = direct_sum(sl(F3, 2), sl(F3, 2))
+        assert L.center().is_zero() and L.killing_form().nondegenerate
+        assert not _ad_envelope_is_full(L)
+        v = is_simple(L)
+        assert v.is_refuted and 0 < L.ideal_generated([v.witness]).dim < L.dim
 
 
 class TestQuotientsAndSums:

@@ -1,12 +1,14 @@
 """Named algebra constructions, quaternion arithmetic, and the dimension-
 bounded enumeration of structure-constant tables."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lielab.algebra import LieAlgebra
 from lielab.catalog import (
     QuaternionAlgebra,
     abelian,
@@ -302,9 +304,37 @@ class TestEnumeration:
             L = t.algebra()
             assert (rank(L) == 3) == L.structure_report().nilpotent
 
+    @pytest.mark.parametrize("dim,p", [(3, 2), (3, 3), (2, 5), (2, 7)])
+    def test_jacobi_flag_matches_an_independent_oracle(self, dim, p):
+        """Every flag against [[b_i, b_j], b_k] + cyclic = 0, computed with
+        the public bracket on an unchecked algebra built from the raw
+        coefficients (pairs i < j in order, then k)."""
+        field = GF(p)
+        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+        labels = [f"b{t}" for t in range(dim)]
+        count = 0
+        for t in enumerate_tables(dim, field):
+            coeffs = iter(t.coeffs)
+            table = {pair: {k: next(coeffs) for k in range(dim)} for pair in pairs}
+            L = LieAlgebra.unchecked(field, labels, table)
+            b = [L.basis_vector(i) for i in range(dim)]
+            ok = True
+            for i, j, k in itertools.combinations(range(dim), 3):
+                terms = [L.bracket(L.bracket(b[x], b[y]), b[z]) for x, y, z in ((i, j, k), (j, k, i), (k, i, j))]
+                ok = ok and vec_is_zero([sum(cs, field.zero) for cs in zip(*terms)])
+            assert t.jacobi_ok == ok, t.coeffs
+            count += 1
+        assert count == p ** (dim * len(pairs))
+
     def test_enumeration_budget(self):
         with pytest.raises(BudgetExceeded):
             next(iter(enumerate_tables(4, F5)))
+
+    def test_a_huge_count_is_refused_by_its_exponent(self):
+        dim = 10**9
+        ncoeffs = dim * (dim * (dim - 1) // 2)
+        with pytest.raises(BudgetExceeded, match=rf"^2\^{ncoeffs} tables exceed"):
+            next(iter(enumerate_tables(dim, F2)))
 
     def test_negative_dimension_refused(self):
         with pytest.raises(ValueError, match="dimension >= 0"):

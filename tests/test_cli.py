@@ -197,6 +197,13 @@ class TestCatalog:
         assert out["dim"] == 4
         assert "products" in out
 
+    def test_emit_quaternion_defaults_to_minus_one(self, capsys):
+        code, defaults = run(capsys, ["catalog", "emit", "quaternion"])
+        assert code == 0
+        assert run(capsys, ["catalog", "emit", "quaternion", "--a", "-1", "--b", "-1"]) == (0, defaults)
+        code, other = run(capsys, ["catalog", "emit", "quaternion", "--a", "2"])
+        assert code == 0 and other != defaults
+
     def test_emit_unknown_name(self, capsys):
         assert main(["catalog", "emit", "so31"]) == 3
         capsys.readouterr()
@@ -210,6 +217,9 @@ class TestCatalog:
             (["sl2_o1_f3", "--field", "Q"], "sl2_o1_f3 is defined over F_3"),
             (["su2q", "--field", "F5"], "su2q is defined over the rationals"),
             (["psl", "--field", "F3"], "psl needs the parameter n"),
+            (["sl", "--a", "5", "--b", "7"], "sl takes n, not a"),
+            (["sl", "--n", "3", "--b", "7"], "sl takes n, not b"),
+            (["su2q", "--a", "-1"], "su2q takes no parameters, not a"),
         ],
     )
     def test_emit_checks_parameters_and_field(self, capsys, argv, message):
@@ -243,6 +253,11 @@ class TestEnumerate:
         code, out = run(capsys, ["enumerate", "--dim", "4", "--field", "F2"])
         assert code == 2
         assert out == {"note": "16777216 tables exceed the enumeration cap 1000000"}
+
+    def test_a_huge_dimension_exits_2_with_the_exponent(self, capsys):
+        code, out = run(capsys, ["enumerate", "--dim", "40", "--field", "F3"])
+        assert code == 2
+        assert out == {"note": "3^31200 tables exceed the enumeration cap 1000000"}
 
 
 class TestVerify:
