@@ -1,20 +1,25 @@
 """Lie and associative algebras presented by structure constants.
 
-A LieAlgebra stores its bracket sparsely: for each basis pair i < j a map
-from basis index k to the coefficient of [b_i, b_j] in b_k.  Antisymmetry
-is baked into the representation and the Jacobi identity is checked on
-every basis triple at construction time (the table enumerator uses the
-unchecked constructor and validates separately).
+Each algebra stores its table once, as rows of kernel scalars (Fractions
+over Q, residues over F_p, see linalg): ``rows[i][j]`` is the tuple
+((k, c), ...) of the nonzero coefficients of b_i b_j, and a pair whose
+product is zero has no cell.  One cleaner builds the rows for both kinds
+of algebra and converts each coefficient once.  A Lie algebra fills both
+orders, ``rows[j][i]`` being ``rows[i][j]`` negated, and leaves the
+diagonal empty, so antisymmetry is built into the representation; the
+Jacobi identity is checked on every basis triple at construction time
+(the table enumerator uses the unchecked constructor and validates
+separately).  An associative algebra fills the pairs its input names.
+``table``, the dict {(i, j): {k: c}} in field scalars, is built from the
+rows each time it is read.
 
-The primitives (bracket, ad, the Jacobi check, bracket spans, the lower
-central and derived series, the Killing form and its invariance test, the
-structure constants of the derivation algebra) are written once over both
-fields: they walk a cached copy of the sparse table in kernel scalars
-(Fractions over Q, residues over F_p, see linalg), or its per-index
-adjacency, or the nonzero entries of the cached adjoint matrices, and
-leave normalizing the result to the field's ``_to_k`` / ``_from_k`` or
-to the ``Matrix`` constructor, which stores kernel rows only.  None of
-them forms a Matrix product.
+The primitives (bracket, product, ad, the Jacobi check, bracket spans,
+the lower central and derived series, the Killing form and its
+invariance test, the structure constants of the derivation algebra) are
+written once over both fields: they walk the rows, or the nonzero
+entries of the cached adjoint matrices, and leave normalizing the result
+to the field's ``_to_k`` / ``_from_k`` or to the ``Matrix`` constructor,
+which stores kernel rows only.  None of them forms a Matrix product.
 
 Everything downstream - structure reports, quotients, sums, scalar
 extensions by a commutative algebra, derivations, centroid, second
@@ -34,19 +39,22 @@ from .linalg import _dense, _Echelon, _reduce, _sparse, Matrix, Subspace, Vector
 from .verdict import _Record, Verdict
 
 
+Rows = List[Dict[int, tuple]]
+
+
 def _jacobi_defects(
-    field: Field, n: int, br: Sequence[Sequence[tuple]]
+    field: Field, n: int, rows: Sequence[dict]
 ) -> Iterator[Tuple[Tuple[int, int, int], list]]:
     """The basis triples where Jacobi fails, with their defects in kernel
-    scalars, over an n x n bracket array: br[a][b] holds the nonzero
-    ((k, c), ...) of [b_a, b_b] in kernel scalars, signed.  The defect at
-    (i, j, k) is sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
+    scalars, over Lie rows: rows[a].get(b, ()) is the signed ((k, c), ...)
+    of [b_a, b_b].  The defect at (i, j, k) is
+    sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
     zero = field._k_zero
     for i, j, k in itertools.combinations(range(n), 3):
         defect = [zero] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cm in br[a][b]:
-                for l, cl in br[m][c]:
+            for m, cm in rows[a].get(b, ()):
+                for l, cl in rows[m].get(c, ()):
                     defect[l] += cm * cl
         defect = field._to_k(defect)
         if any(defect):
@@ -65,40 +73,87 @@ class StructureError(ValueError):
 BracketTable = Dict[Tuple[int, int], Dict[int, Scalar]]
 
 
-def _clean_table(field: Field, dim: int, table, *, lie: bool = True) -> BracketTable:
-    """The table with every coefficient through ``field.of`` and the zeros
-    dropped.  A Lie table names the pairs i < j only, an associative
-    table any pair."""
+def _clean_table(field: Field, dim: int, table, *, lie: bool = True) -> Rows:
+    """The rows of a table {(i, j): cell}, each coefficient converted once
+    by ``field._to_k`` and the zeros dropped.  A cell is {k: c} or the
+    dense sequence of the dim coefficients.  A Lie table names the pairs
+    i < j only and fills both orders, an associative table any pair."""
     kind = "bracket" if lie else "product"
-    out: BracketTable = {}
-    for (i, j), coeffs in table.items():
+    rows: Rows = [{} for _ in range(dim)]
+    for (i, j), cell in table.items():
         if not (0 <= i < dim and 0 <= j < dim) or (lie and i >= j):
             rule = "0 <= i < j < dim" if lie else "0 <= i, j < dim"
             raise StructureError(f"{kind} pair ({i}, {j}) must satisfy {rule}")
-        cleaned = {}
-        for k, c in coeffs.items():
-            if not 0 <= k < dim:
-                raise StructureError(f"{kind} ({i}, {j}) names component {k} outside the basis")
-            try:
-                c = field.of(c)
-            except TypeError:
-                raise StructureError(f"coefficient {c!r} is not a {field!r} scalar") from None
-            if c:
-                cleaned[k] = c
+        ks, cs = (cell.keys(), cell.values()) if isinstance(cell, dict) else (range(len(cell)), cell)
+        try:
+            values = field._to_k(cs)
+        except TypeError:
+            values = None
+        if values is None or (ks and not 0 <= min(ks) <= max(ks) < dim):
+            # name the first bad entry, in the order given
+            for k, c in zip(ks, cs):
+                if not 0 <= k < dim:
+                    raise StructureError(f"{kind} ({i}, {j}) names component {k} outside the basis")
+                try:
+                    field.of(c)
+                except TypeError:
+                    raise StructureError(f"coefficient {c!r} is not a {field!r} scalar") from None
+        cleaned = tuple([(k, c) for k, c in zip(ks, values) if c])
         if cleaned:
-            out[(i, j)] = cleaned
-    return out
+            rows[i][j] = cleaned
+            if lie:
+                rows[j][i] = tuple([(k, -c) for k, c in cleaned])
+    return rows
 
 
 class _Presented:
-    """What a Lie and an associative table share: basis vectors and the
-    canonical JSON of ``to_json_dict``."""
+    """What a Lie and an associative algebra share: the rows of the table
+    (``_rows``, see the module docstring) with the ``table`` view and the
+    basis products read from them, basis vectors, vectors through
+    ``field.of`` or into kernel scalars, and the canonical JSON of
+    ``to_json_dict``.  The class attribute ``_lie`` tells the two apart."""
 
     __slots__ = ()
 
     def basis_vector(self, i: int) -> Vector:
         z, o = self.field.zero, self.field.one
         return tuple(o if t == i else z for t in range(self.dim))
+
+    def coerce_vector(self, v: Sequence) -> Vector:
+        if len(v) != self.dim:
+            raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
+        return tuple(self.field.of(c) for c in v)
+
+    def _k_vector(self, v: Sequence) -> list:
+        """v in kernel scalars, after the length check of coerce_vector."""
+        if len(v) != self.dim:
+            raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
+        return self.field._to_k(v)
+
+    def _cells(self) -> Iterator[Tuple[int, int, tuple]]:
+        """(i, j, ((k, c), ...)) for each nonzero b_i b_j the input names:
+        of a Lie algebra the pairs i < j only."""
+        for i, row in enumerate(self._rows):
+            for j, cell in row.items():
+                if i < j or not self._lie:
+                    yield i, j, cell
+
+    @property
+    def table(self) -> BracketTable:
+        """{(i, j): {k: c}} in field scalars for the pairs of ``_cells``,
+        built from the rows on each read."""
+        from_k = self.field._from_k
+        return {
+            (i, j): dict(zip([k for k, _ in cell], from_k([c for _, c in cell])))
+            for i, j, cell in self._cells()
+        }
+
+    def _basis_product(self, i: int, j: int) -> Vector:
+        """b_i b_j ([b_i, b_j] in a Lie algebra) as a coordinate vector."""
+        out = [self.field._k_zero] * self.dim
+        for k, c in self._rows[i].get(j, ()):
+            out[k] = c
+        return self.field._from_k(out)
 
     def canonical_json(self) -> str:
         return canonical_dumps(self.to_json_dict())
@@ -107,14 +162,16 @@ class _Presented:
 class LieAlgebra(_Presented):
     """Finite-dimensional Lie algebra over Q or F_p given by its table."""
 
-    __slots__ = ("field", "dim", "labels", "table", "_cache")
+    __slots__ = ("field", "dim", "labels", "_rows", "_cache")
+    _lie = True
+    basis_bracket = _Presented._basis_product
 
     def __init__(self, field: Field, labels: Sequence[str], table, *, _validated: bool = False):
         labels = tuple(labels)
         self.field = field
         self.dim = len(labels)
         self.labels = labels
-        self.table = _clean_table(field, self.dim, table)
+        self._rows = _clean_table(field, self.dim, table)
         self._cache: dict = {}
         if not _validated:
             bad = self.jacobi_violations()
@@ -135,72 +192,21 @@ class LieAlgebra(_Presented):
     def zero_vector(self) -> Vector:
         return (self.field.zero,) * self.dim
 
-    def coerce_vector(self, v: Sequence) -> Vector:
-        if len(v) != self.dim:
-            raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
-        return tuple(self.field.of(c) for c in v)
-
-    def _k_vector(self, v: Sequence) -> list:
-        """v in kernel scalars, after the length check of coerce_vector."""
-        if len(v) != self.dim:
-            raise ValueError(f"vector of length {len(v)} in a dim {self.dim} algebra")
-        return self.field._to_k(v)
-
-    def basis_bracket(self, i: int, j: int) -> Vector:
-        """[b_i, b_j] as a coordinate vector."""
-        z = self.field.zero
-        out = [z] * self.dim
-        if i == j:
-            return tuple(out)
-        key = (i, j) if i < j else (j, i)
-        coeffs = self.table.get(key)
-        if coeffs:
-            if i < j:
-                for k, c in coeffs.items():
-                    out[k] = c
-            else:
-                for k, c in coeffs.items():
-                    out[k] = -c
-        return tuple(out)
-
-    def _k_table(self) -> Tuple[Tuple[int, int, Tuple[tuple, ...]], ...]:
-        """The table as (i, j, ((k, c), ...)) with c in kernel scalars,
-        built once and kept in the cache."""
-        table = self._cache.get("kernel_table")
-        if table is None:
-            to_k = self.field._to_k
-            table = tuple(
-                (i, j, tuple(zip(coeffs, to_k(coeffs.values()))))
-                for (i, j), coeffs in self.table.items()
-            )
-            self._cache["kernel_table"] = table
-        return table
-
-    def _k_adjacency(self) -> List[List[Tuple[int, tuple]]]:
-        """adj[i]: the (j, ((k, c), ...)) with [b_i, b_j] = sum c b_k != 0,
-        for j on either side of i (the sign applied), in kernel scalars."""
-        adj = self._cache.get("kernel_adjacency")
-        if adj is None:
-            adj = [[] for _ in range(self.dim)]
-            for i, j, coeffs in self._k_table():
-                adj[i].append((j, coeffs))
-                adj[j].append((i, tuple((k, -c) for k, c in coeffs)))
-            self._cache["kernel_adjacency"] = adj
-        return adj
-
     def _bracket_k(self, x: Sequence, y: Sequence) -> list:
         """[x, y] for x, y in kernel scalars; the result is not yet reduced.
 
-        Only the adjacency of the nonzero x_i is walked, skipping the j with
+        Only the rows of the nonzero x_i are walked, skipping the j with
         x_j and y_j both zero; a pair with x_i and x_j both nonzero is taken
-        once, at its lower end.
+        once, at its lower end.  The walk runs over a row's keys and reads
+        a cell only when it is used, which is cheaper than ``items()``.
         """
         out = [self.field._k_zero] * self.dim
-        adj = self._k_adjacency()
+        rows = self._rows
         for i, a in enumerate(x):
             if not a:
                 continue
-            for j, coeffs in adj[i]:
+            row = rows[i]
+            for j in row:
                 xj, yj = x[j], y[j]
                 if xj:
                     if j < i:
@@ -211,7 +217,7 @@ class LieAlgebra(_Presented):
                 else:
                     continue
                 if f:
-                    for k, c in coeffs:
+                    for k, c in row[j]:
                         out[k] += f * c
         return out
 
@@ -219,18 +225,16 @@ class LieAlgebra(_Presented):
         return self.field._from_k(self._bracket_k(self._k_vector(x), self._k_vector(y)))
 
     def ad(self, x: Sequence) -> Matrix:
-        """Matrix of ad(x) = [x, -] in the defining basis."""
+        """Matrix of ad(x) = [x, -] in the defining basis: column j is the
+        sum of x_i [b_i, b_j] over the nonzero x_i."""
         x = self._k_vector(x)
         n = self.dim
         rows = [[self.field._k_zero] * n for _ in range(n)]
-        for i, j, coeffs in self._k_table():
-            xi, xj = x[i], x[j]
+        for i, xi in enumerate(x):
             if xi:
-                for k, c in coeffs:
-                    rows[k][j] += xi * c
-            if xj:
-                for k, c in coeffs:
-                    rows[k][i] -= xj * c
+                for j, coeffs in self._rows[i].items():
+                    for k, c in coeffs:
+                        rows[k][j] += xi * c
         return Matrix(self.field, rows, n)
 
     def ad_basis(self, i: int) -> Matrix:
@@ -241,13 +245,8 @@ class LieAlgebra(_Presented):
 
     def jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
         """All basis triples where the Jacobi identity fails, with their defects."""
-        n = self.dim
-        br: List[List[tuple]] = [[()] * n for _ in range(n)]
-        for i, row in enumerate(self._k_adjacency()):
-            for j, coeffs in row:
-                br[i][j] = coeffs
         to_field = self.field._from_k
-        return [(t, to_field(d)) for t, d in _jacobi_defects(self.field, n, br)]
+        return [(t, to_field(d)) for t, d in _jacobi_defects(self.field, self.dim, self._rows)]
 
     # -- subspace queries ---------------------------------------------------
 
@@ -261,7 +260,7 @@ class LieAlgebra(_Presented):
         """The derived subalgebra [L, L]."""
         if "commutant" not in self._cache:
             n, zero = self.dim, self.field._k_zero
-            vecs = [_dense(dict(coeffs), n, zero) for _, _, coeffs in self._k_table()]
+            vecs = [_dense(dict(coeffs), n, zero) for _, _, coeffs in self._cells()]
             self._cache["commutant"] = Subspace._span_k(self.field, n, vecs)
         return self._cache["commutant"]
 
@@ -382,8 +381,8 @@ class LieAlgebra(_Presented):
 
     def to_json_dict(self) -> dict:
         brackets = []
-        for (i, j) in sorted(self.table):
-            coeffs = {str(k): self.field.to_str(c) for k, c in sorted(self.table[(i, j)].items())}
+        for (i, j), cell in sorted(self.table.items()):
+            coeffs = {str(k): self.field.to_str(c) for k, c in sorted(cell.items())}
             brackets.append({"i": i, "j": j, "coeffs": coeffs})
         return {
             "field": field_to_json(self.field),
@@ -580,57 +579,53 @@ class BilinearForm:
 class AssocAlgebra(_Presented):
     """Associative unital algebra by structure constants (all basis pairs)."""
 
-    __slots__ = ("field", "dim", "labels", "table", "unit")
+    __slots__ = ("field", "dim", "labels", "_rows", "unit")
+    _lie = False
+    basis_product = _Presented._basis_product
 
     def __init__(self, field: Field, labels: Sequence[str], table, unit: Sequence):
         self.field = field
         self.labels = tuple(labels)
         self.dim = len(self.labels)
-        self.table = _clean_table(field, self.dim, table, lie=False)
+        self._rows = _clean_table(field, self.dim, table, lie=False)
         self.unit = tuple(field.of(c) for c in unit)
         if len(self.unit) != self.dim:
             raise StructureError("unit vector has wrong length")
         self._validate()
 
-    def basis_product(self, i: int, j: int) -> Vector:
-        z = self.field.zero
-        out = [z] * self.dim
-        for k, c in self.table.get((i, j), {}).items():
-            out[k] = c
-        return tuple(out)
-
     def multiply(self, x: Sequence, y: Sequence) -> Vector:
-        of = self.field.of
-        return self._product([of(c) for c in x], [of(c) for c in y])
+        return self.field._from_k(self._product_k(self._k_vector(x), self._k_vector(y)))
 
-    def _product(self, x: Sequence, y: Sequence) -> Vector:
-        """xy for vectors of field scalars, from the products of their
-        nonzero coordinates only."""
-        table = self.table
-        ys = [(j, b) for j, b in enumerate(y) if b]
-        out = [self.field.zero] * self.dim
+    def _product_k(self, x: Sequence, y: Sequence) -> list:
+        """xy for x, y in kernel scalars, from the rows of the nonzero x_i
+        at the nonzero y_j; the result is not yet reduced."""
+        out = [self.field._k_zero] * self.dim
+        rows = self._rows
         for i, a in enumerate(x):
             if not a:
                 continue
-            for j, b in ys:
-                coeffs = table.get((i, j))
-                if coeffs:
+            for j, coeffs in rows[i].items():
+                b = y[j]
+                if b:
                     f = a * b
-                    for k, c in coeffs.items():
-                        out[k] = out[k] + f * c
-        return tuple(out)
+                    for k, c in coeffs:
+                        out[k] += f * c
+        return out
 
     def _validate(self) -> None:
-        n, mul = self.dim, self._product
-        basis = [self.basis_vector(i) for i in range(n)]
+        """The unit on both sides of every b_i, then (b_i b_j) b_k =
+        b_i (b_j b_k) on every triple, each side reduced by ``_to_k``."""
+        n, mul, to_k = self.dim, self._product_k, self.field._to_k
+        basis = [to_k(self.basis_vector(i)) for i in range(n)]
+        unit = to_k(self.unit)
         for i, bi in enumerate(basis):
-            if mul(self.unit, bi) != bi or mul(bi, self.unit) != bi:
+            if to_k(mul(unit, bi)) != bi or to_k(mul(bi, unit)) != bi:
                 raise StructureError(f"unit fails on basis element {i}")
-        products = [[self.basis_product(i, j) for j in range(n)] for i in range(n)]
+        products = [[mul(bi, bj) for bj in basis] for bi in basis]
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if mul(products[i][j], basis[k]) != mul(basis[i], products[j][k]):
+                    if to_k(mul(products[i][j], basis[k])) != to_k(mul(basis[i], products[j][k])):
                         raise StructureError(f"associativity fails on triple ({i}, {j}, {k})")
 
     def is_commutative(self) -> bool:
@@ -641,13 +636,10 @@ class AssocAlgebra(_Presented):
         )
 
     def to_json_dict(self) -> dict:
-        products = []
+        products, table = [], self.table
         for i in range(self.dim):
             for j in range(self.dim):
-                coeffs = {
-                    str(k): self.field.to_str(c)
-                    for k, c in sorted(self.table.get((i, j), {}).items())
-                }
+                coeffs = {str(k): self.field.to_str(c) for k, c in sorted(table.get((i, j), {}).items())}
                 products.append({"i": i, "j": j, "coeffs": coeffs})
         return {
             "field": field_to_json(self.field),
@@ -740,19 +732,13 @@ def quotient_with_projection(L: LieAlgebra, ideal: Subspace) -> Tuple[LieAlgebra
     if not L.is_ideal(ideal):
         raise StructureError("subspace is not an ideal")
     reps = ideal.complement_indices()
-    pos = {c: t for t, c in enumerate(reps)}
 
     def project(v: Sequence) -> Vector:
         reduced = ideal.reduce(L.coerce_vector(v))
         return tuple(reduced[c] for c in reps)
 
-    table: BracketTable = {}
-    for a in range(len(reps)):
-        for b in range(a + 1, len(reps)):
-            img = project(L.basis_bracket(reps[a], reps[b]))
-            coeffs = {k: c for k, c in enumerate(img) if c}
-            if coeffs:
-                table[(a, b)] = coeffs
+    pairs = itertools.combinations(range(len(reps)), 2)
+    table = {(a, b): project(L.basis_bracket(reps[a], reps[b])) for a, b in pairs}
     labels = tuple(L.labels[c] for c in reps)
     return LieAlgebra(L.field, labels, table), project
 
@@ -766,11 +752,8 @@ def direct_sum(L1: LieAlgebra, L2: LieAlgebra) -> LieAlgebra:
         raise TypeError("direct sum of algebras over different fields")
     n1 = L1.dim
     labels = tuple(f"{s}.1" for s in L1.labels) + tuple(f"{s}.2" for s in L2.labels)
-    table: BracketTable = {}
-    for (i, j), coeffs in L1.table.items():
-        table[(i, j)] = dict(coeffs)
-    for (i, j), coeffs in L2.table.items():
-        table[(i + n1, j + n1)] = {k + n1: c for k, c in coeffs.items()}
+    table = {(i, j): dict(cell) for i, j, cell in L1._cells()}
+    table.update({(i + n1, j + n1): {k + n1: c for k, c in cell} for i, j, cell in L2._cells()})
     return LieAlgebra(L1.field, labels, table)
 
 
@@ -784,24 +767,15 @@ def tensor_commutative(L: LieAlgebra, A: AssocAlgebra) -> LieAlgebra:
     dA = A.dim
     labels = tuple(f"{x}(x){a}" for x in L.labels for a in A.labels)
     table: BracketTable = {}
-    for (i, j), coeffs in L.table.items():
-        for s in range(dA):
-            for t in range(dA):
-                prod = A.basis_product(s, t)
-                p = i * dA + s
-                q = j * dA + t
-                entry: Dict[int, Scalar] = {}
-                for k, c in coeffs.items():
-                    for u, m in enumerate(prod):
-                        if m:
-                            idx = k * dA + u
-                            cur = entry.get(idx, L.field.zero) + c * m
-                            if cur:
-                                entry[idx] = cur
-                            elif idx in entry:
-                                del entry[idx]
-                if entry:
-                    table[(p, q)] = entry
+    for i, j, coeffs in L._cells():
+        for s, row in enumerate(A._rows):
+            for t, prod in row.items():
+                # in kernel scalars; the constructor reduces and drops zeros
+                entry: dict = {}
+                for k, c in coeffs:
+                    for u, m in prod:
+                        entry[k * dA + u] = entry.get(k * dA + u, 0) + c * m
+                table[(i * dA + s, j * dA + t)] = entry
     return LieAlgebra(L.field, labels, table)
 
 
@@ -817,9 +791,8 @@ def _map_equations(L: LieAlgebra) -> Iterator[tuple]:
     n = L.dim
     # ads[j][r]: the nonzero [b_j, b_s]_r as (s, c), from the rows of ad b_j
     ads = [[[(s, c) for s, c in enumerate(row) if c] for row in L.ad_basis(j)._k] for j in range(n)]
-    images = {(i, j): coeffs for i, j, coeffs in L._k_table()}
     for i, j in itertools.combinations(range(n), 2):
-        image = images.get((i, j), ())
+        image = L._rows[i].get(j, ())
         for r in range(n):
             yield (
                 [(r * n + k, c) for k, c in image],
@@ -879,9 +852,7 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
         comm = _sparse_row(p, product(sparse[a], sparse[b]), product(negated[b], sparse[a]))
         if _reduce(dict(comm), kernel._pivot_rows, p):
             raise StructureError("commutator of derivations left the solution space")
-        cs = {k: comm[q] for k, q in enumerate(kernel.pivots) if q in comm}
-        if cs:
-            table[(a, b)] = cs
+        table[(a, b)] = {k: comm[q] for k, q in enumerate(kernel.pivots) if q in comm}
     labels = tuple(f"D{t}" for t in range(len(mats)))
     return LieAlgebra(field, labels, table), mats
 
@@ -1105,18 +1076,17 @@ def cocycle_space(L: LieAlgebra) -> Subspace:
     """Z^2(L, K): alternating forms with w([x,y],z) + cyclic = 0."""
     n = L.dim
     idx = _pair_index(n)
-    brackets = {(i, j): coeffs for i, j, coeffs in L._k_table()}
 
-    def term(pair, k, sign):
-        # sign * w([b_pair], b_k) in the unknowns w(b_m, b_k) = +-w[min, max]
-        for m, c in brackets.get(pair, ()):
+    def term(i, j, k, sign):
+        # sign * w([b_i, b_j], b_k) in the unknowns w(b_m, b_k) = +-w[min, max]
+        for m, c in L._rows[i].get(j, ()):
             if m < k:
                 yield idx[(m, k)], sign * c
             elif m > k:
                 yield idx[(k, m)], -sign * c
 
     rows = (
-        _sparse_row(L.field.char, term((i, j), k, 1), term((j, k), i, 1), term((i, k), j, -1))
+        _sparse_row(L.field.char, term(i, j, k, 1), term(j, k, i, 1), term(i, k, j, -1))
         for i, j, k in itertools.combinations(range(n), 3)
     )
     return _Echelon(L.field, len(idx), rows).kernel()
@@ -1126,7 +1096,7 @@ def coboundary_space(L: LieAlgebra) -> Subspace:
     """B^2(L, K): forms f([x, y]) for functionals f, spanned by f = b_m^*."""
     idx = _pair_index(L.dim)
     forms = [[L.field._k_zero] * len(idx) for _ in range(L.dim)]
-    for i, j, coeffs in L._k_table():
+    for i, j, coeffs in L._cells():
         for m, c in coeffs:
             forms[m][idx[(i, j)]] = c
     return Subspace._span_k(L.field, len(idx), forms)
@@ -1163,15 +1133,8 @@ def central_extension(L: LieAlgebra, omega: Dict[Tuple[int, int], Scalar]) -> Li
     """L + K c with [x, y]_new = [x, y] + omega(x, y) c, c central."""
     if not is_cocycle(L, omega):
         raise StructureError("not a 2-cocycle; extension would break Jacobi")
-    n = L.dim
-    table: BracketTable = {}
-    for (i, j), coeffs in L.table.items():
-        table[(i, j)] = dict(coeffs)
+    table = {(i, j): dict(cell) for i, j, cell in L._cells()}
     for (i, j), c in omega.items():
-        c = L.field.of(c)
-        if not c:
-            continue
-        entry = table.setdefault((i, j), {})
-        entry[n] = c
+        table.setdefault((i, j), {})[L.dim] = c
     labels = L.labels + ("c",)
     return LieAlgebra(L.field, labels, table)

@@ -2,7 +2,7 @@
 
 Every potentially expensive scan in the package (point searches over Q,
 exhaustive scans over F_p^n, table enumeration, subspace enumeration,
-the associativity check of ``on``) reads its limit from here.  The
+the size of a catalog family) reads its limit from here.  The
 limits are constants: a question that needs more than they allow ends
 in BudgetExceeded or an Inconclusive verdict, never in a looser answer.
 """
@@ -42,7 +42,9 @@ DERIVATION_DIM_CAP = 12
 #: Largest number of subspaces is_minimal_non may enumerate.
 SUBSPACE_CAP = 5000
 
-#: Largest dimension p**n of a reduced polynomial algebra ``on`` builds:
-#: its associativity check multiplies all n**3 basis triples, about a
-#: second at dimension 32.
+#: Largest dimension a catalog family builds: p**n for the reduced
+#: polynomial algebra ``on``, whose associativity check multiplies all
+#: dim**3 basis triples, about a second at dimension 32; and the
+#: dimension of gl, sl, strict_upper, heisenberg and abelian (so of psl
+#: and pgl, which start from sl and gl), refused from the parameter.
 ON_DIM_CAP = 32

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .algebra import _jacobi_defects, AssocAlgebra, LieAlgebra, StructureError, quotient, tensor_commutative
@@ -38,17 +38,22 @@ def _matrix_lie_algebra(field: Field, mats: Sequence[Matrix], labels: Sequence[s
         return tuple(c for row in m.rows for c in row)
 
     basis_cols = Matrix.from_columns(field, [flat(m) for m in mats], size * size)
-    table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+    table: Dict[Tuple[int, int], Vector] = {}
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             comm = mats[i] * mats[j] - mats[j] * mats[i]
             coords = basis_cols.solve(flat(comm))
             if coords is None:
                 raise StructureError("commutator escaped the matrix span")
-            entry = {k: c for k, c in enumerate(coords) if c}
-            if entry:
-                table[(i, j)] = entry
+            table[(i, j)] = coords
     return LieAlgebra(field, labels, table)
+
+
+def _check_size(name: str, dim: int) -> None:
+    """Refuse a family member whose dimension passes ON_DIM_CAP, from its
+    parameter alone, before any matrix or label is built."""
+    if dim > ON_DIM_CAP:
+        raise BudgetExceeded(f"{name} of dimension {dim} exceeds the cap {ON_DIM_CAP}")
 
 
 def _unit_matrix(field: Field, size: int, r: int, c: int) -> Matrix:
@@ -61,6 +66,7 @@ def gl(field: Field, n: int) -> LieAlgebra:
     """All n x n matrices; basis E_ij in row-major order."""
     if n < 1:
         raise ValueError("gl needs n >= 1")
+    _check_size(f"gl({n})", n * n)
     mats, labels = [], []
     for r in range(n):
         for c in range(n):
@@ -78,6 +84,7 @@ def sl(field: Field, n: int) -> LieAlgebra:
     """
     if n < 2:
         raise ValueError("sl needs n >= 2")
+    _check_size(f"sl({n})", n * n - 1)
     if n == 2:
         e = _unit_matrix(field, 2, 0, 1)
         f = _unit_matrix(field, 2, 1, 0)
@@ -102,6 +109,7 @@ def strict_upper(field: Field, n: int) -> LieAlgebra:
     """Strictly upper triangular n x n matrices (nilpotent of class n-1)."""
     if n < 2:
         raise ValueError("strict_upper needs n >= 2")
+    _check_size(f"strict_upper({n})", n * (n - 1) // 2)
     mats, labels = [], []
     for r in range(n):
         for c in range(r + 1, n):
@@ -176,6 +184,7 @@ def sl_image_in_pgl(field: Field, n: int) -> Subspace:
 
 
 def abelian(field: Field, n: int) -> LieAlgebra:
+    _check_size(f"abelian({n})", n)
     return LieAlgebra(field, tuple(f"a{i + 1}" for i in range(n)), {})
 
 
@@ -183,6 +192,7 @@ def heisenberg(field: Field, m: int) -> LieAlgebra:
     """Dimension 2m + 1: [x_i, y_i] = z, all else zero."""
     if m < 1:
         raise ValueError("heisenberg needs m >= 1")
+    _check_size(f"heisenberg({m})", 2 * m + 1)
     labels = tuple(f"x{i + 1}" for i in range(m)) + tuple(f"y{i + 1}" for i in range(m)) + ("z",)
     table = {(i, m + i): {2 * m: 1} for i in range(m)}
     return LieAlgebra(field, labels, table)
@@ -289,12 +299,12 @@ class QuaternionAlgebra:
         return self.assoc.multiply(x, y)
 
     def conjugate(self, x: Sequence) -> Vector:
-        x = tuple(self.field.of(c) for c in x)
+        x = self.assoc.coerce_vector(x)
         return (x[0], -x[1], -x[2], -x[3])
 
     def norm(self, x: Sequence) -> Scalar:
         """x0^2 - a x1^2 - b x2^2 + ab x3^2 = x * conjugate(x)."""
-        x = tuple(self.field.of(c) for c in x)
+        x = self.assoc.coerce_vector(x)
         return x[0] * x[0] - self.a * x[1] * x[1] - self.b * x[2] * x[2] + self.a * self.b * x[3] * x[3]
 
     def __repr__(self) -> str:
@@ -309,14 +319,10 @@ def reduced_trace(Q: QuaternionAlgebra, x: Sequence) -> Scalar:
 
 def minus_algebra(A: AssocAlgebra) -> LieAlgebra:
     """Same space, bracket [x, y] = xy - yx."""
-    table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            fwd = A.basis_product(i, j)
-            bwd = A.basis_product(j, i)
-            entry = {k: fwd[k] - bwd[k] for k in range(A.dim) if fwd[k] - bwd[k]}
-            if entry:
-                table[(i, j)] = entry
+    table = {
+        (i, j): [f - b for f, b in zip(A.basis_product(i, j), A.basis_product(j, i))]
+        for i, j in combinations(range(A.dim), 2)
+    }
     return LieAlgebra(A.field, A.labels, table)
 
 
@@ -451,21 +457,12 @@ class EnumTable(_Record):
         self.jacobi_ok = jacobi_ok
 
     def algebra(self) -> LieAlgebra:
-        """The algebra, built without re-validating Jacobi."""
-        table: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
-        pos = 0
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                entry = {}
-                for k in range(self.dim):
-                    c = self.coeffs[pos]
-                    pos += 1
-                    if c:
-                        entry[k] = c
-                if entry:
-                    table[(i, j)] = entry
-        labels = tuple(f"b{t + 1}" for t in range(self.dim))
-        return LieAlgebra.unchecked(self.field, labels, table)
+        """The algebra, built without re-validating Jacobi: the t-th pair
+        i < j in order gets the t-th slice of dim coefficients."""
+        n, cs = self.dim, self.coeffs
+        pairs = combinations(range(n), 2)
+        table = {pair: cs[t * n : (t + 1) * n] for t, pair in enumerate(pairs)}
+        return LieAlgebra.unchecked(self.field, tuple(f"b{t + 1}" for t in range(n)), table)
 
 
 def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
@@ -487,17 +484,17 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     # every coefficient vector of one bracket, in lexicographic order, with
     # its nonzero entries in kernel scalars and their negation; Jacobi runs
-    # on one bracket array whose pair cells each table rewrites
+    # on one list of Lie rows whose pair cells each table rewrites
     blocks = []
     for vec in iproduct(elements, repeat=dim):
         coeffs = tuple((k, c) for k, c in enumerate(field._to_k(vec)) if c)
         blocks.append((vec, coeffs, tuple((k, -c) for k, c in coeffs)))
-    br: List[List[tuple]] = [[()] * dim for _ in range(dim)]
+    rows: List[dict] = [{} for _ in range(dim)]
     for combo in iproduct(blocks, repeat=len(pairs)):
         for (i, j), (_, coeffs, negated) in zip(pairs, combo):
-            br[i][j] = coeffs
-            br[j][i] = negated
-        ok = next(_jacobi_defects(field, dim, br), None) is None
+            rows[i][j] = coeffs
+            rows[j][i] = negated
+        ok = next(_jacobi_defects(field, dim, rows), None) is None
         yield EnumTable(dim, field, tuple(c for vec, _, _ in combo for c in vec), ok)
 
 

@@ -632,6 +632,31 @@ class TestForeignScalars:
             A.multiply((0.5, 0, 0, 0), (1, 0, 0, 0))
 
 
+class TestTableView:
+    """``table`` is built from the stored rows on each read: mutating a
+    table it returned changes nothing the algebra answers."""
+
+    def test_lie(self):
+        L = sl(QQ, 2)
+        x, y = (1, 2, 3), (-1, 0, 4)
+        before = (L.table, L.canonical_json(), L.bracket(x, y), L.jacobi_violations())
+        table = L.table
+        table[(0, 1)][2] = 5
+        table[(1, 2)] = {0: QQ.of(7)}
+        del table[(0, 2)]
+        assert (L.table, L.canonical_json(), L.bracket(x, y), L.jacobi_violations()) == before
+
+    def test_assoc(self):
+        A = QuaternionAlgebra(F5, 2, 3).assoc
+        x, y = (1, 2, 3, 4), (0, 4, 0, 1)
+        before = (A.table, A.canonical_json(), A.multiply(x, y))
+        table = A.table
+        table[(1, 1)][0] = F5.of(1)
+        table[(0, 0)] = {}
+        del table[(2, 3)]
+        assert (A.table, A.canonical_json(), A.multiply(x, y)) == before
+
+
 class TestAssocTable:
     """The associative table shares the Lie cleaner; the pair rule is its
     only difference."""
@@ -658,6 +683,30 @@ class TestAssocTable:
                 for k, c in A.table.get((i, j), {}).items():
                     want[k] = want[k] + GF(7).of(x[i]) * GF(7).of(y[j]) * c
         assert A.multiply(x, y) == tuple(want)
+
+    @pytest.mark.parametrize(
+        "A",
+        [on(F3, 2), QuaternionAlgebra(F5, 2, 3).assoc, QuaternionAlgebra(QQ, -1, 3).assoc],
+        ids=["on2@F3", "quaternion(2,3)@F5", "quaternion(-1,3)@Q"],
+    )
+    def test_product_is_the_sum_over_the_whole_table(self, A):
+        """multiply on kernel rows against sum x_i y_j c_ij^k b_k in field
+        scalars over every entry of the table, on seeded vectors with
+        about 40 % zero coordinates, and on every pair of basis vectors."""
+        field, n, rng = A.field, A.dim, random.Random(11)
+        table = A.table
+
+        def want(x, y):
+            out = [field.zero] * n
+            for (i, j), cell in table.items():
+                for k, c in cell.items():
+                    out[k] = out[k] + field.of(x[i]) * field.of(y[j]) * c
+            return tuple(out)
+
+        vectors = [[rng.randint(-4, 4) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(30)]
+        vectors += [A.basis_vector(i) for i in range(n)]
+        for x, y in itertools.product(vectors, repeat=2):
+            assert A.multiply(x, y) == want(x, y)
 
     def test_json_errors_name_the_kind(self):
         doc = QuaternionAlgebra(QQ, QQ.of(-1), QQ.of(-1)).assoc.to_json_dict()

@@ -143,6 +143,30 @@ class TestRegistry:
             with pytest.raises(BudgetExceeded):
                 on(field, n)
 
+    # name, field, largest n with dimension <= ON_DIM_CAP, that dimension
+    FAMILY_CAPS = [
+        ("gl", QQ, 5, 25),
+        ("sl", QQ, 5, 24),
+        ("strict_upper", QQ, 8, 28),
+        ("heisenberg", QQ, 15, 31),
+        ("abelian", QQ, 32, 32),
+        ("psl", F5, 5, 23),
+        ("pgl", F5, 5, 24),
+    ]
+
+    @pytest.mark.parametrize("name,field", [c[:2] for c in FAMILY_CAPS], ids=[c[0] for c in FAMILY_CAPS])
+    def test_family_refuses_a_huge_n_from_n_alone(self, name, field):
+        # 10**9 is a multiple of 5, so psl and pgl reach the sl and gl check
+        with pytest.raises(BudgetExceeded, match=f"exceeds the cap {ON_DIM_CAP}"):
+            make(name, field, n=10**9)
+
+    @pytest.mark.parametrize("name,field,n,dim", FAMILY_CAPS, ids=[c[0] for c in FAMILY_CAPS])
+    def test_family_builds_at_its_largest_allowed_n(self, name, field, n, dim):
+        assert make(name, field, n=n).dim == dim <= ON_DIM_CAP
+        step = field.p if field.kind == "Fp" else 1
+        with pytest.raises(BudgetExceeded):
+            make(name, field, n=n + step)
+
     def test_canonical_instances_all_valid(self):
         seen = set()
         for name, L in canonical_instances():
@@ -196,6 +220,23 @@ class TestQuaternions:
         H = self.H
         assert reduced_trace(H, x) == QQ.of(2) * x[0]
         assert reduced_trace(H, H.multiply(x, y)) == reduced_trace(H, H.multiply(y, x))
+
+    def test_multiply_refuses_a_wrong_length(self):
+        for x, y in (((1, 0, 0, 0, 7), (1, 0, 0, 0)), ((1, 0), (0, 1))):
+            with pytest.raises(ValueError, match="vector of length . in a dim 4 algebra"):
+                self.H.multiply(x, y)
+            with pytest.raises(ValueError, match="vector of length . in a dim 4 algebra"):
+                self.H.assoc.multiply(y, x)
+
+    def test_norm_refuses_a_wrong_length(self):
+        for x in ((1, 2, 3, 4, 5), (1, 2, 3)):
+            with pytest.raises(ValueError, match=f"vector of length {len(x)} in a dim 4 algebra"):
+                self.H.norm(x)
+
+    def test_conjugate_refuses_a_wrong_length(self):
+        for x in ((1, 2, 3, 4, 5), (1, 2, 3)):
+            with pytest.raises(ValueError, match=f"vector of length {len(x)} in a dim 4 algebra"):
+                self.H.conjugate(x)
 
     def test_rejects_characteristic_two_and_zero_params(self):
         with pytest.raises(ValueError):

@@ -227,6 +227,12 @@ class TestCatalog:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("name", ["gl", "sl", "strict_upper", "heisenberg", "abelian"])
+    def test_emit_family_beyond_the_cap_exits_3(self, capsys, name):
+        assert main(["catalog", "emit", name, "--n", "1000000000"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "exceeds the cap 32" in captured.err
+
     def test_emit_on_beyond_the_cap_exits_3(self, capsys):
         assert main(["catalog", "emit", "on", "--n", "6", "--field", "F2"]) == 3
         captured = capsys.readouterr()

@@ -17,7 +17,9 @@ Gram by traces of products, the invariance test by G A + A^T G, the
 series from [L, L] by bracket spans, the MultiPoly minor expansion and
 the Der structure constants from dense commutators.  The dense product,
 ``apply`` and matrix powers, one body for both fields, are checked against
-the field-scalar triple loop ``ref_matmul``.
+the field-scalar triple loop ``ref_matmul``.  The dict rebuild that
+``EnumTable.algebra`` made before it handed the constructor each pair's
+slice of coefficients is kept as the oracle for the stored rows.
 """
 import json
 from fractions import Fraction
@@ -30,7 +32,7 @@ from hypothesis import strategies as st
 
 from lielab import LieAlgebra, abelian, gl, heisenberg, pgl, sl, strict_upper, su2q, zero_multiplicity
 from lielab.algebra import BilinearForm, StructureError, centroid, cocycle_space, derivation_algebra
-from lielab.catalog import canonical_instances
+from lielab.catalog import canonical_instances, enumerate_tables
 from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_lcm
 from lielab.linalg import Matrix, Subspace, vec_add
 from lielab.regularity import linear_family_char_coeffs
@@ -432,6 +434,71 @@ def test_jacobi_defects_of_broken_tables():
         bad = broken.jacobi_violations()
         assert bad and bad == ref_jacobi_violations(broken)
         assert L.jacobi_violations() == ref_jacobi_violations(L) == []
+
+
+# -- the stored rows against the table they came from -------------------------------
+
+
+def ref_enum_algebra(t):
+    """The dict rebuild EnumTable.algebra made before it passed each pair's
+    slice of the flat coefficients: {(i, j): {k: c}} of the nonzero c."""
+    table = {}
+    pos = 0
+    for i in range(t.dim):
+        for j in range(i + 1, t.dim):
+            entry = {}
+            for k in range(t.dim):
+                c = t.coeffs[pos]
+                pos += 1
+                if c:
+                    entry[k] = c
+            if entry:
+                table[(i, j)] = entry
+    return LieAlgebra.unchecked(t.field, tuple(f"b{s + 1}" for s in range(t.dim)), table)
+
+
+def _assert_stored_rows(L):
+    """The rows are antisymmetric with an empty diagonal, no empty cell,
+    no zero and no repeated component in a cell, and canonical kernel
+    scalars above the diagonal; the table view rebuilds the same rows."""
+    rows, to_k = L._rows, L.field._to_k
+    assert len(rows) == L.dim
+    for i, row in enumerate(rows):
+        assert i not in row
+        for j, cell in row.items():
+            ks, cs = [k for k, _ in cell], [c for _, c in cell]
+            assert cell and len(set(ks)) == len(ks) and all(to_k(cs))
+            mirror = rows[j][i]
+            assert [k for k, _ in mirror] == ks
+            assert to_k([c for _, c in mirror]) == to_k([-c for c in cs])
+            if i < j:
+                assert to_k(cs) == cs
+    assert LieAlgebra(L.field, L.labels, L.table)._rows == rows
+
+
+ROW_CASES = [(name, L) for name, L in canonical_instances()] + [
+    (path.stem, LieAlgebra.from_json_dict(json.loads(path.read_text())))
+    for path in sorted((Path(__file__).resolve().parent.parent / "perfbench" / "inputs").glob("*.json"))
+]
+
+
+@pytest.mark.parametrize("name,L", ROW_CASES, ids=[c[0] for c in ROW_CASES])
+def test_stored_rows(name, L):
+    _assert_stored_rows(L)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=["F2", "F3"])
+def test_stored_rows_of_the_census(field):
+    """Every valid dimension-3 table: the rows, and EnumTable.algebra
+    against the dict rebuild it replaced."""
+    valid = 0
+    for t in enumerate_tables(3, field):
+        if t.jacobi_ok:
+            valid += 1
+            L, ref = t.algebra(), ref_enum_algebra(t)
+            assert L._rows == ref._rows and L.canonical_json() == ref.canonical_json()
+            _assert_stored_rows(L)
+    assert valid == {2: 120, 3: 1431}[field.p]
 
 
 # -- worklist ideal closure against the fixed-point closure ------------------------
