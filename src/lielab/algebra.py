@@ -1,15 +1,16 @@
 """Lie and associative algebras presented by structure constants.
 
-Each algebra stores its table once, as rows of kernel scalars (Fractions
-over Q, residues over F_p, see linalg): ``rows[i][j]`` is the tuple
-((k, c), ...) of the nonzero coefficients of b_i b_j, and a pair whose
-product is zero has no cell.  One cleaner builds the rows for both kinds
-of algebra and converts each coefficient once.  A Lie algebra fills both
-orders, ``rows[j][i]`` being ``rows[i][j]`` negated, and leaves the
-diagonal empty, so antisymmetry is built into the representation; the
-Jacobi identity is checked on every basis triple at construction time
-(the table enumerator uses the unchecked constructor and validates
-separately).  An associative algebra fills the pairs its input names.
+Each algebra stores its table once, as rows of kernel scalars (over Q
+ints where integral and Fractions otherwise, residues over F_p, see
+linalg): ``rows[i][j]`` is the tuple ((k, c), ...) of the nonzero
+coefficients of b_i b_j, and a pair whose product is zero has no
+cell.  One cleaner builds the rows for both kinds of algebra and converts
+each coefficient once.  A Lie algebra fills both orders, ``rows[j][i]``
+being ``rows[i][j]`` negated, and leaves the diagonal empty, so
+antisymmetry is built into the representation; the Jacobi identity is
+checked on every basis triple at construction time (the table enumerator
+uses the unchecked constructor and validates separately).  An associative
+algebra fills the pairs its input names.
 ``table``, the dict {(i, j): {k: c}} in field scalars, is built from the
 rows each time it is read.
 
@@ -81,19 +82,20 @@ def _clean_table(field: Field, dim: int, table, *, lie: bool = True) -> Rows:
     kind = "bracket" if lie else "product"
     rows: Rows = [{} for _ in range(dim)]
     for (i, j), cell in table.items():
-        if not (0 <= i < dim and 0 <= j < dim) or (lie and i >= j):
+        if not (type(i) is int and type(j) is int and 0 <= i < dim and 0 <= j < dim) or (lie and i >= j):
             rule = "0 <= i < j < dim" if lie else "0 <= i, j < dim"
-            raise StructureError(f"{kind} pair ({i}, {j}) must satisfy {rule}")
+            raise StructureError(f"{kind} pair ({i!r}, {j!r}) must satisfy {rule}")
         ks, cs = (cell.keys(), cell.values()) if isinstance(cell, dict) else (range(len(cell)), cell)
         try:
             values = field._to_k(cs)
         except TypeError:
             values = None
-        if values is None or (ks and not 0 <= min(ks) <= max(ks) < dim):
+        in_basis = all(type(k) is int for k in ks) and (not ks or 0 <= min(ks) <= max(ks) < dim)
+        if values is None or not in_basis:
             # name the first bad entry, in the order given
             for k, c in zip(ks, cs):
-                if not 0 <= k < dim:
-                    raise StructureError(f"{kind} ({i}, {j}) names component {k} outside the basis")
+                if type(k) is not int or not 0 <= k < dim:
+                    raise StructureError(f"{kind} ({i}, {j}) names component {k!r} outside the basis")
                 try:
                     field.of(c)
                 except TypeError:

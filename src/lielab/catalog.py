@@ -184,6 +184,8 @@ def sl_image_in_pgl(field: Field, n: int) -> Subspace:
 
 
 def abelian(field: Field, n: int) -> LieAlgebra:
+    if n < 0:
+        raise ValueError("abelian needs n >= 0")
     _check_size(f"abelian({n})", n)
     return LieAlgebra(field, tuple(f"a{i + 1}" for i in range(n)), {})
 

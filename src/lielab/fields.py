@@ -15,18 +15,24 @@ A "field" in this package is a small descriptor object (RationalField or
 PrimeField) used for construction, parsing, printing and enumeration of
 scalars.  It is threaded through every matrix, polynomial and algebra.
 
-``Fp`` objects are the F_p scalars of the public API, not of the inner
-loops.  Linear algebra and the algebra primitives (elimination, products,
-characteristic polynomials, ad, brackets, Jacobi, ideal closure) run on
-kernel scalars: the Fractions themselves over Q, plain ints in [0, p)
-over F_p.  ``_to_k`` is the way into that kernel (``_rows_to_k`` for a
-whole matrix in one call), ``_from_k`` the way out and ``_k_zero`` its
-zero, for both fields.  The two ways also normalize, so kernel code may
-leave unreduced ints (or, over Q, ints beside Fractions) for them to
-bring back to canonical form.  An Fp is built only where a result
-leaves the kernel: a row read from a Matrix or Subspace, a returned
-vector or scalar, a UniPoly coefficient.  The polynomial classes below
-still compute with Fp values.
+``Fp`` objects and Fractions are the scalars of the public API, not of
+the inner loops.  Linear algebra and the algebra primitives (elimination,
+products, characteristic polynomials, ad, brackets, Jacobi, ideal
+closure) run on kernel scalars: over Q a plain int where the value is
+integral and a Fraction only where its denominator is > 1, over F_p
+plain ints in [0, p).  An integer table over Q so eliminates, multiplies
+and brackets on machine ints until a real division happens.  ``_to_k`` is
+the way into that kernel (``_rows_to_k`` for a whole matrix in one
+call), ``_from_k`` the way out and ``_k_zero`` its zero, for both
+fields.  The two ways also normalize, so kernel code may leave unreduced
+ints (or, over Q, Fractions of denominator 1) for them to bring back to
+canonical form; over Q ``_from_k`` refuses anything but an int or a
+Fraction, so a float from a division cannot pass as a rational.  Field
+scalars (``rows``, ``table``, vectors, JSON) stay Fractions.  An Fp or a
+Fraction is built only where a result leaves the kernel: a row read from
+a Matrix or Subspace, a returned vector or scalar, a UniPoly
+coefficient.  The polynomial classes below still compute with field
+scalars.
 """
 from __future__ import annotations
 
@@ -145,7 +151,7 @@ class RationalField:
 
     kind = "Q"
     char = 0
-    _k_zero = Fraction(0)
+    _k_zero = 0
 
     @property
     def zero(self) -> Fraction:
@@ -179,17 +185,33 @@ class RationalField:
     def contains(self, x) -> bool:
         return isinstance(x, Fraction)
 
-    def _to_k(self, v: Sequence) -> List[Fraction]:
-        """Kernel scalars over Q are the Fractions themselves."""
-        return [c if type(c) is Fraction else self.of(c) for c in v]
+    def _to_k(self, v: Sequence) -> List[Union[int, Fraction]]:
+        """Kernel scalars over Q: an int kept as it is, a Fraction of
+        denominator 1 turned into its numerator, other Fractions kept."""
+        canon = self._canon
+        return [c if type(c) is int else canon(c) for c in v]
 
-    def _rows_to_k(self, rows: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
+    def _rows_to_k(self, rows: Sequence[Sequence]) -> Tuple[Tuple[Union[int, Fraction], ...], ...]:
         """``_to_k`` of each row, as tuples."""
-        of = self.of
-        return tuple([tuple([c if type(c) is Fraction else of(c) for c in r]) for r in rows])
+        canon = self._canon
+        return tuple([tuple([c if type(c) is int else canon(c) for c in r]) for r in rows])
+
+    def _canon(self, c) -> Union[int, Fraction]:
+        """The kernel scalar of anything but a plain int, through ``of``,
+        which refuses what is not a rational scalar."""
+        if type(c) is not Fraction:
+            c = self.of(c)
+        return c.numerator if c.denominator == 1 else c
 
     def _from_k(self, v: Sequence) -> Tuple[Fraction, ...]:
-        return tuple(c if type(c) is Fraction else Fraction(c) for c in v)
+        """Fractions for kernel scalars: the way out of the kernel.  Only an
+        int or a Fraction is one, so a float from a missed division fails
+        here instead of passing as a wrong answer."""
+        return tuple(Fraction(c) if type(c) is int else c if type(c) is Fraction else self._refuse(c) for c in v)
+
+    @staticmethod
+    def _refuse(c):
+        raise TypeError(f"{c!r} is not a kernel scalar over Q")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalField)

@@ -6,27 +6,33 @@ Matrices are immutable lists of rows of scalars tagged with their field;
 Subspaces are kept in reduced row echelon form, so equality of subspaces
 is equality of representations.
 
-The kernel computes on kernel scalars: the ``Fraction`` entries over Q,
-plain ints in [0, p) over F_p (``Fp`` objects are built only when a
-caller reads ``rows`` or gets a vector, a scalar or a polynomial back,
-which is where a result leaves the kernel).  Matrices and subspaces
-store only kernel rows (``_k``).  Each has one constructor; it takes
-field scalars or kernel scalars, unreduced ints included, and passes
-all its rows, in one call, through ``field._rows_to_k``, which refuses
-a scalar of another field.  ``rows`` is the field-scalar view, built by
-``_from_k`` when read.  All row reduction goes through ``_Echelon``,
-which grows a reduced echelon basis one vector at a time and keeps its
-rows as ``{column: scalar}`` dicts: ``rref``, ``kernel``, ``solve``, ``image``,
-``intersect``, subspace ``reduce`` and ``contains``, the ideal closure
-and the sparse equation systems of the derivation algebra, the centroid
-and the 2-cocycles.  Dense rows are turned into dicts on the way in and
-back into dense rows by ``echelon()``.  Its one reduce step is
-``_reduce``, built on the row update ``_axpy`` (taken mod p over F_p),
-and division over F_p is multiplication by pow(a, p - 2, p).  Products,
-``apply`` and the Hessenberg characteristic polynomial stay dense, and
-each is one body for both fields too: it reads p = 0 as Q and reduces
-mod p only where p is set.  The product and ``apply`` walk only the
-nonzero entries of each row (``_nonzero``).
+The kernel computes on kernel scalars: over Q an int where integral and
+a ``Fraction`` only where the denominator is > 1, plain ints in [0, p)
+over F_p (``Fp`` objects, and over Q Fractions of integral values, are
+built only when a caller reads ``rows`` or gets a vector, a scalar or a
+polynomial back, which is where a result leaves the kernel).  Matrices
+and subspaces store only kernel rows (``_k``).  Each has one constructor;
+it takes field scalars or kernel scalars, unreduced ints included, and
+passes all its rows, in one call, through ``field._rows_to_k``, which
+refuses a scalar of another field.  ``rows`` is the field-scalar view,
+built by ``_from_k`` when read.  All row reduction goes through
+``_Echelon``, which grows a reduced echelon basis one vector at a time
+and keeps its rows as ``{column: scalar}`` dicts: ``rref``, ``kernel``,
+``solve``, ``image``, ``intersect``, subspace ``reduce`` and
+``contains``, the ideal closure and the sparse equation systems of the
+derivation algebra, the centroid and the 2-cocycles.  Dense rows are
+turned into dicts on the way in and back into dense rows by
+``echelon()``.  Its one reduce step is ``_reduce``, built on the row
+update ``_axpy`` (taken mod p over F_p).  Division happens in two places,
+the pivot of ``_Echelon.add`` and of the Hessenberg reduction, and both
+take ``_inverse``: pow(a, p - 2, p) over F_p, an exact inverse over Q (a
+itself for a = +-1).  Products, ``apply`` and the Hessenberg
+characteristic polynomial stay dense, and each is one body for both
+fields too: it reads p = 0 as Q and reduces mod p only where p is
+set.  The product and ``apply`` walk only the nonzero entries of each row
+(``_nonzero``).  Over Q an entry that comes out of them, or out of
+``_axpy``, as a Fraction of denominator 1 stays one until a constructor
+brings it back to an int.
 
 Characteristic polynomials come from a Hessenberg reduction (no division
 by integer constants, so small characteristic is safe), ``_char_poly``,
@@ -35,6 +41,7 @@ Krylov chains off the standard basis and taking lcms.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -83,6 +90,18 @@ def _axpy(w: dict, f, row: dict, p: int) -> None:
             del w[k]
 
 
+def _inverse(a, p: int):
+    """1 / a for a nonzero kernel scalar; p = 0 stands for Q.  Over F_p it
+    is pow(a, p - 2, p); over Q it is exact and an int where integral, a
+    itself for a = +-1, so no division can leave a float in the kernel."""
+    if p:
+        return pow(a, p - 2, p)
+    n = a.numerator
+    if n == 1 or n == -1:
+        return a.denominator * n
+    return Fraction(a.denominator, n)
+
+
 def _reduce(w: dict, rows: Dict[int, dict], p: int) -> dict:
     """w modulo reduced echelon rows keyed by pivot, in place.  The rows
     vanish on each other's pivots, so each pivot of w is cleared by its
@@ -115,7 +134,7 @@ def _char_poly(mat: Sequence[Sequence], p: int) -> list:
             for row in h:
                 row[c + 1], row[r] = row[r], row[c + 1]
         hc1 = h[c + 1]
-        inv = pow(hc1[c], p - 2, p) if p else 1 / hc1[c]
+        inv = _inverse(hc1[c], p)
         for r in range(c + 2, n):
             f = h[r][c] * inv
             if p:
@@ -177,8 +196,8 @@ class Matrix:
     @cached_property
     def _nonzero(self) -> Tuple[Tuple[list, list], ...]:
         """Each row as (columns, scalars) of its nonzero entries, for the
-        product and ``apply``: a zero entry costs little over F_p but a full
-        Fraction product over Q."""
+        product and ``apply``: a zero entry skipped is a product saved, a
+        Fraction product over Q where the other factor is not integral."""
         out = []
         for row in self._k:
             cols = [j for j, x in enumerate(row) if x]
@@ -542,11 +561,13 @@ class Subspace:
 class _Echelon:
     """A reduced echelon basis grown one vector at a time.
 
-    Vectors are in kernel scalars (residues over F_p, Fractions over Q),
-    dense or as {column: scalar} dicts; the rows are kept as dicts keyed
-    by pivot.  ``add`` returns the reduced, normalized row when it
-    enlarges the span, ``echelon`` gives the dense reduced echelon form,
-    ``subspace`` its Subspace and ``kernel`` the null space of the rows.
+    Vectors are in kernel scalars (residues over F_p; over Q ints, and
+    Fractions where not integral), dense or as {column: scalar} dicts; the
+    rows are kept as dicts keyed by pivot.  ``add`` returns the reduced,
+    normalized row when it enlarges the span; over Q the entries of that
+    row that come out integral are stored as ints.  ``echelon`` gives the
+    dense reduced echelon form, ``subspace`` its Subspace and ``kernel``
+    the null space of the rows.
     """
 
     def __init__(self, field: Field, ambient: int, vectors: Iterable = ()):
@@ -571,8 +592,12 @@ class _Echelon:
         lead = min(w)
         a = w[lead]
         if a != 1:
-            inv = pow(a, p - 2, p) if p else 1 / a
-            w = {k: x * inv % p for k, x in w.items()} if p else {k: x * inv for k, x in w.items()}
+            inv = _inverse(a, p)
+            if p:
+                w = {k: x * inv % p for k, x in w.items()}
+            else:
+                # an integral entry of the normalized row is stored as an int
+                w = {k: y if (y := x * inv).denominator != 1 else y.numerator for k, x in w.items()}
         for row in self.rows.values():
             f = row.get(lead)
             if f:

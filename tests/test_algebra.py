@@ -626,6 +626,27 @@ class TestForeignScalars:
         with pytest.raises(TypeError):
             AssocAlgebra(QQ, ("1",), {(0, 0): {0: 1}}, (1.0,))
 
+    @pytest.mark.parametrize(
+        "table,match",
+        [
+            ({(0, 1): {"1": 1}}, "component '1'"),
+            ({(0, 1): {1.0: 1}}, "component 1.0"),
+            # True == 1, but the JSON writer would print it as "True"
+            ({(0, 1): {True: 1}}, "component True"),
+            ({("0", 1): {1: 1}}, r"pair \('0', 1\)"),
+        ],
+        ids=["str-component", "float-component", "bool-component", "str-pair"],
+    )
+    def test_lie_table_key_that_is_not_an_int(self, table, match):
+        with pytest.raises(StructureError, match=match):
+            LieAlgebra(QQ, ("x", "y"), table)
+
+    def test_assoc_table_key_that_is_not_an_int(self):
+        with pytest.raises(StructureError, match="component '0'"):
+            AssocAlgebra(QQ, ("1",), {(0, 0): {"0": 1}}, (1,))
+        with pytest.raises(StructureError, match=r"pair \(0, '0'\)"):
+            AssocAlgebra(QQ, ("1",), {(0, "0"): {0: 1}}, (1,))
+
     def test_assoc_product(self):
         A = QuaternionAlgebra(QQ, QQ.of(-1), QQ.of(-1)).assoc
         with pytest.raises(TypeError):

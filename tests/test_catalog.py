@@ -167,6 +167,11 @@ class TestRegistry:
         with pytest.raises(BudgetExceeded):
             make(name, field, n=n + step)
 
+    def test_abelian_refuses_a_negative_size(self):
+        with pytest.raises(ValueError, match="abelian needs n >= 0"):
+            abelian(QQ, -3)
+        assert abelian(QQ, 0).dim == 0
+
     def test_canonical_instances_all_valid(self):
         seen = set()
         for name, L in canonical_instances():

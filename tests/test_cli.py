@@ -233,6 +233,11 @@ class TestCatalog:
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds the cap 32" in captured.err
 
+    def test_emit_abelian_of_negative_size_exits_3(self, capsys):
+        assert main(["catalog", "emit", "abelian", "--n", "-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: abelian needs n >= 0\n"
+
     def test_emit_on_beyond_the_cap_exits_3(self, capsys):
         assert main(["catalog", "emit", "on", "--n", "6", "--field", "F2"]) == 3
         captured = capsys.readouterr()

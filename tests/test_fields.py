@@ -119,6 +119,25 @@ class TestRationalField:
         assert QQ.contains(Fraction(1, 3))
         assert not QQ.contains(F5.of(1))
 
+    def test_kernel_scalars_are_ints_where_integral(self):
+        got = QQ._to_k([3, Fraction(4, 2), Fraction(1, 3)])
+        assert got == [3, 2, Fraction(1, 3)] and [type(c) for c in got] == [int, int, Fraction]
+        assert type(QQ._k_zero) is int and QQ._k_zero == 0
+        for bad in (0.5, "1", F5.of(1)):
+            with pytest.raises(TypeError):
+                QQ._to_k([bad])
+
+    def test_from_k_refuses_what_is_not_a_kernel_scalar(self):
+        # a float from a missed division fails instead of passing as a
+        # nearby rational
+        with pytest.raises(TypeError):
+            QQ._from_k([0.5])
+        with pytest.raises(TypeError):
+            QQ._from_k([1 / 3])
+        out = QQ._from_k([2, Fraction(1, 3)])
+        assert out == (Fraction(2), Fraction(1, 3))
+        assert all(type(c) is Fraction for c in out)
+
 
 def test_field_json_round_trip():
     for field in (QQ, F5, GF(101)):

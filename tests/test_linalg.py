@@ -144,10 +144,11 @@ class TestOneConstructor:
         assert (from_ints.m, from_ints.n) == (m, n)
         assert all(field.contains(c) for row in from_ints.rows for c in row)
         assert from_ints.rows == tuple(tuple(field.of(c) for c in row) for row in ints)
-        # the stored rows are kernel scalars: Fractions over Q, residues over F_p
+        # the stored rows are kernel scalars: ints over Q for these integral
+        # entries, residues over F_p
         for row in from_ints._k:
             for x in row:
-                assert type(x) is Fraction if field is QQ else type(x) is int and 0 <= x < field.p
+                assert type(x) is int and (field is QQ or 0 <= x < field.p)
 
     @pytest.mark.parametrize("field", [QQ, F5], ids=str)
     def test_subspace_from_field_and_kernel_scalars(self, field):
@@ -305,3 +306,159 @@ class TestSubspace:
         comp = u.complement_indices()
         assert len(comp) == 2
         assert set(comp) | set(u.pivots) == {0, 1, 2} or len(set(comp)) == 2
+
+
+# --- an independent oracle for the kernel over Q ---------------------------
+#
+# Kernel scalars over Q are ints where integral and Fractions otherwise.
+# The oracle below knows nothing of that: it is a plain Fraction
+# Gauss-Jordan and a minor-expansion determinant.
+
+
+def oracle_rref(rows, ncols):
+    """Reduced row echelon form of Fraction rows: (nonzero rows, pivots)."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        lead = a[r][c]
+        a[r] = [x / lead for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in a[:r]), tuple(pivots)
+
+
+def oracle_det(a):
+    """Determinant by expansion along the first row."""
+    if not a:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, x in enumerate(a[0]):
+        if x != 0:
+            minor = [row[:j] + row[j + 1:] for row in a[1:]]
+            total += (-1) ** j * x * oracle_det(minor)
+    return total
+
+
+def oracle_apply(rows, v):
+    return tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in rows)
+
+
+def assert_canonical_kernel_scalars(values):
+    """Over Q a kernel scalar is an int, or a Fraction of denominator > 1."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
+# ints, integral Fractions and non-integral ones, with pivots +-1, +-2, 1/3
+q_entry = st.one_of(
+    st.sampled_from([0, 0, 1, -1, 2, -2]),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.sampled_from([Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-5, 2), Fraction(7, 6)]),
+)
+
+
+@st.composite
+def q_rows(draw, m=None, n=None):
+    """Up to 6 x 6 rows, with a dependent row now and then so that ranks
+    below full show up."""
+    m = draw(st.integers(1, 6)) if m is None else m
+    n = draw(st.integers(1, 6)) if n is None else n
+    rows = [[draw(q_entry) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        f = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+        rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])] if i != j else [0] * n
+    return rows
+
+
+class TestRationalKernelOracle:
+    """The kernel over Q against a plain Fraction oracle, on matrices that
+    mix ints, integral Fractions and non-integral Fractions."""
+
+    @given(rows=q_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_rref_rank_kernel_image(self, rows):
+        m, n = len(rows), len(rows[0])
+        a = Matrix(QQ, rows, n)
+        ref, pivots = oracle_rref(rows, n)
+        assert a.rref() == (ref, pivots)
+        assert a.rank() == len(pivots)
+        # the kernel: one vector per free column, in canonical form
+        free = [f for f in range(n) if f not in pivots]
+        null = []
+        for f in free:
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for row, c in zip(ref, pivots):
+                v[c] = -row[f]
+            null.append(v)
+        ker = a.kernel()
+        assert (ker.rows, ker.pivots) == oracle_rref(null, n)
+        for v in ker.rows:
+            assert oracle_apply(rows, v) == (0,) * m
+        image = a.image()
+        columns = [[row[j] for row in rows] for j in range(n)]
+        assert (image.rows, image.pivots) == oracle_rref(columns, m)
+        for k in (a._k, ker._k, image._k):
+            assert_canonical_kernel_scalars(x for row in k for x in row)
+        # rows inside the elimination may hold a Fraction of denominator 1,
+        # never a float
+        for row in a._rref[0]:
+            assert all(type(x) in (int, Fraction) for x in row)
+
+    @given(rows=q_rows(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_solve(self, rows, data):
+        m, n = len(rows), len(rows[0])
+        a = Matrix(QQ, rows, n)
+        if data.draw(st.booleans()):
+            b = oracle_apply(rows, [data.draw(q_entry) for _ in range(n)])
+        else:
+            b = tuple(Fraction(data.draw(q_entry)) for _ in range(m))
+        ref, pivots = oracle_rref([list(row) + [bb] for row, bb in zip(rows, b)], n + 1)
+        x = a.solve(b)
+        if n in pivots:
+            assert x is None
+        else:
+            # free coordinates zero, pivot coordinates from the last column
+            want = [Fraction(0)] * n
+            for row, c in zip(ref, pivots):
+                want[c] = row[n]
+            assert x == tuple(want)
+            assert oracle_apply(rows, x) == b
+            assert all(type(c) is Fraction for c in x)
+
+    @given(us=q_rows(n=5), vs=q_rows(n=5))
+    @settings(max_examples=50, deadline=None)
+    def test_intersect(self, us, vs):
+        u = Subspace.from_vectors(QQ, 5, us)
+        v = Subspace.from_vectors(QQ, 5, vs)
+        both = u.intersect(v)
+        rank = lambda rows: len(oracle_rref(rows, 5)[1])
+        assert both.dim == rank(us) + rank(vs) - rank(us + vs)
+        assert (both.rows, both.pivots) == oracle_rref(both.rows, 5)
+        for w in both.rows:
+            assert rank(us + [w]) == rank(us) and rank(vs + [w]) == rank(vs)
+        assert_canonical_kernel_scalars(x for row in both._k for x in row)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_char_poly(self, data):
+        n = data.draw(st.integers(1, 6))
+        rows = data.draw(q_rows(m=n, n=n))
+        cp = Matrix(QQ, rows, n).char_poly()
+        assert cp.degree == n and all(type(c) is Fraction for c in cp.coeffs)
+        # a monic polynomial of degree n is fixed by its values at n points
+        for t in range(n):
+            shifted = [[(t if i == j else 0) - Fraction(x) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            assert cp.eval_scalar(t) == oracle_det(shifted)
