@@ -34,7 +34,7 @@ import json
 import math
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .budgets import DERIVATION_DIM_CAP, EXHAUSTIVE_CAP, BudgetExceeded
+from .budgets import EXHAUSTIVE_CAP
 from .fields import Field, Scalar, UniPoly, common_denominator, field_from_json, field_to_json
 from .linalg import _dense, _Echelon, _reduce, _sparse, Matrix, Subspace, Vector
 from .verdict import _Record, Verdict
@@ -829,10 +829,6 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     kernel basis.
     """
     n = L.dim
-    if L.field.kind == "Fp" and n > DERIVATION_DIM_CAP:
-        raise BudgetExceeded(
-            f"derivation algebra over F_p limited to dim <= {DERIVATION_DIM_CAP}, got {n}"
-        )
     field, p = L.field, L.field.char
     rows = (_sparse_row(p, *parts) for parts in _map_equations(L))
     kernel, mats = _map_solutions(field, n, rows)

@@ -36,9 +36,6 @@ ENUMERATION_CAP = 1_000_000
 #: Largest dimension for which generic char poly is computed symbolically.
 SYMBOLIC_DIM = 8
 
-#: Largest dimension for derivation_algebra over a finite field.
-DERIVATION_DIM_CAP = 12
-
 #: Largest number of subspaces is_minimal_non may enumerate.
 SUBSPACE_CAP = 5000
 

@@ -23,7 +23,11 @@ All positive regularity answers over an infinite field come from one of
 two honest certificates: nilpotency (rank = dim, so every zero-
 multiplicity is forced to the minimum) or a definite quadratic a_1 in
 dimension 3.  Everything else is a witness (refuted) or Inconclusive
-with the search evidence attached.
+with the search evidence attached.  That a_1 is read from the Killing
+Gram matrix and the traces of the ad b_i, not from the symbolic
+expansion: only ``rank`` (through ``generic_char_poly``) and
+``relative_rank`` (through ``linear_family_char_coeffs``) still read the
+symbolic polynomials.
 """
 from __future__ import annotations
 
@@ -421,9 +425,11 @@ def is_regular_algebra(
         return Verdict.certified("structural", reason="nilpotent", rank=n)
     r = rank(L)
     if mode == "certificate":
-        cert = _definite_a1_certificate(L, r)
+        cert = _definite_a1(L)
         if cert is not None:
-            return cert
+            diagonal, sign, _ = cert
+            _recheck(r == 1, "a definite a_1 forces rank 1")
+            return Verdict.certified("definite-quadratic-form", rank=1, diagonal=diagonal, sign=sign)
     # zero_multiplicity by module global: instrumentation may wrap it
     verdict = _scan(L, mode, seed, lambda x: zero_multiplicity(L, x) != r, rank=r)
     if verdict.is_refuted:
@@ -431,39 +437,35 @@ def is_regular_algebra(
     return verdict
 
 
-def _definite_a1_certificate(L: LieAlgebra, r: int) -> Optional[Verdict]:
-    """Certified regular when rank 1, dim 3, and a_1 is a definite
-    quadratic form over the rationals (then a_1(x) != 0 for every real,
-    hence every rational, nonzero x)."""
-    if L.field.kind != "Q" or r != 1 or L.dim != 3:
+def _a1_gram(L: LieAlgebra, tau: Sequence[Scalar]) -> Matrix:
+    """Gram matrix of a_1 for a dimension-3 algebra: (tau tau^T - K)/2,
+    with K the Killing Gram and tau_i = tr ad b_i.
+
+    For A = ad x, det A = 0, so chi_A = t^3 - tr(A) t^2 + a_1 t with
+    a_1 = ((tr A)^2 - tr A^2)/2, and tr A = tau.x, tr A^2 = x^T K x.
+    """
+    K = L.killing_form().gram.rows
+    return Matrix(L.field, [[(tau[i] * tau[j] - K[i][j]) / 2 for j in range(3)] for i in range(3)], 3)
+
+
+def _definite_a1(L: LieAlgebra) -> Optional[Tuple[List[str], str, bool]]:
+    """(diagonal, sign, a_2 identically zero) when L has dimension 3 over
+    the rationals and a_1 is a definite quadratic form, else None.
+
+    A definite a_1 vanishes at no nonzero real, hence no nonzero rational,
+    x: so every zero-multiplicity is 1, the rank is 1 and L is regular.
+    When also a_2 = -tr ad x vanishes identically (tau = 0), chi_{ad x} =
+    t*(t^2 + a_1(x)) is squarefree for every nonzero x, so every adjoint
+    map is semisimple and the only ad-nilpotent element is zero.
+    """
+    if L.field.kind != "Q" or L.dim != 3:
         return None
-    g = generic_char_poly(L)
-    a1 = g.coeffs[1]
-    gram_rows = [[L.field.zero] * 3 for _ in range(3)]
-    for exps, c in a1.terms.items():
-        hot = [i for i, e in enumerate(exps) if e]
-        if sum(exps) != 2:
-            return None
-        if len(hot) == 1:
-            gram_rows[hot[0]][hot[0]] = c
-        else:
-            i, j = hot
-            half = c / L.field.of(2)
-            gram_rows[i][j] = half
-            gram_rows[j][i] = half
-    gram = Matrix(L.field, gram_rows, ncols=3)
-    diag = diagonalize_quadratic(gram)
-    if any(not d for d in diag):
-        return None
+    tau = [L.ad_basis(i).trace() for i in range(3)]
+    diag = diagonalize_quadratic(_a1_gram(L, tau))
     signs = {d > 0 for d in diag}
-    if len(signs) != 1:
+    if not all(diag) or len(signs) != 1:
         return None
-    return Verdict.certified(
-        "definite-quadratic-form",
-        rank=1,
-        diagonal=[L.field.to_str(d) for d in diag],
-        sign="positive" if signs.pop() else "negative",
-    )
+    return [L.field.to_str(d) for d in diag], "positive" if signs.pop() else "negative", not any(tau)
 
 
 # ---------------------------------------------------------------------------
@@ -514,34 +516,11 @@ def _aniso_like(L: LieAlgebra, mode: str, seed: int, fails: Callable[[Vector], b
         _recheck(fails(witness), "witness recheck failed: noncentral nilpotent element passes")
         return Verdict.refuted(witness, reason="nilpotent-nonabelian")
     if mode == "certificate":
-        cert = _aniso_certificate(L)
-        if cert is not None:
-            return cert
+        cert = _definite_a1(L)
+        if cert is not None and cert[2]:
+            diagonal, sign, _ = cert
+            return Verdict.certified("definite-quadratic-form", rank=1, a2="0", diagonal=diagonal, sign=sign)
     return _scan(L, mode, seed, fails)
-
-
-def _aniso_certificate(L: LieAlgebra) -> Optional[Verdict]:
-    """Dimension-3 rank-1 definite route: with a_2 identically zero,
-    chi_{ad x} = t*(t^2 + a_1(x)) and a definite a_1 makes that
-    squarefree for every nonzero x, so every adjoint map is semisimple
-    and the only ad-nilpotent element is zero."""
-    if L.field.kind != "Q" or L.dim != 3:
-        return None
-    if rank(L) != 1:
-        return None
-    g = generic_char_poly(L)
-    if not g.coeffs[2].is_zero():
-        return None
-    inner = _definite_a1_certificate(L, 1)
-    if inner is None or not inner.is_certified:
-        return None
-    return Verdict.certified(
-        "definite-quadratic-form",
-        rank=1,
-        a2="0",
-        diagonal=inner.evidence["diagonal"],
-        sign=inner.evidence["sign"],
-    )
 
 
 # ---------------------------------------------------------------------------

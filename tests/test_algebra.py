@@ -351,6 +351,13 @@ class TestDerivationsAndCentroid:
         assert der.dim == 4
         assert all(self.leibniz_holds(L, d) for d in mats)
 
+    @pytest.mark.parametrize("field", [QQ, F5, GF(7)], ids=["Q", "F5", "F7"])
+    def test_sl4_has_one_path_over_both_fields(self, field):
+        # dimension 15: (dim Der, dim H^2, dim centroid) as over Q, with no
+        # dimension cap for a finite field
+        L = sl(field, 4)
+        assert (derivation_algebra(L)[0].dim, h2_trivial(L)[0], len(centroid(L))) == (15, 0, 1)
+
     def test_centroid_scalars_only_when_simple(self):
         assert len(centroid(sl2q)) == 1
         assert len(centroid(psl(F3, 3))) == 1
