@@ -37,7 +37,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from .budgets import EXHAUSTIVE_CAP
 from .fields import Field, Scalar, UniPoly, common_denominator, field_from_json, field_to_json
 from .linalg import _dense, _Echelon, _reduce, _sparse, Matrix, Subspace, Vector
-from .verdict import _Record, Verdict
+from .verdict import _recheck, _Record, Verdict
 
 
 Rows = List[Dict[int, tuple]]
@@ -879,18 +879,19 @@ def _monic_rational_irreducible(p: UniPoly) -> Optional[bool]:
         return True
     if deg > 4:
         return None
-    # substitute t -> s/m to land on a monic integer polynomial
-    m = common_denominator(p.coeffs)
-    ints = []
-    for i, c in enumerate(p.coeffs):
-        val = c * m ** (deg - i)
-        assert val.denominator == 1
-        ints.append(int(val))
-    if _int_monic_has_rational_root(ints):
+    _, ints = _integral_monic(p)
+    if _int_monic_rational_root(ints) is not None:
         return False
-    if deg < 4:
-        return True
-    return not _int_monic_quartic_splits(ints)
+    return deg < 4 or not _int_monic_quartic_splits(ints)
+
+
+def _integral_monic(p: UniPoly) -> Tuple[int, List[int]]:
+    """m and the coefficients of m^deg p(s/m), a monic integer polynomial
+    in s when m is the common denominator of the coefficients of p."""
+    deg, m = p.degree, common_denominator(p.coeffs)
+    vals = [c * m ** (deg - i) for i, c in enumerate(p.coeffs)]
+    assert all(val.denominator == 1 for val in vals)
+    return m, [int(val) for val in vals]
 
 
 def _divisors(n: int) -> List[int]:
@@ -904,18 +905,19 @@ def _divisors(n: int) -> List[int]:
     return sorted(set(out))
 
 
-def _int_monic_has_rational_root(ints: List[int]) -> bool:
+def _int_monic_rational_root(ints: List[int]) -> Optional[int]:
+    """A rational, so integral, root of a monic integer polynomial, or None."""
     c0 = ints[0]
     if c0 == 0:
-        return True
+        return 0
     for d in _divisors(c0):
         for root in (d, -d):
             acc = 0
             for c in reversed(ints):
                 acc = acc * root + c
             if acc == 0:
-                return True
-    return False
+                return root
+    return None
 
 
 def _int_monic_quartic_splits(ints: List[int]) -> bool:
@@ -954,52 +956,44 @@ def _int_monic_quartic_splits(ints: List[int]) -> bool:
 
 
 def is_simple(L: LieAlgebra) -> Verdict:
-    """Simplicity: no proper nonzero ideals and [L, L] = L.
+    """Simplicity: L is nonzero and perfect, with no proper nonzero ideal.
 
-    Over small F_p every line generates L at once when the ad(b_i)
-    generate all of End(L); otherwise every line's generated ideal is
-    scanned.  Over Q the certificate route is nondegenerate Killing form
-    plus a centroid that is a field (irreducible minimal polynomial of
-    full centroid degree, decided exactly up to degree 4).
+    Refuted: the zero algebra, a line (``not-perfect``), and otherwise
+    ``proper-ideal`` from the first proper nonzero ideal among [L, L] (a
+    line when L is abelian), the center and the Killing radical, whose
+    first row generates a proper ideal.  After these L is perfect and
+    centerless.  Over F_p: certified ``exhaustive`` with ``lines_decided``
+    when the ad(b_i) generate End(L), a polynomial test that no cap gates;
+    else the ideal of every line decides within EXHAUSTIVE_CAP, and past
+    it the answer is inconclusive ``budget``.  Over Q the Killing form is
+    now nondegenerate (Cartan's criterion: L is not solvable), so L is
+    simple iff its centroid is a field.  A centroid probe phi whose minimal
+    polynomial has full degree decides: ``killing-centroid`` if that is
+    irreducible, ``proper-ideal`` from ker(phi - l) at a rational root l
+    (phi commutes with every ad), inconclusive ``centroid-splits`` if it
+    factors otherwise; ``centroid-undecided`` when no probe decides.
     """
     n = L.dim
     if n == 0:
         return Verdict.refuted(witness=(), reason="zero algebra")
-    commutant = L.commutant()
-    if commutant.dim < n:
-        # not perfect: refute via the commutant, or any line of an abelian L
-        if n == 1:
-            return Verdict.refuted(L.basis_vector(0), reason="not-perfect", ideal_dim=commutant.dim)
-        witness_vec = commutant.rows[0] if not commutant.is_zero() else L.basis_vector(0)
-        ideal = L.ideal_generated([witness_vec])
+    if n == 1:
+        return Verdict.refuted(L.basis_vector(0), reason="not-perfect", ideal_dim=0)
+    for ideal in _known_ideals(L):
         if 0 < ideal.dim < n:
-            return Verdict.refuted(witness_vec, reason="proper-ideal", ideal_dim=ideal.dim)
-        return Verdict.refuted(witness_vec, reason="not-perfect", ideal_dim=commutant.dim)
-    for candidate in (L.center(), L.killing_form().gram.kernel()):
-        if 0 < candidate.dim < n:
-            witness_vec = candidate.rows[0]
-            ideal = L.ideal_generated([witness_vec])
-            if 0 < ideal.dim < n:
-                return Verdict.refuted(witness_vec, reason="proper-ideal", ideal_dim=ideal.dim)
+            return _refuted_by_ideal(L, ideal.rows[0])
     if L.field.kind == "Fp":
-        total = L.field.p**n
-        if total > EXHAUSTIVE_CAP:
-            return Verdict.inconclusive(reason="budget", needed=total, cap=EXHAUSTIVE_CAP)
+        p = L.field.p
+        lines = (p**n - 1) // (p - 1)
         if _ad_envelope_is_full(L):
-            # End(L) carries every nonzero x onto all of L, so every line
-            # generates L: the scan below would certify each one
-            lines = (total - 1) // (L.field.p - 1)
             return Verdict.certified("exhaustive", lines_decided=lines, envelope_dim=n * n)
-        lines = _projective_points(L.field, n)
-        for x in lines:
+        if p**n > EXHAUSTIVE_CAP:
+            return Verdict.inconclusive(reason="budget", needed=p**n, cap=EXHAUSTIVE_CAP)
+        for x in _projective_points(L.field, n):
             ideal = L.ideal_generated([x])
             if ideal.dim < n:
                 return Verdict.refuted(x, reason="proper-ideal", ideal_dim=ideal.dim)
-        return Verdict.certified("exhaustive", lines_scanned=len(lines))
-    # Q route
-    # a proper Killing radical was already tried as the second candidate
-    if not L.killing_form().nondegenerate:
-        return Verdict.inconclusive(reason="degenerate-killing-no-witness")
+        return Verdict.certified("exhaustive", lines_scanned=lines)
+    _recheck(L.killing_form().nondegenerate, "Cartan's criterion: this perfect algebra has a nondegenerate Killing form")
     cent = centroid(L)
     cdim = len(cent)
     if cdim == 1:
@@ -1010,12 +1004,32 @@ def is_simple(L: LieAlgebra) -> Verdict:
             phi = phi + mat.scale(w)
         mp = phi.min_poly()
         if mp.degree == cdim:
+            m, ints = _integral_monic(mp)
+            root = _int_monic_rational_root(ints)
+            if root is not None:
+                eigenspace = (phi - Matrix.identity(L.field, n).scale(L.field.of(root) / m)).kernel()
+                return _refuted_by_ideal(L, eigenspace.rows[0])
             verdict = _monic_rational_irreducible(mp)
             if verdict is True:
                 return Verdict.certified("killing-centroid", centroid_dim=cdim)
             if verdict is False:
                 return Verdict.inconclusive(reason="centroid-splits", centroid_dim=cdim)
     return Verdict.inconclusive(reason="centroid-undecided", centroid_dim=cdim)
+
+
+def _known_ideals(L: LieAlgebra) -> Iterator[Subspace]:
+    """[L, L] (a line of L when L is abelian), the center and the Killing
+    radical, each computed only when the one before it was not proper."""
+    commutant = L.commutant()
+    yield commutant if commutant.dim else Subspace.from_vectors(L.field, L.dim, [L.basis_vector(0)])
+    yield L.center()
+    yield L.killing_form().gram.kernel()
+
+
+def _refuted_by_ideal(L: LieAlgebra, witness: Vector) -> Verdict:
+    ideal = L.ideal_generated([witness])
+    _recheck(0 < ideal.dim < L.dim, "the witness must generate a proper nonzero ideal")
+    return Verdict.refuted(witness, reason="proper-ideal", ideal_dim=ideal.dim)
 
 
 def _ad_envelope_is_full(L: LieAlgebra) -> bool:
@@ -1046,16 +1060,11 @@ def _centroid_probe_weights(k: int):
     yield tuple(1 for _ in range(k))
 
 
-def _projective_points(field, n: int) -> List[Vector]:
+def _projective_points(field, n: int) -> Iterator[Vector]:
     """One representative per line of F_p^n: first nonzero coordinate 1."""
-    p = field.p
-    pts = []
     for lead in range(n):
-        tail = n - lead - 1
-        for rest in itertools.product(range(p), repeat=tail):
-            vec = [0] * lead + [1] + list(rest)
-            pts.append(tuple(field.of(c) for c in vec))
-    return pts
+        for rest in itertools.product(range(field.p), repeat=n - lead - 1):
+            yield tuple(field.of(c) for c in [0] * lead + [1] + list(rest))
 
 
 # ---------------------------------------------------------------------------

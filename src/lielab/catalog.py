@@ -348,11 +348,14 @@ def _is_rational_square(c) -> bool:
 def is_division(Q: QuaternionAlgebra) -> Verdict:
     """Has the algebra no zero divisors?  The field picks the route.
 
-    Over the rationals, a certificate: a < 0 and b < 0 make the norm form
-    definite, so nonzero elements have nonzero norm and invert via the
-    conjugate; a square parameter yields an explicit zero divisor; other
-    sign patterns are Inconclusive.  Over a finite field, an exhaustive
-    scan for a norm-zero element; its product with the conjugate vanishes.
+    Over the rationals: certified ``definite-quadratic-form`` when a, b < 0
+    (the norm form is definite, so nonzero elements invert via the
+    conjugate); refuted ``square-parameter`` when a or b is a square;
+    otherwise inconclusive.  Over F_p: always refuted, with (x, conjugate
+    of x) and ``scanned``.  On x_0 = 0 the norm is the nondegenerate
+    ternary form -a x_1^2 - b x_2^2 + ab x_3^2, isotropic by
+    Chevalley-Warning, so the lexicographic scan of those p^3 points finds
+    x; BudgetExceeded when p^3 exceeds EXHAUSTIVE_CAP.
     """
     if Q.field.kind == "Q":
         if Q.a < 0 and Q.b < 0:
@@ -376,19 +379,16 @@ def is_division(Q: QuaternionAlgebra) -> Verdict:
                 return Verdict.refuted((u, v), reason="square-parameter")
         return Verdict.inconclusive(reason="indefinite-norm-form-undecided")
     p = Q.field.p
-    if p**4 > EXHAUSTIVE_CAP:
-        raise BudgetExceeded(f"{p ** 4} quaternions exceed the cap")
-    scanned = 0
-    for x in iproduct(tuple(Q.field.elements()), repeat=4):
-        if not any(x):
-            continue
-        scanned += 1
-        if not Q.norm(x):
-            xb = Q.conjugate(x)  # nonzero whenever x is
-            prod = Q.multiply(x, xb)
-            _recheck(not any(prod), "zero-divisor recheck failed")
-            return Verdict.refuted((x, xb), scanned=scanned)
-    return Verdict.certified("exhaustive", scanned=scanned)
+    if p**3 > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"{p ** 3} pure quaternions exceed the cap")
+    pure = ((Q.field.zero,) + rest for rest in iproduct(tuple(Q.field.elements()), repeat=3) if any(rest))
+    found = next(((k, x) for k, x in enumerate(pure, 1) if not Q.norm(x)), None)
+    _recheck(found is not None, "a nondegenerate ternary form over F_p is isotropic")
+    scanned, x = found
+    xb = Q.conjugate(x)  # nonzero whenever x is
+    prod = Q.multiply(x, xb)
+    _recheck(not any(prod), "zero-divisor recheck failed")
+    return Verdict.refuted((x, xb), scanned=scanned)
 
 
 # ---------------------------------------------------------------------------

@@ -497,21 +497,15 @@ def check_lemma52_su2q(seed: int) -> dict:
 
 def check_cor_quaternion(seed: int) -> dict:
     Q = QuaternionAlgebra(QQ, -1, -1)
-    rng = random.Random(seed)
-    count = 0
-    while count < 100:
-        x = (0,) + tuple(rng.randint(-9, 9) for _ in range(3))
-        if not any(x[1:]):
-            continue
-        x = tuple(QQ.of(c) for c in x)
+    targets = [(QQ.zero,) + v for v in _sample_vectors(QQ, 3, 100, seed)]
+    for x in targets:
         u, v = quaternion_commutator(Q, x)
         uv, vu = Q.multiply(u, v), Q.multiply(v, u)
         _require(
             tuple(a - b for a, b in zip(uv, vu)) == x,
             x=[QQ.to_str(c) for c in x],
         )
-        count += 1
-    return {"targets": count}
+    return {"targets": len(targets)}
 
 
 def check_cor_d_su2q(seed: int) -> dict:

@@ -4,6 +4,7 @@ quotients, extensions, and second cohomology."""
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,9 @@ from lielab.algebra import (
     StructureError,
     StructureReport,
     _ad_envelope_is_full,
+    _int_monic_rational_root,
+    _integral_monic,
+    _monic_rational_irreducible,
     canonical_dumps,
     central_extension,
     centroid,
@@ -44,8 +48,8 @@ from lielab.catalog import (
     strict_upper,
     su2q,
 )
-from lielab.budgets import SYMBOLIC_DIM
-from lielab.fields import GF, QQ, Fp
+from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM
+from lielab.fields import GF, QQ, Fp, UniPoly
 from lielab.linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale
 
 F3 = GF(3)
@@ -475,6 +479,141 @@ class TestSimplicity:
         assert not _ad_envelope_is_full(L)
         v = is_simple(L)
         assert v.is_refuted and 0 < L.ideal_generated([v.witness]).dim < L.dim
+
+
+def _quadratic_field(d):
+    """Q(sqrt d) as a commutative algebra on the basis 1, s with s^2 = d."""
+    return AssocAlgebra(QQ, ("1", "s"), {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {0: d}}, (1, 0))
+
+
+def _biquadratic_field(d, e):
+    """Q(sqrt d, sqrt e) on the basis 1, s, t, st with s^2 = d, t^2 = e."""
+    units = ((0, 0), (1, 0), (0, 1), (1, 1))  # exponents of s and t
+    table = {}
+    for i, (a, b) in enumerate(units):
+        for j, (c, f) in enumerate(units):
+            scale = (d if a and c else 1) * (e if b and f else 1)
+            table[(i, j)] = {units.index(((a + c) % 2, (b + f) % 2)): scale}
+    return AssocAlgebra(QQ, ("1", "s", "t", "st"), table, (1, 0, 0, 0))
+
+
+def _sl2_on_the_plane():
+    """sl2 + Q^2, the semidirect product with the standard representation
+    on v1, v2: perfect and centerless, with Killing radical Q^2."""
+    table = {
+        (0, 1): {2: 1},  # [e, f] = h
+        (0, 2): {0: -2},  # [e, h] = -2e
+        (1, 2): {1: 2},  # [f, h] = 2f
+        (0, 4): {3: 1},  # e v2 = v1
+        (1, 3): {4: 1},  # f v1 = v2
+        (2, 3): {3: 1},  # h v1 = v1
+        (2, 4): {4: -1},  # h v2 = -v2
+    }
+    return LieAlgebra(QQ, ("e", "f", "h", "v1", "v2"), table)
+
+
+class TestSimplicityRoutes:
+    """One case for each route of is_simple that the rest of the suite
+    does not reach."""
+
+    def test_sl2_over_a_quadratic_field_has_a_field_as_centroid(self):
+        v = is_simple(tensor_commutative(sl(QQ, 2), _quadratic_field(2)))
+        assert v.is_certified and v.certificate == "killing-centroid"
+        assert v.evidence == {"centroid_dim": 2}
+
+    def test_sl2_over_a_biquadratic_field_runs_the_quartic_test(self, monkeypatch):
+        import lielab.algebra as algebra
+
+        calls = []
+        quartic = algebra._int_monic_quartic_splits
+        monkeypatch.setattr(algebra, "_int_monic_quartic_splits", lambda ints: calls.append(ints) or quartic(ints))
+        L = tensor_commutative(sl(QQ, 2), _biquadratic_field(2, 3))
+        assert L.dim == 12
+        v = is_simple(L)
+        assert v.is_certified and v.certificate == "killing-centroid"
+        assert v.evidence == {"centroid_dim": 4}
+        assert calls
+
+    def test_a_product_of_quadratic_fields_splits_without_a_rational_root(self):
+        L = direct_sum(
+            tensor_commutative(sl(QQ, 2), _quadratic_field(2)),
+            tensor_commutative(sl(QQ, 2), _quadratic_field(3)),
+        )
+        v = is_simple(L)
+        assert v.is_inconclusive
+        assert v.evidence == {"reason": "centroid-splits", "centroid_dim": 4}
+
+    def test_a_rational_centroid_eigenvalue_refutes_with_its_eigenspace(self):
+        # the probe has minimal polynomial t^2 - 3t + 2: each summand is
+        # an eigenspace, and ker(phi - 1) comes first
+        L = direct_sum(sl(QQ, 2), sl(QQ, 2))
+        v = is_simple(L)
+        assert v.is_refuted
+        assert v.evidence == {"reason": "proper-ideal", "ideal_dim": 3}
+        assert L.ideal_generated([v.witness]).dim == 3
+
+    def test_a_central_extension_is_refuted_through_its_center(self):
+        P = psl(F3, 3)
+        _, reps = h2_trivial(P)
+        L = central_extension(P, reps[0])
+        assert L.commutant().dim == L.dim and L.center().dim == 1
+        v = is_simple(L)
+        assert v.is_refuted
+        assert v.evidence == {"reason": "proper-ideal", "ideal_dim": 1}
+        assert L.center().contains(v.witness)
+
+    def test_a_semidirect_product_is_refuted_through_its_killing_radical(self):
+        L = _sl2_on_the_plane()
+        assert L.commutant().dim == L.dim and L.center().is_zero()
+        v = is_simple(L)
+        assert v.is_refuted
+        assert v.evidence == {"reason": "proper-ideal", "ideal_dim": 2}
+        assert L.killing_form().gram.kernel().contains(v.witness)
+
+    def test_past_the_cap_without_a_full_envelope_is_inconclusive(self):
+        F7 = GF(7)
+        L = direct_sum(direct_sum(sl(F7, 2), sl(F7, 2)), sl(F7, 2))
+        assert not _ad_envelope_is_full(L)
+        v = is_simple(L)
+        assert v.is_inconclusive
+        assert v.evidence == {"reason": "budget", "needed": 7**9, "cap": EXHAUSTIVE_CAP}
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_sl4_is_certified_past_the_cap_by_its_envelope(self, p):
+        v = is_simple(sl(GF(p), 4))
+        assert p**15 > EXHAUSTIVE_CAP
+        assert v.is_certified and v.certificate == "exhaustive"
+        assert v.evidence == {"lines_decided": (p**15 - 1) // (p - 1), "envelope_dim": 225}
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [
+            ((1, 0, 0, 0, 1), True),  # t^4 + 1
+            ((1, 0, -10, 0, 1), True),  # t^4 - 10t^2 + 1, the minimal polynomial of sqrt2 + sqrt3
+            ((4, 0, 0, 0, 1), False),  # t^4 + 4 = (t^2 + 2t + 2)(t^2 - 2t + 2)
+            ((2, 0, 3, 0, 1), False),  # (t^2 + 1)(t^2 + 2)
+            ((-2, 0, 1), True),  # t^2 - 2
+            ((Fraction(-1, 4), 0, 1), False),  # t^2 - 1/4
+            ((1, 0, 0, 0, 0, 1), None),  # degree 5
+        ],
+    )
+    def test_monic_rational_irreducible(self, coeffs, want):
+        assert _monic_rational_irreducible(UniPoly(QQ, coeffs)) is want
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [
+            ((2, 3, 1), -1),  # (t + 1)(t + 2)
+            ((Fraction(-1, 2), Fraction(1, 2), 1), Fraction(1, 2)),  # (t + 1)(t - 1/2)
+            ((Fraction(-1, 4), 0, 1), Fraction(1, 2)),  # t^2 - 1/4
+            ((0, 0, 0, 1), 0),  # t^3
+            ((-2, 0, 1), None),  # t^2 - 2
+        ],
+    )
+    def test_rational_root_of_the_integral_monic(self, coeffs, want):
+        m, ints = _integral_monic(UniPoly(QQ, coeffs))
+        root = _int_monic_rational_root(ints)
+        assert (None if root is None else Fraction(root, m)) == want
 
 
 class TestQuotientsAndSums:

@@ -286,6 +286,45 @@ class TestDivisionVerdicts:
         assert vec_is_zero(H.multiply(x, y))
         assert tuple(c.r for c in x) == (0, 0, 1, 2)
 
+    @staticmethod
+    def _first_isotropic(H):
+        """The plain walk: the first nonzero x of F_p^4 in lexicographic
+        order with x xbar = 0, and how many nonzero x it visited."""
+        p = H.field.p
+        a, b = H.a.r, H.b.r
+        scanned = 0
+        for x in itertools.product(range(p), repeat=4):
+            if any(x):
+                scanned += 1
+                if (x[0] ** 2 - a * x[1] ** 2 - b * x[2] ** 2 + a * b * x[3] ** 2) % p == 0:
+                    return x, scanned
+        return None, scanned
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_finite_field_witness_is_the_first_of_the_plain_walk(self, p):
+        F = GF(p)
+        for a in range(1, p):
+            for b in range(1, p):
+                v = is_division(QuaternionAlgebra(F, a, b))
+                want, scanned = self._first_isotropic(QuaternionAlgebra(F, a, b))
+                assert v.is_refuted, (p, a, b)
+                assert tuple(c.r for c in v.witness[0]) == want, (p, a, b)
+                assert v.evidence == {"scanned": scanned}, (p, a, b)
+
+    def test_finite_field_past_the_old_cap_is_refuted(self):
+        # 37^4 points exceed EXHAUSTIVE_CAP; the 37^3 with x_0 = 0 do not
+        F37 = GF(37)
+        H = QuaternionAlgebra(F37, -1, -1)
+        v = is_division(H)
+        assert v.is_refuted
+        x, y = v.witness
+        assert x[0] == F37.zero and not vec_is_zero(x)
+        assert vec_is_zero(H.multiply(x, y))
+
+    def test_finite_field_past_the_cap_is_refused(self):
+        with pytest.raises(BudgetExceeded, match="1030301 pure quaternions"):
+            is_division(QuaternionAlgebra(GF(101), -1, -1))
+
 
 _SABOTAGED_MULTIPLY = """
 import sys

@@ -512,3 +512,34 @@ class TestBenchmarkInputs:
         code, out = run(capsys, ["commutator", str(path), "--form", "killing", "--target=" + ",".join(["1"] + ["0"] * 14)])
         assert code == 2
         assert list(out) == ["note"] and "over the cap" in out["note"]
+
+
+class TestHuman:
+    """--human renders the payload as indented text; the exit code is the
+    one of the JSON run."""
+
+    def test_verify_lists_every_check_then_the_counts(self, capsys):
+        from lielab.cli import verify_check_names
+
+        assert main(["verify", "--human"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 25
+        names = verify_check_names()
+        assert len(names) == 24
+        for line, name in zip(lines, names):
+            status, shown, elapsed, unit = line.split()
+            assert shown == name and unit == "ms" and float(elapsed) >= 0
+            assert status == ("FAIL" if name in ("der-psl3f3", "h2-psl3f3") else "PASS"), line
+        assert lines[-1] == "22 passed, 2 failed, 0 skipped"
+
+    def test_rank_is_one_line_per_key(self, capsys):
+        path = next(p for p in BENCH_INPUTS if p.stem == "sl3q")
+        assert main(["rank", str(path), "--human"]) == 0
+        assert capsys.readouterr().out == "dim: 8\nrank: 2\nnilpotent: False\n"
+
+    def test_h2_nests_the_representatives(self, capsys):
+        path = next(p for p in BENCH_INPUTS if p.stem == "heisenberg2q")
+        assert main(["h2", str(path), "--human"]) == 0
+        block = "  i: {}\n  j: {}\n  c: 1\n  -\n  -\n"
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
+        assert capsys.readouterr().out == "dim: 5\nrepresentatives:\n" + "".join(block.format(*ij) for ij in pairs)
