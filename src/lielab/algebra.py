@@ -183,11 +183,20 @@ class LieAlgebra(_Presented):
                     f"Jacobi fails on basis triple ({i}, {j}, {k}): defect "
                     f"{[field.to_str(c) for c in defect]}"
                 )
+            self._cache["jacobi"] = True
 
     @classmethod
     def unchecked(cls, field: Field, labels: Sequence[str], table) -> "LieAlgebra":
         """Skip Jacobi validation; used by the bulk table enumerator."""
         return cls(field, labels, table, _validated=True)
+
+    def _jacobi_holds(self) -> bool:
+        """Whether Jacobi holds on every basis triple: recorded by the
+        checked constructor, and for an ``unchecked`` table found on the
+        first call and kept."""
+        if "jacobi" not in self._cache:
+            self._cache["jacobi"] = not self.jacobi_violations()
+        return self._cache["jacobi"]
 
     # -- basic bracket machinery ------------------------------------------
 
@@ -818,20 +827,50 @@ def _sparse_row(p: int, *parts) -> dict:
 def _map_solutions(field: Field, n: int, rows: Iterable[dict]) -> Tuple[Subspace, List[Matrix]]:
     """Solution space of the sparse equation rows, and its rows as n x n matrices."""
     kernel = _Echelon(field, n * n, rows).kernel()
-    return kernel, [Matrix(field, [sol[r * n : (r + 1) * n] for r in range(n)], n) for sol in kernel._k]
+    return kernel, _square_matrices(field, n, kernel)
+
+
+def _square_matrices(field: Field, n: int, space: Subspace) -> List[Matrix]:
+    """The basis rows of a subspace of K^(n*n), unknown r * n + k, as n x n matrices."""
+    return [Matrix(field, [sol[r * n : (r + 1) * n] for r in range(n)], n) for sol in space._k]
+
+
+def _killing_route(L: LieAlgebra) -> bool:
+    """Whether L has a nondegenerate Killing form and a table on which
+    Jacobi is known to hold: then every derivation is inner and
+    H^2(L, K) = 0 (see ``derivation_algebra`` and ``h2_trivial``)."""
+    return L.killing_form().nondegenerate and L._jacobi_holds()
 
 
 def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     """The Lie algebra of derivations, with its matrix basis.
 
-    Solves D[b_i, b_j] = [D b_i, b_j] + [b_i, D b_j] over all pairs.  The
-    result's structure constants come from commutators of the canonical
-    kernel basis.
+    The matrix basis is the reduced echelon basis of the derivations
+    flattened row by row, unique for the space, so both routes give the
+    same matrices.  When ``_killing_route`` holds (a nondegenerate Killing
+    form kappa on a table where Jacobi holds) it is read off the n
+    flattened ad b_i in one elimination, because then Der L = ad L in any
+    characteristic: M = ad L is an ideal of D = Der L, and kappa_D on M is
+    the Killing form of M, which is kappa through ad; so D = M + M^perp
+    with [M^perp, M] = 0, and for delta in M^perp,
+    ad(delta x) = [delta, ad x] = 0 puts delta x in the center, which is 0.
+    Every other table solves D[b_i, b_j] = [D b_i, b_j] + [b_i, D b_j]
+    over all pairs.  Among them is psl3 over F_3: its Killing form is 0,
+    and it has 14 derivations, not the 8 that the ``der-psl3f3`` check
+    carries over from characteristic 0.  The result's structure
+    constants come from commutators of the matrix basis.
     """
     n = L.dim
     field, p = L.field, L.field.char
-    rows = (_sparse_row(p, *parts) for parts in _map_equations(L))
-    kernel, mats = _map_solutions(field, n, rows)
+    if _killing_route(L):
+        ads = ([x for row in L.ad_basis(i)._k for x in row] for i in range(n))
+        kernel = _Echelon(field, n * n, ads).subspace()
+        # ad is injective: a nondegenerate Killing form leaves no center
+        _recheck(kernel.dim == n, "ad must be injective on an algebra with a nondegenerate Killing form")
+        mats = _square_matrices(field, n, kernel)
+    else:
+        rows = (_sparse_row(p, *parts) for parts in _map_equations(L))
+        kernel, mats = _map_solutions(field, n, rows)
     # [D_a, D_b] = D_a D_b - D_b D_a from sparse rows in kernel scalars; its
     # coordinates in the reduced echelon basis are its entries at the pivots
     sparse = [[_sparse(row) for row in m._k] for m in mats]
@@ -1110,7 +1149,20 @@ def coboundary_space(L: LieAlgebra) -> Subspace:
 
 
 def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]:
-    """dim H^2(L, K) and cocycle representatives of a basis modulo B^2."""
+    """dim H^2(L, K) and cocycle representatives of a basis modulo B^2.
+
+    When ``_killing_route`` holds (a nondegenerate Killing form kappa on a
+    table where Jacobi holds) the answer is (0, []) in any characteristic:
+    kappa(D x, y) = omega(x, y) defines a linear D for each 2-cocycle
+    omega, the cocycle identity makes D a kappa-skew derivation, which is
+    inner (``derivation_algebra``), and for D = ad a,
+    omega(x, y) = kappa(a, [x, y]) is a coboundary.  Every other table
+    compares Z^2 with B^2.  Among them is psl3 over F_3: its Killing form
+    is 0, and its H^2 has dimension 7, not the 1 that the ``h2-psl3f3``
+    check carries over from characteristic 0.
+    """
+    if _killing_route(L):
+        return 0, []
     z2 = cocycle_space(L)
     b2 = coboundary_space(L)
     dim = z2.dim - b2.dim

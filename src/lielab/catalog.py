@@ -264,7 +264,7 @@ class QuaternionAlgebra:
     are required for the algebra to be central simple.
     """
 
-    __slots__ = ("field", "a", "b", "assoc")
+    __slots__ = ("field", "a", "b", "assoc", "_trace_zero")
 
     def __init__(self, field: Field, a, b):
         a = field.of(a)
@@ -296,6 +296,15 @@ class QuaternionAlgebra:
             (3, 2): {1: b},
         }
         self.assoc = AssocAlgebra(field, ("1", "i", "j", "k"), table, (1, 0, 0, 0))
+        self._trace_zero: Optional[LieAlgebra] = None
+
+    def trace_zero(self) -> LieAlgebra:
+        """The trace-zero part, the Lie algebra on the cosets of i, j, k
+        modulo the unit line (``quotient_by_unit_line``), built on the
+        first call and kept with its caches (rank, Killing form)."""
+        if self._trace_zero is None:
+            self._trace_zero = quotient_by_unit_line(self.assoc)
+        return self._trace_zero
 
     def multiply(self, x: Sequence, y: Sequence) -> Vector:
         return self.assoc.multiply(x, y)

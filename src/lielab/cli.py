@@ -699,7 +699,11 @@ def cmd_verify(args) -> Tuple[int, dict]:
 # plumbing
 
 
-def _human_lines(obj, indent: int = 0) -> List[str]:
+def _human_lines(obj, indent: int = 0, nested: bool = False) -> List[str]:
+    """Indented text: a dict one key a line, a list of scalars on one line,
+    and the items of any other list each closed by a "-" line.  A list of
+    that kind inside a list goes one level deeper (``nested``), and the
+    "-" that closes it also closes its last item."""
     pad = "  " * indent
     out = []
     if isinstance(obj, dict):
@@ -710,15 +714,21 @@ def _human_lines(obj, indent: int = 0) -> List[str]:
             else:
                 out.append(f"{pad}{k}: {_flat(v)}")
     elif isinstance(obj, list):
-        if all(not isinstance(v, (dict, list)) for v in obj):
+        if _is_flat(obj):
             out.append(f"{pad}{_flat(obj)}")
         else:
-            for v in obj:
-                out.extend(_human_lines(v, indent))
-                out.append(f"{pad}-")
+            for t, v in enumerate(obj):
+                deeper = isinstance(v, list) and not _is_flat(v)
+                out.extend(_human_lines(v, indent + 1 if deeper else indent, deeper))
+                if not (nested and t == len(obj) - 1):
+                    out.append(f"{pad}-")
     else:
         out.append(f"{pad}{_flat(obj)}")
     return out
+
+
+def _is_flat(items: list) -> bool:
+    return all(not isinstance(v, (dict, list)) for v in items)
 
 
 def _flat(v) -> str:

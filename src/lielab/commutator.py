@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 from .algebra import BilinearForm, LieAlgebra
 from .budgets import SEARCH_HEIGHT, SUBSPACE_CAP, BudgetExceeded
-from .catalog import QuaternionAlgebra, is_division, quotient_by_unit_line, reduced_trace
+from .catalog import QuaternionAlgebra, is_division, reduced_trace
 from .fields import Field
 from .linalg import Subspace, Vector, vec_is_zero, vec_scale
 from .regularity import _search_schedule, fitting_set, is_regular_algebra, rank
@@ -120,8 +120,7 @@ def quaternion_commutator(Q: QuaternionAlgebra, x: Sequence) -> Tuple[Vector, Ve
         raise ValueError("target must have reduced trace zero")
     if not is_division(Q).is_certified:
         raise ValueError("commutator representation needs a division algebra")
-    # the cosets of i, j, k modulo the unit line: the trace-zero part
-    T = quotient_by_unit_line(Q.assoc)
+    T = Q.trace_zero()
     w = rank1_commutator(T, T.killing_form(), x[1:])
     u = (Q.field.zero,) + w.z
     v = (Q.field.zero,) + w.y

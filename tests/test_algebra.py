@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+
+import lielab.algebra as algebra
 from hypothesis import strategies as st
 
 from lielab.algebra import (
@@ -17,6 +19,9 @@ from lielab.algebra import (
     StructureError,
     StructureReport,
     _ad_envelope_is_full,
+    _map_equations,
+    _map_solutions,
+    _sparse_row,
     _int_monic_rational_root,
     _integral_monic,
     _monic_rational_irreducible,
@@ -39,9 +44,11 @@ from lielab.catalog import (
     abelian,
     canonical_instances,
     enumerate_tables,
+    gl,
     heisenberg,
     make,
     on,
+    pgl,
     psl,
     r2,
     sl,
@@ -522,8 +529,6 @@ class TestSimplicityRoutes:
         assert v.evidence == {"centroid_dim": 2}
 
     def test_sl2_over_a_biquadratic_field_runs_the_quartic_test(self, monkeypatch):
-        import lielab.algebra as algebra
-
         calls = []
         quartic = algebra._int_monic_quartic_splits
         monkeypatch.setattr(algebra, "_int_monic_quartic_splits", lambda ints: calls.append(ints) or quartic(ints))
@@ -725,6 +730,104 @@ class TestCohomology:
         assert not is_cocycle(L, omega)
         with pytest.raises(StructureError):
             central_extension(L, omega)
+
+
+def _trace_zero(a, b):
+    return QuaternionAlgebra(QQ, a, b).trace_zero()
+
+
+# tables with a nondegenerate Killing form, where Der = ad L and H^2 = 0
+KILLING_ROUTE = {
+    "sl2@Q": lambda: sl(QQ, 2),
+    "su2q": su2q,
+    "sl3@Q": lambda: sl(QQ, 3),
+    "sl4@Q": lambda: sl(QQ, 4),
+    "sl2+sl2@Q": lambda: direct_sum(sl(QQ, 2), sl(QQ, 2)),
+    "T(-1,3)@Q": lambda: _trace_zero(-1, 3),
+    "T(2,5)@Q": lambda: _trace_zero(2, 5),
+    "T(3,5)@Q": lambda: _trace_zero(3, 5),
+    "sl2@F3": lambda: sl(F3, 2),
+    "sl2@F5": lambda: sl(F5, 2),
+    "sl3@F5": lambda: sl(F5, 3),
+    "sl3@F7": lambda: sl(GF(7), 3),
+    "sl4@F3": lambda: sl(F3, 4),
+    "sl4@F5": lambda: sl(F5, 4),
+}
+
+# tables with a degenerate Killing form, with (dim Der, dim H^2) by the solver
+SOLVER_ONLY = {
+    "psl3@F3": (lambda: psl(F3, 3), (14, 7)),
+    "sl3@F3": (lambda: sl(F3, 3), (8, 6)),
+    "sl2@F2": (lambda: sl(GF(2), 2), (6, 2)),
+    "pgl3@F3": (lambda: pgl(F3, 3), (8, 1)),
+    "gl3@Q": (lambda: gl(QQ, 3), (9, 0)),
+}
+
+
+def _solved(L):
+    """The derivation matrices, Z^2 and B^2 from the linear systems alone."""
+    rows = (_sparse_row(L.field.char, *parts) for parts in _map_equations(L))
+    return _map_solutions(L.field, L.dim, rows)[1], cocycle_space(L), coboundary_space(L)
+
+
+def _no_system(L):
+    raise AssertionError("the Killing route built a linear system")
+
+
+class TestKillingRoute:
+    """derivation_algebra and h2_trivial read Der = ad L and H^2 = 0 off a
+    nondegenerate Killing form; the linear systems are the reference."""
+
+    @pytest.mark.parametrize("name", sorted(KILLING_ROUTE))
+    def test_route_agrees_with_the_solver(self, name, monkeypatch):
+        L = KILLING_ROUTE[name]()
+        assert L.killing_form().nondegenerate
+        mats, z2, b2 = _solved(L)
+        with monkeypatch.context() as patch:
+            # the route builds neither equation system
+            patch.setattr(algebra, "_map_equations", _no_system)
+            patch.setattr(algebra, "cocycle_space", _no_system)
+            der, got = derivation_algebra(L)
+            assert h2_trivial(L) == (0, [])
+        assert got == mats and der.dim == L.dim and z2 == b2
+        # the structure constants of Der L match those built on the solver's basis
+        monkeypatch.setattr(algebra, "_killing_route", lambda L: False)
+        assert der.canonical_json() == derivation_algebra(L)[0].canonical_json()
+
+    @pytest.mark.parametrize("name", sorted(SOLVER_ONLY))
+    def test_degenerate_form_keeps_the_solver(self, name):
+        build, (der_dim, h2_dim) = SOLVER_ONLY[name]
+        L = build()
+        assert not L.killing_form().nondegenerate
+        mats, z2, b2 = _solved(L)
+        der, got = derivation_algebra(L)
+        assert got == mats and der.dim == der_dim
+        assert h2_trivial(L)[0] == z2.dim - b2.dim == h2_dim
+
+    def test_table_breaking_jacobi_keeps_the_solver(self):
+        # sl3 over Q with [E12, E23] = 2 E13: the Killing form stays
+        # nondegenerate, but ad L is not made of derivations
+        S = sl(QQ, 3)
+        table = S.table
+        table[(0, 2)] = {1: QQ.of(2)}
+        L = LieAlgebra.unchecked(QQ, S.labels, table)
+        assert L.killing_form().nondegenerate and not L._jacobi_holds()
+        assert not algebra._killing_route(L)
+        mats, z2, b2 = _solved(L)
+        assert derivation_algebra(L)[1] == mats and len(mats) == 2
+        assert h2_trivial(L)[0] == z2.dim - b2.dim != 0
+
+    def test_jacobi_is_recorded_or_checked_once(self, monkeypatch):
+        S = sl(QQ, 3)
+        assert S._cache["jacobi"] is True
+        L = LieAlgebra.unchecked(QQ, S.labels, S.table)
+        assert "jacobi" not in L._cache
+        calls = []
+        check = LieAlgebra.jacobi_violations
+        monkeypatch.setattr(LieAlgebra, "jacobi_violations", lambda self: calls.append(self) or check(self))
+        assert derivation_algebra(L)[0].dim == 8 and h2_trivial(L) == (0, [])
+        # once on L; the table of Der L is validated by the checked constructor
+        assert [c for c in calls if c is L] == [L]
 
 
 class TestAssocAlgebra:

@@ -538,8 +538,22 @@ class TestHuman:
         assert capsys.readouterr().out == "dim: 8\nrank: 2\nnilpotent: False\n"
 
     def test_h2_nests_the_representatives(self, capsys):
+        # each representative, a list of terms, sits one level deeper than
+        # the list of representatives and is closed by one "-"
         path = next(p for p in BENCH_INPUTS if p.stem == "heisenberg2q")
         assert main(["h2", str(path), "--human"]) == 0
-        block = "  i: {}\n  j: {}\n  c: 1\n  -\n  -\n"
+        block = "    i: {}\n    j: {}\n    c: 1\n  -\n"
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]
         assert capsys.readouterr().out == "dim: 5\nrepresentatives:\n" + "".join(block.format(*ij) for ij in pairs)
+
+    def test_terms_of_a_nested_list_are_told_apart(self):
+        from lielab.cli import _human_lines
+
+        reps = {"representatives": [[{"i": 0, "c": 1}, {"i": 1, "c": 2}], [{"i": 2, "c": 3}]]}
+        assert _human_lines(reps) == [
+            "representatives:",
+            "    i: 0", "    c: 1", "    -", "    i: 1", "    c: 2", "  -",
+            "    i: 2", "    c: 3", "  -",
+        ]
+        # a list of dicts at the top keeps a "-" after every item
+        assert _human_lines([{"a": 1}, {"a": 2}]) == ["a: 1", "-", "a: 2", "-"]
