@@ -14,13 +14,15 @@ algebra fills the pairs its input names.
 ``table``, the dict {(i, j): {k: c}} in field scalars, is built from the
 rows each time it is read.
 
-The primitives (bracket, product, ad, the Jacobi check, bracket spans,
+The primitives (bracket and product, ad, the Jacobi check, bracket spans,
 the lower central and derived series, the Killing form and its
 invariance test, the structure constants of the derivation algebra) are
 written once over both fields: they walk the rows, or the nonzero
 entries of the cached adjoint matrices, and leave normalizing the result
 to the field's ``_to_k`` / ``_from_k`` or to the ``Matrix`` constructor,
 which stores kernel rows only.  None of them forms a Matrix product.
+The bracket and the product are one walk, ``_product_k``: Lie rows hold
+both orders, so the sum of x_i y_j b_i b_j over the rows is the bracket.
 
 Everything downstream - structure reports, quotients, sums, scalar
 extensions by a commutative algebra, derivations, centroid, second
@@ -110,10 +112,11 @@ def _clean_table(field: Field, dim: int, table, *, lie: bool = True) -> Rows:
 
 class _Presented:
     """What a Lie and an associative algebra share: the rows of the table
-    (``_rows``, see the module docstring) with the ``table`` view and the
-    basis products read from them, basis vectors, vectors through
-    ``field.of`` or into kernel scalars, and the canonical JSON of
-    ``to_json_dict``.  The class attribute ``_lie`` tells the two apart."""
+    (``_rows``, see the module docstring) with the ``table`` view, the
+    basis products and the product walk read from them (each class names
+    the last two), basis vectors, vectors through ``field.of`` or into
+    kernel scalars, and the canonical JSON of ``to_json_dict``.  The class
+    attribute ``_lie`` tells the two apart."""
 
     __slots__ = ()
 
@@ -150,6 +153,27 @@ class _Presented:
             for i, j, cell in self._cells()
         }
 
+    def _product_k(self, x: Sequence, y: Sequence) -> list:
+        """xy ([x, y] in a Lie algebra) for x, y in kernel scalars: the sum
+        of x_i y_j b_i b_j over the rows of the nonzero x_i at the nonzero
+        y_j; the result is not yet reduced."""
+        out = [self.field._k_zero] * self.dim
+        rows = self._rows
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, coeffs in rows[i].items():
+                b = y[j]
+                if b:
+                    f = a * b
+                    for k, c in coeffs:
+                        out[k] += f * c
+        return out
+
+    def _product(self, x: Sequence, y: Sequence) -> Vector:
+        """xy ([x, y] in a Lie algebra) for x, y given in field scalars."""
+        return self.field._from_k(self._product_k(self._k_vector(x), self._k_vector(y)))
+
     def _basis_product(self, i: int, j: int) -> Vector:
         """b_i b_j ([b_i, b_j] in a Lie algebra) as a coordinate vector."""
         out = [self.field._k_zero] * self.dim
@@ -166,6 +190,7 @@ class LieAlgebra(_Presented):
 
     __slots__ = ("field", "dim", "labels", "_rows", "_cache")
     _lie = True
+    bracket = _Presented._product
     basis_bracket = _Presented._basis_product
 
     def __init__(self, field: Field, labels: Sequence[str], table, *, _validated: bool = False):
@@ -202,38 +227,6 @@ class LieAlgebra(_Presented):
 
     def zero_vector(self) -> Vector:
         return (self.field.zero,) * self.dim
-
-    def _bracket_k(self, x: Sequence, y: Sequence) -> list:
-        """[x, y] for x, y in kernel scalars; the result is not yet reduced.
-
-        Only the rows of the nonzero x_i are walked, skipping the j with
-        x_j and y_j both zero; a pair with x_i and x_j both nonzero is taken
-        once, at its lower end.  The walk runs over a row's keys and reads
-        a cell only when it is used, which is cheaper than ``items()``.
-        """
-        out = [self.field._k_zero] * self.dim
-        rows = self._rows
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            row = rows[i]
-            for j in row:
-                xj, yj = x[j], y[j]
-                if xj:
-                    if j < i:
-                        continue
-                    f = a * yj - xj * y[i]
-                elif yj:
-                    f = a * yj
-                else:
-                    continue
-                if f:
-                    for k, c in row[j]:
-                        out[k] += f * c
-        return out
-
-    def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        return self.field._from_k(self._bracket_k(self._k_vector(x), self._k_vector(y)))
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad(x) = [x, -] in the defining basis: column j is the
@@ -290,17 +283,17 @@ class LieAlgebra(_Presented):
         return Matrix(self.field, rows, ncols=self.dim).kernel()
 
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
-        vecs = [self._bracket_k(u, v) for u in a._k for v in b._k]
+        vecs = [self._product_k(u, v) for u in a._k for v in b._k]
         return Subspace._span_k(self.field, self.dim, vecs)
 
     def ideal_generated(self, vectors: Sequence[Sequence]) -> Subspace:
         """Smallest ideal containing the vectors: a worklist closure.
 
         Each vector that enlarges the echelon basis is pushed once; popping
-        it adds ad(b_i) of it for every i, reduced against the basis, until
-        nothing new appears or the basis is full.
+        it adds [b_i, v] for every i (by ``_product_k``), reduced against
+        the basis, until nothing new appears or the basis is full.
         """
-        n, zero = self.dim, self.field._k_zero
+        n, zero, to_k = self.dim, self.field._k_zero, self.field._to_k
         ech = _Echelon(self.field, n)
         todo: List[list] = []
 
@@ -312,11 +305,12 @@ class LieAlgebra(_Presented):
 
         for v in vectors:
             push(self._k_vector(v))
-        ads = [self.ad_basis(i) for i in range(n)]
+        basis = [to_k(self.basis_vector(i)) for i in range(n)]
         while todo and not ech.full:
             v = todo.pop()
-            for a in ads:
-                push(a._apply_k(v))
+            for b in basis:
+                # the walk leaves ints unreduced mod p, and add needs residues
+                push(to_k(self._product_k(b, v)))
         return ech.subspace()
 
     def subalgebra_generated(self, vectors: Sequence[Sequence]) -> Subspace:
@@ -592,6 +586,7 @@ class AssocAlgebra(_Presented):
 
     __slots__ = ("field", "dim", "labels", "_rows", "unit")
     _lie = False
+    multiply = _Presented._product
     basis_product = _Presented._basis_product
 
     def __init__(self, field: Field, labels: Sequence[str], table, unit: Sequence):
@@ -603,25 +598,6 @@ class AssocAlgebra(_Presented):
         if len(self.unit) != self.dim:
             raise StructureError("unit vector has wrong length")
         self._validate()
-
-    def multiply(self, x: Sequence, y: Sequence) -> Vector:
-        return self.field._from_k(self._product_k(self._k_vector(x), self._k_vector(y)))
-
-    def _product_k(self, x: Sequence, y: Sequence) -> list:
-        """xy for x, y in kernel scalars, from the rows of the nonzero x_i
-        at the nonzero y_j; the result is not yet reduced."""
-        out = [self.field._k_zero] * self.dim
-        rows = self._rows
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, coeffs in rows[i].items():
-                b = y[j]
-                if b:
-                    f = a * b
-                    for k, c in coeffs:
-                        out[k] += f * c
-        return out
 
     def _validate(self) -> None:
         """The unit on both sides of every b_i, then (b_i b_j) b_k =
@@ -1159,10 +1135,13 @@ def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]
     omega(x, y) = kappa(a, [x, y]) is a coboundary.  Every other table
     compares Z^2 with B^2.  Among them is psl3 over F_3: its Killing form
     is 0, and its H^2 has dimension 7, not the 1 that the ``h2-psl3f3``
-    check carries over from characteristic 0.
+    check carries over from characteristic 0.  A table on which Jacobi
+    fails (built ``unchecked``) has no H^2 and raises StructureError.
     """
     if _killing_route(L):
         return 0, []
+    if not L._jacobi_holds():
+        raise StructureError("H^2 needs a table on which Jacobi holds")
     z2 = cocycle_space(L)
     b2 = coboundary_space(L)
     dim = z2.dim - b2.dim

@@ -519,13 +519,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def poly_lcm(a: UniPoly, b: UniPoly) -> UniPoly:
-    if a.is_zero() or b.is_zero():
-        return UniPoly.zero(a.field)
-    g = poly_gcd(a, b)
-    return ((a * b).divmod(g)[0]).monic()
-
-
 def is_squarefree(p: UniPoly) -> bool:
     if p.is_zero():
         return False

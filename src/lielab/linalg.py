@@ -36,17 +36,18 @@ brings it back to an int.
 
 Characteristic polynomials come from a Hessenberg reduction (no division
 by integer constants, so small characteristic is safe), ``_char_poly``,
-on the entries as they are.  Minimal polynomials are built by spinning
-Krylov chains off the standard basis and taking lcms.
+on the entries as they are.  Minimal polynomials come from ``_Echelon``
+too: the first linear relation among the flattened powers of the matrix.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import count
 from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .fields import Field, Scalar, UniPoly, poly_lcm
+from .fields import Field, Scalar, UniPoly
 
 Vector = Tuple[Scalar, ...]
 
@@ -375,28 +376,26 @@ class Matrix:
         return UniPoly(self.field, self.field._from_k(_char_poly(self._k, self.field.char)))
 
     def min_poly(self) -> UniPoly:
-        """Monic minimal polynomial via Krylov chains off the standard basis."""
+        """Monic minimal polynomial: the first linear relation among I, A,
+        A^2, ...  Each power is flattened into one echelon of width
+        n^2 + n + 1 and tagged with the unit vector of its degree in the
+        last n + 1 columns, so the first added row whose pivot is a tag
+        has a zero matrix part and the relation in its tags."""
         if not self.is_square():
             raise ValueError("min poly of a non-square matrix")
-        field = self.field
-        n = self.n
-        acc = UniPoly.one(field)
-        zero, one = field.zero, field.one
-        for s in range(n):
-            if acc.degree == n:
-                break
-            v = tuple(one if i == s else zero for i in range(n))
-            chain = [v]
-            w = self.apply(v)
-            while True:
-                sol = Matrix.from_columns(field, chain, n).solve(w)
-                if sol is not None:
-                    local = UniPoly(field, [-c for c in sol] + [one])
-                    break
-                chain.append(w)
-                w = self.apply(w)
-            acc = poly_lcm(acc, local)
-        return acc if not acc.is_zero() else UniPoly.one(field)
+        field, n = self.field, self.n
+        width = n * n
+        ech = _Echelon(field, width + n + 1)
+        power = Matrix.identity(field, n)
+        for d in count():
+            row = _sparse([x for r in power._k for x in r])
+            row[width + d] = 1
+            # no row has a pivot at the new tag, so add never returns None
+            w = ech.add(row)
+            if min(w) >= width:
+                # the coefficient of A^d is nonzero; monic divides by it
+                return UniPoly(field, field._from_k([w.get(width + k, 0) for k in range(d + 1)])).monic()
+            power = power * self
 
 
 def diagonalize_quadratic(gram: Matrix) -> Tuple[Scalar, ...]:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import LieAlgebra, StructureError
+from .algebra import LieAlgebra, StructureError, quotient_with_projection
 from .budgets import (
     DEFAULT_SEED,
     EXHAUSTIVE_CAP,
@@ -273,10 +273,10 @@ def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition, powers: Sequence[M
     # in kernel scalars, so no bracket makes a round trip through Fp objects
     for u in dec.null._k:
         for v in dec.null._k:
-            _recheck(dec.null.contains(L._bracket_k(u, v)), "null component must be a subalgebra")
+            _recheck(dec.null.contains(L._product_k(u, v)), "null component must be a subalgebra")
     for u in dec.null._k:
         for v in dec.one._k:
-            _recheck(dec.one.contains(L._bracket_k(u, v)), "[null, one] must land in one")
+            _recheck(dec.one.contains(L._product_k(u, v)), "[null, one] must land in one")
     for power in powers:
         for u in dec.null._k:
             _recheck(not any(power._apply_k(u)), "ad^dim must kill the null component")
@@ -525,8 +525,10 @@ def _aniso_like(L: LieAlgebra, mode: str, seed: int, fails: Callable[[Vector], b
 def ideal_action_matrices(L: LieAlgebra, ideal: Subspace) -> Tuple[List[Matrix], List[Matrix]]:
     """Per-basis-direction matrices of ad b_m on the ideal and on the quotient.
 
-    The ideal's echelon rows are the inner basis; coset representatives
-    are the ambient basis vectors at non-pivot columns.  Returned lists
+    The ideal's echelon rows are the inner basis; the outer matrices are
+    ad of the coset of b_m in ``quotient_with_projection``, whose basis is
+    the ambient basis vectors at non-pivot columns (it raises
+    StructureError when the subspace is not an ideal).  Returned lists
     feed the same symbolic machinery as the full adjoint family, so
     chi_{ad x} = chi_{restriction} * chi_{quotient} can be checked both
     pointwise and generically.  The pair is built once per ideal and kept
@@ -535,14 +537,11 @@ def ideal_action_matrices(L: LieAlgebra, ideal: Subspace) -> Tuple[List[Matrix],
     key = ("ideal_action", ideal)
     if key in L._cache:
         return L._cache[key]
-    if not L.is_ideal(ideal):
-        raise StructureError("subspace is not an ideal")
-    n = L.dim
+    quot, project = quotient_with_projection(L, ideal)
     d = ideal.dim
-    reps = ideal.complement_indices()
     inner: List[Matrix] = []
     outer: List[Matrix] = []
-    for m in range(n):
+    for m in range(L.dim):
         bm = L.basis_vector(m)
         rows_in = [[L.field.zero] * d for _ in range(d)]
         for s, u in enumerate(ideal.rows):
@@ -551,13 +550,8 @@ def ideal_action_matrices(L: LieAlgebra, ideal: Subspace) -> Tuple[List[Matrix],
             for t, p in enumerate(ideal.pivots):
                 rows_in[t][s] = img[p]
         inner.append(Matrix(L.field, rows_in, ncols=d))
-        q = len(reps)
-        rows_out = [[L.field.zero] * q for _ in range(q)]
-        for s, c in enumerate(reps):
-            img = ideal.reduce(L.bracket(bm, L.basis_vector(c)))
-            for t, cc in enumerate(reps):
-                rows_out[t][s] = img[cc]
-        outer.append(Matrix(L.field, rows_out, ncols=q))
+        # [b_m - i, rep] = [b_m, rep] modulo the ideal for i in the ideal
+        outer.append(quot.ad(project(bm)))
     L._cache[key] = inner, outer
     return inner, outer
 

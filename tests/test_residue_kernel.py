@@ -19,7 +19,11 @@ the Der structure constants from dense commutators.  The dense product,
 ``apply`` and matrix powers, one body for both fields, are checked against
 the field-scalar triple loop ``ref_matmul``.  The dict rebuild that
 ``EnumTable.algebra`` made before it handed the constructor each pair's
-slice of coefficients is kept as the oracle for the stored rows.
+slice of coefficients is kept as the oracle for the stored rows.  The
+Krylov-chain minimal polynomial with its ``poly_lcm``, which one echelon
+of flattened powers replaced, and the coset-coordinate loop that built
+the quotient action of ``ideal_action_matrices`` before it read ``ad``
+in the quotient algebra, are kept the same way.
 """
 import json
 from fractions import Fraction
@@ -30,12 +34,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielab import LieAlgebra, abelian, gl, heisenberg, pgl, sl, strict_upper, su2q, zero_multiplicity
-from lielab.algebra import BilinearForm, StructureError, centroid, cocycle_space, derivation_algebra
+from lielab import LieAlgebra, abelian, gl, heisenberg, pgl, r2, sl, strict_upper, su2q, zero_multiplicity
+from lielab.algebra import BilinearForm, StructureError, centroid, cocycle_space, derivation_algebra, direct_sum
+from lielab.budgets import SYMBOLIC_DIM, BudgetExceeded
 from lielab.catalog import canonical_instances, enumerate_tables
-from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_lcm
+from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_gcd
 from lielab.linalg import Matrix, Subspace, vec_add
-from lielab.regularity import linear_family_char_coeffs
+from lielab.regularity import (
+    _least_nonzero,
+    char_poly_factorization,
+    ideal_action_matrices,
+    linear_family_char_coeffs,
+    relative_rank,
+)
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(2147483647)]
 
@@ -148,7 +159,16 @@ def ref_matmul(field, a, b, ncols):
     )
 
 
+def poly_lcm(a, b):
+    """Monic lcm of two polynomials, for the Krylov reference below."""
+    if a.is_zero() or b.is_zero():
+        return UniPoly.zero(a.field)
+    return ((a * b).divmod(poly_gcd(a, b))[0]).monic()
+
+
 def ref_min_poly(field, rows):
+    """The lcm of the minimal polynomials of the Krylov chains spun off
+    the standard basis, each read from a solve against the chain so far."""
     n = len(rows)
     acc = UniPoly.one(field)
     for s in range(n):
@@ -301,6 +321,61 @@ def test_char_poly_matches_reference(case):
 def test_min_poly_matches_reference(case):
     field, rows, n = case
     assert Matrix(field, rows, ncols=n).min_poly() == ref_min_poly(field, rows)
+
+
+def _diag(entries):
+    n = len(entries)
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _jordan(sizes):
+    """Nilpotent Jordan blocks of the given sizes, as one matrix."""
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = 1
+        start += size
+    return rows
+
+
+# matrices with a known minimal polynomial, most of them derogatory (degree
+# below n), which random matrices almost never are
+KNOWN_MIN_POLYS = {
+    "empty": (QQ, [], UniPoly.one(QQ)),
+    "zero-q": (QQ, [[0] * 3 for _ in range(3)], UniPoly(QQ, [0, 1])),
+    "zero-f5": (GF(5), [[0] * 2 for _ in range(2)], UniPoly(GF(5), [0, 1])),
+    "scalar-f7": (GF(7), _diag([3] * 4), UniPoly(GF(7), [-3, 1])),
+    "diag-1-1-2-q": (QQ, _diag([1, 1, 2]), UniPoly(QQ, [2, -3, 1])),
+    "diag-0-1-2-f3": (GF(3), _diag([0, 1, 2]), UniPoly(GF(3), [0, -1, 0, 1])),
+    "jordan-3-1-q": (QQ, _jordan([3, 1]), UniPoly(QQ, [0, 0, 0, 1])),
+    "jordan-3-1-f2": (GF(2), _jordan([3, 1]), UniPoly(GF(2), [0, 0, 0, 1])),
+    # eigenvalues 0, +-1, +-2: t(t^2 - 1)(t^2 - 4), over F_5 t^5 - t
+    "ad-h1-sl3-q": (QQ, sl(QQ, 3).ad_basis(3).rows, UniPoly(QQ, [0, 4, 0, -5, 0, 1])),
+    "ad-h1-sl3-f5": (GF(5), sl(GF(5), 3).ad_basis(3).rows, UniPoly(GF(5), [0, -1, 0, 0, 0, 1])),
+    "blocks-q": (
+        QQ,
+        [
+            [Fraction(1, 2), Fraction(2, 3), 0, 0, 0],
+            [Fraction(-3, 4), Fraction(5, 2), 0, 0, 0],
+            [0, 0, Fraction(1, 2), Fraction(2, 3), 0],
+            [0, 0, Fraction(-3, 4), Fraction(5, 2), 0],
+            [0, 0, 0, 0, Fraction(1, 2)],
+        ],
+        # (t^2 - 3t + 7/4)(t - 1/2): 1/2 is no root of the block's factor
+        UniPoly(QQ, [Fraction(-7, 8), Fraction(13, 4), Fraction(-7, 2), 1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_MIN_POLYS))
+def test_min_poly_of_known_matrices(name):
+    field, rows, want = KNOWN_MIN_POLYS[name]
+    rows = [tuple(field.of(c) for c in row) for row in rows]
+    got = Matrix(field, rows, ncols=len(rows)).min_poly()
+    assert got == ref_min_poly(field, rows)
+    assert got == want
 
 
 @st.composite
@@ -536,6 +611,64 @@ def test_ideal_generated_matches_fixed_point(L, data):
     lo, hi = (0, L.field.p - 1) if L.field.kind == "Fp" else (-3, 3)
     vectors = data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=L.dim, max_size=L.dim), max_size=2))
     assert L.ideal_generated(vectors) == _ideal_by_fixed_point(L, vectors)
+
+
+# -- the quotient action against the coset-coordinate loop ------------------------
+
+
+def ref_outer_matrices(L, ideal):
+    """The outer matrices of ``ideal_action_matrices`` as its coset loop
+    built them: column s of the m-th is [b_m, b_c] for the s-th coset
+    label c, reduced modulo the ideal and read at the coset labels."""
+    reps = ideal.complement_indices()
+    q = len(reps)
+    out = []
+    for m in range(L.dim):
+        rows = [[L.field.zero] * q for _ in range(q)]
+        for s, c in enumerate(reps):
+            img = ideal.reduce(L.bracket(L.basis_vector(m), L.basis_vector(c)))
+            for t, cc in enumerate(reps):
+                rows[t][s] = img[cc]
+        out.append(Matrix(L.field, rows, ncols=q))
+    return out
+
+
+def _first_summand(L):
+    return Subspace.from_vectors(L.field, L.dim, [L.basis_vector(i) for i in range(L.dim // 2)])
+
+
+ACTION_CASES = {
+    "r2-q-line-y": (lambda: r2(QQ), lambda L: Subspace.from_vectors(QQ, 2, [L.basis_vector(1)])),
+    "sl2+sl2-q-summand": (lambda: direct_sum(sl(QQ, 2), sl(QQ, 2)), _first_summand),
+    "r2-f3-commutant": (lambda: r2(GF(3)), LieAlgebra.commutant),
+    "gl2-q-commutant": (lambda: gl(QQ, 2), LieAlgebra.commutant),
+    "heisenberg2-q-center": (lambda: heisenberg(QQ, 2), LieAlgebra.center),
+    "gl3-f5-center": (lambda: gl(GF(5), 3), LieAlgebra.center),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_CASES))
+def test_quotient_action_matches_coset_loop(name):
+    build, ideal_of = ACTION_CASES[name]
+    L = build()
+    ideal = ideal_of(L)
+    assert 0 < ideal.dim < L.dim
+    inner, outer = ideal_action_matrices(L, ideal)
+    ref = ref_outer_matrices(L, ideal)
+    assert outer == ref
+    if L.dim <= SYMBOLIC_DIM:
+        want = tuple(_least_nonzero(linear_family_char_coeffs(L.field, m, L.dim)) for m in (inner, ref))
+        assert relative_rank(L, ideal) == want
+    else:
+        with pytest.raises(BudgetExceeded):
+            relative_rank(L, ideal)
+    for x in [L.basis_vector(i) for i in range(L.dim)] + [tuple(L.field.of(i + 1) for i in range(L.dim))]:
+        quot = Matrix.zeros(L.field, ref[0].n, ref[0].n)
+        for c, m in zip(x, ref):
+            quot = quot + m.scale(c)
+        chi_i, chi_q, chi_l = char_poly_factorization(L, ideal, x)
+        assert chi_q == quot.char_poly()
+        assert chi_i * chi_q == chi_l
 
 
 # -- sparse equation rows against the dense builder --------------------------------
