@@ -51,17 +51,25 @@ def _jacobi_defects(
     """The basis triples where Jacobi fails, with their defects in kernel
     scalars, over Lie rows: rows[a].get(b, ()) is the signed ((k, c), ...)
     of [b_a, b_b].  The defect at (i, j, k) is
-    sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
-    zero = field._k_zero
+    sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j].
+
+    Over Q the sums are exact, so a triple is tested on them as they are
+    and only a failing one is brought to kernel scalars (its Fractions of
+    denominator 1 made ints).  Over F_p the sums are unreduced ints, and
+    the one mod-p pass of ``_to_k`` comes before the test."""
+    zero, p = field._k_zero, field.char
     for i, j, k in itertools.combinations(range(n), 3):
         defect = [zero] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, cm in rows[a].get(b, ()):
                 for l, cl in rows[m].get(c, ()):
                     defect[l] += cm * cl
-        defect = field._to_k(defect)
-        if any(defect):
-            yield (i, j, k), defect
+        if p:
+            defect = field._to_k(defect)
+            if any(defect):
+                yield (i, j, k), defect
+        elif any(defect):
+            yield (i, j, k), field._to_k(defect)
 
 
 def _entries(rows: Sequence[Sequence]) -> Dict[Tuple[int, int], Scalar]:
@@ -800,9 +808,41 @@ def _sparse_row(p: int, *parts) -> dict:
     return {k: x for k, x in row.items() if x}
 
 
-def _map_solutions(field: Field, n: int, rows: Iterable[dict]) -> Tuple[Subspace, List[Matrix]]:
-    """Solution space of the sparse equation rows, and its rows as n x n matrices."""
-    kernel = _Echelon(field, n * n, rows).kernel()
+def _commutant_equations(L: LieAlgebra) -> Iterator[dict]:
+    """Sparse rows of phi ad b_i - ad b_i phi = 0, unknown phi[r][k] at
+    index r * n + k as in ``_map_equations``: the solutions are the maps
+    that commute with every ad x, the centroid of L.  Entry (r, k) of
+    block i is sum_s phi[r][s] A[s][k] - A[r][s] phi[s][k] for A = ad b_i,
+    read from the rows of ``ad_basis(i)``.  The blocks come in a fixed
+    order, the b_i with the most nonzero brackets first; any order gives
+    the same solution space and so the same echelon basis, and this one
+    reaches the floor of the identity map in fewer rows than basis order
+    on sl3, sl4 and sl5.
+
+    The solutions lie in those of ``centroid``'s pair system, which misses
+    [phi b_i, b_i] = 0 and so is larger on some algebras that are not
+    perfect (r2, the Heisenberg algebras).  ``centroid`` keeps the pair
+    system until its pinned outputs are moved, and then reads these rows
+    instead.
+    """
+    n, p = L.dim, L.field.char
+    for i in sorted(range(n), key=lambda i: -len(L._rows[i])):
+        rows = [[(s, c) for s, c in enumerate(row) if c] for row in L.ad_basis(i)._k]
+        cols: List[list] = [[] for _ in range(n)]
+        for s, row in enumerate(rows):
+            for k, c in row:
+                cols[k].append((s, c))
+        for r in range(n):
+            for k in range(n):
+                yield _sparse_row(p, [(r * n + s, c) for s, c in cols[k]], [(s * n + k, -c) for s, c in rows[r]])
+
+
+def _map_solutions(field: Field, n: int, rows: Iterable[dict], floor: int = 0) -> Tuple[Subspace, List[Matrix]]:
+    """Solution space of the sparse equation rows, and its rows as n x n
+    matrices.  ``floor`` is the dimension of a space of maps known to
+    solve every row (see ``_Echelon``): once the rank is n^2 - floor the
+    rest of the rows are not read, and the basis is the full solve's."""
+    kernel = _Echelon(field, n * n, rows, floor).kernel()
     return kernel, _square_matrices(field, n, kernel)
 
 
@@ -833,8 +873,11 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     Every other table solves D[b_i, b_j] = [D b_i, b_j] + [b_i, D b_j]
     over all pairs.  Among them is psl3 over F_3: its Killing form is 0,
     and it has 14 derivations, not the 8 that the ``der-psl3f3`` check
-    carries over from characteristic 0.  The result's structure
-    constants come from commutators of the matrix basis.
+    carries over from characteristic 0.  Where Jacobi holds, ad L lies in
+    Der L, so the solve has the floor n - dim Z(L) (``_map_solutions``)
+    and ends once Der L = ad L is certain (pgl3 over F_3); on an
+    ``unchecked`` table that breaks Jacobi the floor is 0.  The result's
+    structure constants come from commutators of the matrix basis.
     """
     n = L.dim
     field, p = L.field, L.field.char
@@ -846,7 +889,8 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
         mats = _square_matrices(field, n, kernel)
     else:
         rows = (_sparse_row(p, *parts) for parts in _map_equations(L))
-        kernel, mats = _map_solutions(field, n, rows)
+        floor = n - L.center().dim if L._jacobi_holds() else 0
+        kernel, mats = _map_solutions(field, n, rows, floor)
     # [D_a, D_b] = D_a D_b - D_b D_a from sparse rows in kernel scalars; its
     # coordinates in the reduced echelon basis are its entries at the pivots
     sparse = [[_sparse(row) for row in m._k] for m in mats]
@@ -872,12 +916,20 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
 
 def centroid(L: LieAlgebra) -> List[Matrix]:
     """_Echelon basis of maps commuting with all brackets:
-    phi[x, y] = [phi x, y] = [x, phi y]."""
+    phi[x, y] = [phi x, y] = [x, phi y], imposed on the pairs i < j.
+
+    The identity solves every row, so the solve has floor 1 and ends once
+    the rank is n^2 - 1 (``_map_solutions``).  The pair system misses
+    [phi b_i, b_i] = 0 and is larger than the true centroid on some
+    algebras that are not perfect (r2, the Heisenberg algebras); when its
+    pinned outputs are moved, this function becomes the commutant of
+    ad L, ``_commutant_equations``, which ``is_simple`` already reads.
+    """
     p = L.field.char
     rows = (
         _sparse_row(p, image, part) for image, left, right in _map_equations(L) for part in (left, right)
     )
-    return _map_solutions(L.field, L.dim, rows)[1]
+    return _map_solutions(L.field, L.dim, rows, min(L.dim, 1))[1]
 
 
 def _monic_rational_irreducible(p: UniPoly) -> Optional[bool]:
@@ -982,7 +1034,10 @@ def is_simple(L: LieAlgebra) -> Verdict:
     else the ideal of every line decides within EXHAUSTIVE_CAP, and past
     it the answer is inconclusive ``budget``.  Over Q the Killing form is
     now nondegenerate (Cartan's criterion: L is not solvable), so L is
-    simple iff its centroid is a field.  A centroid probe phi whose minimal
+    simple iff its centroid is a field.  The centroid is read as the
+    commutant of ad L (``_commutant_equations``), solved with the floor 1
+    of the identity map: on a simple L the solve ends at rank n^2 - 1,
+    before the last blocks are read.  A centroid probe phi whose minimal
     polynomial has full degree decides: ``killing-centroid`` if that is
     irreducible, ``proper-ideal`` from ker(phi - l) at a rational root l
     (phi commutes with every ad), inconclusive ``centroid-splits`` if it
@@ -1009,7 +1064,7 @@ def is_simple(L: LieAlgebra) -> Verdict:
                 return Verdict.refuted(x, reason="proper-ideal", ideal_dim=ideal.dim)
         return Verdict.certified("exhaustive", lines_scanned=lines)
     _recheck(L.killing_form().nondegenerate, "Cartan's criterion: this perfect algebra has a nondegenerate Killing form")
-    cent = centroid(L)
+    cent = _map_solutions(L.field, n, _commutant_equations(L), 1)[1]
     cdim = len(cent)
     if cdim == 1:
         return Verdict.certified("killing-centroid", centroid_dim=1)
@@ -1094,10 +1149,10 @@ def _pair_index(n: int) -> Dict[Tuple[int, int], int]:
     return idx
 
 
-def cocycle_space(L: LieAlgebra) -> Subspace:
-    """Z^2(L, K): alternating forms with w([x,y],z) + cyclic = 0."""
-    n = L.dim
-    idx = _pair_index(n)
+def _cocycle_equations(L: LieAlgebra) -> Iterator[dict]:
+    """Sparse rows of w([b_i, b_j], b_k) + cyclic = 0 for i < j < k, in the
+    unknowns w(b_m, b_k), m < k, at the slots of ``_pair_index``."""
+    idx = _pair_index(L.dim)
 
     def term(i, j, k, sign):
         # sign * w([b_i, b_j], b_k) in the unknowns w(b_m, b_k) = +-w[min, max]
@@ -1107,11 +1162,14 @@ def cocycle_space(L: LieAlgebra) -> Subspace:
             elif m > k:
                 yield idx[(k, m)], -sign * c
 
-    rows = (
-        _sparse_row(L.field.char, term(i, j, k, 1), term(j, k, i, 1), term(i, k, j, -1))
-        for i, j, k in itertools.combinations(range(n), 3)
-    )
-    return _Echelon(L.field, len(idx), rows).kernel()
+    for i, j, k in itertools.combinations(range(L.dim), 3):
+        yield _sparse_row(L.field.char, term(i, j, k, 1), term(j, k, i, 1), term(i, k, j, -1))
+
+
+def cocycle_space(L: LieAlgebra) -> Subspace:
+    """Z^2(L, K): alternating forms with w([x,y],z) + cyclic = 0."""
+    n = L.dim
+    return _Echelon(L.field, n * (n - 1) // 2, _cocycle_equations(L)).kernel()
 
 
 def coboundary_space(L: LieAlgebra) -> Subspace:
@@ -1135,17 +1193,20 @@ def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]
     omega(x, y) = kappa(a, [x, y]) is a coboundary.  Every other table
     compares Z^2 with B^2.  Among them is psl3 over F_3: its Killing form
     is 0, and its H^2 has dimension 7, not the 1 that the ``h2-psl3f3``
-    check carries over from characteristic 0.  A table on which Jacobi
-    fails (built ``unchecked``) has no H^2 and raises StructureError.
+    check carries over from characteristic 0.  Jacobi puts B^2 inside
+    Z^2, so B^2 comes first and Z^2 is solved with the floor dim B^2
+    (``_Echelon``): where H^2 = 0 (gl3 over Q and over F_5) the solve ends
+    once Z^2 = B^2 is certain.  A table on which Jacobi fails (built
+    ``unchecked``) has no H^2 and raises StructureError.
     """
     if _killing_route(L):
         return 0, []
     if not L._jacobi_holds():
         raise StructureError("H^2 needs a table on which Jacobi holds")
-    z2 = cocycle_space(L)
     b2 = coboundary_space(L)
-    dim = z2.dim - b2.dim
     idx = _pair_index(L.dim)
+    z2 = _Echelon(L.field, len(idx), _cocycle_equations(L), b2.dim).kernel()
+    dim = z2.dim - b2.dim
     back = {slot: pair for pair, slot in idx.items()}
     reps = []
     span = _Echelon(L.field, len(idx), b2._k)

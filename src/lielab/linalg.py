@@ -20,7 +20,10 @@ built by ``_from_k`` when read.  All row reduction goes through
 and keeps its rows as ``{column: scalar}`` dicts: ``rref``, ``kernel``,
 ``solve``, ``image``, ``intersect``, subspace ``reduce`` and
 ``contains``, the ideal closure and the sparse equation systems of the
-derivation algebra, the centroid and the 2-cocycles.  Dense rows are
+derivation algebra, the centroid and the 2-cocycles.  A system whose
+solutions contain a subspace known in advance gives ``_Echelon`` its
+dimension, the floor, and the elimination ends once the rank leaves room
+for nothing more.  Dense rows are
 turned into dicts on the way in and back into dense rows by
 ``echelon()``.  Its one reduce step is ``_reduce``, built on the row
 update ``_axpy`` (taken mod p over F_p).  Division happens in two places,
@@ -567,17 +570,26 @@ class _Echelon:
     row that come out integral are stored as ints.  ``echelon`` gives the
     dense reduced echelon form, ``subspace`` its Subspace and ``kernel``
     the null space of the rows.
+
+    ``floor`` is the dimension of a subspace known in advance to lie in the
+    null space of every vector (0 when none is known).  The rank can then
+    reach at most ambient - floor, and once it does, every further vector
+    lies in the span already, and the constructor reads no more.  The
+    reduced echelon basis, and so ``kernel`` (then exactly the known
+    subspace), are those of the full solve.  A floor of 0 stops only when
+    the span is full.
     """
 
-    def __init__(self, field: Field, ambient: int, vectors: Iterable = ()):
+    def __init__(self, field: Field, ambient: int, vectors: Iterable = (), floor: int = 0):
         self.field = field
         self.ambient = ambient
         self.p = field.char
         self.rows: Dict[int, dict] = {}
-        for v in vectors:
-            if self.full:
-                break
-            self.add(v)
+        room = ambient - floor
+        if room > 0:
+            for v in vectors:
+                if self.add(v) is not None and len(self.rows) == room:
+                    break
 
     @property
     def full(self) -> bool:

@@ -19,6 +19,8 @@ from lielab.algebra import (
     StructureError,
     StructureReport,
     _ad_envelope_is_full,
+    _cocycle_equations,
+    _commutant_equations,
     _map_equations,
     _map_solutions,
     _sparse_row,
@@ -57,7 +59,7 @@ from lielab.catalog import (
 )
 from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM
 from lielab.fields import GF, QQ, Fp, UniPoly
-from lielab.linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale
+from lielab.linalg import _Echelon, Matrix, Subspace, vec_add, vec_is_zero, vec_scale
 
 F3 = GF(3)
 F5 = GF(5)
@@ -787,6 +789,7 @@ class TestKillingRoute:
             # the route builds neither equation system
             patch.setattr(algebra, "_map_equations", _no_system)
             patch.setattr(algebra, "cocycle_space", _no_system)
+            patch.setattr(algebra, "_cocycle_equations", _no_system)
             der, got = derivation_algebra(L)
             assert h2_trivial(L) == (0, [])
         assert got == mats and der.dim == L.dim and z2 == b2
@@ -831,6 +834,167 @@ class TestKillingRoute:
         assert derivation_algebra(L)[0].dim == 8 and h2_trivial(L) == (0, [])
         # once on L; the table of Der L is validated by the checked constructor
         assert [c for c in calls if c is L] == [L]
+
+
+def _commutant(L):
+    """The maps commuting with every ad b_i, solved as is_simple solves them."""
+    return _map_solutions(L.field, L.dim, _commutant_equations(L), 1)[1]
+
+
+class _NoFloor(_Echelon):
+    """The elimination with its floor dropped: every row is read."""
+
+    def __init__(self, field, ambient, vectors=(), floor=0):
+        super().__init__(field, ambient, vectors)
+
+
+class _FloorSpy(_Echelon):
+    """Records (floor, rank, whether rows were left unread) of each
+    elimination given a floor, in the list ``seen``."""
+
+    seen: list = []
+
+    def __init__(self, field, ambient, vectors=(), floor=0):
+        rest = iter(vectors)
+        super().__init__(field, ambient, rest, floor)
+        if floor:
+            self.seen.append((floor, len(self.rows), next(rest, None) is not None))
+
+
+@pytest.fixture
+def floor_spy(monkeypatch):
+    seen = []
+    monkeypatch.setattr(_FloorSpy, "seen", seen)
+    monkeypatch.setattr(algebra, "_Echelon", _FloorSpy)
+    return seen
+
+
+def _floored_systems(L):
+    """What each system solved with a floor gives, the Killing route off
+    so that Der and Z^2 are solved on every table."""
+    der, mats = derivation_algebra(L)
+    b2 = coboundary_space(L)
+    z2 = algebra._Echelon(L.field, b2.ambient, _cocycle_equations(L), b2.dim).kernel()
+    return {
+        "centroid": centroid(L),
+        "commutant": _commutant(L),
+        "der": (mats, der.canonical_json()),
+        "z2": z2,
+        "h2": h2_trivial(L),
+    }
+
+
+_FLOOR_INPUTS = [
+    (path.name, L) for path in _BENCH_INPUTS
+    if (L := LieAlgebra.from_json_dict(json.loads(path.read_text()))).dim <= 15
+]
+_PERFECT = [
+    (name, L)
+    for name, L in canonical_instances()
+    + _FLOOR_INPUTS
+    + [
+        ("sl2+sl2@Q", direct_sum(sl(QQ, 2), sl(QQ, 2))),
+        ("sl2(Q(sqrt2))", tensor_commutative(sl(QQ, 2), _quadratic_field(2))),
+    ]
+    if L.commutant().dim == L.dim
+]
+
+
+class TestFloors:
+    """A system solved with its floor (the dimension of solutions known in
+    advance) gives the basis of the full solve; the full solve is the
+    reference."""
+
+    @staticmethod
+    def _check(L, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_killing_route", lambda L: False)
+            got = _floored_systems(_fresh(L))
+            patch.setattr(algebra, "_Echelon", _NoFloor)
+            want = _floored_systems(_fresh(L))
+        assert got == want, L
+        assert want["z2"] == cocycle_space(L)
+
+    @pytest.mark.parametrize(
+        "name,L",
+        [pytest.param(n, L, id=n) for n, L in canonical_instances()]
+        + [pytest.param(n, L, id=n) for n, L in _FLOOR_INPUTS],
+    )
+    def test_floor_keeps_the_basis(self, name, L, monkeypatch):
+        self._check(L, monkeypatch)
+
+    def test_floor_keeps_the_basis_on_the_dim3_census(self, monkeypatch):
+        valid = _valid_census(3, F3)
+        assert len(valid) == 1431
+        for L in valid:
+            self._check(L, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "name,run,floor,rank",
+        [
+            ("sl4q.json", is_simple, 1, 225 - 1),
+            ("sl3q.json", is_simple, 1, 64 - 1),
+            ("sl4q.json", centroid, 1, 225 - 1),
+            # Der = ad L, of dimension 8 - dim Z = 8
+            ("pgl3f3.json", derivation_algebra, 8, 64 - 8),
+            # Z^2 = B^2, of dimension 8
+            ("gl3q.json", h2_trivial, 8, 36 - 8),
+            ("gl3f5.json", h2_trivial, 8, 36 - 8),
+        ],
+    )
+    def test_floor_ends_the_solve_early(self, name, run, floor, rank, floor_spy):
+        # the solve stops at rank ambient - floor with rows left unread
+        run(_fresh(dict(_FLOOR_INPUTS)[name]))
+        assert floor_spy == [(floor, rank, True)]
+
+    def test_table_breaking_jacobi_has_no_der_floor(self, floor_spy):
+        # ad L is not made of derivations here, so Der solves in full
+        S = sl(QQ, 3)
+        table = S.table
+        table[(0, 2)] = {1: QQ.of(2)}
+        L = LieAlgebra.unchecked(QQ, S.labels, table)
+        assert len(derivation_algebra(L)[1]) == 2
+        assert floor_spy == []
+
+
+class TestCommutant:
+    """The commutant of ad L, which is_simple reads as the centroid."""
+
+    def test_commutant_maps_commute_with_every_ad(self):
+        # the cases of test_centroid_maps_commute_with_every_ad, where the
+        # pair system of centroid is larger
+        cases = [
+            (r2(QQ), 1),
+            (r2(F3), 1),
+            (heisenberg(QQ, 1), 3),
+            (heisenberg(QQ, 2), 5),
+            (strict_upper(QQ, 4), 4),
+        ]
+        for L, commutant_dim in cases:
+            mats = _commutant(L)
+            assert len(mats) == commutant_dim, L
+            for phi in mats:
+                for i in range(L.dim):
+                    ad = L.ad_basis(i)
+                    assert phi * ad == ad * phi, (L, i)
+
+    @pytest.mark.parametrize("name,L", [pytest.param(n, L, id=n) for n, L in _PERFECT])
+    def test_commutant_is_the_centroid_of_a_perfect_algebra(self, name, L):
+        assert _commutant(L) == centroid(L)
+
+    def test_the_perfect_cases(self):
+        assert sorted(n for n, _ in _PERFECT) == [
+            "psl3@F3", "psl3f3.json", "sl2(Q(sqrt2))", "sl2+sl2@Q", "sl2@F5", "sl2@Q",
+            "sl2f5.json", "sl3f3.json", "sl3q.json", "sl4q.json", "su2q", "su2q.json",
+        ]
+
+    def test_sl5_is_certified_by_its_centroid(self):
+        path = next(p for p in _BENCH_INPUTS if p.stem == "sl5q")
+        L = LieAlgebra.from_json_dict(json.loads(path.read_text()))
+        assert L.dim == 24
+        v = is_simple(L)
+        assert v.is_certified and v.certificate == "killing-centroid"
+        assert v.evidence == {"centroid_dim": 1}
 
 
 class TestAssocAlgebra:

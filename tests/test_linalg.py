@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from lielab.fields import GF, QQ, Fp, UniPoly
 from lielab.linalg import (
+    _Echelon,
     Matrix,
     Subspace,
     diagonalize_quadratic,
@@ -462,3 +463,41 @@ class TestRationalKernelOracle:
         for t in range(n):
             shifted = [[(t if i == j else 0) - Fraction(x) for j, x in enumerate(row)] for i, row in enumerate(rows)]
             assert cp.eval_scalar(t) == oracle_det(shifted)
+
+
+class TestEchelonFloor:
+    """An elimination told the dimension of a subspace K that solves every
+    row (rows in kernel scalars) stops reading rows once its rank is
+    ambient - dim K, and its echelon rows and kernel are those of the full
+    solve."""
+
+    @given(data=st.data(), field=st.sampled_from([QQ, F5]))
+    @settings(max_examples=80, deadline=None)
+    def test_floor_keeps_the_full_solve(self, data, field):
+        n = 6
+        entry = q_entry if field is QQ else st.integers(0, 4)
+        known = Subspace.from_vectors(field, n, [
+            [field.of(data.draw(entry)) for _ in range(n)] for _ in range(data.draw(st.integers(0, 3)))
+        ])
+        # the rows vanishing on K, combined at random
+        annihilator = Matrix(field, known.rows, n).kernel().rows if known.dim else Subspace.full_space(field, n).rows
+        rows = []
+        for _ in range(data.draw(st.integers(0, 9))):
+            row = [field.zero] * n
+            for vec in annihilator:
+                row = vec_add(row, vec_scale(vec, field.of(data.draw(entry))))
+            rows.append(field._to_k(row))
+        rest = iter(rows)
+        got = _Echelon(field, n, rest, known.dim)
+        read = len(rows) - len(list(rest))
+        full = _Echelon(field, n, rows)
+        assert got.echelon() == full.echelon()
+        assert got.kernel() == full.kernel()
+        room = n - known.dim
+        rank = lambda k: Matrix(field, rows[:k], n).rank()
+        if len(full.rows) == room:
+            # it stops at the row that brings the rank to the room left
+            assert rank(read) == room and (read == 0 or rank(read - 1) < room)
+            assert got.kernel() == known
+        else:
+            assert read == len(rows)

@@ -23,7 +23,9 @@ slice of coefficients is kept as the oracle for the stored rows.  The
 Krylov-chain minimal polynomial with its ``poly_lcm``, which one echelon
 of flattened powers replaced, and the coset-coordinate loop that built
 the quotient action of ``ideal_action_matrices`` before it read ``ad``
-in the quotient algebra, are kept the same way.
+in the quotient algebra, are kept the same way, and so is the body of
+``_jacobi_defects`` that brought every triple's defect to kernel scalars
+before testing it.
 """
 import json
 from fractions import Fraction
@@ -35,7 +37,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lielab import LieAlgebra, abelian, gl, heisenberg, pgl, r2, sl, strict_upper, su2q, zero_multiplicity
-from lielab.algebra import BilinearForm, StructureError, centroid, cocycle_space, derivation_algebra, direct_sum
+from lielab.algebra import (
+    BilinearForm,
+    StructureError,
+    _jacobi_defects,
+    centroid,
+    cocycle_space,
+    derivation_algebra,
+    direct_sum,
+)
 from lielab.budgets import SYMBOLIC_DIM, BudgetExceeded
 from lielab.catalog import canonical_instances, enumerate_tables
 from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_gcd
@@ -497,18 +507,74 @@ def test_sparse_primitives_match_dense_loops(L, data):
     assert L.ad(x) == Matrix(L.field, ref_ad(L, x), ncols=L.dim)
 
 
+def ref_jacobi_sums(n, rows):
+    """The defect sums of every basis triple over Lie rows, as computed
+    before any normalization."""
+    for i, j, k in combinations(range(n), 3):
+        defect = [0] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in rows[a].get(b, ()):
+                for l, cl in rows[m].get(c, ()):
+                    defect[l] += cm * cl
+        yield (i, j, k), defect
+
+
+def ref_jacobi_defects(field, n, rows):
+    """The body of _jacobi_defects that brought every triple's defect to
+    kernel scalars before testing it."""
+    zero = field._k_zero
+    for i, j, k in combinations(range(n), 3):
+        defect = [zero] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cm in rows[a].get(b, ()):
+                for l, cl in rows[m].get(c, ()):
+                    defect[l] += cm * cl
+        defect = field._to_k(defect)
+        if any(defect):
+            yield (i, j, k), defect
+
+
+def _with_changed_constant(L, value):
+    table = {key: dict(coeffs) for key, coeffs in L.table.items()}
+    key = sorted(table)[3]
+    k = min(table[key])
+    table[key][k] = table[key][k] + value
+    return LieAlgebra.unchecked(L.field, L.labels, table)
+
+
+def _kernel_triples(field, n, rows):
+    """The triples and defects with the type of each entry."""
+    return [(t, d, [type(x) for x in d]) for t, d in _jacobi_defects(field, n, rows)]
+
+
 def test_jacobi_defects_of_broken_tables():
     """One changed structure constant over Q and over F_5: the full
-    violation lists, triples and defects, equal the dense loop's."""
-    for L, value in ((sl(QQ, 3), Fraction(1, 2)), (gl(GF(5), 3), GF(5).of(3))):
-        table = {key: dict(coeffs) for key, coeffs in L.table.items()}
-        key = sorted(table)[3]
-        k = min(table[key])
-        table[key][k] = table[key][k] + value
-        broken = LieAlgebra.unchecked(L.field, L.labels, table)
+    violation lists, triples and defects, equal the dense loop's, and the
+    defects in kernel scalars equal those of the body that normalized
+    every triple, entry types included.  sl3 over Q in a rescaled basis
+    has Fraction structure constants, and some of its defect sums come
+    out as Fractions of denominator 1.  sl3 over F_3 has defect sums that
+    are nonzero multiples of 3 before reduction and so no violation."""
+    sl3_fractions = _rescaled(sl(QQ, 3), [Fraction(1, 2), 3, Fraction(2, 3), 5, Fraction(1, 3), Fraction(3, 2), 4, Fraction(7, 2)])
+    cases = (
+        (sl(QQ, 3), Fraction(1, 2)),
+        (gl(GF(5), 3), GF(5).of(3)),
+        (sl3_fractions, Fraction(1, 3)),
+        (sl(GF(3), 3), GF(3).of(1)),
+    )
+    for L, value in cases:
+        broken = _with_changed_constant(L, value)
         bad = broken.jacobi_violations()
         assert bad and bad == ref_jacobi_violations(broken)
         assert L.jacobi_violations() == ref_jacobi_violations(L) == []
+        for A in (L, broken):
+            want = [(t, d, [type(x) for x in d]) for t, d in ref_jacobi_defects(A.field, A.dim, A._rows)]
+            assert _kernel_triples(A.field, A.dim, A._rows) == want
+    # the cases are what the docstring says
+    sums = [d for _, d in ref_jacobi_sums(8, _with_changed_constant(sl3_fractions, Fraction(1, 3))._rows)]
+    assert any(type(x) is Fraction and x.denominator == 1 for d in sums if any(d) for x in d)
+    sums = [d for _, d in ref_jacobi_sums(8, sl(GF(3), 3)._rows)]
+    assert any(any(d) for d in sums) and all(x % 3 == 0 for d in sums for x in d)
 
 
 # -- the stored rows against the table they came from -------------------------------
