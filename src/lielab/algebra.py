@@ -31,6 +31,7 @@ linear algebra over the base field.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -774,67 +775,96 @@ def tensor_commutative(L: LieAlgebra, A: AssocAlgebra) -> LieAlgebra:
     return LieAlgebra(L.field, labels, table)
 
 
-def _map_equations(L: LieAlgebra) -> Iterator[tuple]:
-    """Linear equations on the entries of a map phi of L, unknown phi[r][k]
-    at index r * n + k.
-
-    For each pair i < j and each coordinate r, yields the r-th coordinates
-    of phi[b_i, b_j], -[phi b_i, b_j] and -[b_i, phi b_j].  Each part is a
-    list [(unknown, c), ...] with c in kernel scalars.  Pairs with a zero
-    bracket yield equations too: their first part is empty.
-    """
-    n = L.dim
-    # ads[j][r]: the nonzero [b_j, b_s]_r as (s, c), from the rows of ad b_j
-    ads = [[[(s, c) for s, c in enumerate(row) if c] for row in L.ad_basis(j)._k] for j in range(n)]
-    for i, j in itertools.combinations(range(n), 2):
-        image = L._rows[i].get(j, ())
-        for r in range(n):
-            yield (
-                [(r * n + k, c) for k, c in image],
-                [(s * n + i, c) for s, c in ads[j][r]],
-                [(s * n + j, -c) for s, c in ads[i][r]],
-            )
-
-
-def _sparse_row(p: int, *parts) -> dict:
-    """The sum of the parts [(unknown, c), ...] as a sparse row in kernel
-    scalars; p = 0 stands for Q."""
-    row: dict = {}
-    for part in parts:
-        for key, c in part:
-            row[key] = row.get(key, 0) + c
+def _nonzero(row: dict, p: int) -> dict:
+    """The nonzero entries of a sparse kernel row, reduced mod p (0 for Q)."""
     if p:
         return {k: x % p for k, x in row.items() if x % p}
     return {k: x for k, x in row.items() if x}
 
 
-def _commutant_equations(L: LieAlgebra) -> Iterator[dict]:
-    """Sparse rows of phi ad b_i - ad b_i phi = 0, unknown phi[r][k] at
-    index r * n + k as in ``_map_equations``: the solutions are the maps
-    that commute with every ad x, the centroid of L.  Entry (r, k) of
-    block i is sum_s phi[r][s] A[s][k] - A[r][s] phi[s][k] for A = ad b_i,
-    read from the rows of ``ad_basis(i)``.  The blocks come in a fixed
-    order, the b_i with the most nonzero brackets first; any order gives
-    the same solution space and so the same echelon basis, and this one
-    reaches the floor of the identity map in fewer rows than basis order
-    on sl3, sl4 and sl5.
+@functools.lru_cache(maxsize=None)
+def _slots(n: int, k: int) -> Dict[tuple, int]:
+    """The k-subsets of range(n) and their index in combinations order (shared: read only)."""
+    return {T: s for s, T in enumerate(itertools.combinations(range(n), k))}
 
-    The solutions lie in those of ``centroid``'s pair system, which misses
-    [phi b_i, b_i] = 0 and so is larger on some algebras that are not
-    perfect (r2, the Heisenberg algebras).  ``centroid`` keeps the pair
-    system until its pinned outputs are moved, and then reads these rows
-    instead.
+
+@functools.lru_cache(maxsize=None)
+def _places(n: int, k: int) -> Dict[tuple, dict]:
+    """w(b_q, b_R) = +-w(b_T) for q not in R, T = R + q sorted: places[R][q]
+    is the slot of T and whether moving q to its place in T is odd."""
+    places: Dict[tuple, dict] = {R: {} for R in itertools.combinations(range(n), k - 1)}
+    for t, T in enumerate(_slots(n, k)):
+        for pos, q in enumerate(T):
+            places[T[:pos] + T[pos + 1 :]][q] = t, pos & 1
+    return places
+
+
+def _ad_rows(L: LieAlgebra, i: int) -> List[list]:
+    """Row r of ad b_i as the list of its nonzero (s, [b_i, b_s]_r)."""
+    return [[(s, c) for s, c in enumerate(row) if c] for row in L.ad_basis(i)._k]
+
+
+def _coboundary_rows(L: LieAlgebra, k: int, ads: Optional[Sequence] = None) -> Iterator[dict]:
+    """Sparse rows of d w = 0 for the Chevalley-Eilenberg coboundary
+    d: C^k(L, M) -> C^(k+1)(L, M),
+        (d w)(x_0..x_k) = sum_a (-1)^a x_a . w(..^x_a..)
+                        + sum_{a<b} (-1)^(a+b) w([x_a, x_b], ..^x_a..^x_b..),
+    M = K acted on trivially when ``ads`` is None, M = L when ads[i] is
+    ``_ad_rows(L, i)``.  One row per (k+1)-subset S in combinations order
+    and coordinate r of M, rows that vanish left out.  The unknown
+    w(b_T)_r sits at r * C(n, k) + slot(T) (``_slots``): phi[r][t] at
+    r * n + t for k = 1 on L (Der, matrices flattened row by row), the
+    pair i < j in lexicographic order for k = 2 on K (Z^2).
+    """
+    n, p = L.dim, L.field.char
+    slot, places = _slots(n, k), _places(n, k)
+    width = len(slot)
+    pairs = [(a, b, (a + b) & 1) for a, b in itertools.combinations(range(k + 1), 2)]
+    table = L._rows
+    for S in itertools.combinations(range(n), k + 1):
+        terms: dict = {}
+        for a, b, odd in pairs:
+            cell = table[S[a]].get(S[b])
+            if cell:
+                at = places[S[:a] + S[a + 1 : b] + S[b + 1 :]]
+                for m, c in cell:
+                    if m in at:
+                        t, neg = at[m]
+                        terms[t] = terms.get(t, 0) + (-c if neg != odd else c)
+        # the bracket terms, the same for each r; then (-1)^a b_s . w(b_(S - s))
+        rows = [terms]
+        if ads is not None:
+            rows = [{r * width + t: c for t, c in terms.items()} for r in range(n)]
+            for a, s in enumerate(S):
+                face, neg = slot[S[:a] + S[a + 1 :]], a & 1
+                for row, ad_row in zip(rows, ads[s]):
+                    for t, c in ad_row:
+                        row[t * width + face] = row.get(t * width + face, 0) + (-c if neg else c)
+        for row in rows:
+            if row and (row := _nonzero(row, p)):
+                yield row
+
+
+def _commutant_equations(L: LieAlgebra, *, diagonal: bool = True) -> Iterator[dict]:
+    """Sparse rows of phi ad b_i - ad b_i phi = 0, unknown phi[r][k] at
+    r * n + k as in ``_coboundary_rows``, whose solutions are the centroid.
+    Entry (r, k) of block i is phi[b_i, b_k]_r - [b_i, phi b_k]_r, rows
+    that vanish left out.  The b_i with the most nonzero brackets come
+    first: the echelon basis is the same, and the floor of the identity is
+    reached in fewer rows than in basis order on sl3, sl4 and sl5.
+    ``diagonal=False`` leaves out the entries k = i, [b_i, phi b_i] = 0.
     """
     n, p = L.dim, L.field.char
     for i in sorted(range(n), key=lambda i: -len(L._rows[i])):
-        rows = [[(s, c) for s, c in enumerate(row) if c] for row in L.ad_basis(i)._k]
-        cols: List[list] = [[] for _ in range(n)]
-        for s, row in enumerate(rows):
-            for k, c in row:
-                cols[k].append((s, c))
-        for r in range(n):
-            for k in range(n):
-                yield _sparse_row(p, [(r * n + s, c) for s, c in cols[k]], [(s * n + k, -c) for s, c in rows[r]])
+        cols = [[(s, c) for s, c in enumerate(col) if c] for col in zip(*L.ad_basis(i)._k)]
+        for r, row in enumerate(_ad_rows(L, i)):
+            for k, col in enumerate(cols):
+                if diagonal or k != i:
+                    eq = {r * n + s: c for s, c in col}
+                    for s, c in row:
+                        eq[s * n + k] = eq.get(s * n + k, 0) - c
+                    if eq := _nonzero(eq, p):
+                        yield eq
 
 
 def _map_solutions(field: Field, n: int, rows: Iterable[dict], floor: int = 0) -> Tuple[Subspace, List[Matrix]]:
@@ -871,16 +901,16 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     with [M^perp, M] = 0, and for delta in M^perp,
     ad(delta x) = [delta, ad x] = 0 puts delta x in the center, which is 0.
     Every other table solves D[b_i, b_j] = [D b_i, b_j] + [b_i, D b_j]
-    over all pairs.  Among them is psl3 over F_3: its Killing form is 0,
-    and it has 14 derivations, not the 8 that the ``der-psl3f3`` check
-    carries over from characteristic 0.  Where Jacobi holds, ad L lies in
+    over all pairs, dD = 0 on C^1(L, L) (``_coboundary_rows``).  Among
+    them is psl3 over F_3: its Killing form is 0, and it has 14
+    derivations, not the 8 that the ``der-psl3f3`` check carries over from
+    characteristic 0.  Where Jacobi holds, ad L lies in
     Der L, so the solve has the floor n - dim Z(L) (``_map_solutions``)
     and ends once Der L = ad L is certain (pgl3 over F_3); on an
     ``unchecked`` table that breaks Jacobi the floor is 0.  The result's
     structure constants come from commutators of the matrix basis.
     """
-    n = L.dim
-    field, p = L.field, L.field.char
+    n, field, p = L.dim, L.field, L.field.char
     if _killing_route(L):
         ads = ([x for row in L.ad_basis(i)._k for x in row] for i in range(n))
         kernel = _Echelon(field, n * n, ads).subspace()
@@ -888,7 +918,7 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
         _recheck(kernel.dim == n, "ad must be injective on an algebra with a nondegenerate Killing form")
         mats = _square_matrices(field, n, kernel)
     else:
-        rows = (_sparse_row(p, *parts) for parts in _map_equations(L))
+        rows = _coboundary_rows(L, 1, [_ad_rows(L, i) for i in range(n)])
         floor = n - L.center().dim if L._jacobi_holds() else 0
         kernel, mats = _map_solutions(field, n, rows, floor)
     # [D_a, D_b] = D_a D_b - D_b D_a from sparse rows in kernel scalars; its
@@ -896,17 +926,17 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     sparse = [[_sparse(row) for row in m._k] for m in mats]
     negated = [[{c: -x for c, x in row.items()} for row in m] for m in sparse]
 
-    def product(left, right) -> list:
-        return [
-            (r * n + c, x * y)
-            for r, row in enumerate(left)
-            for t, x in row.items()
-            for c, y in right[t].items()
-        ]
+    def product(left, right, out: dict) -> dict:
+        # out plus left right, flattened row by row
+        for r, row in enumerate(left):
+            for t, x in row.items():
+                for c, y in right[t].items():
+                    out[r * n + c] = out.get(r * n + c, 0) + x * y
+        return out
 
     table: BracketTable = {}
     for a, b in itertools.combinations(range(len(mats)), 2):
-        comm = _sparse_row(p, product(sparse[a], sparse[b]), product(negated[b], sparse[a]))
+        comm = _nonzero(product(negated[b], sparse[a], product(sparse[a], sparse[b], {})), p)
         if _reduce(dict(comm), kernel._pivot_rows, p):
             raise StructureError("commutator of derivations left the solution space")
         table[(a, b)] = {k: comm[q] for k, q in enumerate(kernel.pivots) if q in comm}
@@ -915,20 +945,15 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
 
 
 def centroid(L: LieAlgebra) -> List[Matrix]:
-    """_Echelon basis of maps commuting with all brackets:
-    phi[x, y] = [phi x, y] = [x, phi y], imposed on the pairs i < j.
-
-    The identity solves every row, so the solve has floor 1 and ends once
-    the rank is n^2 - 1 (``_map_solutions``).  The pair system misses
-    [phi b_i, b_i] = 0 and is larger than the true centroid on some
-    algebras that are not perfect (r2, the Heisenberg algebras); when its
-    pinned outputs are moved, this function becomes the commutant of
-    ad L, ``_commutant_equations``, which ``is_simple`` already reads.
+    """_Echelon basis of maps with phi[x, y] = [phi x, y] = [x, phi y] on
+    distinct basis vectors: the commutant rows of ad L off the diagonal,
+    with the floor 1 of the identity (``_map_solutions``).  Without the
+    diagonal rows, [b_i, phi b_i] = 0, the solutions are more than the
+    centroid on some algebras that are not perfect (r2, the Heisenberg
+    algebras); without ``diagonal=False`` this is the commutant that
+    ``is_simple`` reads.
     """
-    p = L.field.char
-    rows = (
-        _sparse_row(p, image, part) for image, left, right in _map_equations(L) for part in (left, right)
-    )
+    rows = _commutant_equations(L, diagonal=False)
     return _map_solutions(L.field, L.dim, rows, min(L.dim, 1))[1]
 
 
@@ -1141,40 +1166,14 @@ def _projective_points(field, n: int) -> Iterator[Vector]:
 # cohomology and central extensions
 
 
-def _pair_index(n: int) -> Dict[Tuple[int, int], int]:
-    idx = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            idx[(i, j)] = len(idx)
-    return idx
-
-
-def _cocycle_equations(L: LieAlgebra) -> Iterator[dict]:
-    """Sparse rows of w([b_i, b_j], b_k) + cyclic = 0 for i < j < k, in the
-    unknowns w(b_m, b_k), m < k, at the slots of ``_pair_index``."""
-    idx = _pair_index(L.dim)
-
-    def term(i, j, k, sign):
-        # sign * w([b_i, b_j], b_k) in the unknowns w(b_m, b_k) = +-w[min, max]
-        for m, c in L._rows[i].get(j, ()):
-            if m < k:
-                yield idx[(m, k)], sign * c
-            elif m > k:
-                yield idx[(k, m)], -sign * c
-
-    for i, j, k in itertools.combinations(range(L.dim), 3):
-        yield _sparse_row(L.field.char, term(i, j, k, 1), term(j, k, i, 1), term(i, k, j, -1))
-
-
 def cocycle_space(L: LieAlgebra) -> Subspace:
-    """Z^2(L, K): alternating forms with w([x,y],z) + cyclic = 0."""
-    n = L.dim
-    return _Echelon(L.field, n * (n - 1) // 2, _cocycle_equations(L)).kernel()
+    """Z^2(L, K), the kernel of d on C^2(L, K) (``_coboundary_rows``)."""
+    return _Echelon(L.field, math.comb(L.dim, 2), _coboundary_rows(L, 2)).kernel()
 
 
 def coboundary_space(L: LieAlgebra) -> Subspace:
-    """B^2(L, K): forms f([x, y]) for functionals f, spanned by f = b_m^*."""
-    idx = _pair_index(L.dim)
+    """B^2(L, K) = d C^1(L, K): forms f([x, y]), spanned by f = b_m^*."""
+    idx = _slots(L.dim, 2)
     forms = [[L.field._k_zero] * len(idx) for _ in range(L.dim)]
     for i, j, coeffs in L._cells():
         for m, c in coeffs:
@@ -1194,32 +1193,32 @@ def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]
     compares Z^2 with B^2.  Among them is psl3 over F_3: its Killing form
     is 0, and its H^2 has dimension 7, not the 1 that the ``h2-psl3f3``
     check carries over from characteristic 0.  Jacobi puts B^2 inside
-    Z^2, so B^2 comes first and Z^2 is solved with the floor dim B^2
-    (``_Echelon``): where H^2 = 0 (gl3 over Q and over F_5) the solve ends
-    once Z^2 = B^2 is certain.  A table on which Jacobi fails (built
-    ``unchecked``) has no H^2 and raises StructureError.
+    Z^2, so B^2 comes first and Z^2, the kernel of d on C^2(L, K)
+    (``_coboundary_rows``), is solved with the floor dim B^2 (``_Echelon``):
+    where H^2 = 0 (gl3 over Q and over F_5) the solve ends once Z^2 = B^2
+    is certain.  A table on which Jacobi fails (built ``unchecked``) has
+    no H^2 and raises StructureError.
     """
     if _killing_route(L):
         return 0, []
     if not L._jacobi_holds():
         raise StructureError("H^2 needs a table on which Jacobi holds")
     b2 = coboundary_space(L)
-    idx = _pair_index(L.dim)
-    z2 = _Echelon(L.field, len(idx), _cocycle_equations(L), b2.dim).kernel()
+    z2 = _Echelon(L.field, b2.ambient, _coboundary_rows(L, 2), b2.dim).kernel()
     dim = z2.dim - b2.dim
-    back = {slot: pair for pair, slot in idx.items()}
+    pairs = list(_slots(L.dim, 2))
     reps = []
-    span = _Echelon(L.field, len(idx), b2._k)
+    span = _Echelon(L.field, b2.ambient, b2._k)
     for row, krow in zip(z2.rows, z2._k):
         if span.add(krow) is not None:
-            reps.append({back[s]: c for s, c in enumerate(row) if c})
+            reps.append({pairs[s]: c for s, c in enumerate(row) if c})
         if len(reps) == dim:
             break
     return dim, reps
 
 
 def is_cocycle(L: LieAlgebra, omega: Dict[Tuple[int, int], Scalar]) -> bool:
-    idx = _pair_index(L.dim)
+    idx = _slots(L.dim, 2)
     vec = [L.field.zero] * len(idx)
     for (i, j), c in omega.items():
         if not (0 <= i < j < L.dim):

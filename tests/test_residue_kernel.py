@@ -809,13 +809,16 @@ def _input_table(name):
     return LieAlgebra.from_json_dict(json.loads(path.read_text()))
 
 
-# The canonical instances are solved by the field-scalar reference
-# elimination; the larger benchmark tables (225 unknowns for Der(sl4))
-# by the dense rows through Matrix.kernel, which the tests above hold to
-# the reference.
-EQUATION_CASES = [(name, L, True) for name, L in canonical_instances()] + [
-    (name, _input_table(name), False) for name in ("sl4q", "gl3f5", "heisenberg2q")
-]
+# The canonical instances and the 1 431 Jacobi-valid dimension-3 tables
+# over F_3 (the case None) are solved by the field-scalar reference
+# elimination; the larger benchmark tables (225 unknowns for Der(sl4)) by
+# the dense rows through Matrix.kernel, which the tests above hold to the
+# reference.
+EQUATION_CASES = (
+    [(name, L, True) for name, L in canonical_instances()]
+    + [(name, _input_table(name), False) for name in ("sl4q", "gl3f5", "heisenberg2q")]
+    + [("census3@F3", None, True)]
+)
 
 
 def _dense_solutions(field, rows, ncols, by_reference):
@@ -830,15 +833,20 @@ def test_equation_systems_match_dense_rows(name, L, by_reference):
     """Der, the centroid and Z^2 from the sparse rows are the solution
     spaces of the dense rows: the same canonical echelon basis, so the
     same Subspace."""
-    n = L.dim
 
     def flat(mats):
         return tuple(tuple(c for row in mat.rows for c in row) for mat in mats)
 
-    field = L.field
-    assert flat(derivation_algebra(L)[1]) == _dense_solutions(field, ref_derivation_rows(L), n * n, by_reference)
-    assert flat(centroid(L)) == _dense_solutions(field, ref_centroid_rows(L), n * n, by_reference)
-    assert cocycle_space(L).rows == _dense_solutions(field, ref_cocycle_rows(L), n * (n - 1) // 2, by_reference)
+    if L is None:
+        algebras = [t.algebra() for t in enumerate_tables(3, GF(3)) if t.jacobi_ok]
+        assert len(algebras) == 1431
+    else:
+        algebras = [L]
+    for L in algebras:
+        n, field = L.dim, L.field
+        assert flat(derivation_algebra(L)[1]) == _dense_solutions(field, ref_derivation_rows(L), n * n, by_reference)
+        assert flat(centroid(L)) == _dense_solutions(field, ref_centroid_rows(L), n * n, by_reference)
+        assert cocycle_space(L).rows == _dense_solutions(field, ref_cocycle_rows(L), n * (n - 1) // 2, by_reference)
 
 
 # -- structure layer against the Matrix and MultiPoly bodies ------------------------
