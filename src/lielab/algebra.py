@@ -46,31 +46,32 @@ from .verdict import _recheck, _Record, Verdict
 Rows = List[Dict[int, tuple]]
 
 
-def _jacobi_defects(
-    field: Field, n: int, rows: Sequence[dict]
-) -> Iterator[Tuple[Tuple[int, int, int], list]]:
-    """The basis triples where Jacobi fails, with their defects in kernel
-    scalars, over Lie rows: rows[a].get(b, ()) is the signed ((k, c), ...)
-    of [b_a, b_b].  The defect at (i, j, k) is
-    sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j].
-
-    Over Q the sums are exact, so a triple is tested on them as they are
-    and only a failing one is brought to kernel scalars (its Fractions of
-    denominator 1 made ints).  Over F_p the sums are unreduced ints, and
-    the one mod-p pass of ``_to_k`` comes before the test."""
-    zero, p = field._k_zero, field.char
+def _jacobi_sums(n: int, rows: Sequence[dict]) -> Iterator[Tuple[Tuple[int, int, int], list]]:
+    """Each basis triple i < j < k with its unreduced Jacobi defect over Lie
+    rows (rows[a].get(b, ()) is the signed ((k, c), ...) of [b_a, b_b]):
+    sum_m c_ij^m [b_m, b_k] + c_jk^m [b_m, b_i] + c_ki^m [b_m, b_j]."""
     for i, j, k in itertools.combinations(range(n), 3):
-        defect = [zero] * n
+        defect = [0] * n
         for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
             for m, cm in rows[a].get(b, ()):
                 for l, cl in rows[m].get(c, ()):
                     defect[l] += cm * cl
-        if p:
+        yield (i, j, k), defect
+
+
+def _jacobi_defects(field: Field, n: int, rows: Sequence[dict]) -> Iterator[Tuple[Tuple[int, int, int], list]]:
+    """The triples of ``_jacobi_sums`` where Jacobi fails, with their
+    defects in kernel scalars.  Over Q the sums are exact, so a triple is
+    tested on them as they are and only a failing one is brought to kernel
+    scalars (its Fractions of denominator 1 made ints).  Over F_p the sums
+    are unreduced ints, and the one mod-p pass of ``_to_k`` comes first."""
+    for t, defect in _jacobi_sums(n, rows):
+        if field.char:
             defect = field._to_k(defect)
             if any(defect):
-                yield (i, j, k), defect
+                yield t, defect
         elif any(defect):
-            yield (i, j, k), field._to_k(defect)
+            yield t, field._to_k(defect)
 
 
 def _entries(rows: Sequence[Sequence]) -> Dict[Tuple[int, int], Scalar]:
@@ -1156,10 +1157,19 @@ def _centroid_probe_weights(k: int):
 
 
 def _projective_points(field, n: int) -> Iterator[Vector]:
-    """One representative per line of F_p^n: first nonzero coordinate 1."""
-    for lead in range(n):
-        for rest in itertools.product(range(field.p), repeat=n - lead - 1):
-            yield tuple(field.of(c) for c in [0] * lead + [1] + list(rest))
+    """One representative per line of F_p^n (first nonzero coordinate 1),
+    in lexicographic order: the later the lead, the smaller the point.  A
+    representative comes before its multiples, so the first point with a
+    property that nonzero scaling keeps is one of these."""
+    elements = tuple(field.elements())
+    for lead in reversed(range(n)):
+        for rest in itertools.product(elements, repeat=n - lead - 1):
+            yield elements[:1] * lead + elements[1:2] + rest
+
+
+def _point_index(field, x: Vector) -> int:
+    """The base-p value of x, its place in itertools.product order."""
+    return functools.reduce(lambda index, r: index * field.p + r, field._to_k(x), 0)
 
 
 # ---------------------------------------------------------------------------

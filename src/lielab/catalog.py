@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, product as iproduct
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .algebra import _jacobi_defects, AssocAlgebra, LieAlgebra, StructureError, quotient, tensor_commutative
+from .algebra import _jacobi_sums, _point_index, _projective_points, AssocAlgebra, LieAlgebra, StructureError, quotient, tensor_commutative
 from .budgets import ENUMERATION_CAP, EXHAUSTIVE_CAP, ON_DIM_CAP, BudgetExceeded
 from .fields import GF, Field, QQ, Scalar
 from .linalg import Matrix, Subspace, Vector
@@ -363,7 +363,7 @@ def is_division(Q: QuaternionAlgebra) -> Verdict:
     otherwise inconclusive.  Over F_p: always refuted, with (x, conjugate
     of x) and ``scanned``.  On x_0 = 0 the norm is the nondegenerate
     ternary form -a x_1^2 - b x_2^2 + ab x_3^2, isotropic by
-    Chevalley-Warning, so the lexicographic scan of those p^3 points finds
+    Chevalley-Warning, so the lexicographic scan of the lines x_0 = 0 finds
     x; BudgetExceeded when p^3 exceeds EXHAUSTIVE_CAP.
     """
     if Q.field.kind == "Q":
@@ -390,10 +390,10 @@ def is_division(Q: QuaternionAlgebra) -> Verdict:
     p = Q.field.p
     if p**3 > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"{p ** 3} pure quaternions exceed the cap")
-    pure = ((Q.field.zero,) + rest for rest in iproduct(tuple(Q.field.elements()), repeat=3) if any(rest))
-    found = next(((k, x) for k, x in enumerate(pure, 1) if not Q.norm(x)), None)
-    _recheck(found is not None, "a nondegenerate ternary form over F_p is isotropic")
-    scanned, x = found
+    # a zero of the norm stays one under scaling, so the lines' representatives find the first
+    x = next((x for x in ((Q.field.zero,) + r for r in _projective_points(Q.field, 3)) if not Q.norm(x)), None)
+    _recheck(x is not None, "a nondegenerate ternary form over F_p is isotropic")
+    scanned = _point_index(Q.field, x)
     xb = Q.conjugate(x)  # nonzero whenever x is
     prod = Q.multiply(x, xb)
     _recheck(not any(prod), "zero-divisor recheck failed")
@@ -479,7 +479,12 @@ class EnumTable(_Record):
 def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
     """All coefficient assignments for the given dimension, in
     lexicographic order over the field's elements, each flagged with the
-    outcome of the Jacobi check."""
+    outcome of the Jacobi check.  The defect at a triple is affine in the
+    last bracket [b_{n-2}, b_{n-1}]: in each term c_ab^m c_mc^l at most
+    one factor belongs to it (if (a, b) is that pair, c < n - 2).  So per
+    prefix of the other brackets the sums run at the last bracket 0 and
+    at each unit vector, and c passes iff D(0) + sum_k c_k (D(e_k) - D(0))
+    vanishes mod p."""
     if field.kind != "Fp":
         raise ValueError("table enumeration runs over finite fields")
     if dim < 0:
@@ -491,22 +496,34 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
     if ncoeffs >= ENUMERATION_CAP.bit_length() or p**ncoeffs > ENUMERATION_CAP:
         total = p**ncoeffs if ncoeffs * p.bit_length() <= 64 else f"{p}^{ncoeffs}"
         raise BudgetExceeded(f"{total} tables exceed the enumeration cap {ENUMERATION_CAP}")
-    elements = tuple(field.of(r) for r in range(p))
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    if not pairs:
+        yield EnumTable(dim, field, (), True)
+        return
     # every coefficient vector of one bracket, in lexicographic order, with
-    # its nonzero entries in kernel scalars and their negation; Jacobi runs
-    # on one list of Lie rows whose pair cells each table rewrites
+    # its nonzero entries in kernel scalars and their negation; the sums run
+    # on one list of Lie rows whose pair cells each prefix rewrites
     blocks = []
-    for vec in iproduct(elements, repeat=dim):
+    for vec in iproduct(tuple(field.elements()), repeat=dim):
         coeffs = tuple((k, c) for k, c in enumerate(field._to_k(vec)) if c)
         blocks.append((vec, coeffs, tuple((k, -c) for k, c in coeffs)))
+    *head, (s, t) = pairs
     rows: List[dict] = [{} for _ in range(dim)]
-    for combo in iproduct(blocks, repeat=len(pairs)):
-        for (i, j), (_, coeffs, negated) in zip(pairs, combo):
+    for combo in iproduct(blocks, repeat=len(head)):
+        for (i, j), (_, coeffs, negated) in zip(head, combo):
             rows[i][j] = coeffs
             rows[j][i] = negated
-        ok = next(_jacobi_defects(field, dim, rows), None) is None
-        yield EnumTable(dim, field, tuple(c for vec, _, _ in combo for c in vec), ok)
+        sums = []
+        for cell in [()] + [((k, 1),) for k in range(dim)]:
+            rows[s][t], rows[t][s] = cell, tuple((k, -c) for k, c in cell)
+            sums.append([x for _, d in _jacobi_sums(dim, rows) for x in d])
+        defects = sums[:1]  # D(c) for every last bracket c, in the blocks' order
+        for unit in sums[1:]:
+            step = [x - y for x, y in zip(unit, sums[0])]
+            defects = [[x + c * y for x, y in zip(d, step)] for d in defects for c in range(p)]
+        prefix = tuple(c for vec, _, _ in combo for c in vec)
+        for (vec, _, _), d in zip(blocks, defects):
+            yield EnumTable(dim, field, prefix + vec, not any(x % p for x in d))
 
 
 def canonical_instances() -> List[Tuple[str, LieAlgebra]]:

@@ -499,9 +499,12 @@ class Subspace:
         return {c: _sparse(row) for c, row in zip(self.pivots, self._k)}
 
     def _remainder_k(self, v: Sequence) -> dict:
+        """The remainder as a sparse row; after the checks, none in the full space."""
         w = self.field._to_k(v)
         if len(w) != self.ambient:
             raise ValueError("vector length does not match ambient dimension")
+        if self.is_full():
+            return {}
         return _reduce(_sparse(w), self._pivot_rows, self.field.char)
 
     def reduce(self, v: Sequence) -> Vector:
@@ -522,7 +525,10 @@ class Subspace:
         return self.field._from_k([w[p] for p in self.pivots])
 
     def sum_with(self, other: "Subspace") -> "Subspace":
+        """The span of both; a zero operand leaves the other as it is."""
         self._compat(other)
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
         return Subspace._span_k(self.field, self.ambient, self._k + other._k)
 
     def intersect(self, other: "Subspace") -> "Subspace":
@@ -627,7 +633,10 @@ class _Echelon:
 
     def kernel(self) -> Subspace:
         """{x : row . x = 0 for every row}: one basis vector per free
-        column f, with 1 at f and minus column f of the rows at their pivots."""
+        column f, with 1 at f and minus column f of the rows at their pivots
+        (with no rows, the full space, given without elimination)."""
+        if not self.rows:
+            return Subspace.full_space(self.field, self.ambient)
         p = self.p
         one = self.field._to_k((1,))[0]
         free = {f: {f: one} for f in range(self.ambient) if f not in self.rows}

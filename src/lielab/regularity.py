@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .algebra import LieAlgebra, StructureError, quotient_with_projection
+from .algebra import _point_index, _projective_points, LieAlgebra, StructureError, quotient_with_projection
 from .budgets import (
     DEFAULT_SEED,
     EXHAUSTIVE_CAP,
@@ -190,23 +190,19 @@ def generic_char_poly(L: LieAlgebra) -> GenericCharPoly:
 # rank
 
 
-def _all_vectors(field: Field, n: int) -> Iterator[Vector]:
-    for tup in iproduct(tuple(field.elements()), repeat=n):
-        yield tup
-
-
 def _rank_by_scan(L: LieAlgebra, lower: int = 1) -> int:
-    """Pointwise rank over F_p by evaluating zero-multiplicities on the
-    whole space.  `lower` is a proven lower bound on every zero-
-    multiplicity (1, since x kills itself, or the formal rank), so the
-    first point that attains it is a witness and ends the scan.
+    """Pointwise rank over F_p: the least zero-multiplicity over the lines
+    of F_p^n (``_projective_points``), as nu(cx) = nu(x) for c != 0; the
+    cap counts all p^n points.  `lower` is a proven lower bound on every
+    zero-multiplicity (1, since x kills itself, or the formal rank), so the
+    first line that attains it is a witness and ends the scan.
     """
     n = L.dim
     total = L.field.p**n
     if total > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"rank scan needs {total} points, over the cap {EXHAUSTIVE_CAP}")
     best = n
-    for pt in _all_vectors(L.field, n):
+    for pt in _projective_points(L.field, n):
         nu = zero_multiplicity(L, pt)
         if nu < best:
             best = nu
@@ -378,8 +374,13 @@ def _scan(
     """Walk the candidates of `mode` and refute with the first x that
     `fails`; `known` is evidence every verdict carries.
 
-    exhaustive: every nonzero vector of F_p^n within budget, so a scan
-    without failure certifies.  Any other mode walks _search_schedule,
+    exhaustive: F_p^n within budget, so a scan without failure certifies.
+    `fails` must be invariant under nonzero scaling (nu, semisimple or
+    nilpotent ad x, and the center are), so the first failing point in
+    lexicographic order is a line's representative: `fails` runs once per
+    line (``_projective_points``).  ``scanned`` counts every nonzero point
+    up to the witness, its base-p value, or all p^n - 1 on certifying; the
+    cap counts the p^n points.  Any other mode walks _search_schedule,
     which can only refute.
     """
     n = L.dim
@@ -390,16 +391,15 @@ def _scan(
         if total > EXHAUSTIVE_CAP:
             raise BudgetExceeded(f"{total} vectors exceed the cap {EXHAUSTIVE_CAP}")
         known["total_nonzero"] = total - 1
-        candidates: Iterator[Vector] = (x for x in _all_vectors(L.field, n) if any(x))
-    else:
-        candidates = _search_schedule(L.field, n, SEARCH_HEIGHT, SEARCH_TRIALS, seed)
+        x = next(filter(fails, _projective_points(L.field, n)), None)
+        if x is None:
+            return Verdict.certified("exhaustive", scanned=total - 1, **known)
+        return Verdict.refuted(x, scanned=_point_index(L.field, x), **known)
     scanned = 0
-    for x in candidates:
+    for x in _search_schedule(L.field, n, SEARCH_HEIGHT, SEARCH_TRIALS, seed):
         scanned += 1
         if fails(x):
             return Verdict.refuted(x, scanned=scanned, **known)
-    if mode == "exhaustive":
-        return Verdict.certified("exhaustive", scanned=scanned, **known)
     return Verdict.inconclusive(
         scanned=scanned, height=SEARCH_HEIGHT, trials=SEARCH_TRIALS, seed=seed, **known
     )

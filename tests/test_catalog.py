@@ -389,7 +389,7 @@ class TestEnumeration:
             L = t.algebra()
             assert (rank(L) == 3) == L.structure_report().nilpotent
 
-    @pytest.mark.parametrize("dim,p", [(3, 2), (3, 3), (2, 5), (2, 7)])
+    @pytest.mark.parametrize("dim,p", [(3, 2), (3, 3), (2, 5), (2, 7), (0, 3), (1, 5)])
     def test_jacobi_flag_matches_an_independent_oracle(self, dim, p):
         """Every flag against [[b_i, b_j], b_k] + cyclic = 0, computed with
         the public bracket on an unchecked algebra built from the raw

@@ -501,3 +501,56 @@ class TestEchelonFloor:
             assert got.kernel() == known
         else:
             assert read == len(rows)
+
+
+class TestKernelIdentities:
+    """Three answers given without elimination: the kernel of no rows, a
+    sum with the zero space and membership of the full space.  Each keeps
+    the checks of the general path."""
+
+    @pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+    def test_kernel_of_no_rows_is_the_full_space(self, field):
+        for n in range(5):
+            got = _Echelon(field, n).kernel()
+            assert got == Subspace.full_space(field, n)
+            assert got._k == Subspace._span_k(field, n, Subspace.full_space(field, n)._k)._k
+            assert Matrix.zeros(field, 2, n).kernel() == got
+
+    def test_full_space_membership_keeps_its_checks(self):
+        full = Subspace.full_space(F5, 3)
+        assert full.contains((F5.of(1), F5.of(2), F5.of(4)))
+        assert full.contains((0, 7, -1))
+        assert full.reduce((F5.of(3), F5.of(1), F5.of(2))) == (F5.zero,) * 3
+        with pytest.raises(TypeError):
+            full.contains((GF(7).of(1), F5.zero, F5.zero))
+        with pytest.raises(ValueError):
+            full.contains((F5.one, F5.zero))
+        with pytest.raises(ValueError):
+            Subspace.full_space(QQ, 2).contains((QQ.one,) * 3)
+        with pytest.raises(TypeError):
+            Subspace.full_space(QQ, 1).contains((0.5,))
+
+    def test_sum_with_the_zero_space_keeps_its_checks(self):
+        zero, full = Subspace.zero_space(F5, 3), Subspace.full_space(F5, 3)
+        with pytest.raises(TypeError):
+            zero.sum_with(Subspace.full_space(F5, 2))
+        with pytest.raises(TypeError):
+            Subspace.zero_space(F5, 2).sum_with(full)
+        with pytest.raises(TypeError):
+            zero.sum_with(Subspace.zero_space(QQ, 3))
+        with pytest.raises(TypeError):
+            Subspace.zero_space(QQ, 3).sum_with(zero)
+
+    @given(data=st.data(), field=st.sampled_from([QQ, F5]))
+    @settings(max_examples=80, deadline=None)
+    def test_sum_with_equals_the_span_of_both(self, data, field):
+        n = data.draw(st.integers(0, 4))
+        entry = q_entry if field is QQ else st.integers(0, 4)
+
+        def subspace():
+            count = data.draw(st.integers(0, 3))
+            return Subspace.from_vectors(field, n, [[field.of(data.draw(entry)) for _ in range(n)] for _ in range(count)])
+
+        for u, v in ((subspace(), subspace()), (subspace(), Subspace.zero_space(field, n))):
+            for a, b in ((u, v), (v, u)):
+                assert a.sum_with(b) == Subspace._span_k(field, n, a._k + b._k)

@@ -1,6 +1,7 @@
 """Rank, Fitting components, regular elements/algebras, anisotropy,
 and characteristic-polynomial factorization along ideals."""
 
+import itertools
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lielab import regularity
-from lielab.algebra import LieAlgebra, direct_sum
+from lielab.algebra import LieAlgebra, _point_index, _projective_points, direct_sum
 from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM, BudgetExceeded
-from lielab.catalog import abelian, gl, heisenberg, make, pgl, r2, sl, strict_upper, su2q
+from lielab.catalog import abelian, enumerate_tables, gl, heisenberg, make, pgl, r2, sl, strict_upper, su2q
 from lielab.fields import GF, QQ, UniPoly
 from lielab.linalg import Matrix, Subspace, diagonalize_quadratic, vec_is_zero
 from lielab.regularity import (
@@ -27,7 +28,6 @@ from lielab.regularity import (
     rank,
     relative_rank,
     zero_multiplicity,
-    _all_vectors,
     _assert_fitting,
     _rank_by_scan,
 )
@@ -212,7 +212,7 @@ class TestRegularElements:
         L = sl(F3, 2)
         r = rank(L)
         regular_count = 0
-        for x in _all_vectors(F3, 3):
+        for x in itertools.product(F3.elements(), repeat=3):
             if vec_is_zero(x):
                 continue
             expected = zero_multiplicity(L, x) == r
@@ -301,6 +301,45 @@ class TestAnisotropy:
         v = is_regular_algebra(SU, seed=5)
         assert v.is_inconclusive
         assert v.evidence == {"rank": 1, "scanned": 3 + 26 + 10, "height": 1, "trials": 10, "seed": 5}
+
+
+
+class TestLineWalk:
+    """The exhaustive scans walk one representative per line of F_p^n."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_projective_points_in_lexicographic_order(self, p):
+        F = GF(p)
+        for n in range(5):
+            position = {tuple(c.r for c in x): t for t, x in enumerate(itertools.product(F.elements(), repeat=n))}
+            reps = [tuple(c.r for c in x) for x in _projective_points(F, n)]
+            assert len(reps) == (p**n - 1) // (p - 1)
+            assert all(a < b for a, b in zip(reps, reps[1:]))
+            for x, rep in zip(_projective_points(F, n), reps):
+                assert next(c for c in rep if c) == 1
+                assert _point_index(F, x) == position[rep]
+
+    def test_every_scan_predicate_is_scale_invariant_on_the_census(self, monkeypatch):
+        """fails(x) == fails(cx) for c in F_3^x, for every predicate that
+        the exhaustive deciders hand to _scan on the dimension-3 census."""
+        predicates = []
+        scan = regularity._scan
+
+        def recording(L, mode, seed, fails, **known):
+            predicates.append(fails)
+            return scan(L, mode, seed, fails, **known)
+
+        monkeypatch.setattr(regularity, "_scan", recording)
+        for t in enumerate_tables(3, F3):
+            if t.jacobi_ok:
+                L = t.algebra()
+                for decide in (is_regular_algebra, is_anisotropic, is_nilpotent_free):
+                    decide(L, mode="exhaustive")
+        assert len(predicates) == 3 * (1431 - 27)
+        units = [c for c in F3.elements() if c]
+        for fails in predicates:
+            for x in _projective_points(F3, 3):
+                assert len({fails(tuple(c * a for a in x)) for c in units}) == 1
 
 
 def quaternion_lie(a, b):

@@ -25,7 +25,11 @@ of flattened powers replaced, and the coset-coordinate loop that built
 the quotient action of ``ideal_action_matrices`` before it read ``ad``
 in the quotient algebra, are kept the same way, and so is the body of
 ``_jacobi_defects`` that brought every triple's defect to kernel scalars
-before testing it.
+before testing it.  The exhaustive F_p walks that visited every point are
+kept too: the enumerator's loop that ran Jacobi on every table, the
+exhaustive branch of ``_scan`` that tried and counted every nonzero point,
+and ``_rank_by_scan`` over all of F_p^n; the line walks that replaced
+them must give the same flags, verdicts and ranks.
 """
 import json
 from fractions import Fraction
@@ -36,7 +40,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielab import LieAlgebra, abelian, gl, heisenberg, pgl, r2, sl, strict_upper, su2q, zero_multiplicity
+from lielab import (
+    LieAlgebra,
+    abelian,
+    gl,
+    heisenberg,
+    is_anisotropic,
+    is_nilpotent_free,
+    is_regular_algebra,
+    pgl,
+    r2,
+    regularity,
+    sl,
+    strict_upper,
+    su2q,
+    zero_multiplicity,
+)
 from lielab.algebra import (
     BilinearForm,
     StructureError,
@@ -46,17 +65,19 @@ from lielab.algebra import (
     derivation_algebra,
     direct_sum,
 )
-from lielab.budgets import SYMBOLIC_DIM, BudgetExceeded
+from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM, BudgetExceeded
 from lielab.catalog import canonical_instances, enumerate_tables
 from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_gcd
 from lielab.linalg import Matrix, Subspace, vec_add
 from lielab.regularity import (
     _least_nonzero,
+    _rank_by_scan,
     char_poly_factorization,
     ideal_action_matrices,
     linear_family_char_coeffs,
     relative_rank,
 )
+from lielab.verdict import Verdict
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(2147483647)]
 
@@ -1063,3 +1084,121 @@ def test_identity_form_on_sl2_is_not_invariant():
         assert form.invariant is False
         assert ref_invariant(L, form.gram) is False
         assert L.killing_form().invariant is True
+
+
+# -- the exhaustive F_p walks against the point walks they replaced -----------------
+
+
+def ref_enumerate_flags(dim, field):
+    """The flag loop of enumerate_tables before it read the last bracket
+    affinely: every table's pair cells rewritten and Jacobi run on it.
+    Yields (coefficients, flag)."""
+    elements = tuple(field.of(r) for r in range(field.p))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    blocks = []
+    for vec in product(elements, repeat=dim):
+        coeffs = tuple((k, c) for k, c in enumerate(field._to_k(vec)) if c)
+        blocks.append((vec, coeffs, tuple((k, -c) for k, c in coeffs)))
+    rows = [{} for _ in range(dim)]
+    for combo in product(blocks, repeat=len(pairs)):
+        for (i, j), (_, coeffs, negated) in zip(pairs, combo):
+            rows[i][j] = coeffs
+            rows[j][i] = negated
+        ok = next(_jacobi_defects(field, dim, rows), None) is None
+        yield tuple(c for vec, _, _ in combo for c in vec), ok
+
+
+def ref_scan_exhaustive(L, fails, **known):
+    """The exhaustive branch of regularity._scan that walked every nonzero
+    point of F_p^n in itertools.product order and counted each one."""
+    total = L.field.p**L.dim
+    if total > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"{total} vectors exceed the cap {EXHAUSTIVE_CAP}")
+    known["total_nonzero"] = total - 1
+    scanned = 0
+    for x in product(tuple(L.field.elements()), repeat=L.dim):
+        if not any(x):
+            continue
+        scanned += 1
+        if fails(x):
+            return Verdict.refuted(x, scanned=scanned, **known)
+    return Verdict.certified("exhaustive", scanned=scanned, **known)
+
+
+def ref_rank_by_scan(L, lower=1):
+    """regularity._rank_by_scan over every point of F_p^n."""
+    n = L.dim
+    total = L.field.p**n
+    if total > EXHAUSTIVE_CAP:
+        raise BudgetExceeded(f"rank scan needs {total} points, over the cap {EXHAUSTIVE_CAP}")
+    best = n
+    for pt in product(tuple(L.field.elements()), repeat=n):
+        nu = zero_multiplicity(L, pt)
+        if nu < best:
+            best = nu
+            if best <= lower:
+                break
+    return best
+
+
+@pytest.mark.parametrize("dim,p", [(0, 3), (1, 5), (2, 5), (2, 7), (3, 2), (3, 3)])
+def test_enumeration_flags_match_the_per_table_loop(dim, p):
+    field = GF(p)
+    got = [(t.coeffs, t.jacobi_ok) for t in enumerate_tables(dim, field)]
+    assert got == list(ref_enumerate_flags(dim, field))
+
+
+DECIDERS = (is_regular_algebra, is_anisotropic, is_nilpotent_free)
+
+
+def _fp_cases():
+    cases = []
+    for dim, p in ((3, 2), (3, 3), (2, 5)):
+        cases.append((f"census{dim}@F{p}", [t for t in enumerate_tables(dim, GF(p)) if t.jacobi_ok]))
+    named = [(name, L) for name, L in canonical_instances()]
+    named += [(path.stem, _input_table(path.stem)) for path in sorted(INPUTS.glob("*.json"))]
+    for name, L in named:
+        if L.field.kind == "Fp" and L.field.p**L.dim <= EXHAUSTIVE_CAP:
+            cases.append((name, [L]))
+    return cases
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+FP_CASES = _fp_cases()
+
+
+def _fresh(source):
+    """A new algebra on the same table, so no cached rank carries over."""
+    if isinstance(source, LieAlgebra):
+        return LieAlgebra.unchecked(source.field, source.labels, source.table)
+    return source.algebra()
+
+
+def _exhaustive_answers(source):
+    L = _fresh(source)
+    answers = [decide(L, mode="exhaustive") for decide in DECIDERS]
+    return answers, [_rank_by_scan(L, lower) for lower in (0, 1)]
+
+
+@pytest.mark.parametrize("name,sources", FP_CASES, ids=[c[0] for c in FP_CASES])
+def test_exhaustive_deciders_match_the_point_walk(name, sources, monkeypatch):
+    """The three exhaustive deciders give the verdicts of the walk of every
+    nonzero point (status, witness and every evidence key, ``scanned``
+    included), and the rank scan the least nu of every point."""
+    if name.startswith("census3"):
+        assert len(sources) == {"census3@F2": 120, "census3@F3": 1431}[name]
+    scan = regularity._scan
+
+    def ref_scan(L, mode, seed, fails, **known):
+        if mode == "exhaustive":
+            return ref_scan_exhaustive(L, fails, **known)
+        return scan(L, mode, seed, fails, **known)
+
+    for source in sources:
+        got = _exhaustive_answers(source)
+        with monkeypatch.context() as patch:
+            patch.setattr(regularity, "_scan", ref_scan)
+            patch.setattr(regularity, "_rank_by_scan", ref_rank_by_scan)
+            want = _exhaustive_answers(source)
+        assert got == want, source
+        assert [list(v.evidence) for v in got[0]] == [list(v.evidence) for v in want[0]]
