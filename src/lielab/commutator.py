@@ -166,13 +166,13 @@ def _holds(L: LieAlgebra, prop: str) -> bool:
 
 
 def _count_subspaces(p: int, n: int, d: int) -> int:
-    total = 0
-    for pivots in combinations(range(n), d):
-        free = sum(
-            1 for t in range(d) for c in range(pivots[t] + 1, n) if c not in pivots
-        )
-        total += p**free
-    return total
+    """The number of d-dimensional subspaces of F_p^n, the Gaussian
+    binomial prod (p^(n-i) - 1) / prod (p^(i+1) - 1) over i < d."""
+    top = bottom = 1
+    for i in range(d):
+        top *= p ** (n - i) - 1
+        bottom *= p ** (i + 1) - 1
+    return top // bottom
 
 
 def _subspaces(field: Field, n: int, d: int) -> Iterator[Subspace]:

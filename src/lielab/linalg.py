@@ -19,8 +19,10 @@ built by ``_from_k`` when read.  All row reduction goes through
 ``_Echelon``, which grows a reduced echelon basis one vector at a time
 and keeps its rows as ``{column: scalar}`` dicts: ``rref``, ``kernel``,
 ``solve``, ``image``, ``intersect``, subspace ``reduce`` and
-``contains``, the ideal closure and the sparse equation systems of the
-derivation algebra, the centroid and the 2-cocycles.  A system whose
+``contains``, the sparse equation systems of the derivation algebra, the
+centroid and the 2-cocycles, and the one worklist closure ``close``,
+which grows the ideal and the subalgebra a set generates and the End(L)
+envelope of the ad b_i.  A system whose
 solutions contain a subspace known in advance gives ``_Echelon`` its
 dimension, the floor, and the elimination ends once the rank leaves room
 for nothing more.  Dense rows are
@@ -48,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from operator import mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar, UniPoly
 
@@ -573,7 +575,8 @@ class _Echelon:
     Fractions where not integral), dense or as {column: scalar} dicts; the
     rows are kept as dicts keyed by pivot.  ``add`` returns the reduced,
     normalized row when it enlarges the span; over Q the entries of that
-    row that come out integral are stored as ints.  ``echelon`` gives the
+    row that come out integral are stored as ints.  ``close`` grows the
+    span to the least one closed under a map.  ``echelon`` gives the
     dense reduced echelon form, ``subspace`` its Subspace and ``kernel``
     the null space of the rows.
 
@@ -621,6 +624,19 @@ class _Echelon:
                 _axpy(row, f, w, p)
         self.rows[lead] = w
         return w
+
+    def close(self, items: Iterable, images: Callable, flat: Callable = lambda item: item) -> "_Echelon":
+        """Worklist closure: each item whose ``flat(item)`` enlarges the
+        span is kept as it is, not reduced, and later adds ``images(item)``
+        the same way, until nothing grows or the span is full.  Closed when
+        ``images`` is linear, or spans a kept item's products with the span
+        at the time it is taken (``subalgebra_generated``)."""
+        todo = [item for item in items if self.add(flat(item)) is not None]
+        while todo and not self.full:
+            for item in images(todo.pop()):
+                if self.add(flat(item)) is not None:
+                    todo.append(item)
+        return self
 
     def echelon(self) -> Tuple[Tuple[tuple, ...], Tuple[int, ...]]:
         """(dense rows sorted by pivot, pivots): the reduced echelon form."""

@@ -490,10 +490,13 @@ def is_anisotropic(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_S
 
 
 def is_nilpotent_free(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_SEED) -> Verdict:
-    """Does every element with nilpotent ad lie in the center?"""
-    return _aniso_like(
-        L, mode, seed, lambda x: (L.ad(x) ** L.dim).is_zero() and not L.center().contains(x)
-    )
+    """Does every element with nilpotent ad lie in the center?  A refuting
+    x is rechecked by routes the scan does not take: chi_{ad x} = t^n, ad x != 0."""
+    verdict = _aniso_like(L, mode, seed, lambda x: (L.ad(x) ** L.dim).is_zero() and not L.center().contains(x))
+    if verdict.is_refuted:
+        _recheck(zero_multiplicity(L, verdict.witness) == L.dim, "witness recheck failed: chi_{ad x} is not t^dim")
+        _recheck(not L.ad(verdict.witness).is_zero(), "witness recheck failed: ad x is zero")
+    return verdict
 
 
 def _aniso_like(L: LieAlgebra, mode: str, seed: int, fails: Callable[[Vector], bool]) -> Verdict:
@@ -522,56 +525,30 @@ def _aniso_like(L: LieAlgebra, mode: str, seed: int, fails: Callable[[Vector], b
 # restricted and induced actions on an ideal (characteristic factorization)
 
 
-def ideal_action_matrices(L: LieAlgebra, ideal: Subspace) -> Tuple[List[Matrix], List[Matrix]]:
-    """Per-basis-direction matrices of ad b_m on the ideal and on the quotient.
-
-    The ideal's echelon rows are the inner basis; the outer matrices are
-    ad of the coset of b_m in ``quotient_with_projection``, whose basis is
-    the ambient basis vectors at non-pivot columns (it raises
-    StructureError when the subspace is not an ideal).  Returned lists
-    feed the same symbolic machinery as the full adjoint family, so
-    chi_{ad x} = chi_{restriction} * chi_{quotient} can be checked both
-    pointwise and generically.  The pair is built once per ideal and kept
-    in the algebra's cache.
-    """
-    key = ("ideal_action", ideal)
-    if key in L._cache:
-        return L._cache[key]
-    quot, project = quotient_with_projection(L, ideal)
-    d = ideal.dim
-    inner: List[Matrix] = []
-    outer: List[Matrix] = []
-    for m in range(L.dim):
-        bm = L.basis_vector(m)
-        rows_in = [[L.field.zero] * d for _ in range(d)]
-        for s, u in enumerate(ideal.rows):
-            img = L.bracket(bm, u)
-            _recheck(ideal.contains(img), "[b_m, u] must stay in the ideal")
-            for t, p in enumerate(ideal.pivots):
-                rows_in[t][s] = img[p]
-        inner.append(Matrix(L.field, rows_in, ncols=d))
-        # [b_m - i, rep] = [b_m, rep] modulo the ideal for i in the ideal
-        outer.append(quot.ad(project(bm)))
-    L._cache[key] = inner, outer
-    return inner, outer
+def _ideal_actions(L: LieAlgebra, ideal: Subspace, x: Vector) -> Tuple[Matrix, Matrix]:
+    """(ad x on the ideal, ad x on the quotient) for x in field scalars.
+    Column s of the first is [x, u_s], rechecked to lie in the ideal, at
+    the pivots of its echelon rows u_s; the second is ad of the coset of
+    x in ``quotient_with_projection`` (built once per ideal and cached),
+    which raises StructureError when the subspace is not an ideal."""
+    key = ("quotient", ideal)
+    if key not in L._cache:
+        L._cache[key] = quotient_with_projection(L, ideal)
+    quot, project = L._cache[key]
+    images = [L.bracket(x, u) for u in ideal.rows]
+    _recheck(all(map(ideal.contains, images)), "[x, u] must stay in the ideal")
+    inner = Matrix(L.field, [[img[p] for img in images] for p in ideal.pivots], ncols=ideal.dim)
+    # [x - i, rep] = [x, rep] modulo the ideal for i in the ideal
+    return inner, quot.ad(project(x))
 
 
 def char_poly_factorization(L: LieAlgebra, ideal: Subspace, x: Sequence) -> Tuple[UniPoly, UniPoly, UniPoly]:
-    """(chi on the ideal, chi on the quotient, chi on L) for a concrete x."""
+    """(chi on the ideal, chi on the quotient, chi on L) for a concrete x,
+    from the actions of ad x (``_ideal_actions``), so that
+    chi_{ad x} = chi_{restriction} * chi_{quotient} can be checked."""
     x = L.coerce_vector(x)
-    inner, outer = ideal_action_matrices(L, ideal)
-    restr = _combine(L.field, inner, x)
-    quot = _combine(L.field, outer, x)
-    return restr.char_poly(), quot.char_poly(), L.ad(x).char_poly()
-
-
-def _combine(field: Field, mats: Sequence[Matrix], x: Sequence) -> Matrix:
-    d = mats[0].n if mats else 0
-    acc = Matrix.zeros(field, d, d)
-    for c, m in zip(x, mats):
-        if c:
-            acc = acc + m.scale(c)
-    return acc
+    inner, outer = _ideal_actions(L, ideal, x)
+    return inner.char_poly(), outer.char_poly(), L.ad(x).char_poly()
 
 
 def relative_rank(L: LieAlgebra, ideal: Subspace) -> Tuple[int, int]:
@@ -582,12 +559,12 @@ def relative_rank(L: LieAlgebra, ideal: Subspace) -> Tuple[int, int]:
     multiplicity of the restricted action plus that of the quotient
     action equals the rank of L, because the characteristic polynomial
     factors accordingly and generic x minimizes both factors at once.
+    The two families are the actions of each ad b_m (``_ideal_actions``).
     """
     n = L.dim
     if n > SYMBOLIC_DIM:
         raise BudgetExceeded(f"relative rank limited to dim <= {SYMBOLIC_DIM}")
-    inner, outer = ideal_action_matrices(L, ideal)
-    return (
-        _least_nonzero(linear_family_char_coeffs(L.field, inner, n)),
-        _least_nonzero(linear_family_char_coeffs(L.field, outer, n)),
+    actions = [_ideal_actions(L, ideal, L.basis_vector(m)) for m in range(n)]
+    return tuple(
+        _least_nonzero(linear_family_char_coeffs(L.field, [pair[side] for pair in actions], n)) for side in (0, 1)
     )

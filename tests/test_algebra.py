@@ -1154,6 +1154,9 @@ class TestAssocTable:
         doc["products"].append(dict(doc["products"][0]))
         with pytest.raises(StructureError, match="duplicate product entry"):
             AssocAlgebra.from_json_dict(doc)
+        doc["products"][-1] = dict(doc["products"][0], i=4)
+        with pytest.raises(StructureError, match=r"product pair \(4, 0\) must satisfy 0 <= i, j < dim"):
+            AssocAlgebra.from_json_dict(doc)
         del doc["products"]
         with pytest.raises(StructureError, match="missing products array"):
             AssocAlgebra.from_json_dict(doc)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_golden_outputs import VERIFY_SHA256
 
-from lielab.algebra import LieAlgebra, canonical_dumps
+from lielab.algebra import LieAlgebra, StructureError, canonical_dumps
 from lielab.catalog import canonical_instances, heisenberg, sl, su2q
 from lielab.cli import main
 from lielab.fields import GF, QQ
@@ -323,6 +323,25 @@ class TestParseBoundary:
         path = self._write(tmp_path, {"i": 0, "j": 1, "coeffs": ["1"]})
         assert main(["analyze", path]) == 3
         assert "coeffs must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"i": 1, "j": 0}, "bracket pair (1, 0) must satisfy 0 <= i < j < dim"),
+            ({"i": 1, "j": 1}, "bracket pair (1, 1) must satisfy 0 <= i < j < dim"),
+            ({"i": 0, "j": 3}, "bracket pair (0, 3) must satisfy 0 <= i < j < dim"),
+            ({"i": -1, "j": 1}, "bracket pair (-1, 1) must satisfy 0 <= i < j < dim"),
+            ({"i": 0, "j": 1, "coeffs": {"3": "1"}}, "bracket (0, 1) names component 3 outside the basis"),
+            ({"i": 0, "j": 1, "coeffs": {"-1": "1"}}, "bracket (0, 1) names component -1 outside the basis"),
+        ],
+        ids=["i>j", "i=j", "j-out", "i-negative", "k-out", "k-negative"],
+    )
+    def test_table_rules_are_checked_by_the_table_cleaner(self, capsys, tmp_path, entry, message):
+        with pytest.raises(StructureError) as exc:
+            LieAlgebra.from_json_dict(dict(GOOD, brackets=[entry]))
+        assert str(exc.value) == message
+        assert main(["validate", self._write(tmp_path, entry)]) == 3
+        assert message in capsys.readouterr().err
 
     def test_bool_index(self, capsys, tmp_path):
         path = self._write(tmp_path, {"i": 0, "j": True, "coeffs": {"2": "1"}})

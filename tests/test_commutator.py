@@ -150,11 +150,12 @@ class TestCommutatorSearch:
 
 class TestSubspaceScan:
     def test_counts_match_enumeration(self):
-        # Gaussian binomials [n over d]_p
-        for n in range(4):
-            for d in range(n + 1):
-                got = len(list(_subspaces(F2, n, d)))
-                assert got == _count_subspaces(2, n, d)
+        # Gaussian binomials [n over d]_p against the pivot and slot walk
+        for field, top in ((F2, 5), (F3, 5), (F5, 4)):
+            for n in range(top):
+                for d in range(n + 1):
+                    got = len(list(_subspaces(field, n, d)))
+                    assert got == _count_subspaces(field.p, n, d)
         assert _count_subspaces(2, 3, 1) == 7
         assert _count_subspaces(3, 3, 1) == 13
 

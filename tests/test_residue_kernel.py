@@ -23,7 +23,11 @@ slice of coefficients is kept as the oracle for the stored rows.  The
 Krylov-chain minimal polynomial with its ``poly_lcm``, which one echelon
 of flattened powers replaced, and the coset-coordinate loop that built
 the quotient action of ``ideal_action_matrices`` before it read ``ad``
-in the quotient algebra, are kept the same way, and so is the body of
+in the quotient algebra, are kept the same way.  So are the lemma-4
+bodies that ``_ideal_actions`` replaced, ``ideal_action_matrices`` with
+the per-sample sum ``_combine``, and the two closures that
+``_Echelon.close`` replaced, the End(L) envelope loop and the
+fixed-point ``subalgebra_generated``; and so is the body of
 ``_jacobi_defects`` that brought every triple's defect to kernel scalars
 before testing it.  The exhaustive F_p walks that visited every point are
 kept too: the enumerator's loop that ran Jacobi on every table, the
@@ -59,25 +63,27 @@ from lielab import (
 from lielab.algebra import (
     BilinearForm,
     StructureError,
+    _ad_envelope_is_full,
     _jacobi_defects,
     centroid,
     cocycle_space,
     derivation_algebra,
     direct_sum,
+    quotient_with_projection,
 )
 from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM, BudgetExceeded
 from lielab.catalog import canonical_instances, enumerate_tables
 from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_gcd
-from lielab.linalg import Matrix, Subspace, vec_add
+from lielab.linalg import _Echelon, Matrix, Subspace, vec_add
 from lielab.regularity import (
+    _ideal_actions,
     _least_nonzero,
     _rank_by_scan,
     char_poly_factorization,
-    ideal_action_matrices,
     linear_family_char_coeffs,
     relative_rank,
 )
-from lielab.verdict import Verdict
+from lielab.verdict import RecheckFailed, Verdict
 
 FIELDS = [QQ, GF(2), GF(3), GF(5), GF(7), GF(2147483647)]
 
@@ -700,6 +706,34 @@ def test_ideal_generated_matches_fixed_point(L, data):
     assert L.ideal_generated(vectors) == _ideal_by_fixed_point(L, vectors)
 
 
+def ref_subalgebra_generated(L, vectors):
+    """The closure ``_Echelon.close`` replaced: add [S, S] to the span S
+    by ``bracket_span`` until it stops growing."""
+    span = Subspace.from_vectors(L.field, L.dim, [L.coerce_vector(v) for v in vectors])
+    while True:
+        grown = span.sum_with(L.bracket_span(span, span))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+@given(st.sampled_from(IDEAL_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subalgebra_generated_matches_fixed_point(L, data):
+    lo, hi = (0, L.field.p - 1) if L.field.kind == "Fp" else (-3, 3)
+    vectors = data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=L.dim, max_size=L.dim), max_size=3))
+    assert L.subalgebra_generated(vectors) == ref_subalgebra_generated(L, vectors)
+
+
+def test_subalgebra_generated_brackets_with_every_row():
+    """H2, E12 and E21 generate a 4-dimensional subalgebra of sl3 only
+    through [E12, E21] = H1, a bracket of the second and third vectors."""
+    L = sl(QQ, 3)
+    seeds = [L.basis_vector(L.labels.index(name)) for name in ("H2", "E12", "E21")]
+    got = L.subalgebra_generated(seeds)
+    assert got == ref_subalgebra_generated(L, seeds) and got.dim == 4
+
+
 # -- the quotient action against the coset-coordinate loop ------------------------
 
 
@@ -734,13 +768,47 @@ ACTION_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ACTION_CASES))
-def test_quotient_action_matches_coset_loop(name):
+def ref_ideal_action_matrices(L, ideal):
+    """The per-basis matrices ``_ideal_actions`` replaced: ad b_m on the
+    ideal (column s is [b_m, u_s] at the ideal's pivots) and ad of the
+    coset of b_m in the quotient, for every m."""
+    quot, project = quotient_with_projection(L, ideal)
+    d = ideal.dim
+    inner, outer = [], []
+    for m in range(L.dim):
+        bm = L.basis_vector(m)
+        rows_in = [[L.field.zero] * d for _ in range(d)]
+        for s, u in enumerate(ideal.rows):
+            img = L.bracket(bm, u)
+            assert ideal.contains(img)
+            for t, p in enumerate(ideal.pivots):
+                rows_in[t][s] = img[p]
+        inner.append(Matrix(L.field, rows_in, ncols=d))
+        outer.append(quot.ad(project(bm)))
+    return inner, outer
+
+
+def ref_combine(field, mats, x):
+    """sum x_m mats[m], the per-sample sum ``char_poly_factorization`` made."""
+    d = mats[0].n if mats else 0
+    acc = Matrix.zeros(field, d, d)
+    for c, m in zip(x, mats):
+        if c:
+            acc = acc + m.scale(c)
+    return acc
+
+
+def _action_case(name):
     build, ideal_of = ACTION_CASES[name]
     L = build()
-    ideal = ideal_of(L)
+    return L, ideal_of(L)
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_CASES))
+def test_quotient_action_matches_coset_loop(name):
+    L, ideal = _action_case(name)
     assert 0 < ideal.dim < L.dim
-    inner, outer = ideal_action_matrices(L, ideal)
+    inner, outer = ref_ideal_action_matrices(L, ideal)
     ref = ref_outer_matrices(L, ideal)
     assert outer == ref
     if L.dim <= SYMBOLIC_DIM:
@@ -756,6 +824,186 @@ def test_quotient_action_matches_coset_loop(name):
         chi_i, chi_q, chi_l = char_poly_factorization(L, ideal, x)
         assert chi_q == quot.char_poly()
         assert chi_i * chi_q == chi_l
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_CASES))
+def test_ideal_actions_match_the_per_basis_matrices(name):
+    """The matrices themselves, not only their characteristic polynomials,
+    which a transposed restriction would keep."""
+    L, ideal = _action_case(name)
+    inner, outer = ref_ideal_action_matrices(L, ideal)
+    for m in range(L.dim):
+        assert _ideal_actions(L, ideal, L.basis_vector(m)) == (inner[m], outer[m])
+
+
+ACTION_ALGEBRAS = {name: _action_case(name) for name in sorted(ACTION_CASES)}
+
+
+@given(st.sampled_from(sorted(ACTION_ALGEBRAS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_char_poly_factorization_matches_the_combined_matrices(name, data):
+    L, ideal = ACTION_ALGEBRAS[name]
+    x = tuple(L.field.of(c) for c in data.draw(st.lists(st.integers(-5, 5), min_size=L.dim, max_size=L.dim)))
+    inner, outer = ref_ideal_action_matrices(L, ideal)
+    want = tuple(ref_combine(L.field, mats, x).char_poly() for mats in (inner, outer))
+    want += (Matrix(L.field, ref_ad(L, x), ncols=L.dim).char_poly(),)
+    assert char_poly_factorization(L, ideal, x) == want
+
+
+# -- the End(L) envelope and the closure contract ----------------------------------
+
+
+def ref_ad_envelope_is_full(L):
+    """The envelope loop ``_Echelon.close`` replaced: each matrix that
+    enlarges the span of the flattened matrices is multiplied on the left
+    by every ad(b_i)."""
+    n = L.dim
+    ads = [L.ad_basis(i) for i in range(n)]
+    ech = _Echelon(L.field, n * n)
+    todo = []
+    for m in [Matrix.identity(L.field, n)] + ads:
+        if ech.add([x for row in m._k for x in row]) is not None:
+            todo.append(m)
+    while todo and not ech.full:
+        m = todo.pop()
+        for a in ads:
+            am = a * m
+            if ech.add([x for row in am._k for x in row]) is not None:
+                todo.append(am)
+    return ech.full
+
+
+def _sl2_sum(field, copies):
+    L = sl(field, 2)
+    for _ in range(copies - 1):
+        L = direct_sum(L, sl(field, 2))
+    return L
+
+
+def test_ad_envelope_matches_the_loop():
+    """On the canonical instances, the F_p benchmark inputs, sl4 over F_3,
+    F_5 and F_7 and sums of two and three sl2 over F_3 and F_7."""
+    cases = [(name, L) for name, L in canonical_instances()]
+    cases += [(path.stem, _input_table(path.stem)) for path in sorted(INPUTS.glob("*.json")) if path.stem[-1] != "q"]
+    cases += [(f"sl4@F{p}", sl(GF(p), 4)) for p in (3, 5, 7)]
+    cases += [(f"sl2^{k}@F{p}", _sl2_sum(GF(p), k)) for k in (2, 3) for p in (3, 7)]
+    got = {name: _ad_envelope_is_full(L) for name, L in cases}
+    assert got == {name: ref_ad_envelope_is_full(L) for name, L in cases}
+    assert set(got.values()) == {True, False}
+
+
+def _fixed_point(field, n, maps, seeds):
+    span = Subspace.from_vectors(field, n, seeds)
+    while True:
+        grown = span.sum_with(Subspace.from_vectors(field, n, [m.apply(r) for m in maps for r in span.rows]))
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+@given(st.sampled_from([QQ, GF(2), GF(5)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_close_is_the_fixed_point_of_its_maps(field, data):
+    """close gives the least span that holds the seeds and is closed under
+    the maps, and a seed set that fills the space asks for no images."""
+    n = data.draw(st.integers(1, 5))
+    entries = st.integers(0, field.p - 1) if field.kind == "Fp" else st.integers(-2, 2)
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    maps = [Matrix(field, rows) for rows in data.draw(st.lists(st.lists(vectors, min_size=n, max_size=n), max_size=2))]
+    seeds = data.draw(st.lists(vectors, max_size=3))
+    calls = []
+
+    def images(v):
+        calls.append(v)
+        return (field._to_k(m._apply_k(v)) for m in maps)
+
+    got = _Echelon(field, n).close([field._to_k(v) for v in seeds], images).subspace()
+    assert got == _fixed_point(field, n, maps, seeds)
+    assert all(got.contains(m.apply(r)) for m in maps for r in got.rows)
+    calls.clear()
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert _Echelon(field, n).close(unit, images).full and calls == []
+
+
+# -- rechecks on the refutations of the line scan and of the nilpotent-free scan ----
+
+
+def test_line_scan_refutation_is_rechecked(monkeypatch):
+    """A line scan that takes a line of simple sl2/F5 for a proper ideal."""
+    from lielab import algebra
+
+    real = LieAlgebra.ideal_generated
+    lies = []
+
+    def lying(L, vectors):
+        if not lies:
+            lies.append(vectors)
+            return Subspace.from_vectors(L.field, L.dim, [])
+        return real(L, vectors)
+
+    monkeypatch.setattr(algebra, "_ad_envelope_is_full", lambda L: False)
+    monkeypatch.setattr(LieAlgebra, "ideal_generated", lying)
+    with pytest.raises(RecheckFailed, match="proper nonzero ideal"):
+        algebra.is_simple(sl(GF(5), 2))
+    assert lies
+
+
+@pytest.mark.parametrize(
+    "L,witness_of,message",
+    [
+        (sl(QQ, 2), lambda L: L.basis_vector(1), "is not t"),
+        (gl(QQ, 2), lambda L: L.center().rows[0], "ad x is zero"),
+    ],
+    ids=["not-nilpotent", "central"],
+)
+def test_nilpotent_free_refutation_is_rechecked(monkeypatch, L, witness_of, message):
+    """A scan that returns a forged witness: one whose ad is not nilpotent,
+    and one that is central."""
+    witness = witness_of(L)
+    monkeypatch.setattr(regularity, "_scan", lambda L, mode, seed, fails, **known: Verdict.refuted(witness))
+    with pytest.raises(RecheckFailed, match=message):
+        is_nilpotent_free(L)
+
+
+_FORGED_REFUTATIONS = """
+import sys
+assert False, "this check needs python -O, which strips asserts"
+import lielab
+from lielab import algebra, regularity
+from lielab.catalog import gl, sl
+from lielab.fields import GF, QQ
+from lielab.linalg import Subspace
+from lielab.verdict import Verdict
+
+raised = []
+try:
+    L = gl(QQ, 2)
+    regularity._scan = lambda L, mode, seed, fails, **known: Verdict.refuted(L.center().rows[0])
+    regularity.is_nilpotent_free(L)
+except lielab.RecheckFailed as exc:
+    raised.append(str(exc))
+algebra._ad_envelope_is_full = lambda L: False
+algebra.LieAlgebra.ideal_generated = lambda L, vectors: Subspace.from_vectors(L.field, L.dim, [])
+try:
+    algebra.is_simple(sl(GF(5), 2))
+except lielab.RecheckFailed as exc:
+    raised.append(str(exc))
+print(raised)
+sys.exit(0 if len(raised) == 2 else 1)
+"""
+
+
+def test_forged_refutations_raise_under_python_O():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORGED_REFUTATIONS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # -- sparse equation rows against the dense builder --------------------------------
