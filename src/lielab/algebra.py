@@ -252,9 +252,16 @@ class LieAlgebra(_Presented):
         return Matrix(self.field, rows, n)
 
     def ad_basis(self, i: int) -> Matrix:
+        """ad b_i, built once and cached: column j is [b_i, b_j], read
+        straight from row i of the table."""
         key = ("ad_basis", i)
         if key not in self._cache:
-            self._cache[key] = self.ad(self.basis_vector(i))
+            n = self.dim
+            rows = [[self.field._k_zero] * n for _ in range(n)]
+            for j, coeffs in self._rows[i].items():
+                for k, c in coeffs:
+                    rows[k][j] = c
+            self._cache[key] = Matrix(self.field, rows, n)
         return self._cache[key]
 
     def jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
@@ -324,11 +331,13 @@ class LieAlgebra(_Presented):
         return ech.close(map(self._k_vector, vectors), images).subspace()
 
     def is_ideal(self, space: Subspace) -> bool:
-        return all(
-            space.contains(self.bracket(self.basis_vector(i), u))
-            for i in range(self.dim)
-            for u in space.rows
-        )
+        """Whether [b_i, u] lies in the space for every b_i and every
+        echelon row u, bracketed in kernel scalars (``_product_k``); a row
+        of another length or field is refused as by ``bracket``."""
+        n = self.dim
+        units = [[int(t == i) for t in range(n)] for i in range(n)]
+        rows = [self._k_vector(u) for u in space.rows]
+        return all(space.contains(self._product_k(b, u)) for b in units for u in rows)
 
     def is_subalgebra(self, space: Subspace) -> bool:
         return all(
@@ -1114,8 +1123,13 @@ def _known_ideals(L: LieAlgebra) -> Iterator[Subspace]:
 
 
 def _refuted_by_ideal(L: LieAlgebra, witness: Vector) -> Verdict:
+    """Refute simplicity by the ideal the witness generates, rechecked by
+    routes the closure does not take: the span holds the witness and is
+    closed under every ad b_i (``is_ideal``)."""
     ideal = L.ideal_generated([witness])
     _recheck(0 < ideal.dim < L.dim, "the witness must generate a proper nonzero ideal")
+    _recheck(ideal.contains(witness), "the witness must lie in the ideal it generates")
+    _recheck(L.is_ideal(ideal), "the span the witness generates must be an ideal")
     return Verdict.refuted(witness, reason="proper-ideal", ideal_dim=ideal.dim)
 
 

@@ -283,6 +283,10 @@ class Matrix:
         return Matrix(self.field, out, other.n)
 
     def __pow__(self, k: int) -> "Matrix":
+        """self^k by repeated squaring, the identity for k = 0.  The result
+        is acc * base^k at the top of every round, so it returns as soon as
+        the squared power base is zero: a nilpotent matrix skips the
+        products past its index."""
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         if k < 0:
@@ -290,10 +294,13 @@ class Matrix:
         acc = None
         base = self
         while k:
+            if base.is_zero():
+                return base
             if k & 1:
                 acc = base if acc is None else acc * base
-            base = base * base if k > 1 else base
             k >>= 1
+            if k:
+                base = base * base
         return Matrix.identity(self.field, self.n) if acc is None else acc
 
     def apply(self, v: Sequence) -> Vector:

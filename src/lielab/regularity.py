@@ -47,7 +47,7 @@ from .budgets import (
     BudgetExceeded,
 )
 from .fields import Field, MultiPoly, Scalar, UniPoly, common_denominator, is_squarefree
-from .linalg import Matrix, Subspace, Vector, diagonalize_quadratic
+from .linalg import _char_poly, Matrix, Subspace, Vector, diagonalize_quadratic
 from .verdict import _recheck, _Record, Verdict
 
 
@@ -62,8 +62,10 @@ def ad_char_coeffs(L: LieAlgebra, x: Sequence) -> Tuple[Scalar, ...]:
 
 
 def zero_multiplicity(L: LieAlgebra, x: Sequence) -> int:
-    """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i."""
-    for i, c in enumerate(L.ad(x).char_poly().coeffs):
+    """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i,
+    read off the kernel-scalar coefficients of the Hessenberg char poly
+    (``linalg._char_poly``), so no UniPoly and no field scalars are built."""
+    for i, c in enumerate(_char_poly(L.ad(x)._k, L.field.char)):
         if c:
             return i
     raise AssertionError("characteristic polynomial cannot be zero")
@@ -294,20 +296,27 @@ def fitting_set(L: LieAlgebra, xs: Sequence[Sequence]) -> FittingDecomposition:
     The null component is the intersection of the single-element null
     components; the one component is the sum of the single-element one
     components.  Almost commuting (each member killed by a power of
-    every other member's adjoint map) is verified first.
+    every other member's adjoint map) is verified first.  When every
+    (ad x)^dim is zero (every ad x nilpotent), the null component is L
+    and the one component is 0, with no elimination; ``_assert_fitting``
+    rechecks that answer like any other.
     """
     vecs = [L.coerce_vector(x) for x in xs]
     if not vecs:
         raise ValueError("empty element set")
-    powers = [L.ad(x) ** L.dim for x in vecs]
+    n = L.dim
+    powers = [L.ad(x) ** n for x in vecs]
     for p in powers:
         for y in vecs:
-            if any(p.apply(y)):
+            if any(p._apply_k(L._k_vector(y))):
                 raise StructureError("set is not almost commuting")
-    null, one = powers[0].kernel(), powers[0].image()
-    for p in powers[1:]:
-        null = null.intersect(p.kernel())
-        one = one.sum_with(p.image())
+    if all(p.is_zero() for p in powers):
+        null, one = Subspace.full_space(L.field, n), Subspace.zero_space(L.field, n)
+    else:
+        null, one = powers[0].kernel(), powers[0].image()
+        for p in powers[1:]:
+            null = null.intersect(p.kernel())
+            one = one.sum_with(p.image())
     dec = FittingDecomposition(null, one, tuple(vecs))
     _assert_fitting(L, dec, powers)
     return dec

@@ -33,9 +33,14 @@ before testing it.  The exhaustive F_p walks that visited every point are
 kept too: the enumerator's loop that ran Jacobi on every table, the
 exhaustive branch of ``_scan`` that tried and counted every nonzero point,
 and ``_rank_by_scan`` over all of F_p^n; the line walks that replaced
-them must give the same flags, verdicts and ranks.
+them must give the same flags, verdicts and ranks.  Last, the bodies the
+census's kernel-scalar shortcuts replaced: ``zero_multiplicity`` through
+the UniPoly of field scalars, ``fitting_set`` that eliminated the zero
+power too, ``Matrix.__pow__`` with no zero test, and ``ad_basis`` through
+``ad`` of the basis vector.
 """
 import json
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -65,6 +70,8 @@ from lielab.algebra import (
     StructureError,
     _ad_envelope_is_full,
     _jacobi_defects,
+    _projective_points,
+    _refuted_by_ideal,
     centroid,
     cocycle_space,
     derivation_algebra,
@@ -76,10 +83,13 @@ from lielab.catalog import canonical_instances, enumerate_tables
 from lielab.fields import GF, QQ, MultiPoly, UniPoly, poly_gcd
 from lielab.linalg import _Echelon, Matrix, Subspace, vec_add
 from lielab.regularity import (
+    FittingDecomposition,
+    _assert_fitting,
     _ideal_actions,
     _least_nonzero,
     _rank_by_scan,
     char_poly_factorization,
+    fitting_set,
     linear_family_char_coeffs,
     relative_rank,
 )
@@ -706,6 +716,33 @@ def test_ideal_generated_matches_fixed_point(L, data):
     assert L.ideal_generated(vectors) == _ideal_by_fixed_point(L, vectors)
 
 
+def ref_is_ideal(L, space):
+    """is_ideal through field scalars: each basis vector bracketed with
+    each basis row of the space by ``bracket``."""
+    return all(space.contains(L.bracket(L.basis_vector(i), u)) for i in range(L.dim) for u in space.rows)
+
+
+@given(st.sampled_from(IDEAL_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_ideal_matches_the_field_scalar_loop(L, data):
+    """On the span of random vectors, mostly not an ideal, and on the ideal
+    they generate."""
+    lo, hi = (0, L.field.p - 1) if L.field.kind == "Fp" else (-3, 3)
+    vectors = data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=L.dim, max_size=L.dim), max_size=3))
+    span = Subspace.from_vectors(L.field, L.dim, [L.coerce_vector(v) for v in vectors])
+    assert L.is_ideal(span) == ref_is_ideal(L, span)
+    ideal = L.ideal_generated(vectors)
+    assert L.is_ideal(ideal) and ref_is_ideal(L, ideal)
+
+
+def test_is_ideal_refuses_a_subspace_of_another_algebra():
+    L = sl(QQ, 2)
+    with pytest.raises(TypeError):
+        L.is_ideal(Subspace.full_space(GF(5), 3))
+    with pytest.raises(ValueError):
+        L.is_ideal(Subspace.full_space(QQ, 4))
+
+
 def ref_subalgebra_generated(L, vectors):
     """The closure ``_Echelon.close`` replaced: add [S, S] to the span S
     by ``bracket_span`` until it stops growing."""
@@ -948,6 +985,18 @@ def test_line_scan_refutation_is_rechecked(monkeypatch):
     assert lies
 
 
+def test_proper_ideal_refutation_is_rechecked_independently(monkeypatch):
+    """A closure that returns the line of e in sl2/Q: proper, nonzero and
+    holding the witness, but not an ideal ([f, e] = -h leaves it)."""
+    L = sl(QQ, 2)
+    e = L.basis_vector(L.labels.index("e"))
+    line = Subspace.from_vectors(L.field, L.dim, [e])
+    assert not L.is_ideal(line)
+    monkeypatch.setattr(LieAlgebra, "ideal_generated", lambda L, vectors: line)
+    with pytest.raises(RecheckFailed, match="must be an ideal"):
+        _refuted_by_ideal(L, e)
+
+
 @pytest.mark.parametrize(
     "L,witness_of,message",
     [
@@ -988,8 +1037,15 @@ try:
     algebra.is_simple(sl(GF(5), 2))
 except lielab.RecheckFailed as exc:
     raised.append(str(exc))
+L = sl(QQ, 2)
+e = L.basis_vector(0)
+algebra.LieAlgebra.ideal_generated = lambda L, vectors: Subspace.from_vectors(L.field, L.dim, [e])
+try:
+    algebra._refuted_by_ideal(L, e)
+except lielab.RecheckFailed as exc:
+    raised.append(str(exc))
 print(raised)
-sys.exit(0 if len(raised) == 2 else 1)
+sys.exit(0 if len(raised) == 3 else 1)
 """
 
 
@@ -1450,3 +1506,172 @@ def test_exhaustive_deciders_match_the_point_walk(name, sources, monkeypatch):
             want = _exhaustive_answers(source)
         assert got == want, source
         assert [list(v.evidence) for v in got[0]] == [list(v.evidence) for v in want[0]]
+
+
+# -- the census's kernel-scalar shortcuts against the bodies they replaced ----------
+
+
+def ref_zero_multiplicity(L, x):
+    """zero_multiplicity through the UniPoly of field scalars."""
+    for i, c in enumerate(L.ad(x).char_poly().coeffs):
+        if c:
+            return i
+    raise AssertionError("characteristic polynomial cannot be zero")
+
+
+def ref_pow(mat, k):
+    """Matrix.__pow__ by repeated squaring with no zero test."""
+    acc = None
+    base = mat
+    while k:
+        if k & 1:
+            acc = base if acc is None else acc * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return Matrix.identity(mat.field, mat.n) if acc is None else acc
+
+
+def ref_fitting_set(L, xs):
+    """fitting_set with the kernel and image of every (ad x)^dim eliminated,
+    zero or not."""
+    vecs = [L.coerce_vector(x) for x in xs]
+    powers = [ref_pow(L.ad(x), L.dim) for x in vecs]
+    for p in powers:
+        for y in vecs:
+            if any(p.apply(y)):
+                raise StructureError("set is not almost commuting")
+    null, one = powers[0].kernel(), powers[0].image()
+    for p in powers[1:]:
+        null = null.intersect(p.kernel())
+        one = one.sum_with(p.image())
+    dec = FittingDecomposition(null, one, tuple(vecs))
+    _assert_fitting(L, dec, powers)
+    return dec
+
+
+def _decomposition(dec):
+    return dec.null, dec.one, dec.nu
+
+
+NAMED_CASES = [(name, L) for name, L in canonical_instances()] + [
+    (path.stem, _input_table(path.stem)) for path in sorted(INPUTS.glob("*.json"))
+]
+
+
+def _seeded_points(L, count, seed=24):
+    """Nonzero points with coordinates in -2..2, the same on every run."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        x = tuple(L.field.of(rng.randint(-2, 2)) for _ in range(L.dim))
+        if any(x):
+            points.append(x)
+    return points
+
+
+def test_zero_multiplicity_on_every_line_of_the_census():
+    F3 = GF(3)
+    lines = list(_projective_points(F3, 3))
+    valid = 0
+    for t in enumerate_tables(3, F3):
+        if t.jacobi_ok:
+            valid += 1
+            L = t.algebra()
+            assert [zero_multiplicity(L, x) for x in lines] == [ref_zero_multiplicity(L, x) for x in lines], t.coeffs
+    assert valid == 1431
+
+
+@pytest.mark.parametrize("name,L", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
+def test_zero_multiplicity_at_seeded_points(name, L):
+    for x in [L.basis_vector(i) for i in range(L.dim)] + _seeded_points(L, 4):
+        assert zero_multiplicity(L, x) == ref_zero_multiplicity(L, x), x
+
+
+def test_fitting_of_every_census_witness():
+    """All 1 404 refuted dimension-3 tables over F3; every witness has nu = 3,
+    so each takes the zero-power branch."""
+    F3 = GF(3)
+    witnesses = 0
+    for t in enumerate_tables(3, F3):
+        if not t.jacobi_ok:
+            continue
+        L = t.algebra()
+        verdict = is_regular_algebra(L, mode="exhaustive")
+        if verdict.is_refuted:
+            witnesses += 1
+            got = fitting_set(L, [verdict.witness])
+            assert got.nu == 3
+            assert _decomposition(got) == _decomposition(ref_fitting_set(L, [verdict.witness])), t.coeffs
+    assert witnesses == 1404
+
+
+def _nilpotent_basis_vectors(L):
+    return [v for v in map(L.basis_vector, range(L.dim)) if (L.ad(v) ** L.dim).is_zero()]
+
+
+@pytest.mark.parametrize("name,L", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
+def test_fitting_of_ad_nilpotent_basis_vectors(name, L):
+    """Each basis vector with a nilpotent ad alone, and, in a nilpotent
+    algebra, the whole basis as one family."""
+    vectors = _nilpotent_basis_vectors(L)
+    for v in vectors:
+        assert _decomposition(fitting_set(L, [v])) == _decomposition(ref_fitting_set(L, [v])), v
+    if len(vectors) == L.dim:
+        assert _decomposition(fitting_set(L, vectors)) == _decomposition(ref_fitting_set(L, vectors))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "F3", "F5"])
+def test_fitting_of_a_family_with_one_nilpotent_member(field):
+    """x central in the Heisenberg summand (ad x = 0) and y the x of r2
+    ([x, y] = y), which commute: one power is zero and the other is not."""
+    L = direct_sum(heisenberg(field, 1), r2(field))
+    x = L.basis_vector(L.labels.index("z.1"))
+    y = L.basis_vector(L.labels.index("x.2"))
+    assert (L.ad(x) ** L.dim).is_zero() and not (L.ad(y) ** L.dim).is_zero()
+    for family in ([x, y], [y, x]):
+        got = fitting_set(L, family)
+        assert _decomposition(got) == _decomposition(ref_fitting_set(L, family))
+        assert got.nu == L.dim - 1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_fitting_set_refuses_a_family_that_is_not_almost_commuting(field):
+    """(ad h)^3 e = 8e in sl2, so {e, h} is not almost commuting."""
+    L = sl(field, 2)
+    family = [L.basis_vector(L.labels.index(name)) for name in ("e", "h")]
+    for fit in (fitting_set, ref_fitting_set):
+        with pytest.raises(StructureError, match="not almost commuting"):
+            fit(L, family)
+
+
+@st.composite
+def powers_case(draw):
+    """(field, rows, n): a square matrix, half the time nilpotent (strictly
+    upper triangular, then its rows and columns permuted)."""
+    field, rows, n = draw(matrices(square=True))
+    if n and draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        upper = [[rows[i][j] if i < j else field.zero for j in range(n)] for i in range(n)]
+        rows = [tuple(upper[perm[i]][perm[j]] for j in range(n)) for i in range(n)]
+    return field, rows, n
+
+
+@given(powers_case())
+@settings(max_examples=100, deadline=None)
+def test_power_matches_repeated_products(case):
+    field, rows, n = case
+    mat = Matrix(field, rows, ncols=n)
+    want = Matrix.identity(field, n)
+    for k in range(2 * n + 1):
+        got = mat**k
+        assert got == want == ref_pow(mat, k), k
+        assert _in_field(field, got.rows)
+        want = want * mat
+
+
+@pytest.mark.parametrize("name,L", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
+def test_ad_basis_is_ad_of_the_basis_vector(name, L):
+    for i in range(L.dim):
+        got = L.ad_basis(i)
+        assert got == L.ad(L.basis_vector(i)) and got.rows == tuple(map(tuple, ref_ad(L, L.basis_vector(i))))
+        assert L.ad_basis(i) is got
