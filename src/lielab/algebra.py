@@ -252,16 +252,11 @@ class LieAlgebra(_Presented):
         return Matrix(self.field, rows, n)
 
     def ad_basis(self, i: int) -> Matrix:
-        """ad b_i, built once and cached: column j is [b_i, b_j], read
-        straight from row i of the table."""
+        """ad b_i, built once and cached: ``ad`` of the int unit vector,
+        which goes into kernel scalars with no field scalar built."""
         key = ("ad_basis", i)
         if key not in self._cache:
-            n = self.dim
-            rows = [[self.field._k_zero] * n for _ in range(n)]
-            for j, coeffs in self._rows[i].items():
-                for k, c in coeffs:
-                    rows[k][j] = c
-            self._cache[key] = Matrix(self.field, rows, n)
+            self._cache[key] = self.ad([int(t == i) for t in range(self.dim)])
         return self._cache[key]
 
     def jacobi_violations(self) -> List[Tuple[Tuple[int, int, int], Vector]]:
@@ -332,12 +327,15 @@ class LieAlgebra(_Presented):
 
     def is_ideal(self, space: Subspace) -> bool:
         """Whether [b_i, u] lies in the space for every b_i and every
-        echelon row u, bracketed in kernel scalars (``_product_k``); a row
-        of another length or field is refused as by ``bracket``."""
+        echelon row u, bracketed in kernel scalars (``_product_k``); a
+        subspace over another field or of another ambient is refused."""
+        if space.field != self.field:
+            raise TypeError("subspace over another field")
         n = self.dim
+        if space.ambient != n:
+            raise ValueError(f"subspace of a dim {space.ambient} space in a dim {n} algebra")
         units = [[int(t == i) for t in range(n)] for i in range(n)]
-        rows = [self._k_vector(u) for u in space.rows]
-        return all(space.contains(self._product_k(b, u)) for b in units for u in rows)
+        return all(space.contains(self._product_k(b, u)) for b in units for u in space._k)
 
     def is_subalgebra(self, space: Subspace) -> bool:
         return all(

@@ -360,9 +360,17 @@ class Matrix:
         return len(self._echelon.rows)
 
     def kernel(self) -> "Subspace":
+        """{x : self * x = 0}; of a zero matrix the full space, with no
+        elimination."""
+        if self.is_zero():
+            return Subspace.full_space(self.field, self.n)
         return self._echelon.kernel()
 
     def image(self) -> "Subspace":
+        """The column span; of a zero matrix the zero space, with no
+        elimination."""
+        if self.is_zero():
+            return Subspace.zero_space(self.field, self.m)
         rows = self._k
         return Subspace._span_k(self.field, self.m, [[row[j] for row in rows] for j in range(self.n)])
 

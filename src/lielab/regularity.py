@@ -296,10 +296,10 @@ def fitting_set(L: LieAlgebra, xs: Sequence[Sequence]) -> FittingDecomposition:
     The null component is the intersection of the single-element null
     components; the one component is the sum of the single-element one
     components.  Almost commuting (each member killed by a power of
-    every other member's adjoint map) is verified first.  When every
-    (ad x)^dim is zero (every ad x nilpotent), the null component is L
-    and the one component is 0, with no elimination; ``_assert_fitting``
-    rechecks that answer like any other.
+    every other member's adjoint map) is verified first.  A zero
+    (ad x)^dim (ad x nilpotent) gives kernel L and image 0 with no
+    elimination (``Matrix.kernel`` and ``Matrix.image``);
+    ``_assert_fitting`` rechecks every answer.
     """
     vecs = [L.coerce_vector(x) for x in xs]
     if not vecs:
@@ -310,13 +310,10 @@ def fitting_set(L: LieAlgebra, xs: Sequence[Sequence]) -> FittingDecomposition:
         for y in vecs:
             if any(p._apply_k(L._k_vector(y))):
                 raise StructureError("set is not almost commuting")
-    if all(p.is_zero() for p in powers):
-        null, one = Subspace.full_space(L.field, n), Subspace.zero_space(L.field, n)
-    else:
-        null, one = powers[0].kernel(), powers[0].image()
-        for p in powers[1:]:
-            null = null.intersect(p.kernel())
-            one = one.sum_with(p.image())
+    null, one = powers[0].kernel(), powers[0].image()
+    for p in powers[1:]:
+        null = null.intersect(p.kernel())
+        one = one.sum_with(p.image())
     dec = FittingDecomposition(null, one, tuple(vecs))
     _assert_fitting(L, dec, powers)
     return dec

@@ -36,8 +36,9 @@ and ``_rank_by_scan`` over all of F_p^n; the line walks that replaced
 them must give the same flags, verdicts and ranks.  Last, the bodies the
 census's kernel-scalar shortcuts replaced: ``zero_multiplicity`` through
 the UniPoly of field scalars, ``fitting_set`` that eliminated the zero
-power too, ``Matrix.__pow__`` with no zero test, and ``ad_basis`` through
-``ad`` of the basis vector.
+power too (``Matrix.kernel`` and ``Matrix.image`` with no zero test),
+``Matrix.__pow__`` with no zero test, and ``ad_basis`` through ``ad`` of
+the field-scalar basis vector.
 """
 import json
 import random
@@ -735,12 +736,28 @@ def test_is_ideal_matches_the_field_scalar_loop(L, data):
     assert L.is_ideal(ideal) and ref_is_ideal(L, ideal)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_is_ideal_reads_every_row(field):
+    """The Borel span {e, h} of sl2: [b_i, e] lies in it for every b_i, but
+    [f, h] = 2f does not, so only its second echelon row refutes it."""
+    L = sl(field, 2)
+    e, h, f = (L.basis_vector(L.labels.index(name)) for name in ("e", "h", "f"))
+    borel = Subspace.from_vectors(field, 3, [e, h])
+    assert L.is_subalgebra(borel)
+    assert not L.is_ideal(borel) and not ref_is_ideal(L, borel)
+    assert L.is_ideal(L.ideal_generated([h])) and L.ideal_generated([h]).is_full()
+
+
 def test_is_ideal_refuses_a_subspace_of_another_algebra():
+    """Over another field, or of another ambient dimension, also when the
+    subspace has no rows to bracket."""
     L = sl(QQ, 2)
-    with pytest.raises(TypeError):
-        L.is_ideal(Subspace.full_space(GF(5), 3))
-    with pytest.raises(ValueError):
-        L.is_ideal(Subspace.full_space(QQ, 4))
+    for space in (Subspace.full_space(GF(5), 3), Subspace.zero_space(GF(5), 3)):
+        with pytest.raises(TypeError):
+            L.is_ideal(space)
+    for space in (Subspace.full_space(QQ, 4), Subspace.full_space(QQ, 2), Subspace.zero_space(QQ, 4)):
+        with pytest.raises(ValueError):
+            L.is_ideal(space)
 
 
 def ref_subalgebra_generated(L, vectors):
@@ -1531,6 +1548,16 @@ def ref_pow(mat, k):
     return Matrix.identity(mat.field, mat.n) if acc is None else acc
 
 
+def eliminated_kernel(mat):
+    """Matrix.kernel with no zero test: the kernel of the echelon form."""
+    return mat._echelon.kernel()
+
+
+def eliminated_image(mat):
+    """Matrix.image with no zero test: the span of the columns."""
+    return Subspace._span_k(mat.field, mat.m, [[row[j] for row in mat._k] for j in range(mat.n)])
+
+
 def ref_fitting_set(L, xs):
     """fitting_set with the kernel and image of every (ad x)^dim eliminated,
     zero or not."""
@@ -1540,10 +1567,10 @@ def ref_fitting_set(L, xs):
         for y in vecs:
             if any(p.apply(y)):
                 raise StructureError("set is not almost commuting")
-    null, one = powers[0].kernel(), powers[0].image()
+    null, one = eliminated_kernel(powers[0]), eliminated_image(powers[0])
     for p in powers[1:]:
-        null = null.intersect(p.kernel())
-        one = one.sum_with(p.image())
+        null = null.intersect(eliminated_kernel(p))
+        one = one.sum_with(eliminated_image(p))
     dec = FittingDecomposition(null, one, tuple(vecs))
     _assert_fitting(L, dec, powers)
     return dec
@@ -1589,7 +1616,7 @@ def test_zero_multiplicity_at_seeded_points(name, L):
 
 def test_fitting_of_every_census_witness():
     """All 1 404 refuted dimension-3 tables over F3; every witness has nu = 3,
-    so each takes the zero-power branch."""
+    so the kernel and image of each (ad x)^3 skip elimination."""
     F3 = GF(3)
     witnesses = 0
     for t in enumerate_tables(3, F3):
@@ -1667,6 +1694,16 @@ def test_power_matches_repeated_products(case):
         assert got == want == ref_pow(mat, k), k
         assert _in_field(field, got.rows)
         want = want * mat
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_kernel_and_image_match_elimination(case):
+    """On random matrices and on the zero matrix of the same shape."""
+    field, rows, n = case
+    for mat in (Matrix(field, rows, ncols=n), Matrix(field, [[0] * n for _ in rows], ncols=n)):
+        assert mat.kernel() == eliminated_kernel(mat) and mat.image() == eliminated_image(mat)
+        assert mat.kernel().ambient == mat.n and mat.image().ambient == mat.m
 
 
 @pytest.mark.parametrize("name,L", NAMED_CASES, ids=[c[0] for c in NAMED_CASES])
