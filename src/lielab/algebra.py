@@ -242,14 +242,14 @@ class LieAlgebra(_Presented):
         """Matrix of ad(x) = [x, -] in the defining basis: column j is the
         sum of x_i [b_i, b_j] over the nonzero x_i."""
         x = self._k_vector(x)
-        n = self.dim
+        n, p = self.dim, self.field.char
         rows = [[self.field._k_zero] * n for _ in range(n)]
         for i, xi in enumerate(x):
             if xi:
                 for j, coeffs in self._rows[i].items():
                     for k, c in coeffs:
                         rows[k][j] += xi * c
-        return Matrix(self.field, rows, n)
+        return Matrix._of_k(self.field, tuple([tuple([v % p for v in r]) for r in rows]) if p else rows, n)
 
     def ad_basis(self, i: int) -> Matrix:
         """ad b_i, built once and cached: ``ad`` of the int unit vector,

@@ -528,6 +528,28 @@ def is_squarefree(p: UniPoly) -> bool:
     return poly_gcd(p, p.derivative()).degree == 0
 
 
+def poly_radical(f: UniPoly) -> UniPoly:
+    """The product of the distinct monic irreducible factors of f != 0.
+
+    f / gcd(f, f') keeps each factor whose multiplicity the characteristic
+    does not divide: over Q every factor.  Over F_p a factor of multiplicity
+    divisible by p divides gcd(f, f') as often as f, so the radical is
+    lcm(f / gcd(f, f'), rad gcd(f, f')); and f' = 0 means f = g(t)^p with
+    g = sum c_{ip} t^i (c^p = c in F_p), which has the radical of f.
+    """
+    if f.degree < 1:
+        return UniPoly.one(f.field)
+    d = f.derivative()
+    if d.is_zero():
+        return poly_radical(UniPoly(f.field, f.coeffs[:: f.field.p]))
+    g = poly_gcd(f, d)
+    s = f // g
+    if not f.field.char:
+        return s.monic()
+    r = poly_radical(g)
+    return (s * r // poly_gcd(s, r)).monic()
+
+
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials
 

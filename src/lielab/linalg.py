@@ -195,6 +195,18 @@ class Matrix:
         self.n = width
         self._k = k
 
+    @classmethod
+    def _of_k(cls, field: Field, rows: Sequence[Sequence], ncols: int) -> "Matrix":
+        """The constructor for rows made inside the kernel: over F_p a tuple
+        of tuples of reduced residues, taken as it is; over Q any kernel
+        rows, through ``__init__``, which brings an integral Fraction back
+        to an int."""
+        if not field.char:
+            return cls(field, rows, ncols)
+        self = object.__new__(cls)
+        self.field, self.m, self.n, self._k = field, len(rows), ncols, rows
+        return self
+
     @cached_property
     def rows(self) -> Tuple[Vector, ...]:
         return tuple(self.field._from_k(r) for r in self._k)
@@ -271,6 +283,7 @@ class Matrix:
         if self.n != other.m:
             raise ValueError("shape mismatch in product")
         zero = self.field._k_zero
+        p = self.field.char
         out = []
         for row in self._k:
             acc = [zero] * other.n
@@ -278,9 +291,8 @@ class Matrix:
                 if x:
                     for j, y in zip(cols, vals):
                         acc[j] += x * y
-            out.append(acc)
-        # the constructor reduces mod p
-        return Matrix(self.field, out, other.n)
+            out.append(tuple([x % p for x in acc]) if p else acc)
+        return Matrix._of_k(self.field, tuple(out), other.n)
 
     def __pow__(self, k: int) -> "Matrix":
         """self^k by repeated squaring, the identity for k = 0.  The result
@@ -474,9 +486,21 @@ class Subspace:
         self._k = field._rows_to_k(rows)
 
     @classmethod
+    def _of_k(cls, field: Field, ambient: int, rows: Sequence[Sequence], pivots: Tuple[int, ...]) -> "Subspace":
+        """The constructor for echelon rows made inside the kernel, as
+        ``Matrix._of_k``: over F_p reduced residue tuples taken as they
+        are, over Q through ``__init__``."""
+        if not field.char:
+            return cls(field, ambient, rows, pivots)
+        self = object.__new__(cls)
+        self.field, self.ambient, self.pivots, self._k = field, ambient, pivots, rows
+        return self
+
+    @classmethod
     def _span_k(cls, field: Field, ambient: int, vectors: Sequence[Sequence]) -> "Subspace":
-        """The span of vectors of length ambient, in field or kernel scalars."""
-        return cls(field, ambient, *Matrix(field, vectors, ambient)._rref)
+        """The span of vectors of length ambient, in field or kernel scalars
+        (ints need not be reduced)."""
+        return _Echelon(field, ambient, field._rows_to_k(vectors)).subspace()
 
     @cached_property
     def rows(self) -> Tuple[Vector, ...]:
@@ -660,7 +684,7 @@ class _Echelon:
         return tuple(tuple(_dense(self.rows[c], self.ambient, zero)) for c in pivots), pivots
 
     def subspace(self) -> Subspace:
-        return Subspace(self.field, self.ambient, *self.echelon())
+        return Subspace._of_k(self.field, self.ambient, *self.echelon())
 
     def kernel(self) -> Subspace:
         """{x : row . x = 0 for every row}: one basis vector per free

@@ -9,8 +9,10 @@ adjoint maps); x is regular when that minimum is attained at x, and the
 algebra is regular when every nonzero element is regular.
 
 The symbolic route computes the a_i exactly as multivariate polynomials
-(a determinant of linear forms, feasible for dim <= 8).  The expansion
-runs on Python ints over both fields: over Q the adjoint family is first
+(a determinant of linear forms, feasible for dim <= 8), one expansion per
+algebra, cached: ``generic_char_poly`` reads the entries of
+t*Id - sum x_m ad b_m straight from the table rows.  The expansion runs
+on Python ints over both fields: over Q the adjoint family is first
 scaled to integers by the lcm den of its denominators, and because a_i is
 homogeneous of degree n - i the integer expansion gives den^(n-i) a_i,
 which one division per coefficient undoes.  Over a finite
@@ -19,15 +21,25 @@ when the degree is below the field size and otherwise the whole space is
 scanned.  Over the rationals the rank is known only within the symbolic
 budget.
 
+Once ``rank`` has the expansion, the scans read nu off it instead of
+building ad x: nu(x) >= rank everywhere, so x is not regular exactly where
+a_rank(x) = 0, and the rank scan looks for a line with a_r(x) != 0 for
+its proven bound r.  Each evaluates one a_i on kernel scalars, compiled
+on its first use.  Every recheck keeps the Hessenberg
+``zero_multiplicity``, a route the scan does not take: the witness of a
+refutation, the line where a rank scan meets its bound, and a full rescan
+should an exhaustive scan certify.  Tables with no expansion (dim above
+the budget) are scanned by ``zero_multiplicity`` itself.
+
 All positive regularity answers over an infinite field come from one of
 two honest certificates: nilpotency (rank = dim, so every zero-
 multiplicity is forced to the minimum) or a definite quadratic a_1 in
 dimension 3.  Everything else is a witness (refuted) or Inconclusive
 with the search evidence attached.  That a_1 is read from the Killing
 Gram matrix and the traces of the ad b_i, not from the symbolic
-expansion: only ``rank`` (through ``generic_char_poly``) and
-``relative_rank`` (through ``linear_family_char_coeffs``) still read the
-symbolic polynomials.
+expansion, and ``relative_rank`` expands the two factor families of an
+ideal through ``linear_family_char_coeffs``, the same expansion on
+matrices.
 """
 from __future__ import annotations
 
@@ -46,7 +58,7 @@ from .budgets import (
     SYMBOLIC_DIM,
     BudgetExceeded,
 )
-from .fields import Field, MultiPoly, Scalar, UniPoly, common_denominator, is_squarefree
+from .fields import Field, MultiPoly, Scalar, UniPoly, common_denominator, is_squarefree, poly_radical
 from .linalg import _char_poly, Matrix, Subspace, Vector, diagonalize_quadratic
 from .verdict import _recheck, _Record, Verdict
 
@@ -71,49 +83,40 @@ def zero_multiplicity(L: LieAlgebra, x: Sequence) -> int:
     raise AssertionError("characteristic polynomial cannot be zero")
 
 
-def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) -> List[MultiPoly]:
-    """Characteristic coefficients of M(x) = sum x_m mats[m], as polynomials.
+def _char_expansion(
+    field: Field, d: int, nvars: int, entries: Sequence[Sequence[list]]
+) -> List[Dict[Tuple[int, ...], Scalar]]:
+    """Characteristic coefficients a_0..a_d of M(x) = sum x_m M_m, a d x d
+    family, as dicts from exponent tuple to nonzero kernel scalar, with
+    det(t*Id - M(x)) = sum a_i(x) t^i.  entries[r][col] lists the (m, c)
+    with c = M_m[r][col] != 0 in kernel scalars, m ascending.
 
-    mats holds one square matrix per variable; the result is the list
-    a_0..a_d of MultiPoly in nvars variables with
-    det(t*Id - M(x)) = sum a_i(x) t^i.  Determinant by minor expansion
-    with column-subset dynamic programming, so the cost grows as 2^d;
-    callers enforce the budget.
-
-    The expansion runs on Python ints over both fields, each polynomial
-    a dict from a packed monomial (exponent e_m of variable m, t last,
-    as the digit of weight base^m) to its coefficient.  Over Q the family
-    is first scaled by the lcm den of its denominators: a_i is homogeneous
-    of degree d - i, so the expansion of den*M gives den^(d-i) a_i.
+    Determinant by minor expansion with column-subset dynamic programming,
+    so the cost grows as 2^d; callers enforce the budget.  The expansion
+    runs on Python ints over both fields, each polynomial a dict from a
+    packed monomial (exponent e_m of variable m, t last, as the digit of
+    weight base^m) to its coefficient.  Over Q the family is first scaled
+    by the lcm den of its denominators: a_i is homogeneous of degree d - i,
+    so the expansion of den*M gives den^(d-i) a_i.
     """
-    if len(mats) != nvars:
-        raise ValueError("one coefficient matrix per variable required")
-    d = mats[0].n if mats else 0
-    for m in mats:
-        if not m.is_square() or m.n != d:
-            raise ValueError("coefficient matrices must be square of equal size")
     p = field.char
-    ks = [m._k for m in mats]
-    den = 1 if p else common_denominator(c for rows in ks for row in rows for c in row)
+    den = 1 if p else common_denominator(c for row in entries for e in row for _, c in e)
     base = d + 1  # no exponent exceeds d
     weights = [base**m for m in range(nvars + 1)]
-
-    def entry(r: int, col: int) -> List[Tuple[int, int]]:
-        """t*Id - den*M(x) at (r, col) as [(monomial, coefficient), ...]."""
-        e = [(w, -c if p else -c.numerator * (den // c.denominator))
-             for w, c in zip(weights, (rows[r][col] for rows in ks)) if c]
-        if r == col:
-            e.append((weights[nvars], 1))
-        return e
-
-    entries = [[entry(r, col) for col in range(d)] for r in range(d)]
+    # t*Id - den*M(x) at (r, col) as [(monomial, coefficient), ...]
+    packed = [
+        [[(weights[m], -c if p else -c.numerator * (den // c.denominator)) for m, c in e] for e in row]
+        for row in entries
+    ]
+    for r in range(d):
+        packed[r][r].append((weights[nvars], 1))
     minors: Dict[int, Dict[int, int]] = {0: {0: 1}}
     for row in range(d):
         grown: Dict[int, Dict[int, int]] = {}
         for mask, det in minors.items():
             for col in range(d):
                 bit = 1 << col
-                e = entries[row][col]
+                e = packed[row][col]
                 if mask & bit or not e:
                     continue
                 sign = -1 if (row + (mask & (bit - 1)).bit_count()) % 2 else 1
@@ -133,37 +136,89 @@ def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) 
                 minors[mask] = poly
     full = minors.get((1 << d) - 1, {})
     # unpack and split by t-degree, undoing the scaling over Q
-    out_terms: List[Dict[Tuple[int, ...], Scalar]] = [{} for _ in range(d + 1)]
+    out: List[Dict[Tuple[int, ...], Scalar]] = [{} for _ in range(d + 1)]
     for mono, v in full.items():
         exps = []
         for _ in range(nvars):
             mono, e = divmod(mono, base)
             exps.append(e)
-        out_terms[mono][tuple(exps)] = v if p else Fraction(v, den ** (d - mono))
-    return [MultiPoly(field, nvars, t) for t in out_terms]
+        if den != 1:
+            v = Fraction(v, den ** (d - mono))
+            v = v.numerator if v.denominator == 1 else v
+        out[mono][tuple(exps)] = v
+    return out
 
 
-class GenericCharPoly(_Record):
-    """The coefficients a_0..a_n of chi_{ad x} as exact MultiPoly values
-    in the coordinates of x."""
+def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) -> List[MultiPoly]:
+    """Characteristic coefficients of M(x) = sum x_m mats[m], as polynomials.
 
-    __slots__ = ("algebra", "coeffs")
+    mats holds one square matrix per variable; the result is the list
+    a_0..a_d of MultiPoly in nvars variables with
+    det(t*Id - M(x)) = sum a_i(x) t^i, from ``_char_expansion``.
+    """
+    if len(mats) != nvars:
+        raise ValueError("one coefficient matrix per variable required")
+    d = mats[0].n if mats else 0
+    for m in mats:
+        if not m.is_square() or m.n != d:
+            raise ValueError("coefficient matrices must be square of equal size")
+    ks = [m._k for m in mats]
+    entries = [[[(m, k[r][col]) for m, k in enumerate(ks) if k[r][col]] for col in range(d)] for r in range(d)]
+    return [MultiPoly(field, nvars, t) for t in _char_expansion(field, d, nvars, entries)]
 
-    def __init__(self, algebra: LieAlgebra, coeffs: Tuple[MultiPoly, ...]):
+
+class GenericCharPoly:
+    """The coefficients a_0..a_n of chi_{ad x} in the coordinates of x.
+
+    ``terms[i]`` is a_i as a dict from exponent tuple to nonzero kernel
+    scalar, rechecked on construction (one per degree, monic, a_0 = 0,
+    a_i homogeneous of degree n - i); ``coeffs`` are the MultiPoly
+    values, built on first read.  ``value`` evaluates one a_i at a point
+    in kernel scalars, compiling it on its first evaluation.
+    """
+
+    __slots__ = ("algebra", "terms", "_coeffs", "_compiled")
+
+    def __init__(self, algebra: LieAlgebra, terms: Tuple[Dict[Tuple[int, ...], Scalar], ...]):
         n = algebra.dim
-        _recheck(len(coeffs) == n + 1, "one coefficient per degree 0..dim")
-        one = MultiPoly.const(algebra.field, n, 1)
-        _recheck(coeffs[n] == one, "characteristic polynomial must be monic")
+        _recheck(len(terms) == n + 1, "one coefficient per degree 0..dim")
+        _recheck(terms[n] == {(0,) * n: 1}, "characteristic polynomial must be monic")
         if n >= 1:
-            _recheck(coeffs[0].is_zero(), "a_0 must vanish (x kills itself)")
-        for i, a in enumerate(coeffs):
-            _recheck(a.is_homogeneous(n - i), f"a_{i} must be homogeneous of degree {n - i}")
+            _recheck(not terms[0], "a_0 must vanish (x kills itself)")
+        for i, a in enumerate(terms):
+            _recheck(all(sum(e) == n - i for e in a), f"a_{i} must be homogeneous of degree {n - i}")
         self.algebra = algebra
-        self.coeffs = coeffs
+        self.terms = terms
+        self._coeffs = None
+        self._compiled: List[Optional[list]] = [None] * (n + 1)
+
+    @property
+    def coeffs(self) -> Tuple[MultiPoly, ...]:
+        if self._coeffs is None:
+            field, n = self.algebra.field, self.algebra.dim
+            self._coeffs = tuple(MultiPoly(field, n, t) for t in self.terms)
+        return self._coeffs
 
     def formal_rank(self) -> int:
         """Least i with a_i not the zero polynomial."""
-        return _least_nonzero(self.coeffs)
+        return next(i for i, a in enumerate(self.terms) if a)
+
+    def value(self, i: int, x: Sequence) -> Scalar:
+        """a_i(x) for x in kernel scalars, as a kernel scalar (reduced mod p)."""
+        compiled = self._compiled[i]
+        if compiled is None:
+            # each term as its coefficient and the index of every variable
+            # factor, repeated by its exponent
+            compiled = self._compiled[i] = [
+                (c, tuple(m for m, e in enumerate(exps) for _ in range(e))) for exps, c in self.terms[i].items()
+            ]
+        s = 0
+        for c, factors in compiled:
+            for m in factors:
+                c *= x[m]
+            s += c
+        p = self.algebra.field.char
+        return s % p if p else s
 
 
 def _least_nonzero(coeffs: Sequence[MultiPoly]) -> int:
@@ -173,7 +228,9 @@ def _least_nonzero(coeffs: Sequence[MultiPoly]) -> int:
 
 def generic_char_poly(L: LieAlgebra) -> GenericCharPoly:
     """Symbolic a_0..a_n for dim <= the symbolic budget; beyond it the
-    budget error propagates."""
+    budget error propagates.  The family t*Id - sum x_m ad b_m is read
+    straight from the table rows: [b_m, b_j] has coefficient c at b_k
+    exactly when (k, c) is in row m at j, the entry (k, j) of ad b_m."""
     cached = L._cache.get("generic")
     if cached is not None:
         return cached
@@ -182,8 +239,12 @@ def generic_char_poly(L: LieAlgebra) -> GenericCharPoly:
         raise BudgetExceeded(
             f"symbolic characteristic coefficients limited to dim <= {SYMBOLIC_DIM}, got {n}"
         )
-    mats = [L.ad_basis(i) for i in range(n)]
-    g = GenericCharPoly(L, tuple(linear_family_char_coeffs(L.field, mats, n)))
+    entries: List[List[list]] = [[[] for _ in range(n)] for _ in range(n)]
+    for m, row in enumerate(L._rows):
+        for j, cell in row.items():
+            for k, c in cell:
+                entries[k][j].append((m, c))
+    g = GenericCharPoly(L, tuple(_char_expansion(L.field, n, n, entries)))
     L._cache["generic"] = g
     return g
 
@@ -198,11 +259,24 @@ def _rank_by_scan(L: LieAlgebra, lower: int = 1) -> int:
     cap counts all p^n points.  `lower` is a proven lower bound on every
     zero-multiplicity (1, since x kills itself, or the formal rank), so the
     first line that attains it is a witness and ends the scan.
+
+    When ``rank`` has expanded the a_i (``generic_char_poly``), the lines
+    are first searched for a_lower(x) != 0, which is nu(x) = lower as
+    nu >= lower everywhere; the Hessenberg ``zero_multiplicity`` rechecks
+    the line found.  Without the expansion, or when a_lower vanishes on
+    every line, each line gets ``zero_multiplicity``: a least nu above the
+    bound rests on every line, so no single recheck could confirm it.
     """
     n = L.dim
     total = L.field.p**n
     if total > EXHAUSTIVE_CAP:
         raise BudgetExceeded(f"rank scan needs {total} points, over the cap {EXHAUSTIVE_CAP}")
+    g = L._cache.get("generic")
+    if g is not None:
+        hit = next((x for x in _projective_points(L.field, n) if g.value(lower, L._k_vector(x))), None)
+        if hit is not None:
+            _recheck(zero_multiplicity(L, hit) == lower, "rank scan recheck failed: a_lower(x) != 0 but nu(x) != lower")
+            return lower
     best = n
     for pt in _projective_points(L.field, n):
         nu = zero_multiplicity(L, pt)
@@ -437,7 +511,18 @@ def is_regular_algebra(
             _recheck(r == 1, "a definite a_1 forces rank 1")
             return Verdict.certified("definite-quadratic-form", rank=1, diagonal=diagonal, sign=sign)
     # zero_multiplicity by module global: instrumentation may wrap it
-    verdict = _scan(L, mode, seed, lambda x: zero_multiplicity(L, x) != r, rank=r)
+    by_hessenberg = lambda x: zero_multiplicity(L, x) != r
+    g = L._cache.get("generic")
+    if g is None:
+        verdict = _scan(L, mode, seed, by_hessenberg, rank=r)
+    else:
+        # nu(x) >= rank everywhere, so nu(x) != rank exactly where a_rank(x) = 0
+        verdict = _scan(L, mode, seed, lambda x: not g.value(r, L._k_vector(x)), rank=r)
+        if verdict.is_certified:
+            # over F_p only a nilpotent algebra is regular (Chevalley-Warning
+            # on a_rank, then Engel), and those returned above: this rescan
+            # runs only when the expansion is wrong
+            _recheck(_scan(L, mode, seed, by_hessenberg).is_certified, "certificate recheck failed: a line has nu != rank")
     if verdict.is_refuted:
         _recheck_not_regular(L, verdict.witness, r)
     return verdict
@@ -490,9 +575,34 @@ def _noncentral_nilpotent_witness(L: LieAlgebra) -> Vector:
     return next(v for v in map(L.basis_vector, range(L.dim)) if not center.contains(v))
 
 
+def _radical_survives(L: LieAlgebra, x: Vector) -> bool:
+    """rad(chi)(ad x) != 0, for chi the Hessenberg characteristic polynomial
+    of ad x: ad x is semisimple exactly when the product of the distinct
+    irreducible factors of chi kills it.  Applied by Horner to one unit
+    vector after another, so it stops at the first that survives."""
+    a = L.ad(x)
+    field, p = L.field, L.field.char
+    coeffs = field._to_k(poly_radical(a.char_poly()).coeffs)
+    for j in range(L.dim):
+        unit = [int(t == j) for t in range(L.dim)]
+        w = unit
+        for c in reversed(coeffs[:-1]):
+            w = [y + c * u for y, u in zip(a._apply_k(w), unit)]
+            if p:
+                w = [y % p for y in w]
+        if any(w):
+            return True
+    return False
+
+
 def is_anisotropic(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_SEED) -> Verdict:
-    """Is ad x semisimple for every element x?"""
-    return _aniso_like(L, mode, seed, lambda x: not is_semisimple_ad(L, x))
+    """Is ad x semisimple for every element x?  A refuting x is rechecked
+    by a route the scan (the minimal polynomial) does not take:
+    ``_radical_survives``."""
+    verdict = _aniso_like(L, mode, seed, lambda x: not is_semisimple_ad(L, x))
+    if verdict.is_refuted:
+        _recheck(_radical_survives(L, verdict.witness), "witness recheck failed: ad x is semisimple")
+    return verdict
 
 
 def is_nilpotent_free(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_SEED) -> Verdict:

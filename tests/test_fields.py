@@ -16,6 +16,7 @@ from lielab.fields import (
     field_to_json,
     is_squarefree,
     poly_gcd,
+    poly_radical,
 )
 
 F5 = GF(5)
@@ -230,6 +231,49 @@ class TestUniPoly:
         t = UniPoly.t(F5)
         q = t * t * t * t * t
         assert not is_squarefree(q)
+
+
+class TestRadical:
+    """poly_radical is the monic squarefree divisor of f that f divides a
+    power of: the product of its distinct irreducible factors, also those
+    whose multiplicity the characteristic divides."""
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), F5])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_characterizing_properties(self, field, data):
+        coeff = st.integers(-3, 3).map(field.of)
+        f = UniPoly.one(field)
+        for _ in range(data.draw(st.integers(1, 3))):
+            g = UniPoly(field, data.draw(st.lists(coeff, min_size=2, max_size=3)))
+            assume(g.degree >= 1)
+            for _ in range(data.draw(st.integers(1, 6))):
+                f = f * g
+        r = poly_radical(f)
+        assert r.leading() == field.one and is_squarefree(r)
+        assert (f % r).is_zero()
+        power = UniPoly.one(field)
+        for _ in range(f.degree):
+            power = power * r
+        assert (power % f).is_zero()
+
+    def test_multiplicity_divisible_by_p(self):
+        F3 = GF(3)
+        t = UniPoly.t(F3)
+        one = UniPoly.one(F3)
+        cube = lambda g: g * g * g
+        # t^3: zero derivative, the radical of its cube root t
+        assert poly_radical(cube(t)) == t
+        # t^3 (t + 1): t divides gcd(f, f') = t^3 as often as f
+        assert poly_radical(cube(t) * (t + one)) == t * (t + one)
+        # (t^2 + 1)^3 (t^2 + 1 is irreducible over F3)
+        assert poly_radical(cube(t * t + one)) == t * t + one
+        # (t + 1)^6 (t - 1)
+        assert poly_radical(cube(t + one) * cube(t + one) * (t - one)) == (t + one) * (t - one)
+
+    def test_rational(self):
+        assert poly_radical(poly([-1, 1]) * poly([-1, 1]) * poly([2, 1])) == poly([-1, 1]) * poly([2, 1])
+        assert poly_radical(poly([5])) == UniPoly.one(QQ)
 
 
 # -- multivariate polynomials ----------------------------------------------

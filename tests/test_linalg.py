@@ -112,9 +112,11 @@ class TestMatrixBasics:
 
 
 class TestOneConstructor:
-    """Matrix and Subspace each have one constructor.  It takes field
+    """Matrix and Subspace each have one public constructor.  It takes field
     scalars or kernel scalars (ints need not be reduced), stores kernel rows
-    only and refuses a scalar of another field."""
+    only and refuses a scalar of another field.  Producers inside the kernel
+    use ``_of_k``, which over F_p stores their reduced residue tuples as
+    they are."""
 
     @pytest.mark.parametrize(
         "field,entry",
@@ -160,6 +162,31 @@ class TestOneConstructor:
         assert from_ints == Subspace.from_vectors(field, 4, ints)
         assert all(field.contains(c) for row in from_ints.rows for c in row)
         assert from_ints.rows == tuple(tuple(field.of(c) for c in row) for row in ints)
+
+
+def _assert_stored_as_constructed(built, rebuilt):
+    assert built == rebuilt and hash(built) == hash(rebuilt) and built._k == rebuilt._k
+    assert type(built._k) is tuple and all(type(row) is tuple for row in built._k)
+    if built.field is QQ:
+        assert_canonical_kernel_scalars(x for row in built._k for x in row)
+    else:
+        assert all(type(x) is int and 0 <= x < built.field.p for row in built._k for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, F2, F5], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kernel_producers_store_what_the_constructor_makes(field, data):
+    """The product, the span of vectors (through ``_Echelon.subspace``) and
+    the kernel store what the public constructor makes of the same rows;
+    over Q with ints where integral, as the Fractions of q_entry exercise."""
+    n = data.draw(st.integers(1, 4))
+    entry = q_entry if field is QQ else st.integers(-12, 12)
+    a, b = ([[data.draw(entry) for _ in range(n)] for _ in range(n)] for _ in range(2))
+    prod = Matrix(field, a, n) * Matrix(field, b, n)
+    _assert_stored_as_constructed(prod, Matrix(field, prod._k, n))
+    for space in (Subspace._span_k(field, n, a), Matrix(field, a, n).kernel()):
+        _assert_stored_as_constructed(space, Subspace(field, n, space._k, space.pivots))
 
 
 class TestRankSolveKernel:

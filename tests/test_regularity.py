@@ -2,7 +2,10 @@
 and characteristic-polynomial factorization along ideals."""
 
 import itertools
+import json
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +13,20 @@ from hypothesis import strategies as st
 
 from lielab import regularity
 from lielab.algebra import LieAlgebra, _point_index, _projective_points, direct_sum
-from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM, BudgetExceeded
-from lielab.catalog import abelian, enumerate_tables, gl, heisenberg, make, pgl, r2, sl, strict_upper, su2q
+from lielab.budgets import DEFAULT_SEED, EXHAUSTIVE_CAP, SEARCH_HEIGHT, SEARCH_TRIALS, SYMBOLIC_DIM, BudgetExceeded
+from lielab.catalog import (
+    abelian,
+    canonical_instances,
+    enumerate_tables,
+    gl,
+    heisenberg,
+    make,
+    pgl,
+    r2,
+    sl,
+    strict_upper,
+    su2q,
+)
 from lielab.fields import GF, QQ, UniPoly
 from lielab.linalg import Matrix, Subspace, diagonalize_quadratic, vec_is_zero
 from lielab.regularity import (
@@ -25,11 +40,13 @@ from lielab.regularity import (
     is_nilpotent_free,
     is_regular_algebra,
     is_regular_element,
+    linear_family_char_coeffs,
     rank,
     relative_rank,
     zero_multiplicity,
     _assert_fitting,
     _rank_by_scan,
+    _search_schedule,
 )
 from lielab.verdict import RecheckFailed, Verdict
 
@@ -288,6 +305,28 @@ class TestAnisotropy:
         with pytest.raises(ValueError):
             is_anisotropic(SU, mode="guess")
 
+    @pytest.mark.parametrize("L,i", [(sl2q, 1), (r2(QQ), 0), (r2(F5), 0)], ids=["h-sl2q", "x-r2q", "x-r2f5"])
+    def test_scan_refutation_is_rechecked(self, L, i, monkeypatch):
+        """ad h of sl2/Q, and ad x of r2 ([x, y] = y, chi = t(t - 1)), are
+        semisimple: a scan that returns one is refused."""
+        x = L.basis_vector(i)
+        monkeypatch.setattr(regularity, "_scan", lambda L, mode, seed, fails, **known: Verdict.refuted(x))
+        with pytest.raises(RecheckFailed):
+            is_anisotropic(L)
+
+    def test_recheck_keeps_factors_of_multiplicity_p(self, monkeypatch):
+        """r2 + a central line over F3: ad y of [x, y] = y and ad z of the
+        central z both have chi = t^3, whose radical is t; ad y is not zero,
+        ad z is, so only y refutes."""
+        L = direct_sum(r2(F3), abelian(F3, 1))
+        y, z = L.basis_vector(1), L.basis_vector(2)
+        v = is_anisotropic(L, mode="exhaustive")
+        assert v.is_refuted and v.witness == y
+        assert L.ad(y).char_poly() == L.ad(z).char_poly() == UniPoly(F3, [0, 0, 0, 1])
+        monkeypatch.setattr(regularity, "_scan", lambda L, mode, seed, fails, **known: Verdict.refuted(z))
+        with pytest.raises(RecheckFailed):
+            is_anisotropic(L, mode="exhaustive")
+
     def test_search_without_witness_is_inconclusive(self, monkeypatch):
         # su2q (+) a central line: every ad x is semisimple and the only
         # ad-nilpotent elements are central, so no search point fails
@@ -302,6 +341,131 @@ class TestAnisotropy:
         assert v.is_inconclusive
         assert v.evidence == {"rank": 1, "scanned": 3 + 26 + 10, "height": 1, "trials": 10, "seed": 5}
 
+
+
+INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
+
+
+def _named_tables():
+    """The canonical instances and the benchmark tables, up to the symbolic budget."""
+    named = list(canonical_instances())
+    for path in sorted(INPUTS.glob("*.json")):
+        named.append((path.stem, LieAlgebra.from_json_dict(json.loads(path.read_text()))))
+    return [(name, L) for name, L in named if L.dim <= SYMBOLIC_DIM]
+
+
+NAMED = _named_tables()
+FP_NAMED = [(name, L) for name, L in NAMED if L.field.kind == "Fp" and L.field.p**L.dim <= EXHAUSTIVE_CAP]
+Q_NAMED = [(name, L) for name, L in NAMED if L.field.kind == "Q"]
+
+
+def symbolic_nu(L, x):
+    """The least i with a_i(x) != 0, from the expansion alone."""
+    g = generic_char_poly(L)
+    xk = L._k_vector(x)
+    return next(i for i in range(L.dim + 1) if g.value(i, xk))
+
+
+def _rescaled(L, scales):
+    """L in the basis b_i / s_i, so that integer constants become fractions."""
+    table = {
+        (i, j): {k: c * scales[k] / (scales[i] * scales[j]) for k, c in coeffs.items()}
+        for (i, j), coeffs in L.table.items()
+    }
+    return LieAlgebra(L.field, L.labels, table)
+
+
+class TestScansReadTheExpansion:
+    """Where ``rank`` has expanded the a_i from the table rows, the scans
+    read nu off them (nu(x) is the least i with a_i(x) != 0), and every
+    recheck keeps the Hessenberg ``zero_multiplicity``."""
+
+    @pytest.mark.parametrize("p,valid", [(2, 120), (3, 1431)])
+    def test_nu_on_every_line_of_the_census(self, p, valid):
+        field = GF(p)
+        lines = list(_projective_points(field, 3))
+        count = 0
+        for t in enumerate_tables(3, field):
+            if t.jacobi_ok:
+                count += 1
+                L = t.algebra()
+                assert [symbolic_nu(L, x) for x in lines] == [zero_multiplicity(L, x) for x in lines], t.coeffs
+        assert count == valid
+
+    @pytest.mark.parametrize("name,L", FP_NAMED, ids=[c[0] for c in FP_NAMED])
+    def test_nu_on_every_line_of_the_fp_tables(self, name, L):
+        for x in _projective_points(L.field, L.dim):
+            assert symbolic_nu(L, x) == zero_multiplicity(L, x), x
+
+    @pytest.mark.parametrize("name,L", Q_NAMED, ids=[c[0] for c in Q_NAMED])
+    def test_nu_at_the_schedule_points_over_q(self, name, L):
+        """The first points of the search schedule, and seeded points with
+        64-bit coordinates (the schedule's trials, reached here at height 0)."""
+        n = L.dim
+        points = list(itertools.islice(_search_schedule(QQ, n, SEARCH_HEIGHT, SEARCH_TRIALS, DEFAULT_SEED), 150))
+        points += list(_search_schedule(QQ, n, 0, 8, DEFAULT_SEED))[n:]
+        for x in points:
+            assert symbolic_nu(L, x) == zero_multiplicity(L, x), x
+
+    @pytest.mark.parametrize("name,L", NAMED, ids=[c[0] for c in NAMED])
+    def test_table_rows_give_the_coefficients_of_the_ad_family(self, name, L):
+        ads = [L.ad_basis(i) for i in range(L.dim)]
+        assert generic_char_poly(L).coeffs == tuple(linear_family_char_coeffs(L.field, ads, L.dim))
+
+    @pytest.mark.parametrize("L", [sl2q, SU, gl(QQ, 2)])
+    def test_table_rows_with_fractions(self, L):
+        """Non-integral constants: the rows are scaled by the lcm of their
+        denominators before the integer expansion, and back after it."""
+        M = _rescaled(L, [Fraction(k + 2, 3 - k % 2) for k in range(L.dim)])
+        ads = [M.ad_basis(i) for i in range(M.dim)]
+        assert generic_char_poly(M).coeffs == tuple(linear_family_char_coeffs(QQ, ads, M.dim))
+        assert generic_char_poly(M).formal_rank() == generic_char_poly(L).formal_rank()
+
+    def test_the_coefficients_are_built_only_when_read(self):
+        g = generic_char_poly(sl(F3, 2))
+        assert g._coeffs is None
+        rank(sl(F3, 2))
+        assert g.coeffs[3] == regularity.MultiPoly.const(F3, 3, 1)
+
+    @staticmethod
+    def _corrupt(g, i, terms):
+        g.terms = g.terms[:i] + (terms,) + g.terms[i + 1 :]
+
+    @pytest.mark.parametrize(
+        "a_rank",
+        [
+            {(0, 0, 2): 1},  # vanishes first on the line of h, which is regular
+            {(0, 0, 0): 1},  # vanishes on no line, so the scan would certify
+        ],
+    )
+    def test_a_corrupted_a_rank_raises(self, a_rank):
+        L = LieAlgebra.from_json_dict(json.loads((INPUTS / "sl2f5.json").read_text()))
+        assert L.labels == ("e", "h", "f") and rank(L) == 1
+        self._corrupt(generic_char_poly(L), 1, a_rank)
+        with pytest.raises(RecheckFailed):
+            is_regular_algebra(L, mode="exhaustive")
+
+    def test_a_corrupted_rank_scan_term_raises(self):
+        """sl3/F3 needs a scan (n - r = 6 >= p), and its first line E32 has
+        nu = 8: a term x_8^6 added to a_2 makes the scan stop there."""
+        L = LieAlgebra.from_json_dict(json.loads((INPUTS / "sl3f3.json").read_text()))
+        g = generic_char_poly(L)
+        first = (0,) * 7 + (6,)
+        assert first not in g.terms[2] and zero_multiplicity(L, L.basis_vector(7)) == 8
+        self._corrupt(g, 2, {**g.terms[2], first: 1})
+        with pytest.raises(RecheckFailed):
+            rank(L)
+
+    def test_rank_scan_rechecks_its_line(self, monkeypatch):
+        """The first line meeting the bound gets one Hessenberg nu, and the
+        lines before it (the first has nu = 4 on pgl3/F3) none."""
+        L = LieAlgebra.from_json_dict(json.loads((INPUTS / "pgl3f3.json").read_text()))
+        seen = []
+        real = regularity.zero_multiplicity
+        monkeypatch.setattr(regularity, "zero_multiplicity", lambda L, x: seen.append(x) or real(L, x))
+        assert rank(L) == 2
+        monkeypatch.undo()
+        assert seen == [next(x for x in _projective_points(F3, 8) if zero_multiplicity(L, x) == 2)]
 
 
 class TestLineWalk:
