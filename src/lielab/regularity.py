@@ -167,17 +167,21 @@ def linear_family_char_coeffs(field: Field, mats: Sequence[Matrix], nvars: int) 
     return [MultiPoly(field, nvars, t) for t in _char_expansion(field, d, nvars, entries)]
 
 
-class GenericCharPoly:
+class GenericCharPoly(_Record):
     """The coefficients a_0..a_n of chi_{ad x} in the coordinates of x.
 
     ``terms[i]`` is a_i as a dict from exponent tuple to nonzero kernel
     scalar, rechecked on construction (one per degree, monic, a_0 = 0,
     a_i homogeneous of degree n - i); ``coeffs`` are the MultiPoly
     values, built on first read.  ``value`` evaluates one a_i at a point
-    in kernel scalars, compiling it on its first evaluation.
+    in kernel scalars, compiling it on its first evaluation.  Equality
+    and repr read the algebra and ``terms`` only.
     """
 
     __slots__ = ("algebra", "terms", "_coeffs", "_compiled")
+
+    def _values(self) -> tuple:
+        return self.algebra, self.terms
 
     def __init__(self, algebra: LieAlgebra, terms: Tuple[Dict[Tuple[int, ...], Scalar], ...]):
         n = algebra.dim
