@@ -519,7 +519,16 @@ class Subspace:
 
     @classmethod
     def full_space(cls, field: Field, ambient: int) -> "Subspace":
-        return cls(field, ambient, [[int(i == j) for j in range(ambient)] for i in range(ambient)], tuple(range(ambient)))
+        """K^ambient, one shared instance per (field, ambient): the rows are
+        tuples and nothing assigns to a built subspace, so sharing it
+        changes no answer and spares a fresh identity for each zero
+        matrix's kernel and each series that starts at L."""
+        key = (field, ambient)
+        space = _FULL_SPACES.get(key)
+        if space is None:
+            identity = [[int(i == j) for j in range(ambient)] for i in range(ambient)]
+            space = _FULL_SPACES[key] = cls(field, ambient, identity, tuple(range(ambient)))
+        return space
 
     @property
     def dim(self) -> int:
@@ -605,6 +614,9 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
+
+
+_FULL_SPACES: Dict[Tuple[Field, int], Subspace] = {}
 
 
 class _Echelon:

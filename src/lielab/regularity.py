@@ -341,21 +341,31 @@ class FittingDecomposition(_Record):
 
 
 def _assert_fitting(L: LieAlgebra, dec: FittingDecomposition, powers: Sequence[Matrix]) -> None:
-    """Recheck dec against powers, the (ad x)^dim of each x in dec.against."""
+    """Recheck dec against powers, the (ad x)^dim of each x in dec.against.
+
+    Two checks that cannot fail are skipped.  A full null component
+    contains every vector of length dim, so its subalgebra check would
+    bracket dim^2 pairs only to accept each; a zero one component has a
+    zero image, so injectivity on it reads 0 = 0.  Every other check runs,
+    the power killing the null component included: for an ad-nilpotent x
+    (null component L) that is what certifies nu = dim."""
     n = L.dim
     _recheck(dec.null.dim + dec.one.dim == n, "component dimensions must sum to dim")
     # with the dimensions summing to n, the components are independent iff they span L
     _recheck(dec.null.sum_with(dec.one).dim == n, "components must be independent")
     # in kernel scalars, so no bracket makes a round trip through Fp objects
-    for u in dec.null._k:
-        for v in dec.null._k:
-            _recheck(dec.null.contains(L._product_k(u, v)), "null component must be a subalgebra")
+    if not dec.null.is_full():
+        for u in dec.null._k:
+            for v in dec.null._k:
+                _recheck(dec.null.contains(L._product_k(u, v)), "null component must be a subalgebra")
     for u in dec.null._k:
         for v in dec.one._k:
             _recheck(dec.one.contains(L._product_k(u, v)), "[null, one] must land in one")
     for power in powers:
         for u in dec.null._k:
             _recheck(not any(power._apply_k(u)), "ad^dim must kill the null component")
+        if dec.one.is_zero():
+            continue
         img = Subspace._span_k(L.field, n, [power._apply_k(v) for v in dec.one._k])
         _recheck(
             img.dim == dec.one.dim or len(powers) > 1,
@@ -374,20 +384,23 @@ def fitting_set(L: LieAlgebra, xs: Sequence[Sequence]) -> FittingDecomposition:
     The null component is the intersection of the single-element null
     components; the one component is the sum of the single-element one
     components.  Almost commuting (each member killed by a power of
-    every other member's adjoint map) is verified first.  A zero
-    (ad x)^dim (ad x nilpotent) gives kernel L and image 0 with no
-    elimination (``Matrix.kernel`` and ``Matrix.image``);
-    ``_assert_fitting`` rechecks every answer.
+    every other member's adjoint map) is verified first, for families of
+    two or more: a single x always almost commutes with itself, since
+    (ad x)^dim x = (ad x)^(dim-1) [x, x] = 0 in the antisymmetric rows
+    ``_clean_table`` builds.  A zero (ad x)^dim (ad x nilpotent) gives
+    kernel L and image 0 with no elimination (``Matrix.kernel`` and
+    ``Matrix.image``); ``_assert_fitting`` rechecks every answer.
     """
     vecs = [L.coerce_vector(x) for x in xs]
     if not vecs:
         raise ValueError("empty element set")
     n = L.dim
     powers = [L.ad(x) ** n for x in vecs]
-    for p in powers:
-        for y in vecs:
-            if any(p._apply_k(L._k_vector(y))):
-                raise StructureError("set is not almost commuting")
+    if len(vecs) > 1:
+        for p in powers:
+            for y in vecs:
+                if any(p._apply_k(L._k_vector(y))):
+                    raise StructureError("set is not almost commuting")
     null, one = powers[0].kernel(), powers[0].image()
     for p in powers[1:]:
         null = null.intersect(p.kernel())

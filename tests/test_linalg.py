@@ -581,3 +581,55 @@ class TestKernelIdentities:
         for u, v in ((subspace(), subspace()), (subspace(), Subspace.zero_space(field, n))):
             for a, b in ((u, v), (v, u)):
                 assert a.sum_with(b) == Subspace._span_k(field, n, a._k + b._k)
+
+
+F3 = GF(3)
+
+
+class TestSharedFullSpace:
+    """``Subspace.full_space`` hands out one instance per (field, ambient):
+    shared, it must read as the span of the unit vectors however it was
+    used before."""
+
+    FIELDS = [QQ, F3, F5]
+
+    @staticmethod
+    def _units(field, n):
+        return [[field.of(int(i == j)) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F3", "F5"])
+    def test_one_instance_equal_to_the_span_of_the_units(self, field):
+        for n in range(5):
+            full = Subspace.full_space(field, n)
+            assert Subspace.full_space(field, n) is full
+            assert full == Subspace.from_vectors(field, n, self._units(field, n))
+            assert full.pivots == tuple(range(n)) and full.is_full()
+
+    @pytest.mark.parametrize("field", FIELDS, ids=["Q", "F3", "F5"])
+    def test_use_leaves_later_answers_unchanged(self, field):
+        for n in range(5):
+            fresh = Subspace.from_vectors(field, n, self._units(field, n))
+            line = Subspace.from_vectors(field, n, [[field.of(j + 1) for j in range(n)]])
+            probe = tuple(field.of(2 * j + 1) for j in range(n))
+            full = Subspace.full_space(field, n)
+            for _ in range(2):
+                assert full.rows == fresh.rows
+                assert full._pivot_rows == fresh._pivot_rows
+                assert full.sum_with(line) == fresh.sum_with(line)
+                assert line.sum_with(full) == fresh
+                assert full.intersect(line) == line and line.intersect(full) == line
+                assert full.intersect(full) == fresh
+                assert full.contains(probe) and full.reduce(probe) == (field.zero,) * n
+                assert full.coords_of(probe) == probe
+                assert full.complement_indices() == ()
+            again = Subspace.full_space(field, n)
+            assert again is full
+            assert (again._k, again.pivots, again.rows) == (fresh._k, fresh.pivots, fresh.rows)
+            assert Matrix.zeros(field, 1, n).kernel() is again
+
+    def test_fields_do_not_share(self):
+        for n in range(5):
+            spaces = [Subspace.full_space(field, n) for field in self.FIELDS]
+            assert len({id(s) for s in spaces}) == 3
+            assert [s.field for s in spaces] == self.FIELDS
+            assert len({s.ambient for s in spaces}) == 1

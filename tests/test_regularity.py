@@ -161,9 +161,13 @@ class TestFitting:
     def test_fitting_set_rejects_non_commuting(self):
         from lielab.algebra import StructureError
 
-        e, h = sl2q.basis_vector(0), sl2q.basis_vector(1)
-        with pytest.raises(StructureError):
-            fitting_set(sl2q, [e, h])
+        for field in (QQ, F3, F5):
+            L = sl(field, 2)
+            e, h, f = map(L.basis_vector, range(3))
+            for family in ([e, h], [h, e], [h, f]):
+                with pytest.raises(StructureError, match="not almost commuting"):
+                    fitting_set(L, family)
+            assert fitting_set(L, [h, L.bracket(e, f)]).nu == 1
 
     def test_fitting_set_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -212,6 +216,57 @@ class TestFitting:
         L = direct_sum(sl2q, sl2q)
         fitting_set(L, [L.basis_vector(1), L.basis_vector(4)])
         assert len(calls) == 2
+
+
+    @pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
+    def test_full_null_component_must_be_killed_by_the_power(self, field):
+        # the subalgebra check is skipped on L itself; the power check is
+        # what refuses L as the null component of a semisimple h
+        L = sl(field, 2)
+        h = L.basis_vector(1)
+        fake = FittingDecomposition(Subspace.full_space(field, 3), Subspace.zero_space(field, 3), (h,))
+        with pytest.raises(RecheckFailed, match=r"ad\^dim must kill the null component"):
+            _assert_fitting(L, fake, [L.ad(h) ** 3])
+
+    @pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
+    def test_proper_null_component_must_be_a_subalgebra(self, field):
+        # span(e, f) + span(h) has the dimensions and spans sl2, but
+        # [e, f] = h leaves span(e, f)
+        L = sl(field, 2)
+        e, h, f = map(L.basis_vector, range(3))
+        fake = FittingDecomposition(
+            Subspace.from_vectors(field, 3, [e, f]), Subspace.from_vectors(field, 3, [h]), (h,)
+        )
+        with pytest.raises(RecheckFailed, match="null component must be a subalgebra"):
+            _assert_fitting(L, fake, [L.ad(h) ** 3])
+
+    def test_brackets_only_a_proper_null_component(self, monkeypatch):
+        calls = []
+        product = LieAlgebra._product_k
+        monkeypatch.setattr(LieAlgebra, "_product_k", lambda L, u, v: calls.append(1) or product(L, u, v))
+        L = sl(F3, 2)
+        # e is ad-nilpotent, as every census witness: null component L, one component 0
+        e, h = L.basis_vector(0), L.basis_vector(1)
+        dec = FittingDecomposition(Subspace.full_space(F3, 3), Subspace.zero_space(F3, 3), (e,))
+        _assert_fitting(L, dec, [L.ad(e) ** 3])
+        assert calls == []
+        # h: null component span(h), one component span(e, f)
+        dec = fitting(L, h)
+        calls.clear()
+        _assert_fitting(L, dec, [L.ad(h) ** 3])
+        assert len(calls) == dec.null.dim ** 2 + dec.null.dim * dec.one.dim
+
+    @given(data=st.data(), field=st.sampled_from([QQ, F2, F3, F5]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_element_almost_commutes_with_itself(self, data, field):
+        # why fitting_set checks a family of one for nothing: (ad x)^n x = 0
+        # on every antisymmetric table, Jacobi or not, in characteristic 2 too
+        n = data.draw(st.integers(1, 4))
+        entry = st.integers(-3, 3)
+        table = {(i, j): [data.draw(entry) for _ in range(n)] for i in range(n) for j in range(i + 1, n)}
+        L = LieAlgebra.unchecked(field, [f"b{i}" for i in range(n)], table)
+        x = L._k_vector([field.of(data.draw(entry)) for _ in range(n)])
+        assert not any((L.ad(x) ** n)._apply_k(x))
 
 
 class TestRegularElements:
@@ -676,3 +731,56 @@ def test_recheck_survives_python_O():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "raised: witness recheck failed" in proc.stdout
+
+
+_RECHECKS_UNDER_O = """
+import sys
+assert False, "this check needs python -O, which strips asserts"
+from lielab import RecheckFailed, StructureError
+from lielab.catalog import sl
+from lielab.fields import GF
+from lielab.linalg import Subspace
+from lielab.regularity import FittingDecomposition, _assert_fitting, fitting_set
+
+F = GF(5)
+L = sl(F, 2)
+e, h, f = map(L.basis_vector, range(3))
+power = L.ad(h) ** 3
+cases = [
+    (RecheckFailed, lambda: _assert_fitting(
+        L, FittingDecomposition(Subspace.full_space(F, 3), Subspace.zero_space(F, 3), (h,)), [power])),
+    (RecheckFailed, lambda: _assert_fitting(
+        L, FittingDecomposition(Subspace.from_vectors(F, 3, [e, f]), Subspace.from_vectors(F, 3, [h]), (h,)), [power])),
+    (StructureError, lambda: fitting_set(L, [e, h])),
+]
+for error, call in cases:
+    try:
+        call()
+    except error as exc:
+        print("raised:", exc)
+    else:
+        print("no raise")
+        sys.exit(1)
+"""
+
+
+def test_fitting_rechecks_survive_python_O():
+    """Under -O, the power check on a full null component, the subalgebra
+    check on a proper one and the almost-commuting check on two elements
+    still raise."""
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _RECHECKS_UNDER_O],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "raised: ad^dim must kill the null component",
+        "raised: null component must be a subalgebra",
+        "raised: set is not almost commuting",
+    ]
