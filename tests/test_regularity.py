@@ -240,6 +240,16 @@ class TestFitting:
         with pytest.raises(RecheckFailed, match="null component must be a subalgebra"):
             _assert_fitting(L, fake, [L.ad(h) ** 3])
 
+    @pytest.mark.parametrize("field", [QQ, F3, F5], ids=["Q", "F3", "F5"])
+    def test_power_must_be_injective_on_a_nonzero_one_component(self, field):
+        # h's components against the zero power (ad e)^3: every check before
+        # injectivity holds, and the image of span(e, f) is 0
+        L = sl(field, 2)
+        e, h = L.basis_vector(0), L.basis_vector(1)
+        dec = fitting(L, h)
+        with pytest.raises(RecheckFailed, match="ad\\^dim must act injectively on the one component"):
+            _assert_fitting(L, dec, [L.ad(e) ** 3])
+
     def test_brackets_only_a_proper_null_component(self, monkeypatch):
         calls = []
         product = LieAlgebra._product_k
@@ -751,6 +761,7 @@ cases = [
         L, FittingDecomposition(Subspace.full_space(F, 3), Subspace.zero_space(F, 3), (h,)), [power])),
     (RecheckFailed, lambda: _assert_fitting(
         L, FittingDecomposition(Subspace.from_vectors(F, 3, [e, f]), Subspace.from_vectors(F, 3, [h]), (h,)), [power])),
+    (RecheckFailed, lambda: _assert_fitting(L, fitting_set(L, [h]), [L.ad(e) ** 3])),
     (StructureError, lambda: fitting_set(L, [e, h])),
 ]
 for error, call in cases:
@@ -766,8 +777,8 @@ for error, call in cases:
 
 def test_fitting_rechecks_survive_python_O():
     """Under -O, the power check on a full null component, the subalgebra
-    check on a proper one and the almost-commuting check on two elements
-    still raise."""
+    check on a proper one, injectivity on a nonzero one component and the
+    almost-commuting check on two elements still raise."""
     import os
     import subprocess
     import sys
@@ -782,5 +793,6 @@ def test_fitting_rechecks_survive_python_O():
     assert proc.stdout.splitlines() == [
         "raised: ad^dim must kill the null component",
         "raised: null component must be a subalgebra",
+        "raised: ad^dim must act injectively on the one component",
         "raised: set is not almost commuting",
     ]
