@@ -19,6 +19,7 @@ from lielab.linalg import (
 )
 
 F2 = GF(2)
+F3 = GF(3)
 F5 = GF(5)
 
 
@@ -581,9 +582,6 @@ class TestKernelIdentities:
         for u, v in ((subspace(), subspace()), (subspace(), Subspace.zero_space(field, n))):
             for a, b in ((u, v), (v, u)):
                 assert a.sum_with(b) == Subspace._span_k(field, n, a._k + b._k)
-
-
-F3 = GF(3)
 
 
 class TestSharedFullSpace:
