@@ -866,13 +866,12 @@ def _commutant_equations(L: LieAlgebra, *, diagonal: bool = True) -> Iterator[di
                         yield eq
 
 
-def _map_solutions(field: Field, n: int, rows: Iterable[dict], floor: int = 0) -> Tuple[Subspace, List[Matrix]]:
-    """Solution space of the sparse equation rows, and its rows as n x n
-    matrices.  ``floor`` is the dimension of a space of maps known to
-    solve every row (see ``_Echelon``): once the rank is n^2 - floor the
-    rest of the rows are not read, and the basis is the full solve's."""
-    kernel = _Echelon(field, n * n, rows, floor).kernel()
-    return kernel, _square_matrices(field, n, kernel)
+def _map_solutions(field: Field, n: int, rows: Iterable[dict], floor: int = 0) -> List[Matrix]:
+    """The basis of the solution space of the sparse equation rows, as
+    n x n matrices.  ``floor`` is the dimension of a space of maps known
+    to solve every row (see ``_Echelon``): once the rank is n^2 - floor
+    the rest of the rows are not read, and the basis is the full solve's."""
+    return _square_matrices(field, n, _Echelon(field, n * n, rows, floor).kernel())
 
 
 def _square_matrices(field: Field, n: int, space: Subspace) -> List[Matrix]:
@@ -885,6 +884,30 @@ def _killing_route(L: LieAlgebra) -> bool:
     Jacobi is known to hold: then every derivation is inner and
     H^2(L, K) = 0 (see ``derivation_algebra`` and ``h2_trivial``)."""
     return L.killing_form().nondegenerate and L._jacobi_holds()
+
+
+def _derivation_space(L: LieAlgebra) -> Subspace:
+    """Der L in K^(n*n), each derivation flattened row by row (unknown
+    r * n + k as in ``_coboundary_rows``); see ``derivation_algebra``."""
+    n, field = L.dim, L.field
+    if _killing_route(L):
+        ads = ([x for row in L.ad_basis(i)._k for x in row] for i in range(n))
+        kernel = _Echelon(field, n * n, ads).subspace()
+        # ad is injective: a nondegenerate Killing form leaves no center
+        _recheck(kernel.dim == n, "ad must be injective on an algebra with a nondegenerate Killing form")
+        return kernel
+    ads = [_ad_rows(L, i) for i in range(n)]
+    floor = n - L.center().dim if L._jacobi_holds() else 0
+    kernel = _Echelon(field, n * n, _coboundary_rows(L, 1, ads), floor).kernel()
+    if floor:
+        # the floor took ad L to lie in the solutions: each flattened ad b_i
+        # reduces to zero against them
+        flat = ({r * n + s: c for r, row in enumerate(ad) for s, c in row} for ad in ads)
+        _recheck(
+            not any(_reduce(w, kernel._pivot_rows, field.char) for w in flat),
+            "ad b_i must solve the derivation equations where Jacobi holds",
+        )
+    return kernel
 
 
 def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
@@ -904,24 +927,31 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     them is psl3 over F_3: its Killing form is 0, and it has 14
     derivations, not the 8 that the ``der-psl3f3`` check carries over from
     characteristic 0.  Where Jacobi holds, ad L lies in
-    Der L, so the solve has the floor n - dim Z(L) (``_map_solutions``)
+    Der L, so the solve has the floor n - dim Z(L) (see ``_Echelon``)
     and ends once Der L = ad L is certain (pgl3 over F_3); on an
-    ``unchecked`` table that breaks Jacobi the floor is 0.  The result's
-    structure constants come from commutators of the matrix basis.
+    ``unchecked`` table that breaks Jacobi the floor is 0.
+
+    Two checks run here and raise ``RecheckFailed``: on the Killing route
+    that ad is injective, on the solver route with a floor that every
+    ad b_i solves the system.  The result's field, dim and labels are set
+    here, its structure constants (``_derivation_table``) on the first
+    read of its table (``_DerivationAlgebra``).  Their two checks, that
+    each commutator of derivations stays in the solution space and the
+    checked constructor's Jacobi sweep, run then, so their
+    ``StructureError`` surfaces at that first read, not in this call.
     """
-    n, field, p = L.dim, L.field, L.field.char
-    if _killing_route(L):
-        ads = ([x for row in L.ad_basis(i)._k for x in row] for i in range(n))
-        kernel = _Echelon(field, n * n, ads).subspace()
-        # ad is injective: a nondegenerate Killing form leaves no center
-        _recheck(kernel.dim == n, "ad must be injective on an algebra with a nondegenerate Killing form")
-        mats = _square_matrices(field, n, kernel)
-    else:
-        rows = _coboundary_rows(L, 1, [_ad_rows(L, i) for i in range(n)])
-        floor = n - L.center().dim if L._jacobi_holds() else 0
-        kernel, mats = _map_solutions(field, n, rows, floor)
-    # [D_a, D_b] = D_a D_b - D_b D_a from sparse rows in kernel scalars; its
-    # coordinates in the reduced echelon basis are its entries at the pivots
+    kernel = _derivation_space(L)
+    mats = _square_matrices(L.field, L.dim, kernel)
+    return _DerivationAlgebra(L.field, kernel, mats), mats
+
+
+def _derivation_table(field: Field, kernel: Subspace, mats: Sequence[Matrix]) -> BracketTable:
+    """The structure constants of the derivations ``mats``, the reduced
+    echelon basis of ``kernel``: [D_a, D_b] = D_a D_b - D_b D_a from sparse
+    rows in kernel scalars, whose coordinates are its entries at the
+    pivots.  A commutator outside the space raises ``StructureError``."""
+    p = field.char
+    n = math.isqrt(kernel.ambient)
     sparse = [[_sparse(row) for row in m._k] for m in mats]
     negated = [[{c: -x for c, x in row.items()} for row in m] for m in sparse]
 
@@ -939,8 +969,38 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
         if _reduce(dict(comm), kernel._pivot_rows, p):
             raise StructureError("commutator of derivations left the solution space")
         table[(a, b)] = {k: comm[q] for k, q in enumerate(kernel.pivots) if q in comm}
-    labels = tuple(f"D{t}" for t in range(len(mats)))
-    return LieAlgebra(field, labels, table), mats
+    return table
+
+
+class _DerivationAlgebra(LieAlgebra):
+    """Der L as ``derivation_algebra`` returns it.  Field, dim and labels
+    D0, D1, ... are set at once; the table's rows (the ``_rows`` slot)
+    start unset, and the first read builds them by ``_derivation_table``
+    through the checked constructor, which records ``jacobi``: the
+    fill-on-read of ``StructureReport``."""
+
+    __slots__ = ("_space", "_mats")
+
+    def __init__(self, field: Field, space: Subspace, mats: List[Matrix]):
+        self.field = field
+        self.dim = len(mats)
+        self.labels = tuple(f"D{t}" for t in range(self.dim))
+        self._cache = {}
+        self._space, self._mats = space, mats
+
+    def __getattr__(self, name: str):
+        # reached only while the slot `name` is unset
+        if name != "_rows":
+            raise AttributeError(name)
+        checked = LieAlgebra(self.field, self.labels, _derivation_table(self.field, self._space, self._mats))
+        self._cache.update(checked._cache)
+        self._rows = checked._rows
+        return self._rows
+
+    def _jacobi_holds(self) -> bool:
+        """The fill's checked constructor records jacobi: no second sweep."""
+        getattr(self, "_rows")
+        return super()._jacobi_holds()
 
 
 def centroid(L: LieAlgebra) -> List[Matrix]:
@@ -953,7 +1013,7 @@ def centroid(L: LieAlgebra) -> List[Matrix]:
     ``is_simple`` reads.
     """
     rows = _commutant_equations(L, diagonal=False)
-    return _map_solutions(L.field, L.dim, rows, min(L.dim, 1))[1]
+    return _map_solutions(L.field, L.dim, rows, min(L.dim, 1))
 
 
 def _monic_rational_irreducible(p: UniPoly) -> Optional[bool]:
@@ -1088,7 +1148,7 @@ def is_simple(L: LieAlgebra) -> Verdict:
                 return _refuted_by_ideal(L, x)
         return Verdict.certified("exhaustive", lines_scanned=lines)
     _recheck(L.killing_form().nondegenerate, "Cartan's criterion: this perfect algebra has a nondegenerate Killing form")
-    cent = _map_solutions(L.field, n, _commutant_equations(L), 1)[1]
+    cent = _map_solutions(L.field, n, _commutant_equations(L), 1)
     cdim = len(cent)
     if cdim == 1:
         return Verdict.certified("killing-centroid", centroid_dim=1)

@@ -774,7 +774,7 @@ SOLVER_ONLY = {
 def _solved(L):
     """The derivation matrices, Z^2 and B^2 from the linear systems alone."""
     rows = _coboundary_rows(L, 1, [_ad_rows(L, i) for i in range(L.dim)])
-    return _map_solutions(L.field, L.dim, rows)[1], cocycle_space(L), coboundary_space(L)
+    return _map_solutions(L.field, L.dim, rows), cocycle_space(L), coboundary_space(L)
 
 
 def _no_system(L, *args):
@@ -842,7 +842,7 @@ class TestKillingRoute:
 
 def _commutant(L):
     """The maps commuting with every ad b_i, solved as is_simple solves them."""
-    return _map_solutions(L.field, L.dim, _commutant_equations(L), 1)[1]
+    return _map_solutions(L.field, L.dim, _commutant_equations(L), 1)
 
 
 class _NoFloor(_Echelon):
