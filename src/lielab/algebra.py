@@ -997,11 +997,6 @@ class _DerivationAlgebra(LieAlgebra):
         self._rows = checked._rows
         return self._rows
 
-    def _jacobi_holds(self) -> bool:
-        """The fill's checked constructor records jacobi: no second sweep."""
-        getattr(self, "_rows")
-        return super()._jacobi_holds()
-
 
 def centroid(L: LieAlgebra) -> List[Matrix]:
     """_Echelon basis of maps with phi[x, y] = [phi x, y] = [x, phi y] on

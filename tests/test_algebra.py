@@ -59,6 +59,8 @@ from lielab.catalog import (
 from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM
 from lielab.fields import GF, QQ, Fp, UniPoly
 from lielab.linalg import _Echelon, Matrix, Subspace, vec_add, vec_is_zero, vec_scale
+from lielab.verdict import RecheckFailed
+from test_residue_kernel import ref_der_table
 
 F3 = GF(3)
 F5 = GF(5)
@@ -228,11 +230,11 @@ def _fresh(L):
 
 _REPORT_FIELDS = StructureReport.__slots__
 _BENCH_INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.json"))
+_BENCH_TABLES = [(path, LieAlgebra.from_json_dict(json.loads(path.read_text()))) for path in _BENCH_INPUTS]
 
 
 def _small_bench_inputs():
-    for path in _BENCH_INPUTS:
-        L = LieAlgebra.from_json_dict(json.loads(path.read_text()))
+    for path, L in _BENCH_TABLES:
         if L.dim <= SYMBOLIC_DIM:
             yield path.stem, L
 
@@ -369,6 +371,16 @@ class TestDerivationsAndCentroid:
         # dimension cap for a finite field
         L = sl(field, 4)
         assert (derivation_algebra(L)[0].dim, h2_trivial(L)[0], len(centroid(L))) == (15, 0, 1)
+
+    @pytest.mark.parametrize(
+        "name,L",
+        [pytest.param(n, L, id=n) for n, L in canonical_instances()]
+        + [pytest.param(p.stem, L, id=p.stem) for p, L in _BENCH_TABLES if p.stem != "sl5q"],
+    )
+    def test_every_returned_matrix_is_a_derivation(self, name, L):
+        # from the definition, on each basis pair, whatever route solved it
+        mats = derivation_algebra(L)[1]
+        assert mats and all(self.leibniz_holds(L, d) for d in mats)
 
     def test_centroid_scalars_only_when_simple(self):
         assert len(centroid(sl2q)) == 1
@@ -840,6 +852,134 @@ class TestKillingRoute:
         assert [c for c in calls if c is L] == [L]
 
 
+def _no_table(*args):
+    raise AssertionError("the structure constants of Der L were built")
+
+
+def _without_last_row(space):
+    """The span of all but the last echelon row of a space."""
+    return Subspace.from_vectors(space.field, space.ambient, space.rows[:-1])
+
+
+class TestDerivationTableOnRead:
+    """derivation_algebra solves Der L and returns its matrix basis; the
+    structure constants of Der L, with the closure check and the Jacobi
+    sweep, are built on the first read of its table."""
+
+    @pytest.mark.parametrize(
+        "build,route",
+        [(lambda: sl(QQ, 4), True), (lambda: strict_upper(QQ, 5), False)],
+        ids=["sl4@Q", "strict_upper5@Q"],
+    )
+    def test_dimension_and_basis_build_no_table(self, build, route, monkeypatch):
+        L = build()
+        assert algebra._killing_route(L) is route
+        built = []
+        table = algebra._derivation_table
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_derivation_table", _no_table)
+            der, mats = derivation_algebra(L)
+            assert der.dim == len(mats) == len(der.labels) and der.field == L.field
+            assert der.labels[0] == "D0" and mats[0].n == L.dim
+        monkeypatch.setattr(algebra, "_derivation_table", lambda *a: built.append(a) or table(*a))
+        assert der.table == ref_der_table(L, mats) == der.table
+        assert len(built) == 1 and der._cache["jacobi"] is True
+
+    def test_a_space_not_closed_raises_on_read(self, monkeypatch):
+        # sl3 has no subalgebra of dimension 7
+        space = algebra._derivation_space
+        monkeypatch.setattr(algebra, "_derivation_space", lambda L: _without_last_row(space(L)))
+        der, mats = derivation_algebra(sl(QQ, 3))
+        assert der.dim == len(mats) == 7
+        for _ in range(2):
+            with pytest.raises(StructureError, match="commutator of derivations left the solution space"):
+                der.table
+
+    def test_a_table_breaking_jacobi_raises_on_read(self, monkeypatch):
+        table = algebra._derivation_table
+
+        def doubled(*args):
+            out = table(*args)
+            first = min(out)
+            out[first] = {k: 2 * c for k, c in out[first].items()}
+            return out
+
+        monkeypatch.setattr(algebra, "_derivation_table", doubled)
+        der = derivation_algebra(sl(QQ, 3))[0]
+        assert der.dim == 8
+        with pytest.raises(StructureError, match="Jacobi fails"):
+            der.table
+
+    @pytest.mark.parametrize("build", [lambda: gl(QQ, 3), lambda: strict_upper(QQ, 5)], ids=["gl3@Q", "strict_upper5@Q"])
+    def test_floored_solve_rechecks_ad(self, build, monkeypatch):
+        # the coboundary rows without their ad terms leave ad L out of the
+        # solutions that the floor took to hold it
+        L = build()
+        assert not algebra._killing_route(L) and L._jacobi_holds()
+        rows = algebra._coboundary_rows
+        monkeypatch.setattr(
+            algebra, "_coboundary_rows", lambda L, k, ads=None: rows(L, k, [[[] for _ in ad] for ad in ads])
+        )
+        with pytest.raises(RecheckFailed, match="ad b_i must solve the derivation equations"):
+            derivation_algebra(L)
+
+    def test_the_checks_survive_python_O(self):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", _DER_CHECKS_UNDER_O],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: commutator of derivations left the solution space",
+            "raised: ad b_i must solve the derivation equations where Jacobi holds",
+        ]
+
+
+_DER_CHECKS_UNDER_O = """
+import sys
+assert False, "this check needs python -O, which strips asserts"
+import lielab.algebra as algebra
+from lielab import RecheckFailed, StructureError
+from lielab.catalog import gl, sl
+from lielab.fields import QQ
+from lielab.linalg import Subspace
+
+space, rows = algebra._derivation_space, algebra._coboundary_rows
+
+
+def not_closed():
+    algebra._derivation_space = lambda L: Subspace.from_vectors(QQ, 64, space(L).rows[:-1])
+    try:
+        return algebra.derivation_algebra(sl(QQ, 3))[0].table
+    finally:
+        algebra._derivation_space = space
+
+
+def no_ad_terms():
+    algebra._coboundary_rows = lambda L, k, ads=None: rows(L, k, [[[] for _ in ad] for ad in ads])
+    try:
+        return algebra.derivation_algebra(gl(QQ, 3))
+    finally:
+        algebra._coboundary_rows = rows
+
+
+for error, call in ((StructureError, not_closed), (RecheckFailed, no_ad_terms)):
+    try:
+        call()
+    except error as exc:
+        print("raised:", exc)
+    else:
+        print("no raise")
+        sys.exit(1)
+"""
+
+
 def _commutant(L):
     """The maps commuting with every ad b_i, solved as is_simple solves them."""
     return _map_solutions(L.field, L.dim, _commutant_equations(L), 1)
@@ -888,10 +1028,7 @@ def _floored_systems(L):
     }
 
 
-_FLOOR_INPUTS = [
-    (path.name, L) for path in _BENCH_INPUTS
-    if (L := LieAlgebra.from_json_dict(json.loads(path.read_text()))).dim <= 15
-]
+_FLOOR_INPUTS = [(path.name, L) for path, L in _BENCH_TABLES if L.dim <= 15]
 _PERFECT = [
     (name, L)
     for name, L in canonical_instances()
