@@ -535,17 +535,24 @@ class StructureReport(_ReportSource):
 
 
 class BilinearForm:
-    """Symmetric bilinear form on an algebra, with invariance diagnosed."""
+    """Symmetric bilinear form on an algebra, with invariance diagnosed on
+    the first read of ``invariant``."""
 
-    __slots__ = ("algebra", "gram", "invariant", "nondegenerate")
+    __slots__ = ("algebra", "gram", "nondegenerate", "_invariant")
 
     def __init__(self, algebra: LieAlgebra, gram: Matrix):
         if gram.m != algebra.dim or gram.n != algebra.dim:
             raise ValueError("Gram matrix shape does not match the algebra")
         self.algebra = algebra
         self.gram = gram
-        self.invariant = self._check_invariance()
         self.nondegenerate = gram.rank() == algebra.dim
+        self._invariant = None
+
+    @property
+    def invariant(self) -> bool:
+        if self._invariant is None:
+            self._invariant = self._check_invariance()
+        return self._invariant
 
     def _check_invariance(self) -> bool:
         """<[b_i, b_j], b_k> = <b_i, [b_j, b_k]> for all i, j, k, that is

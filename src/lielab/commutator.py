@@ -40,8 +40,7 @@ class CommutatorWitness(_Record):
 def _require_geometry(L: LieAlgebra, form: BilinearForm) -> None:
     if form.algebra is not L:
         raise ValueError("form belongs to a different algebra")
-    g = form.gram
-    if any(g.rows[i][j] != g.rows[j][i] for i in range(g.m) for j in range(i)):
+    if not form.gram.is_symmetric():
         raise ValueError("form must be symmetric")
     if not form.invariant:
         raise ValueError("form must be invariant")
@@ -196,10 +195,9 @@ def _restrict_lie(L: LieAlgebra, S: Subspace) -> Optional[LieAlgebra]:
     table = {}
     for i in range(d):
         for j in range(i + 1, d):
-            br = L.bracket(S.rows[i], S.rows[j])
-            if not S.contains(br):
+            coords = S.coords_of(L.bracket(S.rows[i], S.rows[j]))
+            if coords is None:
                 return None
-            coords = S.coords_of(br)
             entry = {k: c for k, c in enumerate(coords) if c}
             if entry:
                 table[(i, j)] = entry

@@ -465,6 +465,11 @@ def _recheck_not_regular(L: LieAlgebra, x: Vector, r: int) -> None:
     _recheck(fitting(L, x).nu == nu, "witness recheck failed: Fitting null component disagrees")
 
 
+def _require_finite_field(L: LieAlgebra) -> None:
+    if L.field.kind != "Fp":
+        raise ValueError("exhaustive mode requires a finite field")
+
+
 def _scan(
     L: LieAlgebra, mode: str, seed: int, fails: Callable[[Vector], bool], **known
 ) -> Verdict:
@@ -482,8 +487,7 @@ def _scan(
     """
     n = L.dim
     if mode == "exhaustive":
-        if L.field.kind != "Fp":
-            raise ValueError("exhaustive mode requires a finite field")
+        _require_finite_field(L)
         total = L.field.p**n
         if total > EXHAUSTIVE_CAP:
             raise BudgetExceeded(f"{total} vectors exceed the cap {EXHAUSTIVE_CAP}")
@@ -520,6 +524,9 @@ def is_regular_algebra(
         return Verdict.certified("structural", reason="zero-dimensional, vacuously regular")
     if L.structure_report().nilpotent:
         return Verdict.certified("structural", reason="nilpotent", rank=n)
+    if mode == "exhaustive":
+        # before the rank, whose budget error would hide the bad usage
+        _require_finite_field(L)
     r = rank(L)
     if mode == "certificate":
         cert = _definite_a1(L)

@@ -2,7 +2,7 @@
 
 A Certified or Refuted verdict is a claim with provenance: the
 certificate kind says which argument closed the case, and a refutation
-always carries a witness that the caller has recechecked against the
+always carries a witness that the caller has rechecked against the
 property before emitting.  Inconclusive carries its search evidence so a
 bigger budget can be tried.
 """

@@ -8,7 +8,6 @@ the complete picture.
 """
 
 import functools
-import itertools
 import json
 import random
 import time
@@ -50,6 +49,8 @@ from lielab.regularity import (
     zero_multiplicity,
 )
 
+import oracle
+
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
@@ -88,103 +89,23 @@ class _Criterion:
         assert not self.problems, "; ".join(self.problems)
 
 
-# Independent oracle for psl3 over F_3: plain ints mod 3 and its own
-# elimination, nothing from lielab.  psl3 is the traceless 3x3 matrices
-# modulo the scalars (tr I = 3 = 0), with basis E12, E13, E21, E23, E31,
-# E32, H = E11 - E22; mod I, E22 - E33 is congruent to H.
-
-_OFF_DIAGONAL = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-
-
-def _unit(r, c):
-    return tuple(tuple(int((a, b) == (r, c)) for b in range(3)) for a in range(3))
-
-
-def _commutator_mod3(x, y):
-    return tuple(
-        tuple(sum(x[a][k] * y[k][b] - y[a][k] * x[k][b] for k in range(3)) % 3 for b in range(3))
-        for a in range(3)
-    )
-
-
-def _psl3_coords(m):
-    """Coordinates of a traceless matrix modulo I; diag(a, b, c) = a*h1 + (a+b)*h2 = (2a+b)*H."""
-    assert sum(m[k][k] for k in range(3)) % 3 == 0, "not traceless"
-    return [m[r][c] % 3 for r, c in _OFF_DIAGONAL] + [(2 * m[0][0] + m[1][1]) % 3]
-
-
-def _rank_mod3(rows):
-    rows = [[x % 3 for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]  # 1 and 2 are their own inverses mod 3
-        rows[rank] = [x * lead % 3 for x in rows[rank]]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [(a - f * b) % 3 for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 @functools.lru_cache(maxsize=None)
 def _psl3_mod3_oracle():
-    """Dimensions of Der, the pgl3 and ad images, Z^2, B^2, H^2 and the trace-form rank."""
-    h = ((1, 0, 0), (0, 2, 0), (0, 0, 0))
-    basis = [_unit(r, c) for r, c in _OFF_DIAGONAL] + [h]
-    n = len(basis)
-    # c[i][j][m]: coefficient of b_m in [b_i, b_j]
-    c = [[_psl3_coords(_commutator_mod3(x, y)) for y in basis] for x in basis]
-
-    def induced(x):
-        """ad x on psl3 as a flat n*n vector, entry (m, k) = coefficient of b_m in [x, b_k]."""
-        cols = [_psl3_coords(_commutator_mod3(x, b)) for b in basis]
-        return [cols[k][m] for m in range(n) for k in range(n)]
-
-    # D[b_i, b_j] - [D b_i, b_j] - [b_i, D b_j] = 0, unknown D[m][k] at slot m*n + k
-    leibniz = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for m in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[m * n + k] += c[i][j][k]
-                    row[k * n + i] -= c[k][j][m]
-                    row[k * n + j] -= c[i][k][m]
-                leibniz.append(row)
-
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    slot = {p: s for s, p in enumerate(pairs)}
-
-    def add_form(row, vec, k, sign):
-        # sign * f(vec, b_k) in the unknowns f(b_i, b_j), i < j
-        for m, coeff in enumerate(vec):
-            if m != k:
-                row[slot[min(m, k), max(m, k)]] += sign * coeff * (1 if m < k else -1)
-
-    cocycle = []
-    for i, j, k in itertools.combinations(range(n), 3):
-        row = [0] * len(pairs)
-        add_form(row, c[i][j], k, 1)
-        add_form(row, c[i][k], j, -1)
-        add_form(row, c[j][k], i, 1)
-        cocycle.append(row)
-    z2 = len(pairs) - _rank_mod3(cocycle)
-    b2 = _rank_mod3([[c[i][j][m] for i, j in pairs] for m in range(n)])
-    trace_gram = [
-        [sum(x[a][k] * y[k][a] for a in range(3) for k in range(3)) for y in basis] for x in basis
-    ]
+    """Dimensions of Der, the pgl3 and ad images, Z^2, B^2, H^2 and the
+    trace-form rank of psl3 over F_3, from the oracle's table built from
+    3 x 3 matrices mod 3, nothing of it from lielab."""
+    A = oracle.psl3_mod3()
+    z2, b2 = len(oracle.cocycles(A)), len(oracle.coboundaries(A))
+    basis = oracle.PSL3_BASIS
+    trace_gram = [[sum(x[a][k] * y[k][a] for a in range(3) for k in range(3)) for y in basis] for x in basis]
     return {
-        "der": n * n - _rank_mod3(leibniz),
-        "pgl_image": _rank_mod3([induced(_unit(r, col)) for r in range(3) for col in range(3)]),
-        "ad": _rank_mod3([induced(x) for x in basis]),
+        "der": len(oracle.der(A)),
+        "pgl_image": oracle.rank(3, [oracle.induced_mod3(oracle.unit3(r, c)) for r in range(3) for c in range(3)], 49),
+        "ad": oracle.rank(3, [oracle.induced_mod3(x) for x in basis], 49),
         "z2": z2,
         "b2": b2,
         "h2": z2 - b2,
-        "trace_form_rank": _rank_mod3(trace_gram),
+        "trace_form_rank": oracle.rank(3, trace_gram, 7),
     }
 
 
@@ -292,16 +213,16 @@ def test_projective_traceless_quotients():
     G = pgl(F3, 3)
     c.check(P.dim == 7, f"psl dim {P.dim}")
     c.check(G.dim == 8, f"pgl dim {G.dim}")
-    oracle = _psl3_mod3_oracle()
+    mod3 = _psl3_mod3_oracle()
     der, _mats = derivation_algebra(P)
     c.check(
-        der.dim == oracle["der"],
-        f"Der(psl3/F3): lielab dim {der.dim}, mod-3 oracle dim {oracle['der']}",
+        der.dim == mod3["der"],
+        f"Der(psl3/F3): lielab dim {der.dim}, mod-3 oracle dim {mod3['der']}",
     )
     c.check(
-        G.dim == oracle["pgl_image"] < der.dim,
+        G.dim == mod3["pgl_image"] < der.dim,
         f"pgl3 inside Der(psl3/F3): lielab pgl dim {G.dim}, mod-3 oracle image dim "
-        f"{oracle['pgl_image']}, lielab Der dim {der.dim}",
+        f"{mod3['pgl_image']}, lielab Der dim {der.dim}",
     )
     img = sl_image_in_pgl(F3, 3)
     c.check(img.dim == 7, f"traceless image dim {img.dim}")
@@ -319,18 +240,18 @@ def test_second_cohomology_dimensions():
     c.check(E.dim == 8, f"extension dim {E.dim}")
     c.check(E.center().dim == 1, f"extension center {E.center().dim}")
     c.check(E.commutant().dim == 8, "extension is not perfect")
-    oracle = _psl3_mod3_oracle()
+    mod3 = _psl3_mod3_oracle()
     c.check(
-        d == oracle["h2"],
-        f"H2(psl3/F3): lielab dim {d}, mod-3 oracle dim {oracle['h2']} "
-        f"(Z2 {oracle['z2']}, B2 {oracle['b2']})",
+        d == mod3["h2"],
+        f"H2(psl3/F3): lielab dim {d}, mod-3 oracle dim {mod3['h2']} "
+        f"(Z2 {mod3['z2']}, B2 {mod3['b2']})",
     )
     # a nondegenerate invariant form makes Z2 the form-skew derivations and B2 the inner ones
     der, _mats = derivation_algebra(P)
     c.check(
-        oracle["trace_form_rank"] == oracle["ad"] == P.dim and d == der.dim - P.dim,
+        mod3["trace_form_rank"] == mod3["ad"] == P.dim and d == der.dim - P.dim,
         f"H2(psl3/F3): lielab dim {d}, lielab Der - ad = {der.dim} - {P.dim}, "
-        f"mod-3 oracle ad dim {oracle['ad']}, trace-form rank {oracle['trace_form_rank']}",
+        f"mod-3 oracle ad dim {mod3['ad']}, trace-form rank {mod3['trace_form_rank']}",
     )
     c.done()
 

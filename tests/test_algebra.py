@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lielab.algebra import (
     AssocAlgebra,
+    BilinearForm,
     LieAlgebra,
     StructureError,
     StructureReport,
@@ -60,7 +61,8 @@ from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM
 from lielab.fields import GF, QQ, Fp, UniPoly
 from lielab.linalg import _Echelon, Matrix, Subspace, vec_add, vec_is_zero, vec_scale
 from lielab.verdict import RecheckFailed
-from test_residue_kernel import ref_der_table
+
+import oracle
 
 F3 = GF(3)
 F5 = GF(5)
@@ -329,6 +331,19 @@ class TestKillingForm:
         full = Subspace.full_space(QQ, 3)
         assert sl2q.killing_form().orthogonal_of(full).is_zero()
         assert h3.killing_form().orthogonal_of(Subspace.full_space(QQ, 3)).is_full()
+
+    def test_invariance_is_checked_on_first_read_only(self, monkeypatch):
+        """Der, H^2 and is_simple never read invariance; its first read checks it once."""
+        calls = []
+        check = BilinearForm._check_invariance
+        monkeypatch.setattr(BilinearForm, "_check_invariance", lambda form: calls.append(form) or check(form))
+        L = sl(QQ, 3)
+        form = L.killing_form()
+        derivation_algebra(L), h2_trivial(L), is_simple(L)
+        assert calls == []
+        assert form.invariant is True and form.invariant is True
+        assert calls == [form]
+        assert BilinearForm(L, Matrix.identity(QQ, 8)).invariant is False
 
 
 class TestDerivationsAndCentroid:
@@ -882,7 +897,7 @@ class TestDerivationTableOnRead:
             assert der.dim == len(mats) == len(der.labels) and der.field == L.field
             assert der.labels[0] == "D0" and mats[0].n == L.dim
         monkeypatch.setattr(algebra, "_derivation_table", lambda *a: built.append(a) or table(*a))
-        assert der.table == ref_der_table(L, mats) == der.table
+        assert der.table == oracle.structure_constants(L.field.char, L.dim, [m.rows for m in mats]) == der.table
         assert len(built) == 1 and der._cache["jacobi"] is True
 
     def test_a_space_not_closed_raises_on_read(self, monkeypatch):

@@ -526,6 +526,20 @@ class TestBenchmarkInputs:
             assert code in {0, 1, 2, 3}, (argv, code)
             assert "Traceback" not in err.getvalue(), argv
 
+    @pytest.mark.parametrize("path", [p for p in BENCH_INPUTS if p.stem.endswith("q")], ids=lambda p: p.stem)
+    def test_exhaustive_regular_over_q(self, capsys, path):
+        """Exhaustive mode needs a finite field: a table over Q exits 3
+        before its rank is tried (sl4q and sl5q have no rank within budget),
+        unless it is nilpotent, which keeps its structural answer."""
+        code = main(["regular", str(path), "--mode", "exhaustive"])
+        captured = capsys.readouterr()
+        if LieAlgebra.from_json_dict(json.loads(path.read_text())).structure_report().nilpotent:
+            assert code == 0
+            assert json.loads(captured.out)["regular"]["evidence"]["reason"] == "nilpotent"
+        else:
+            assert code == 3 and captured.out == ""
+            assert "exhaustive mode requires a finite field" in captured.err
+
     def test_budget_bound_commutator_exits_2(self, capsys):
         path = next(p for p in BENCH_INPUTS if p.stem == "sl4q")
         code, out = run(capsys, ["commutator", str(path), "--form", "killing", "--target=" + ",".join(["1"] + ["0"] * 14)])

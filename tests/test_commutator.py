@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lielab.algebra import StructureError
+from lielab.algebra import BilinearForm, StructureError
 from lielab.catalog import QuaternionAlgebra, heisenberg, r2, sl, su2q
 from lielab.commutator import (
     CommutatorWitness,
@@ -20,7 +20,7 @@ from lielab.commutator import (
     _subspaces,
 )
 from lielab.fields import GF, QQ
-from lielab.linalg import Subspace, vec_is_zero, vec_sub
+from lielab.linalg import Matrix, Subspace, vec_is_zero, vec_sub
 from lielab.regularity import zero_multiplicity
 
 F2 = GF(2)
@@ -63,6 +63,15 @@ class TestRank1Commutator:
         H = heisenberg(QQ, 1)
         with pytest.raises(ValueError):
             rank1_commutator(H, H.killing_form(), H.basis_vector(2))
+
+    def test_form_not_symmetric_rejected(self):
+        gram = Matrix(QQ, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="form must be symmetric"):
+            rank1_commutator(sl2q, BilinearForm(sl2q, gram), sl2q.basis_vector(1))
+
+    def test_form_not_invariant_rejected(self):
+        with pytest.raises(ValueError, match="form must be invariant"):
+            rank1_commutator(sl2q, BilinearForm(sl2q, Matrix.identity(QQ, 3)), sl2q.basis_vector(1))
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ from lielab.linalg import (
     vec_sub,
 )
 
+import oracle
+
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
@@ -25,10 +27,6 @@ F5 = GF(5)
 
 def qmat(rows):
     return Matrix(QQ, [[QQ.of(c) for c in row] for row in rows], ncols=len(rows[0]) if rows else 0)
-
-
-def fmat(rows, field=F5):
-    return Matrix(field, [[field.of(c) for c in row] for row in rows], ncols=len(rows[0]) if rows else 0)
 
 
 def horner(a, p):
@@ -47,34 +45,6 @@ def sq_strategy(field, n, lo=-4, hi=4):
         scalar = st.integers(0, field.p - 1).map(field.of)
     row = st.tuples(*([scalar] * n))
     return st.tuples(*([row] * n)).map(lambda rows: Matrix(field, rows, ncols=n))
-
-
-def char_poly_by_cofactors(mat: Matrix) -> UniPoly:
-    """Independent oracle: expand det(tI - A) over K[t] by the first column."""
-    field = mat.field
-    t = UniPoly.t(field)
-    entries = [
-        [
-            (t if i == j else UniPoly.zero(field)) - UniPoly(field, [mat.rows[i][j]])
-            for j in range(mat.n)
-        ]
-        for i in range(mat.n)
-    ]
-
-    def det(rows):
-        size = len(rows)
-        if size == 0:
-            return UniPoly.one(field)
-        if size == 1:
-            return rows[0][0]
-        total = UniPoly.zero(field)
-        for i in range(size):
-            minor = [r[1:] for k, r in enumerate(rows) if k != i]
-            term = rows[i][0] * det(minor)
-            total = total + term if i % 2 == 0 else total - term
-        return total
-
-    return det(entries)
 
 
 class TestMatrixBasics:
@@ -220,12 +190,12 @@ class TestCharAndMinPoly:
     @given(a=sq_strategy(QQ, 3))
     @settings(max_examples=25)
     def test_char_poly_matches_cofactor_oracle(self, a):
-        assert a.char_poly() == char_poly_by_cofactors(a)
+        assert a.char_poly().coeffs == oracle.char_poly(a.field.char, a.rows)
 
     @given(a=sq_strategy(F5, 4))
     @settings(max_examples=15)
     def test_char_poly_matches_cofactor_oracle_f5(self, a):
-        assert a.char_poly() == char_poly_by_cofactors(a)
+        assert a.char_poly().coeffs == oracle.char_poly(a.field.char, a.rows)
 
     @given(a=sq_strategy(QQ, 4, -3, 3))
     @settings(max_examples=15)
@@ -337,50 +307,6 @@ class TestSubspace:
         assert set(comp) | set(u.pivots) == {0, 1, 2} or len(set(comp)) == 2
 
 
-# --- an independent oracle for the kernel over Q ---------------------------
-#
-# Kernel scalars over Q are ints where integral and Fractions otherwise.
-# The oracle below knows nothing of that: it is a plain Fraction
-# Gauss-Jordan and a minor-expansion determinant.
-
-
-def oracle_rref(rows, ncols):
-    """Reduced row echelon form of Fraction rows: (nonzero rows, pivots)."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        lead = a[r][c]
-        a[r] = [x / lead for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in a[:r]), tuple(pivots)
-
-
-def oracle_det(a):
-    """Determinant by expansion along the first row."""
-    if not a:
-        return Fraction(1)
-    total = Fraction(0)
-    for j, x in enumerate(a[0]):
-        if x != 0:
-            minor = [row[:j] + row[j + 1:] for row in a[1:]]
-            total += (-1) ** j * x * oracle_det(minor)
-    return total
-
-
-def oracle_apply(rows, v):
-    return tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in rows)
-
-
 def assert_canonical_kernel_scalars(values):
     """Over Q a kernel scalar is an int, or a Fraction of denominator > 1."""
     for x in values:
@@ -411,33 +337,26 @@ def q_rows(draw, m=None, n=None):
 
 
 class TestRationalKernelOracle:
-    """The kernel over Q against a plain Fraction oracle, on matrices that
-    mix ints, integral Fractions and non-integral Fractions."""
+    """The kernel over Q against the oracle's Fraction elimination and
+    cofactor determinant, which know nothing of kernel scalars, on matrices
+    that mix ints, integral Fractions and non-integral Fractions."""
 
     @given(rows=q_rows())
     @settings(max_examples=60, deadline=None)
     def test_rref_rank_kernel_image(self, rows):
         m, n = len(rows), len(rows[0])
         a = Matrix(QQ, rows, n)
-        ref, pivots = oracle_rref(rows, n)
+        ref, pivots = oracle.rref(0, rows, n)
         assert a.rref() == (ref, pivots)
         assert a.rank() == len(pivots)
         # the kernel: one vector per free column, in canonical form
-        free = [f for f in range(n) if f not in pivots]
-        null = []
-        for f in free:
-            v = [Fraction(0)] * n
-            v[f] = Fraction(1)
-            for row, c in zip(ref, pivots):
-                v[c] = -row[f]
-            null.append(v)
         ker = a.kernel()
-        assert (ker.rows, ker.pivots) == oracle_rref(null, n)
+        assert (ker.rows, ker.pivots) == oracle.rref(0, oracle.kernel(0, rows, n), n)
         for v in ker.rows:
-            assert oracle_apply(rows, v) == (0,) * m
+            assert oracle.apply(0, rows, v) == (0,) * m
         image = a.image()
         columns = [[row[j] for row in rows] for j in range(n)]
-        assert (image.rows, image.pivots) == oracle_rref(columns, m)
+        assert (image.rows, image.pivots) == oracle.rref(0, columns, m)
         for k in (a._k, ker._k, image._k):
             assert_canonical_kernel_scalars(x for row in k for x in row)
         # rows inside the elimination may hold a Fraction of denominator 1,
@@ -451,20 +370,14 @@ class TestRationalKernelOracle:
         m, n = len(rows), len(rows[0])
         a = Matrix(QQ, rows, n)
         if data.draw(st.booleans()):
-            b = oracle_apply(rows, [data.draw(q_entry) for _ in range(n)])
+            b = oracle.apply(0, rows, [data.draw(q_entry) for _ in range(n)])
         else:
             b = tuple(Fraction(data.draw(q_entry)) for _ in range(m))
-        ref, pivots = oracle_rref([list(row) + [bb] for row, bb in zip(rows, b)], n + 1)
+        # None when inconsistent, else free coordinates zero
         x = a.solve(b)
-        if n in pivots:
-            assert x is None
-        else:
-            # free coordinates zero, pivot coordinates from the last column
-            want = [Fraction(0)] * n
-            for row, c in zip(ref, pivots):
-                want[c] = row[n]
-            assert x == tuple(want)
-            assert oracle_apply(rows, x) == b
+        assert x == oracle.solve(0, rows, n, b)
+        if x is not None:
+            assert oracle.apply(0, rows, x) == b
             assert all(type(c) is Fraction for c in x)
 
     @given(us=q_rows(n=5), vs=q_rows(n=5))
@@ -473,9 +386,9 @@ class TestRationalKernelOracle:
         u = Subspace.from_vectors(QQ, 5, us)
         v = Subspace.from_vectors(QQ, 5, vs)
         both = u.intersect(v)
-        rank = lambda rows: len(oracle_rref(rows, 5)[1])
+        rank = lambda rows: len(oracle.rref(0, rows, 5)[1])
         assert both.dim == rank(us) + rank(vs) - rank(us + vs)
-        assert (both.rows, both.pivots) == oracle_rref(both.rows, 5)
+        assert (both.rows, both.pivots) == oracle.rref(0, both.rows, 5)
         for w in both.rows:
             assert rank(us + [w]) == rank(us) and rank(vs + [w]) == rank(vs)
         assert_canonical_kernel_scalars(x for row in both._k for x in row)
@@ -490,7 +403,7 @@ class TestRationalKernelOracle:
         # a monic polynomial of degree n is fixed by its values at n points
         for t in range(n):
             shifted = [[(t if i == j else 0) - Fraction(x) for j, x in enumerate(row)] for i, row in enumerate(rows)]
-            assert cp.eval_scalar(t) == oracle_det(shifted)
+            assert cp.eval_scalar(t) == oracle.det(0, shifted)
 
 
 class TestEchelonFloor:
