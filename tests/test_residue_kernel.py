@@ -52,7 +52,7 @@ from lielab.algebra import (
 )
 from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM, BudgetExceeded
 from lielab.catalog import canonical_instances, enumerate_tables
-from lielab.fields import GF, QQ, UniPoly
+from lielab.fields import GF, QQ, MultiPoly, UniPoly
 from lielab.linalg import _Echelon, Matrix, Subspace, vec_add
 from lielab.regularity import (
     _ideal_actions,
@@ -75,6 +75,28 @@ INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 def oracle_of(L):
     """L as the oracle reads it: from its JSON document."""
     return oracle.read(L.to_json_dict())
+
+
+# The oracle's answers, ints mod p and Fractions, as lielab objects built by
+# the constructors alone, with no elimination, so that == compares the field,
+# the shape or ambient and every scalar, over F_p its prime too.
+
+
+def fvec(field, v):
+    return tuple(map(field.of, v))
+
+
+def frows(field, rows):
+    return tuple(fvec(field, r) for r in rows)
+
+
+def space(field, n, rows):
+    """The oracle's reduced echelon rows as a Subspace of field^n."""
+    return Subspace(field, n, rows, tuple(next(j for j, c in enumerate(r) if c) for r in rows))
+
+
+def fsquare(field, rows):
+    return Matrix(field, rows, ncols=len(rows))
 
 
 def _input_table(name):
@@ -138,7 +160,8 @@ def matrices(draw, square=False):
 @settings(max_examples=120, deadline=None)
 def test_rref_matches_reference(case):
     field, rows, n = case
-    assert Matrix(field, rows, ncols=n).rref() == oracle.rref(field.char, rows, n)
+    want, pivots = oracle.rref(field.char, rows, n)
+    assert Matrix(field, rows, ncols=n).rref() == (frows(field, want), pivots)
 
 
 @given(matrices())
@@ -147,7 +170,7 @@ def test_kernel_matches_reference(case):
     field, rows, n = case
     mat = Matrix(field, rows, ncols=n)
     ker = mat.kernel()
-    assert ker.rows == oracle.kernel(field.char, rows, n)
+    assert ker == space(field, n, oracle.kernel(field.char, rows, n))
     assert ker.dim + mat.rank() == n
 
 
@@ -163,23 +186,24 @@ def test_solve_matches_reference(case, data):
     else:
         b = tuple(data.draw(scalars(field)) for _ in range(m))
     got = Matrix(field, rows, ncols=n).solve(b)
-    assert got == oracle.solve(field.char, rows, n, b)
+    want = oracle.solve(field.char, rows, n, b)
+    assert got == (None if want is None else fvec(field, want))
     if got is not None:
-        assert oracle.apply(field.char, rows, got) == tuple(b)
+        assert fvec(field, oracle.apply(field.char, rows, got)) == tuple(b)
 
 
 @given(matrices(square=True))
 @settings(max_examples=120, deadline=None)
 def test_char_poly_matches_reference(case):
     field, rows, n = case
-    assert Matrix(field, rows, ncols=n).char_poly().coeffs == oracle.char_poly(field.char, rows)
+    assert Matrix(field, rows, ncols=n).char_poly() == UniPoly(field, oracle.char_poly(field.char, rows))
 
 
 @given(matrices(square=True))
 @settings(max_examples=100, deadline=None)
 def test_min_poly_matches_reference(case):
     field, rows, n = case
-    assert Matrix(field, rows, ncols=n).min_poly().coeffs == oracle.min_poly(field.char, rows)
+    assert Matrix(field, rows, ncols=n).min_poly() == UniPoly(field, oracle.min_poly(field.char, rows))
 
 
 def _diag(entries):
@@ -233,7 +257,7 @@ def test_min_poly_of_known_matrices(name):
     field, rows, want = KNOWN_MIN_POLYS[name]
     rows = [tuple(field.of(c) for c in row) for row in rows]
     got = Matrix(field, rows, ncols=len(rows)).min_poly()
-    assert got.coeffs == oracle.min_poly(field.char, rows)
+    assert got == UniPoly(field, oracle.min_poly(field.char, rows))
     assert got == want
 
 
@@ -261,10 +285,10 @@ def test_product_and_apply_match_reference(case):
     ma = Matrix(field, a, ncols=k)
     prod = ma * Matrix(field, b, ncols=n)
     assert (prod.m, prod.n) == (len(a), n)
-    assert prod.rows == oracle.matmul(field.char, a, b, n)
+    assert prod == Matrix(field, oracle.matmul(field.char, a, b, n), ncols=n)
     assert _in_field(field, prod.rows)
     got = ma.apply(v)
-    assert got == oracle.apply(field.char, a, v)
+    assert got == fvec(field, oracle.apply(field.char, a, v))
     assert _in_field(field, [got])
 
 
@@ -273,7 +297,7 @@ def test_product_and_apply_match_reference(case):
 def test_power_matches_reference(case, e):
     field, rows, n = case
     got = Matrix(field, rows, ncols=n) ** e
-    assert got.rows == oracle.power(field.char, rows, e)
+    assert got == fsquare(field, oracle.power(field.char, rows, e))
     assert _in_field(field, got.rows)
 
 
@@ -349,10 +373,10 @@ def test_sparse_primitives_match_dense_loops(L, data):
     """Every Jacobi triple with its defect vector, and bracket and ad at
     random elements, equal the oracle's."""
     A = oracle_of(L)
-    assert L.jacobi_violations() == oracle.jacobi_defects(A)
+    assert L.jacobi_violations() == [(t, fvec(L.field, d)) for t, d in oracle.jacobi_defects(A)]
     x, y = (tuple(data.draw(scalars(L.field)) for _ in range(L.dim)) for _ in range(2))
-    assert L.bracket(x, y) == oracle.bracket(A, x, y)
-    assert L.ad(x).rows == oracle.ad(A, x)
+    assert L.bracket(x, y) == fvec(L.field, oracle.bracket(A, x, y))
+    assert L.ad(x) == Matrix(L.field, oracle.ad(A, x), ncols=L.dim)
 
 
 def _with_changed_constant(L, value):
@@ -392,7 +416,7 @@ def test_jacobi_defects_of_broken_tables():
     for L, value in cases:
         broken = _with_changed_constant(L, value)
         bad = broken.jacobi_violations()
-        assert bad and bad == oracle.jacobi_defects(oracle_of(broken))
+        assert bad and bad == [(t, fvec(L.field, d)) for t, d in oracle.jacobi_defects(oracle_of(broken))]
         assert L.jacobi_violations() == oracle.jacobi_defects(oracle_of(L)) == []
         for A in (L, broken):
             want = [(t, list(d), [_kernel_type(x) for x in d]) for t, d in oracle.jacobi_defects(oracle_of(A))]
@@ -492,7 +516,7 @@ IDEAL_CASES = [
 def test_ideal_generated_matches_fixed_point(L, data):
     """Same canonical echelon rows, so the worklist basis is fully reduced."""
     vectors = _vectors(L, data, 2)
-    assert L.ideal_generated(vectors).rows == oracle.ideal(oracle_of(L), vectors)
+    assert L.ideal_generated(vectors) == space(L.field, L.dim, oracle.ideal(oracle_of(L), vectors))
 
 
 @given(st.sampled_from(IDEAL_CASES), st.data())
@@ -536,7 +560,7 @@ def test_is_ideal_refuses_a_subspace_of_another_algebra():
 @settings(max_examples=60, deadline=None)
 def test_subalgebra_generated_matches_fixed_point(L, data):
     vectors = _vectors(L, data, 3)
-    assert L.subalgebra_generated(vectors).rows == oracle.subalgebra(oracle_of(L), vectors)
+    assert L.subalgebra_generated(vectors) == space(L.field, L.dim, oracle.subalgebra(oracle_of(L), vectors))
 
 
 def test_subalgebra_generated_brackets_with_every_row():
@@ -545,7 +569,7 @@ def test_subalgebra_generated_brackets_with_every_row():
     L = sl(QQ, 3)
     seeds = [L.basis_vector(L.labels.index(name)) for name in ("H2", "E12", "E21")]
     got = L.subalgebra_generated(seeds)
-    assert got.rows == oracle.subalgebra(oracle_of(L), seeds) and got.dim == 4
+    assert got == space(L.field, L.dim, oracle.subalgebra(oracle_of(L), seeds)) and got.dim == 4
 
 
 # -- the ideal and quotient actions against the oracle ----------------------------
@@ -584,7 +608,7 @@ def test_quotient_action_matches_coset_loop(name):
     assert 0 < ideal.dim < L.dim
     inner, outer = _oracle_actions(L, ideal)
     quot, project = quotient_with_projection(L, ideal)
-    assert [quot.ad(project(L.basis_vector(m))).rows for m in range(L.dim)] == outer
+    assert [quot.ad(project(L.basis_vector(m))) for m in range(L.dim)] == [fsquare(L.field, m) for m in outer]
     if L.dim <= SYMBOLIC_DIM:
         coeffs = [oracle.linear_family_char_coeffs(L.field.char, m, L.dim) for m in (inner, outer)]
         want = tuple(next(k for k, a in enumerate(c) if a) for c in coeffs)
@@ -594,7 +618,7 @@ def test_quotient_action_matches_coset_loop(name):
             relative_rank(L, ideal)
     for x in [L.basis_vector(i) for i in range(L.dim)] + [tuple(L.field.of(i + 1) for i in range(L.dim))]:
         chi_i, chi_q, chi_l = char_poly_factorization(L, ideal, x)
-        assert chi_q.coeffs == oracle.char_poly(L.field.char, oracle.combine(L.field.char, outer, x))
+        assert chi_q == UniPoly(L.field, oracle.char_poly(L.field.char, oracle.combine(L.field.char, outer, x)))
         assert chi_i * chi_q == chi_l
 
 
@@ -605,8 +629,7 @@ def test_ideal_actions_match_the_per_basis_matrices(name):
     L, ideal = _action_case(name)
     inner, outer = _oracle_actions(L, ideal)
     for m in range(L.dim):
-        got = _ideal_actions(L, ideal, L.basis_vector(m))
-        assert (got[0].rows, got[1].rows) == (inner[m], outer[m])
+        assert _ideal_actions(L, ideal, L.basis_vector(m)) == (fsquare(L.field, inner[m]), fsquare(L.field, outer[m]))
 
 
 ACTION_ALGEBRAS = {name: _action_case(name) for name in sorted(ACTION_CASES)}
@@ -621,7 +644,7 @@ def test_char_poly_factorization_matches_the_combined_matrices(name, data):
     x = tuple(L.field.of(c) for c in data.draw(st.lists(st.integers(-5, 5), min_size=L.dim, max_size=L.dim)))
     want = tuple(oracle.char_poly(p, oracle.combine(p, mats, x)) for mats in ACTION_MATRICES[name])
     want += (oracle.char_poly(p, oracle.ad(oracle_of(L), x)),)
-    assert tuple(chi.coeffs for chi in char_poly_factorization(L, ideal, x)) == want
+    assert char_poly_factorization(L, ideal, x) == tuple(UniPoly(L.field, c) for c in want)
 
 
 # -- the End(L) envelope and the closure contract ----------------------------------
@@ -663,7 +686,7 @@ def test_close_is_the_fixed_point_of_its_maps(field, data):
         return (field._to_k(m._apply_k(v)) for m in maps)
 
     got = _Echelon(field, n).close([field._to_k(v) for v in seeds], images).subspace()
-    assert got.rows == oracle.close(field.char, n, [m.rows for m in maps], seeds)
+    assert got == space(field, n, oracle.close(field.char, n, [m.rows for m in maps], seeds))
     assert all(got.contains(m.apply(r)) for m in maps for r in got.rows)
     calls.clear()
     unit = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -826,7 +849,7 @@ EQUATION_CASES = (
 def _dense_solutions(field, rows, ncols, by_reference):
     rows = list(dict.fromkeys(tuple(row) for row in rows if any(row)))
     if by_reference:
-        return oracle.kernel(field.char, rows, ncols)
+        return frows(field, oracle.kernel(field.char, rows, ncols))
     return Matrix(field, rows, ncols=ncols).kernel().rows
 
 
@@ -869,17 +892,19 @@ def _rescaled(L, scales):
 
 def _assert_structure_layer(L):
     A = oracle_of(L)
+    field, n = L.field, L.dim
     gram = L.killing_form().gram
-    assert gram.rows == oracle.killing(A)
+    assert gram == fsquare(field, oracle.killing(A))
     assert L.killing_form().invariant == oracle.is_invariant(A, gram.rows)
-    assert [s.rows for s in L.lower_central_series()] == oracle.lower_central_series(A)
-    assert [s.rows for s in L.derived_series()] == oracle.derived_series(A)
+    assert L.lower_central_series() == [space(field, n, s) for s in oracle.lower_central_series(A)]
+    assert L.derived_series() == [space(field, n, s) for s in oracle.derived_series(A)]
     D, mats = derivation_algebra(L)
-    assert D.table == oracle.structure_constants(A.p, L.dim, [m.rows for m in mats])
-    if L.dim <= 8:
-        ads = [L.ad_basis(i) for i in range(L.dim)]
-        got = linear_family_char_coeffs(L.field, ads, L.dim)
-        assert [a.terms for a in got] == oracle.linear_family_char_coeffs(A.p, [a.rows for a in ads], L.dim)
+    want = oracle.structure_constants(A.p, n, [m.rows for m in mats])
+    assert D.table == {key: dict(zip(cs, fvec(field, cs.values()))) for key, cs in want.items()}
+    if n <= 8:
+        ads = [L.ad_basis(i) for i in range(n)]
+        want = oracle.linear_family_char_coeffs(A.p, [a.rows for a in ads], n)
+        assert linear_family_char_coeffs(field, ads, n) == [MultiPoly(field, n, t) for t in want]
 
 
 def sparse_vectors(field, n):
@@ -897,12 +922,12 @@ def test_structure_layer_matches_reference(L, data):
     _assert_structure_layer(L)
     A = oracle_of(L)
     x, y = (data.draw(sparse_vectors(L.field, L.dim)) for _ in range(2))
-    assert L.bracket(x, y) == oracle.bracket(A, x, y)
+    assert L.bracket(x, y) == fvec(L.field, oracle.bracket(A, x, y))
     a, b = (
         Subspace.from_vectors(L.field, L.dim, data.draw(st.lists(sparse_vectors(L.field, L.dim), max_size=3)))
         for _ in range(2)
     )
-    assert L.bracket_span(a, b).rows == oracle.bracket_span(A, a.rows, b.rows)
+    assert L.bracket_span(a, b) == space(L.field, L.dim, oracle.bracket_span(A, a.rows, b.rows))
 
 
 STRUCTURE_CASES = [(name, L) for name, L in canonical_instances()] + [
@@ -941,8 +966,8 @@ def families(draw):
 @settings(max_examples=100, deadline=None)
 def test_linear_family_char_coeffs_matches_reference(case):
     field, mats, nvars = case
-    got = linear_family_char_coeffs(field, mats, nvars)
-    assert [a.terms for a in got] == oracle.linear_family_char_coeffs(field.char, [m.rows for m in mats], nvars)
+    want = oracle.linear_family_char_coeffs(field.char, [m.rows for m in mats], nvars)
+    assert linear_family_char_coeffs(field, mats, nvars) == [MultiPoly(field, nvars, t) for t in want]
 
 
 def test_identity_form_on_sl2_is_not_invariant():
@@ -1039,7 +1064,12 @@ def test_exhaustive_deciders_match_the_point_walk(name, sources, monkeypatch):
 
 
 def _decomposition(dec):
-    return dec.null.rows, dec.one.rows, dec.nu
+    return dec.null, dec.one, dec.nu
+
+
+def _oracle_decomposition(L, A, xs):
+    null, one, nu = oracle.fitting(A, xs)
+    return space(L.field, L.dim, null), space(L.field, L.dim, one), nu
 
 
 def _seeded_points(L, count, seed=24):
@@ -1087,7 +1117,7 @@ def test_fitting_of_every_census_witness():
             witnesses += 1
             got = fitting_set(L, [verdict.witness])
             assert got.nu == 3
-            assert _decomposition(got) == oracle.fitting(oracle_of(L), [verdict.witness]), t.coeffs
+            assert _decomposition(got) == _oracle_decomposition(L, oracle_of(L), [verdict.witness]), t.coeffs
     assert witnesses == 1404
 
 
@@ -1102,9 +1132,9 @@ def test_fitting_of_ad_nilpotent_basis_vectors(name, L):
     A = oracle_of(L)
     vectors = _nilpotent_basis_vectors(L)
     for v in vectors:
-        assert _decomposition(fitting_set(L, [v])) == oracle.fitting(A, [v]), v
+        assert _decomposition(fitting_set(L, [v])) == _oracle_decomposition(L, A, [v]), v
     if len(vectors) == L.dim:
-        assert _decomposition(fitting_set(L, vectors)) == oracle.fitting(A, vectors)
+        assert _decomposition(fitting_set(L, vectors)) == _oracle_decomposition(L, A, vectors)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "F3", "F5"])
@@ -1117,7 +1147,7 @@ def test_fitting_of_a_family_with_one_nilpotent_member(field):
     assert (L.ad(x) ** L.dim).is_zero() and not (L.ad(y) ** L.dim).is_zero()
     for family in ([x, y], [y, x]):
         got = fitting_set(L, family)
-        assert _decomposition(got) == oracle.fitting(oracle_of(L), family)
+        assert _decomposition(got) == _oracle_decomposition(L, oracle_of(L), family)
         assert got.nu == L.dim - 1
 
 
@@ -1151,7 +1181,7 @@ def test_power_matches_repeated_products(case):
     want = Matrix.identity(field, n)
     for k in range(2 * n + 1):
         got = mat**k
-        assert got == want and got.rows == oracle.power(field.char, rows, k), k
+        assert got == want == fsquare(field, oracle.power(field.char, rows, k)), k
         assert _in_field(field, got.rows)
         want = want * mat
 
@@ -1162,8 +1192,8 @@ def test_kernel_and_image_match_elimination(case):
     """On random matrices and on the zero matrix of the same shape."""
     field, rows, n = case
     for mat in (Matrix(field, rows, ncols=n), Matrix(field, [[0] * n for _ in rows], ncols=n)):
-        assert mat.kernel().rows == oracle.kernel(field.char, mat.rows, n)
-        assert mat.image().rows == oracle.image(field.char, mat.rows, n)
+        assert mat.kernel() == space(field, n, oracle.kernel(field.char, mat.rows, n))
+        assert mat.image() == space(field, mat.m, oracle.image(field.char, mat.rows, n))
         assert mat.kernel().ambient == mat.n and mat.image().ambient == mat.m
 
 
@@ -1172,5 +1202,5 @@ def test_ad_basis_is_ad_of_the_basis_vector(name, L):
     A = oracle_of(L)
     for i in range(L.dim):
         got = L.ad_basis(i)
-        assert got == L.ad(L.basis_vector(i)) and got.rows == oracle.ad(A, L.basis_vector(i))
+        assert got == L.ad(L.basis_vector(i)) == fsquare(L.field, oracle.ad(A, L.basis_vector(i)))
         assert L.ad_basis(i) is got
