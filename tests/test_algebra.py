@@ -1,11 +1,10 @@
 """Structure-constant algebras: brackets, series, forms, derivations,
-quotients, extensions, and second cohomology."""
+quotients, extensions, and second cohomology; the structure layer's answers
+against ``oracle``."""
 
 import itertools
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +22,9 @@ from lielab.algebra import (
     _ad_rows,
     _coboundary_rows,
     _commutant_equations,
+    _jacobi_defects,
     _map_solutions,
+    _refuted_by_ideal,
     _int_monic_rational_root,
     _integral_monic,
     _monic_rational_irreducible,
@@ -45,7 +46,6 @@ from lielab.catalog import (
     QuaternionAlgebra,
     abelian,
     canonical_instances,
-    enumerate_tables,
     gl,
     heisenberg,
     make,
@@ -58,23 +58,32 @@ from lielab.catalog import (
     su2q,
 )
 from lielab.budgets import EXHAUSTIVE_CAP, SYMBOLIC_DIM
-from lielab.fields import GF, QQ, Fp, UniPoly
+from lielab.fields import GF, QQ, Fp, MultiPoly, UniPoly
 from lielab.linalg import _Echelon, Matrix, Subspace, vec_add, vec_is_zero, vec_scale
+from lielab.regularity import linear_family_char_coeffs
 from lielab.verdict import RecheckFailed
 
 import oracle
+from cases import (
+    census,
+    fresh,
+    fsquare,
+    fvec,
+    input_table,
+    input_tables,
+    named_cases,
+    oracle_of,
+    params,
+    qvec,
+    rescaled,
+    scalars,
+    space,
+)
 
 F3 = GF(3)
 F5 = GF(5)
 
-
-def qvec(*cs):
-    return tuple(QQ.of(c) for c in cs)
-
-
-def fvec(field, *cs):
-    return tuple(field.of(c) for c in cs)
-
+INPUT_CASES = input_tables()
 
 sl2q = sl(QQ, 2)  # basis e, h, f
 h3 = heisenberg(QQ, 1)  # basis x, y, z with [x, y] = z
@@ -225,24 +234,7 @@ def _eager_report(L):
     )
 
 
-def _fresh(L):
-    """The same table with an empty cache."""
-    return LieAlgebra.unchecked(L.field, L.labels, L.table)
-
-
 _REPORT_FIELDS = StructureReport.__slots__
-_BENCH_INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.json"))
-_BENCH_TABLES = [(path, LieAlgebra.from_json_dict(json.loads(path.read_text()))) for path in _BENCH_INPUTS]
-
-
-def _small_bench_inputs():
-    for path, L in _BENCH_TABLES:
-        if L.dim <= SYMBOLIC_DIM:
-            yield path.stem, L
-
-
-def _valid_census(dim, field):
-    return [t.algebra() for t in enumerate_tables(dim, field) if t.jacobi_ok]
 
 
 class TestLazyReport:
@@ -251,9 +243,9 @@ class TestLazyReport:
 
     @staticmethod
     def _check_orders(L, orders):
-        want = _eager_report(_fresh(L))
+        want = _eager_report(fresh(L))
         for order in orders:
-            report = _fresh(L).structure_report()
+            report = fresh(L).structure_report()
             for name in order:
                 assert getattr(report, name) == getattr(want, name), (L, order, name)
             assert report == want and repr(report) == repr(want)
@@ -269,39 +261,39 @@ class TestLazyReport:
             orders.append(order)
         return orders
 
-    @pytest.mark.parametrize("name,L", [pytest.param(n, L, id=n) for n, L in canonical_instances()])
+    @pytest.mark.parametrize("name,L", params(canonical_instances()))
     def test_canonical_instances(self, name, L):
         self._check_orders(L, self._orders(name, 4))
 
-    @pytest.mark.parametrize("name,L", [pytest.param(n, L, id=n) for n, L in _small_bench_inputs()])
+    @pytest.mark.parametrize("name,L", params([(n, L) for n, L in INPUT_CASES if L.dim <= SYMBOLIC_DIM]))
     def test_benchmark_inputs(self, name, L):
         self._check_orders(L, self._orders(name, 2))
 
     @pytest.mark.parametrize("field", [GF(2), F3], ids=["F2", "F3"])
     def test_dim3_census(self, field):
-        valid = _valid_census(3, field)
+        valid = census(3, field)
         assert len(valid) == {2: 120, 3: 1431}[field.p]
         for t, L in enumerate(valid):
             self._check_orders(L, self._orders(t, 1))
 
     def test_nilpotent_alone_computes_neither_center_nor_killing_form(self):
-        for L in (sl(QQ, 2), psl(F3, 3), strict_upper(QQ, 4), *_valid_census(3, F3)[:40]):
-            L = _fresh(L)
+        for L in (sl(QQ, 2), psl(F3, 3), strict_upper(QQ, 4), *census(3, F3)[:40]):
+            L = fresh(L)
             L.structure_report().nilpotent
             assert "killing" not in L._cache and "center" not in L._cache
 
     def test_the_implications_are_checked_on_read(self):
-        report = _fresh(sl2q).structure_report()
+        report = fresh(sl2q).structure_report()
         report.abelian = True  # a wrong value, to see the check fire
         with pytest.raises(StructureError, match="abelian but not nilpotent"):
             report.nilpotent
-        report = _fresh(sl2q).structure_report()
+        report = fresh(sl2q).structure_report()
         report.nilpotent = True
         with pytest.raises(StructureError, match="nilpotent but not solvable"):
             report.solvable
 
     def test_report_is_kept(self):
-        L = _fresh(sl2q)
+        L = fresh(sl2q)
         assert L.structure_report() is L.structure_report()
         with pytest.raises(AttributeError):
             L.structure_report().no_such_field
@@ -348,14 +340,16 @@ class TestKillingForm:
 
 class TestDerivationsAndCentroid:
     def leibniz_holds(self, L, D):
-        n = L.dim
-        for i in range(n):
-            for j in range(n):
-                x, y = L.basis_vector(i), L.basis_vector(j)
-                lhs = D.apply(L.bracket(x, y))
-                rhs = vec_add(L.bracket(D.apply(x), y), L.bracket(x, D.apply(y)))
-                if lhs != rhs:
-                    return False
+        """D[x, y] = [Dx, y] + [x, Dy] on every pair of basis vectors, in
+        the oracle's arithmetic."""
+        A, p = oracle_of(L), L.field.char
+        basis = oracle.identity(p, L.dim)
+        images = [oracle.apply(p, D.rows, b) for b in basis]
+        for (x, dx), (y, dy) in itertools.product(zip(basis, images), repeat=2):
+            lhs = oracle.apply(p, D.rows, oracle.bracket(A, x, y))
+            rhs = oracle.vector(p, [u + v for u, v in zip(oracle.bracket(A, dx, y), oracle.bracket(A, x, dy))])
+            if lhs != rhs:
+                return False
         return True
 
     def test_semisimple_derivations_are_inner(self):
@@ -387,11 +381,7 @@ class TestDerivationsAndCentroid:
         L = sl(field, 4)
         assert (derivation_algebra(L)[0].dim, h2_trivial(L)[0], len(centroid(L))) == (15, 0, 1)
 
-    @pytest.mark.parametrize(
-        "name,L",
-        [pytest.param(n, L, id=n) for n, L in canonical_instances()]
-        + [pytest.param(p.stem, L, id=p.stem) for p, L in _BENCH_TABLES if p.stem != "sl5q"],
-    )
+    @pytest.mark.parametrize("name,L", params([(n, L) for n, L in named_cases() if n != "sl5q"]))
     def test_every_returned_matrix_is_a_derivation(self, name, L):
         # from the definition, on each basis pair, whatever route solved it
         mats = derivation_algebra(L)[1]
@@ -405,13 +395,15 @@ class TestDerivationsAndCentroid:
         L = direct_sum(sl2q, abelian(QQ, 1))
         mats = centroid(L)
         assert len(mats) == 2
-        # every centroid map commutes with every bracket on basis pairs
+        # every centroid map commutes with every bracket on basis pairs, in
+        # the oracle's arithmetic
+        A, p = oracle_of(L), L.field.char
+        basis = oracle.identity(p, L.dim)
         for phi in mats:
-            for i in range(L.dim):
-                for j in range(L.dim):
-                    x, y = L.basis_vector(i), L.basis_vector(j)
-                    assert phi.apply(L.bracket(x, y)) == L.bracket(phi.apply(x), y)
-                    assert phi.apply(L.bracket(x, y)) == L.bracket(x, phi.apply(y))
+            for x, y in itertools.product(basis, repeat=2):
+                image = oracle.apply(p, phi.rows, oracle.bracket(A, x, y))
+                assert image == oracle.bracket(A, oracle.apply(p, phi.rows, x), y)
+                assert image == oracle.bracket(A, x, oracle.apply(p, phi.rows, y))
 
     def test_heisenberg_centroid(self):
         assert len(centroid(h3)) == 5
@@ -458,23 +450,25 @@ class TestSimplicity:
 
     @staticmethod
     def _simple_by_lines(L):
-        """The oracle: L is perfect and nonzero, and the ideal generated by
-        each line of F_p^n is all of L (lines listed here, not by lielab)."""
-        n, p = L.dim, L.field.p
-        if n == 0 or L.commutant().dim < n:
+        """The oracle's answer: L is perfect and nonzero, and the ideal
+        generated by each line of F_p^n is all of L (lines listed here, not
+        by lielab)."""
+        A = oracle_of(L)
+        n, p = A.n, A.p
+        basis = oracle.identity(p, n)
+        if n == 0 or len(oracle.bracket_span(A, basis, basis)) < n:
             return False
         for lead in range(n):
             for rest in itertools.product(range(p), repeat=n - lead - 1):
-                x = fvec(L.field, *([0] * lead + [1] + list(rest)))
-                if L.ideal_generated([x]).dim < n:
+                if len(oracle.ideal(A, [(0,) * lead + (1,) + rest])) < n:
                     return False
         return True
 
     @pytest.mark.parametrize("field", [GF(2), F3], ids=["F2", "F3"])
     def test_dim3_census_agrees_with_the_line_oracle(self, field):
         simple = 0
-        for L in _valid_census(3, field):
-            v = is_simple(_fresh(L))
+        for L in census(3, field):
+            v = is_simple(fresh(L))
             assert v.is_certified == self._simple_by_lines(L), L.table
             assert v.is_certified or v.is_refuted
             simple += v.is_certified
@@ -486,7 +480,7 @@ class TestSimplicity:
         ]
         assert small
         for name, L in small:
-            assert is_simple(_fresh(L)).is_certified == self._simple_by_lines(L), name
+            assert is_simple(fresh(L)).is_certified == self._simple_by_lines(L), name
 
     def test_full_envelope_certifies_every_line_at_once(self):
         v = is_simple(psl(F3, 3))
@@ -726,7 +720,7 @@ class TestCohomology:
         assert h2_trivial(r2(QQ))[0] == 0
 
     def test_cocycle_minus_coboundary_arithmetic(self):
-        valid = _valid_census(3, F3)
+        valid = census(3, F3)
         assert len(valid) == 1431
         instances = [L for _, L in canonical_instances()]
         for L in [h3, r2(QQ), sl(F5, 2)] + instances + valid:
@@ -1043,7 +1037,7 @@ def _floored_systems(L):
     }
 
 
-_FLOOR_INPUTS = [(path.name, L) for path, L in _BENCH_TABLES if L.dim <= 15]
+_FLOOR_INPUTS = [(name, L) for name, L in INPUT_CASES if L.dim <= 15]
 _PERFECT = [
     (name, L)
     for name, L in canonical_instances()
@@ -1065,22 +1059,21 @@ class TestFloors:
     def _check(L, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(algebra, "_killing_route", lambda L: False)
-            got = _floored_systems(_fresh(L))
+            got = _floored_systems(fresh(L))
             patch.setattr(algebra, "_Echelon", _NoFloor)
-            want = _floored_systems(_fresh(L))
+            want = _floored_systems(fresh(L))
         assert got == want, L
         assert want["z2"] == cocycle_space(L)
 
     @pytest.mark.parametrize(
         "name,L",
-        [pytest.param(n, L, id=n) for n, L in canonical_instances()]
-        + [pytest.param(n, L, id=n) for n, L in _FLOOR_INPUTS],
+        params(canonical_instances() + _FLOOR_INPUTS),
     )
     def test_floor_keeps_the_basis(self, name, L, monkeypatch):
         self._check(L, monkeypatch)
 
     def test_floor_keeps_the_basis_on_the_dim3_census(self, monkeypatch):
-        valid = _valid_census(3, F3)
+        valid = census(3, F3)
         assert len(valid) == 1431
         for L in valid:
             self._check(L, monkeypatch)
@@ -1088,19 +1081,19 @@ class TestFloors:
     @pytest.mark.parametrize(
         "name,run,floor,rank",
         [
-            ("sl4q.json", is_simple, 1, 225 - 1),
-            ("sl3q.json", is_simple, 1, 64 - 1),
-            ("sl4q.json", centroid, 1, 225 - 1),
+            ("sl4q", is_simple, 1, 225 - 1),
+            ("sl3q", is_simple, 1, 64 - 1),
+            ("sl4q", centroid, 1, 225 - 1),
             # Der = ad L, of dimension 8 - dim Z = 8
-            ("pgl3f3.json", derivation_algebra, 8, 64 - 8),
+            ("pgl3f3", derivation_algebra, 8, 64 - 8),
             # Z^2 = B^2, of dimension 8
-            ("gl3q.json", h2_trivial, 8, 36 - 8),
-            ("gl3f5.json", h2_trivial, 8, 36 - 8),
+            ("gl3q", h2_trivial, 8, 36 - 8),
+            ("gl3f5", h2_trivial, 8, 36 - 8),
         ],
     )
     def test_floor_ends_the_solve_early(self, name, run, floor, rank, floor_spy):
         # the solve stops at rank ambient - floor with rows left unread
-        run(_fresh(dict(_FLOOR_INPUTS)[name]))
+        run(fresh(dict(_FLOOR_INPUTS)[name]))
         assert floor_spy == [(floor, rank, True)]
 
     def test_table_breaking_jacobi_has_no_der_floor(self, floor_spy):
@@ -1134,19 +1127,18 @@ class TestCommutant:
                     ad = L.ad_basis(i)
                     assert phi * ad == ad * phi, (L, i)
 
-    @pytest.mark.parametrize("name,L", [pytest.param(n, L, id=n) for n, L in _PERFECT])
+    @pytest.mark.parametrize("name,L", params(_PERFECT))
     def test_commutant_is_the_centroid_of_a_perfect_algebra(self, name, L):
         assert _commutant(L) == centroid(L)
 
     def test_the_perfect_cases(self):
         assert sorted(n for n, _ in _PERFECT) == [
-            "psl3@F3", "psl3f3.json", "sl2(Q(sqrt2))", "sl2+sl2@Q", "sl2@F5", "sl2@Q",
-            "sl2f5.json", "sl3f3.json", "sl3q.json", "sl4q.json", "su2q", "su2q.json",
+            "psl3@F3", "psl3f3", "sl2(Q(sqrt2))", "sl2+sl2@Q", "sl2@F5", "sl2@Q",
+            "sl2f5", "sl3f3", "sl3q", "sl4q", "su2q", "su2q",
         ]
 
     def test_sl5_is_certified_by_its_centroid(self):
-        path = next(p for p in _BENCH_INPUTS if p.stem == "sl5q")
-        L = LieAlgebra.from_json_dict(json.loads(path.read_text()))
+        L = input_table("sl5q")
         assert L.dim == 24
         v = is_simple(L)
         assert v.is_certified and v.certificate == "killing-centroid"
@@ -1312,3 +1304,380 @@ class TestAssocTable:
         del doc["products"]
         with pytest.raises(StructureError, match="missing products array"):
             AssocAlgebra.from_json_dict(doc)
+
+
+# -- the structure layer against the oracle --------------------------------------
+
+
+TABLE_CASES = [
+    sl(QQ, 3),
+    gl(QQ, 2),
+    heisenberg(QQ, 2),
+    su2q(),
+    pgl(GF(3), 3),
+    gl(GF(5), 2),
+    strict_upper(GF(2), 4),
+]
+
+
+@st.composite
+def tables(draw):
+    """A catalog table, as it is or with up to three entries changed, which
+    mostly breaks Jacobi."""
+    L = draw(st.sampled_from(TABLE_CASES))
+    table = {key: dict(coeffs) for key, coeffs in L.table.items()}
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, L.dim - 2))
+        j = draw(st.integers(i + 1, L.dim - 1))
+        table.setdefault((i, j), {})[draw(st.integers(0, L.dim - 1))] = draw(scalars(L.field))
+    return LieAlgebra.unchecked(L.field, L.labels, table)
+
+
+@given(tables(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_sparse_primitives_match_dense_loops(L, data):
+    """Every Jacobi triple with its defect vector, and bracket and ad at
+    random elements, equal the oracle's."""
+    A = oracle_of(L)
+    assert L.jacobi_violations() == [(t, fvec(L.field, d)) for t, d in oracle.jacobi_defects(A)]
+    x, y = (tuple(data.draw(scalars(L.field)) for _ in range(L.dim)) for _ in range(2))
+    assert L.bracket(x, y) == fvec(L.field, oracle.bracket(A, x, y))
+    assert L.ad(x) == Matrix(L.field, oracle.ad(A, x), ncols=L.dim)
+
+
+def _with_changed_constant(L, value):
+    table = {key: dict(coeffs) for key, coeffs in L.table.items()}
+    key = sorted(table)[3]
+    k = min(table[key])
+    table[key][k] = table[key][k] + value
+    return LieAlgebra.unchecked(L.field, L.labels, table)
+
+
+def _kernel_triples(field, n, rows):
+    """The triples and defects with the type of each entry."""
+    return [(t, d, [type(x) for x in d]) for t, d in _jacobi_defects(field, n, rows)]
+
+
+def _kernel_type(x):
+    """The type of x as a kernel scalar: Fraction where not integral, else int."""
+    return Fraction if isinstance(x, Fraction) and x.denominator > 1 else int
+
+
+def test_jacobi_defects_of_broken_tables():
+    """One changed structure constant over Q and over F_5: the full
+    violation lists, triples and defects, equal the oracle's, and the
+    defects in kernel scalars equal the oracle's, entry types included.
+    sl3 over Q in a rescaled basis has Fraction structure constants, and
+    some entry of a nonzero defect sums terms with a Fraction factor to an
+    integer, which the kernel gets as a Fraction of denominator 1.  sl3
+    over F_3 has defect sums that are nonzero multiples of 3 before
+    reduction and so no violation."""
+    sl3_fractions = rescaled(sl(QQ, 3), [Fraction(1, 2), 3, Fraction(2, 3), 5, Fraction(1, 3), Fraction(3, 2), 4, Fraction(7, 2)])
+    cases = (
+        (sl(QQ, 3), Fraction(1, 2)),
+        (gl(GF(5), 3), GF(5).of(3)),
+        (sl3_fractions, Fraction(1, 3)),
+        (sl(GF(3), 3), GF(3).of(1)),
+    )
+    for L, value in cases:
+        broken = _with_changed_constant(L, value)
+        bad = broken.jacobi_violations()
+        assert bad and bad == [(t, fvec(L.field, d)) for t, d in oracle.jacobi_defects(oracle_of(broken))]
+        assert L.jacobi_violations() == oracle.jacobi_defects(oracle_of(L)) == []
+        for A in (L, broken):
+            want = [(t, list(d), [_kernel_type(x) for x in d]) for t, d in oracle.jacobi_defects(oracle_of(A))]
+            assert _kernel_triples(A.field, A.dim, A._rows) == want
+    # the cases are what the docstring says
+    B = oracle_of(_with_changed_constant(sl3_fractions, Fraction(1, 3)))
+    cyclic = [((i, j, k), (j, k, i), (k, i, j)) for (i, j, k), _ in oracle.jacobi_defects(B)]
+    terms = [[(B.c[a][b][m], B.c[m][c][l]) for a, b, c in t for m in range(B.n)] for t in cyclic for l in range(B.n)]
+    terms = [[(x, y) for x, y in ts if x and y] for ts in terms]
+    assert any(Fraction in map(_kernel_type, sum(ts, ())) and sum(x * y for x, y in ts).denominator == 1 for ts in terms)
+    # sl3 over F_3 read over the integers: residues for i < j, as stored
+    A3 = oracle_of(sl(GF(3), 3))
+    sums = [d for _, d in oracle.jacobi_defects(oracle.from_coefficients(0, 8, [x for i, j in oracle.pairs(8) for x in A3.c[i][j]]))]
+    assert any(any(d) for d in sums) and all(x % 3 == 0 for d in sums for x in d)
+
+
+def _assert_stored_rows(L):
+    """The rows are antisymmetric with an empty diagonal, no empty cell,
+    no zero and no repeated component in a cell, and canonical kernel
+    scalars above the diagonal; the table view rebuilds the same rows."""
+    rows, to_k = L._rows, L.field._to_k
+    assert len(rows) == L.dim
+    for i, row in enumerate(rows):
+        assert i not in row
+        for j, cell in row.items():
+            ks, cs = [k for k, _ in cell], [c for _, c in cell]
+            assert cell and len(set(ks)) == len(ks) and all(to_k(cs))
+            mirror = rows[j][i]
+            assert [k for k, _ in mirror] == ks
+            assert to_k([c for _, c in mirror]) == to_k([-c for c in cs])
+            if i < j:
+                assert to_k(cs) == cs
+    assert LieAlgebra(L.field, L.labels, L.table)._rows == rows
+
+
+@pytest.mark.parametrize("name,L", params(named_cases()))
+def test_stored_rows(name, L):
+    _assert_stored_rows(L)
+
+
+@pytest.mark.parametrize("field", [GF(2), F3], ids=["F2", "F3"])
+def test_stored_rows_of_the_census(field):
+    """Every valid dimension-3 table, as EnumTable.algebra builds it."""
+    algebras = census(3, field)
+    assert len(algebras) == {2: 120, 3: 1431}[field.p]
+    for L in algebras:
+        _assert_stored_rows(L)
+
+
+def _vectors(L, data, count):
+    """Up to count vectors of small integers, residues over F_p."""
+    lo, hi = (0, L.field.p - 1) if L.field.kind == "Fp" else (-3, 3)
+    return data.draw(st.lists(st.lists(st.integers(lo, hi), min_size=L.dim, max_size=L.dim), max_size=count))
+
+
+IDEAL_CASES = [
+    pgl(GF(3), 3),
+    gl(GF(5), 2),
+    strict_upper(GF(2), 4),
+    heisenberg(QQ, 2),
+    strict_upper(QQ, 4),
+    gl(QQ, 2),
+]
+
+
+@given(st.sampled_from(IDEAL_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_ideal_generated_matches_fixed_point(L, data):
+    """Same canonical echelon rows, so the worklist basis is fully reduced."""
+    vectors = _vectors(L, data, 2)
+    assert L.ideal_generated(vectors) == space(L.field, L.dim, oracle.ideal(oracle_of(L), vectors))
+
+
+@given(st.sampled_from(IDEAL_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_is_ideal_matches_the_field_scalar_loop(L, data):
+    """On the span of random vectors, mostly not an ideal, and on the ideal
+    they generate."""
+    vectors = _vectors(L, data, 3)
+    span = Subspace.from_vectors(L.field, L.dim, [L.coerce_vector(v) for v in vectors])
+    A = oracle_of(L)
+    assert L.is_ideal(span) == oracle.is_ideal(A, span.rows)
+    ideal = L.ideal_generated(vectors)
+    assert L.is_ideal(ideal) and oracle.is_ideal(A, ideal.rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "F5"])
+def test_is_ideal_reads_every_row(field):
+    """The Borel span {e, h} of sl2: [b_i, e] lies in it for every b_i, but
+    [f, h] = 2f does not, so only its second echelon row refutes it."""
+    L = sl(field, 2)
+    e, h, f = (L.basis_vector(L.labels.index(name)) for name in ("e", "h", "f"))
+    borel = Subspace.from_vectors(field, 3, [e, h])
+    assert L.is_subalgebra(borel)
+    assert not L.is_ideal(borel) and not oracle.is_ideal(oracle_of(L), borel.rows)
+    assert L.is_ideal(L.ideal_generated([h])) and L.ideal_generated([h]).is_full()
+
+
+def test_is_ideal_refuses_a_subspace_of_another_algebra():
+    """Over another field, or of another ambient dimension, also when the
+    subspace has no rows to bracket."""
+    L = sl(QQ, 2)
+    for space in (Subspace.full_space(GF(5), 3), Subspace.zero_space(GF(5), 3)):
+        with pytest.raises(TypeError):
+            L.is_ideal(space)
+    for space in (Subspace.full_space(QQ, 4), Subspace.full_space(QQ, 2), Subspace.zero_space(QQ, 4)):
+        with pytest.raises(ValueError):
+            L.is_ideal(space)
+
+
+@given(st.sampled_from(IDEAL_CASES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_subalgebra_generated_matches_fixed_point(L, data):
+    vectors = _vectors(L, data, 3)
+    assert L.subalgebra_generated(vectors) == space(L.field, L.dim, oracle.subalgebra(oracle_of(L), vectors))
+
+
+def test_subalgebra_generated_brackets_with_every_row():
+    """H2, E12 and E21 generate a 4-dimensional subalgebra of sl3 only
+    through [E12, E21] = H1, a bracket of the second and third vectors."""
+    L = sl(QQ, 3)
+    seeds = [L.basis_vector(L.labels.index(name)) for name in ("H2", "E12", "E21")]
+    got = L.subalgebra_generated(seeds)
+    assert got == space(L.field, L.dim, oracle.subalgebra(oracle_of(L), seeds)) and got.dim == 4
+
+
+def _sl2_sum(field, copies):
+    L = sl(field, 2)
+    for _ in range(copies - 1):
+        L = direct_sum(L, sl(field, 2))
+    return L
+
+
+def test_ad_envelope_matches_the_loop():
+    """On the canonical instances, the F_p benchmark inputs, sl4 over F_3,
+    F_5 and F_7 and sums of two and three sl2 over F_3 and F_7."""
+    cases = canonical_instances() + [(name, L) for name, L in input_tables() if L.field.kind == "Fp"]
+    cases += [(f"sl4@F{p}", sl(GF(p), 4)) for p in (3, 5, 7)]
+    cases += [(f"sl2^{k}@F{p}", _sl2_sum(GF(p), k)) for k in (2, 3) for p in (3, 7)]
+    got = {name: _ad_envelope_is_full(L) for name, L in cases}
+    assert got == {name: oracle.envelope_is_full(oracle_of(L)) for name, L in cases}
+    assert set(got.values()) == {True, False}
+
+
+def test_line_scan_refutation_is_rechecked(monkeypatch):
+    """A line scan that takes a line of simple sl2/F5 for a proper ideal."""
+    real = LieAlgebra.ideal_generated
+    lies = []
+
+    def lying(L, vectors):
+        if not lies:
+            lies.append(vectors)
+            return Subspace.from_vectors(L.field, L.dim, [])
+        return real(L, vectors)
+
+    monkeypatch.setattr(algebra, "_ad_envelope_is_full", lambda L: False)
+    monkeypatch.setattr(LieAlgebra, "ideal_generated", lying)
+    with pytest.raises(RecheckFailed, match="proper nonzero ideal"):
+        algebra.is_simple(sl(GF(5), 2))
+    assert lies
+
+
+def test_proper_ideal_refutation_is_rechecked_independently(monkeypatch):
+    """A closure that returns the line of e in sl2/Q: proper, nonzero and
+    holding the witness, but not an ideal ([f, e] = -h leaves it)."""
+    L = sl(QQ, 2)
+    e = L.basis_vector(L.labels.index("e"))
+    line = Subspace.from_vectors(L.field, L.dim, [e])
+    assert not L.is_ideal(line)
+    monkeypatch.setattr(LieAlgebra, "ideal_generated", lambda L, vectors: line)
+    with pytest.raises(RecheckFailed, match="must be an ideal"):
+        _refuted_by_ideal(L, e)
+
+
+_FORGED_REFUTATIONS = """
+import sys
+assert False, "this check needs python -O, which strips asserts"
+import lielab
+from lielab import algebra, regularity
+from lielab.catalog import gl, sl
+from lielab.fields import GF, QQ
+from lielab.linalg import Subspace
+from lielab.verdict import Verdict
+
+raised = []
+try:
+    L = gl(QQ, 2)
+    regularity._scan = lambda L, mode, seed, fails, **known: Verdict.refuted(L.center().rows[0])
+    regularity.is_nilpotent_free(L)
+except lielab.RecheckFailed as exc:
+    raised.append(str(exc))
+algebra._ad_envelope_is_full = lambda L: False
+algebra.LieAlgebra.ideal_generated = lambda L, vectors: Subspace.from_vectors(L.field, L.dim, [])
+try:
+    algebra.is_simple(sl(GF(5), 2))
+except lielab.RecheckFailed as exc:
+    raised.append(str(exc))
+L = sl(QQ, 2)
+e = L.basis_vector(0)
+algebra.LieAlgebra.ideal_generated = lambda L, vectors: Subspace.from_vectors(L.field, L.dim, [e])
+try:
+    algebra._refuted_by_ideal(L, e)
+except lielab.RecheckFailed as exc:
+    raised.append(str(exc))
+print(raised)
+sys.exit(0 if len(raised) == 3 else 1)
+"""
+
+
+def test_forged_refutations_raise_under_python_O():
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FORGED_REFUTATIONS], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _assert_structure_layer(L):
+    A = oracle_of(L)
+    field, n = L.field, L.dim
+    gram = L.killing_form().gram
+    assert gram == fsquare(field, oracle.killing(A))
+    assert L.killing_form().invariant == oracle.is_invariant(A, gram.rows)
+    assert L.lower_central_series() == [space(field, n, s) for s in oracle.lower_central_series(A)]
+    assert L.derived_series() == [space(field, n, s) for s in oracle.derived_series(A)]
+    D, mats = derivation_algebra(L)
+    want = oracle.structure_constants(A.p, n, [m.rows for m in mats])
+    assert D.table == {key: dict(zip(cs, fvec(field, cs.values()))) for key, cs in want.items()}
+    if n <= 8:
+        ads = [L.ad_basis(i) for i in range(n)]
+        want = oracle.linear_family_char_coeffs(A.p, [a.rows for a in ads], n)
+        assert linear_family_char_coeffs(field, ads, n) == [MultiPoly(field, n, t) for t in want]
+
+
+def sparse_vectors(field, n):
+    """Vectors with about half their coordinates zero."""
+    return st.lists(st.one_of(st.just(field.zero), scalars(field)), min_size=n, max_size=n).map(tuple)
+
+
+@given(tables(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_structure_layer_matches_reference(L, data):
+    """Killing Gram, invariance, both series, Der structure constants and
+    the symbolic coefficients of the ad family equal the oracle's on
+    catalog tables and on tables with up to three constants changed, and
+    so do the sparse bracket and bracket span on sparse vectors."""
+    _assert_structure_layer(L)
+    A = oracle_of(L)
+    x, y = (data.draw(sparse_vectors(L.field, L.dim)) for _ in range(2))
+    assert L.bracket(x, y) == fvec(L.field, oracle.bracket(A, x, y))
+    a, b = (
+        Subspace.from_vectors(L.field, L.dim, data.draw(st.lists(sparse_vectors(L.field, L.dim), max_size=3)))
+        for _ in range(2)
+    )
+    assert L.bracket_span(a, b) == space(L.field, L.dim, oracle.bracket_span(A, a.rows, b.rows))
+
+
+STRUCTURE_CASES = [(name, L) for name, L in canonical_instances()] + [
+    ("zero@Q", LieAlgebra(QQ, [], {})),
+    ("zero@F3", LieAlgebra(GF(3), [], {})),
+    ("abelian3@F5", abelian(GF(5), 3)),
+    ("strict_upper4@F2", strict_upper(GF(2), 4)),
+    ("sl3@Q-rescaled", rescaled(sl(QQ, 3), [Fraction(s) for s in (1, 2, "1/3", 3, "2/5", 1, 7, "1/2")])),
+    (
+        "heisenberg2@Q-rescaled",
+        rescaled(heisenberg(QQ, 2), [Fraction(s) for s in ("1/2", 3, "2/3", 5, "1/7")]),
+    ),
+]
+
+
+@pytest.mark.parametrize("name,L", params(STRUCTURE_CASES))
+def test_structure_layer_on_fixed_cases(name, L):
+    """Dimension 0, abelian, nilpotent and ℚ tables with non-integer constants
+    (which exercise the denominator clearing) beside the canonical instances."""
+    _assert_structure_layer(L)
+
+
+def test_identity_form_on_sl2_is_not_invariant():
+    for field in (QQ, GF(5)):
+        L = sl(field, 2)
+        form = BilinearForm(L, Matrix.identity(field, 3))
+        assert form.invariant is False
+        assert oracle.is_invariant(oracle_of(L), form.gram.rows) is False
+        assert L.killing_form().invariant is True
+
+
+@pytest.mark.parametrize("name,L", params(named_cases()))
+def test_ad_basis_is_ad_of_the_basis_vector(name, L):
+    A = oracle_of(L)
+    for i in range(L.dim):
+        got = L.ad_basis(i)
+        assert got == L.ad(L.basis_vector(i)) == fsquare(L.field, oracle.ad(A, L.basis_vector(i)))
+        assert L.ad_basis(i) is got

@@ -33,17 +33,13 @@ from lielab.catalog import (
 from lielab.budgets import ON_DIM_CAP, BudgetExceeded
 from lielab.fields import GF, QQ
 from lielab.linalg import vec_is_zero
-from lielab.regularity import is_regular_algebra, rank
 
 import oracle
+from cases import qvec
 
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
-
-
-def qvec(*cs):
-    return tuple(QQ.of(c) for c in cs)
 
 
 class TestMatrixFamilies:
@@ -364,42 +360,20 @@ def test_zero_divisor_recheck_survives_python_O():
 
 
 class TestEnumeration:
-    def test_dim2_f2_census(self):
-        tables = list(enumerate_tables(2, F2))
-        assert len(tables) == 4
-        assert all(t.jacobi_ok for t in tables)
-        regular = [
-            t
-            for t in tables
-            if is_regular_algebra(t.algebra(), mode="exhaustive").is_certified
-        ]
-        assert len(regular) == 1
-        L = regular[0].algebra()
-        assert L.structure_report().abelian
-
     def test_dim3_f2_census(self):
         tables = list(enumerate_tables(3, F2))
         assert len(tables) == 512
         valid = [t for t in tables if t.jacobi_ok]
         assert len(valid) == 120
 
-    def test_dim3_f2_rank_dim_iff_nilpotent(self):
-        for t in enumerate_tables(3, F2):
-            if not t.jacobi_ok:
-                continue
-            L = t.algebra()
-            assert (rank(L) == 3) == L.structure_report().nilpotent
-
     @pytest.mark.parametrize("dim,p", [(3, 2), (3, 3), (2, 5), (2, 7), (0, 3), (1, 5)])
     def test_jacobi_flag_matches_an_independent_oracle(self, dim, p):
-        """Every flag against [[b_i, b_j], b_k] + cyclic = 0, computed by the
-        oracle on the table it builds from the raw coefficients (pairs i < j
-        in order, then k)."""
-        count = 0
-        for t, (coeffs, ok) in zip(enumerate_tables(dim, GF(p)), oracle.census_flags(p, dim)):
-            assert t.coeffs == coeffs and t.jacobi_ok == ok, t.coeffs
-            count += 1
-        assert count == p ** (dim * dim * (dim - 1) // 2) == len(oracle.census_flags(p, dim))
+        """Every table and flag, in order, against [[b_i, b_j], b_k] + cyclic
+        = 0, computed by the oracle on the table it builds from the raw
+        coefficients (pairs i < j in order, then k)."""
+        got = [(t.coeffs, t.jacobi_ok) for t in enumerate_tables(dim, GF(p))]
+        assert got == list(oracle.census_flags(p, dim))
+        assert len(got) == p ** (dim * dim * (dim - 1) // 2)
 
     def test_enumeration_budget(self):
         with pytest.raises(BudgetExceeded):

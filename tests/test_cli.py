@@ -19,6 +19,8 @@ from lielab.catalog import canonical_instances, heisenberg, sl, su2q
 from lielab.cli import main
 from lielab.fields import GF, QQ
 
+from cases import INPUT_PATHS
+
 GOOD = {
     "field": {"kind": "Q"},
     "dim": 3,
@@ -505,14 +507,11 @@ class TestExitContract:
         assert "Traceback" not in err
 
 
-BENCH_INPUTS = sorted((Path(__file__).resolve().parents[1] / "perfbench" / "inputs").glob("*.json"))
-
-
 class TestBenchmarkInputs:
     """Each command keeps the exit-code contract on every benchmark table:
     main maps a bad input to 3 and an exhausted budget to 2."""
 
-    @pytest.mark.parametrize("path", BENCH_INPUTS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", INPUT_PATHS, ids=lambda p: p.stem)
     def test_exit_contract(self, path):
         dim = json.loads(path.read_text())["dim"]
         e1 = ",".join(["1"] + ["0"] * (dim - 1))
@@ -526,7 +525,7 @@ class TestBenchmarkInputs:
             assert code in {0, 1, 2, 3}, (argv, code)
             assert "Traceback" not in err.getvalue(), argv
 
-    @pytest.mark.parametrize("path", [p for p in BENCH_INPUTS if p.stem.endswith("q")], ids=lambda p: p.stem)
+    @pytest.mark.parametrize("path", [p for p in INPUT_PATHS if p.stem.endswith("q")], ids=lambda p: p.stem)
     def test_exhaustive_regular_over_q(self, capsys, path):
         """Exhaustive mode needs a finite field: a table over Q exits 3
         before its rank is tried (sl4q and sl5q have no rank within budget),
@@ -541,7 +540,7 @@ class TestBenchmarkInputs:
             assert "exhaustive mode requires a finite field" in captured.err
 
     def test_budget_bound_commutator_exits_2(self, capsys):
-        path = next(p for p in BENCH_INPUTS if p.stem == "sl4q")
+        path = next(p for p in INPUT_PATHS if p.stem == "sl4q")
         code, out = run(capsys, ["commutator", str(path), "--form", "killing", "--target=" + ",".join(["1"] + ["0"] * 14)])
         assert code == 2
         assert list(out) == ["note"] and "over the cap" in out["note"]
@@ -566,14 +565,14 @@ class TestHuman:
         assert lines[-1] == "22 passed, 2 failed, 0 skipped"
 
     def test_rank_is_one_line_per_key(self, capsys):
-        path = next(p for p in BENCH_INPUTS if p.stem == "sl3q")
+        path = next(p for p in INPUT_PATHS if p.stem == "sl3q")
         assert main(["rank", str(path), "--human"]) == 0
         assert capsys.readouterr().out == "dim: 8\nrank: 2\nnilpotent: False\n"
 
     def test_h2_nests_the_representatives(self, capsys):
         # each representative, a list of terms, sits one level deeper than
         # the list of representatives and is closed by one "-"
-        path = next(p for p in BENCH_INPUTS if p.stem == "heisenberg2q")
+        path = next(p for p in INPUT_PATHS if p.stem == "heisenberg2q")
         assert main(["h2", str(path), "--human"]) == 0
         block = "    i: {}\n    j: {}\n    c: 1\n  -\n"
         pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]

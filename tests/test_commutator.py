@@ -23,16 +23,14 @@ from lielab.fields import GF, QQ
 from lielab.linalg import Matrix, Subspace, vec_is_zero, vec_sub
 from lielab.regularity import zero_multiplicity
 
+from cases import qvec
+
 F2 = GF(2)
 F3 = GF(3)
 F5 = GF(5)
 
 sl2q = sl(QQ, 2)
 SU = su2q()
-
-
-def qvec(*cs):
-    return tuple(QQ.of(c) for c in cs)
 
 
 class TestRank1Commutator:

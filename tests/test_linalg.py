@@ -1,11 +1,13 @@
-"""Exact linear algebra: matrices, polynomial invariants, subspaces."""
+"""Exact linear algebra: matrices, polynomial invariants, subspaces; the
+kernel's answers against ``oracle``, over Q and F_p."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lielab.catalog import sl
 from lielab.fields import GF, QQ, Fp, UniPoly
 from lielab.linalg import (
     _Echelon,
@@ -19,6 +21,7 @@ from lielab.linalg import (
 )
 
 import oracle
+from cases import FIELDS, frows, fsquare, fvec, scalars, space
 
 F2 = GF(2)
 F3 = GF(3)
@@ -47,6 +50,112 @@ def sq_strategy(field, n, lo=-4, hi=4):
     return st.tuples(*([row] * n)).map(lambda rows: Matrix(field, rows, ncols=n))
 
 
+def assert_canonical_kernel_scalars(values):
+    """Over Q a kernel scalar is an int, or a Fraction of denominator > 1."""
+    for x in values:
+        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+
+
+# ints, integral Fractions and non-integral ones, with pivots +-1, +-2, 1/3
+q_entry = st.one_of(
+    st.sampled_from([0, 0, 1, -1, 2, -2]),
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(Fraction),
+    st.sampled_from([Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-5, 2), Fraction(7, 6)]),
+)
+
+
+@st.composite
+def q_rows(draw, m=None, n=None):
+    """Up to 6 x 6 rows, with a dependent row now and then so that ranks
+    below full show up."""
+    m = draw(st.integers(1, 6)) if m is None else m
+    n = draw(st.integers(1, 6)) if n is None else n
+    rows = [[draw(q_entry) for _ in range(n)] for _ in range(m)]
+    if m > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        f = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
+        rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])] if i != j else [0] * n
+    return rows
+
+
+@st.composite
+def _field_matrices(draw, square):
+    """(field, rows, ncols) in field scalars: full-rank-ish or forced
+    rank-deficient, including the empty shapes 0x0, m x 0 and 0 x n; when
+    not square, also sparse and wide like the equation systems (up to
+    12 x 24, at most three nonzeros in a fresh row, some rows sums of two
+    earlier ones)."""
+    field = draw(st.sampled_from(FIELDS))
+    entry = scalars(field)
+    if not square and draw(st.booleans()):
+        n = draw(st.integers(1, 24))
+        rows = []
+        for _ in range(draw(st.integers(1, 12))):
+            if len(rows) > 1 and draw(st.integers(0, 3)) == 0:
+                a, b = draw(st.lists(st.sampled_from(range(len(rows))), min_size=2, max_size=2))
+                rows.append(vec_add(rows[a], rows[b]))
+                continue
+            row = [field.zero] * n
+            for col in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+                row[col] = field.of(draw(entry))
+            rows.append(tuple(row))
+        return field, rows, n
+    m = draw(st.integers(0, 6))
+    n = m if square else draw(st.integers(0, 6))
+    if draw(st.booleans()) and m and n:
+        # rank at most k: every row a combination of k base rows
+        k = draw(st.integers(0, min(m, n) - 1))
+        base = [[draw(entry) for _ in range(n)] for _ in range(k)]
+        coef = [[draw(entry) for _ in range(k)] for _ in range(m)]
+        rows = [[sum(c * b[j] for c, b in zip(cr, base)) for j in range(n)] for cr in coef]
+    else:
+        rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    return field, [tuple(field.of(c) for c in row) for row in rows], n
+
+
+@st.composite
+def matrices(draw, square=False):
+    """(field, rows, ncols), the matrices of every kernel test against the
+    oracle: a quarter of the time rows over Q of q_entry as a caller may
+    pass them, else those of _field_matrices; when square, a quarter of
+    these nilpotent (strictly upper triangular, then its rows and columns
+    permuted)."""
+    if draw(st.integers(0, 3)) == 0:
+        n = draw(st.integers(1, 6))
+        return QQ, draw(q_rows(m=n if square else None, n=n)), n
+    field, rows, n = draw(_field_matrices(square))
+    if square and n and draw(st.integers(0, 3)) == 0:
+        perm = draw(st.permutations(range(n)))
+        upper = [[rows[i][j] if i < j else field.zero for j in range(n)] for i in range(n)]
+        rows = [tuple(upper[perm[i]][perm[j]] for j in range(n)) for i in range(n)]
+    return field, rows, n
+
+
+def entries(field):
+    """Field scalars: over Q both the small fractions and q_entry."""
+    if field is QQ:
+        return st.one_of(scalars(QQ), q_entry.map(QQ.of))
+    return scalars(field)
+
+
+@st.composite
+def products(draw):
+    """(field, a, b, k, n, v): a is m x k, b is k x n and v has length k,
+    every size 0..5, so rectangular and empty shapes come up."""
+    field = draw(st.sampled_from(FIELDS))
+    entry = scalars(field)
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [tuple(field.of(draw(entry)) for _ in range(k)) for _ in range(m)]
+    b = [tuple(field.of(draw(entry)) for _ in range(n)) for _ in range(k)]
+    v = tuple(field.of(draw(entry)) for _ in range(k))
+    return field, a, b, k, n, v
+
+
+def _in_field(field, rows):
+    return all(field.contains(c) for row in rows for c in row)
+
+
 class TestMatrixBasics:
     @given(a=sq_strategy(F5, 3), b=sq_strategy(F5, 3), c=sq_strategy(F5, 3))
     @settings(max_examples=40)
@@ -66,11 +175,6 @@ class TestMatrixBasics:
         rebuilt = Matrix.from_columns(QQ, m.columns(), nrows=3)
         assert rebuilt == m
         assert m.column(1) == (QQ.of(2), QQ.of(4), QQ.of(6))
-
-    def test_pow(self):
-        m = qmat([[1, 1], [0, 1]])
-        assert (m ** 5).rows[0][1] == QQ.of(5)
-        assert m ** 0 == Matrix.identity(QQ, 2)
 
     def test_apply_matches_product(self):
         m = qmat([[1, 2], [3, 4]])
@@ -160,56 +264,202 @@ def test_kernel_producers_store_what_the_constructor_makes(field, data):
         _assert_stored_as_constructed(space, Subspace(field, n, space._k, space.pivots))
 
 
+# -- the kernel against the oracle ---------------------------------------------------
+
+
+@given(matrices())
+@settings(max_examples=480, deadline=None)
+def test_rref_rank_kernel_image_match_the_oracle(case):
+    """On each matrix and on the zero matrix of its shape: the reduced
+    echelon form and rank; the kernel, one vector per free column, each
+    killed by the matrix; the image, the span of the columns; all in the
+    oracle's canonical echelon basis.  Over Q every stored scalar is a
+    canonical kernel scalar, and the rows inside the elimination may hold a
+    Fraction of denominator 1, never a float."""
+    field, rows, n = case
+    p, m = field.char, len(rows)
+    for mat in (Matrix(field, rows, ncols=n), Matrix(field, [[0] * n for _ in rows], ncols=n)):
+        want, pivots = oracle.rref(p, mat.rows, n)
+        assert mat.rref() == (frows(field, want), pivots)
+        assert mat.rank() == len(pivots)
+        ker, image = mat.kernel(), mat.image()
+        ker_rows = oracle.kernel(p, mat.rows, n)
+        assert ker == space(field, n, ker_rows)
+        ker_ref, ker_pivots = oracle.rref(p, ker_rows, n)
+        assert (ker.rows, ker.pivots) == (frows(field, ker_ref), ker_pivots)
+        assert ker.dim + mat.rank() == n and ker.ambient == n
+        assert all(not any(oracle.apply(p, mat.rows, v)) for v in ker.rows)
+        assert all(vec_is_zero(mat.apply(v)) for v in ker.basis())
+        assert image == space(field, m, oracle.image(p, mat.rows, n))
+        columns, column_pivots = oracle.rref(p, [[row[j] for row in mat.rows] for j in range(n)], m)
+        assert (image.rows, image.pivots) == (frows(field, columns), column_pivots)
+        assert image.dim == mat.rank() and image.ambient == m
+        if field is QQ:
+            for k in (mat._k, ker._k, image._k):
+                assert_canonical_kernel_scalars(x for row in k for x in row)
+        for row in mat._rref[0]:
+            assert all(type(x) in (int, Fraction) for x in row)
+
+
+@given(matrices(), st.data())
+@settings(max_examples=220, deadline=None)
+def test_solve_matches_the_oracle(case, data):
+    """None when inconsistent, else the solution with every free unknown
+    zero; a right-hand side in the image of a random x has one."""
+    field, rows, n = case
+    p, entry = field.char, entries(field)
+    consistent = data.draw(st.booleans())
+    if consistent:
+        b = fvec(field, oracle.apply(p, rows, [data.draw(entry) for _ in range(n)]))
+    else:
+        b = tuple(data.draw(entry) for _ in rows)
+    mat = Matrix(field, rows, ncols=n)
+    got = mat.solve(b)
+    want = oracle.solve(p, rows, n, b)
+    assert got == (None if want is None else fvec(field, want))
+    assert got is not None or not consistent
+    if got is not None:
+        assert fvec(field, oracle.apply(p, rows, got)) == b and mat.apply(got) == b
+        assert field is not QQ or all(type(c) is Fraction for c in got)
+
+
+def test_empty_shapes():
+    for field in FIELDS:
+        for m, n in ((0, 0), (3, 0), (0, 4)):
+            mat = Matrix(field, [()] * m, ncols=n)
+            assert mat.rref() == ((), ())
+            assert mat.kernel().dim == n
+            assert mat.solve((field.zero,) * m) == (field.zero,) * n
+        assert Matrix(field, [], ncols=0).char_poly() == UniPoly.one(field)
+
+
+@given(products())
+@settings(max_examples=150, deadline=None)
+def test_product_and_apply_match_reference(case):
+    field, a, b, k, n, v = case
+    ma = Matrix(field, a, ncols=k)
+    prod = ma * Matrix(field, b, ncols=n)
+    assert (prod.m, prod.n) == (len(a), n)
+    assert prod == Matrix(field, oracle.matmul(field.char, a, b, n), ncols=n)
+    assert _in_field(field, prod.rows)
+    got = ma.apply(v)
+    assert got == fvec(field, oracle.apply(field.char, a, v))
+    assert _in_field(field, [got])
+
+
+@given(matrices(square=True))
+@example((QQ, [[1, 1], [0, 1]], 2))
+@settings(max_examples=200, deadline=None)
+def test_power_matches_the_oracle_and_repeated_products(case):
+    """A^k for k = 0..max(2n, 5): the product of k copies of A, starting
+    from the identity, and the oracle's power, with entries in the field."""
+    field, rows, n = case
+    mat = Matrix(field, rows, ncols=n)
+    want = Matrix.identity(field, n)
+    for k in range(max(2 * n, 5) + 1):
+        got = mat**k
+        assert got == want == fsquare(field, oracle.power(field.char, rows, k)), k
+        assert _in_field(field, got.rows)
+        want = want * mat
+
+
 class TestRankSolveKernel:
-    @given(a=sq_strategy(F5, 4))
-    @settings(max_examples=40)
-    def test_rank_nullity(self, a):
-        assert a.rank() + a.kernel().dim == 4
-        assert a.image().dim == a.rank()
-
-    @given(a=sq_strategy(QQ, 3), v=st.tuples(*([st.integers(-4, 4).map(QQ.of)] * 3)))
-    @settings(max_examples=40)
-    def test_solve_postcondition(self, a, v):
-        b = a.apply(v)
-        x = a.solve(b)
-        assert x is not None
-        assert a.apply(x) == b
-
     def test_solve_none_outside_image(self):
         a = qmat([[1, 0], [0, 0]])
         assert a.solve((QQ.zero, QQ.one)) is None
 
-    @given(a=sq_strategy(F5, 3))
-    @settings(max_examples=40)
-    def test_kernel_vectors_annihilate(self, a):
-        for v in a.kernel().basis():
-            assert vec_is_zero(a.apply(v))
+
+def _diag(entries):
+    n = len(entries)
+    return [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _jordan(sizes):
+    """Nilpotent Jordan blocks of the given sizes, as one matrix."""
+    n = sum(sizes)
+    rows = [[0] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        for i in range(start, start + size - 1):
+            rows[i][i + 1] = 1
+        start += size
+    return rows
+
+
+# matrices with a known minimal polynomial, most of them derogatory (degree
+# below n), which random matrices almost never are
+KNOWN_MIN_POLYS = {
+    "empty": (QQ, [], UniPoly.one(QQ)),
+    "zero-q": (QQ, [[0] * 3 for _ in range(3)], UniPoly(QQ, [0, 1])),
+    "zero-f5": (GF(5), [[0] * 2 for _ in range(2)], UniPoly(GF(5), [0, 1])),
+    "scalar-f7": (GF(7), _diag([3] * 4), UniPoly(GF(7), [-3, 1])),
+    "diag-1-1-2-q": (QQ, _diag([1, 1, 2]), UniPoly(QQ, [2, -3, 1])),
+    "diag-0-1-2-f3": (GF(3), _diag([0, 1, 2]), UniPoly(GF(3), [0, -1, 0, 1])),
+    "jordan-3-1-q": (QQ, _jordan([3, 1]), UniPoly(QQ, [0, 0, 0, 1])),
+    "jordan-3-1-f2": (GF(2), _jordan([3, 1]), UniPoly(GF(2), [0, 0, 0, 1])),
+    # eigenvalues 0, +-1, +-2: t(t^2 - 1)(t^2 - 4), over F_5 t^5 - t
+    "ad-h1-sl3-q": (QQ, sl(QQ, 3).ad_basis(3).rows, UniPoly(QQ, [0, 4, 0, -5, 0, 1])),
+    "ad-h1-sl3-f5": (GF(5), sl(GF(5), 3).ad_basis(3).rows, UniPoly(GF(5), [0, -1, 0, 0, 0, 1])),
+    "blocks-q": (
+        QQ,
+        [
+            [Fraction(1, 2), Fraction(2, 3), 0, 0, 0],
+            [Fraction(-3, 4), Fraction(5, 2), 0, 0, 0],
+            [0, 0, Fraction(1, 2), Fraction(2, 3), 0],
+            [0, 0, Fraction(-3, 4), Fraction(5, 2), 0],
+            [0, 0, 0, 0, Fraction(1, 2)],
+        ],
+        # (t^2 - 3t + 7/4)(t - 1/2): 1/2 is no root of the block's factor
+        UniPoly(QQ, [Fraction(-7, 8), Fraction(13, 4), Fraction(-7, 2), 1]),
+    ),
+}
 
 
 class TestCharAndMinPoly:
-    @given(a=sq_strategy(QQ, 3))
-    @settings(max_examples=25)
-    def test_char_poly_matches_cofactor_oracle(self, a):
-        assert a.char_poly() == UniPoly(a.field, oracle.char_poly(a.field.char, a.rows))
-
-    @given(a=sq_strategy(F5, 4))
-    @settings(max_examples=15)
-    def test_char_poly_matches_cofactor_oracle_f5(self, a):
-        assert a.char_poly() == UniPoly(a.field, oracle.char_poly(a.field.char, a.rows))
+    @given(matrices(square=True))
+    @settings(max_examples=200, deadline=None)
+    def test_char_poly_matches_the_oracle(self, case):
+        """The oracle's cofactor expansion, of degree n; and, since a monic
+        polynomial of degree n is fixed by its values at n points, the
+        oracle's det(tI - A) at t = 0..n-1.  Over Q every coefficient is a
+        Fraction."""
+        field, rows, n = case
+        p = field.char
+        cp = Matrix(field, rows, ncols=n).char_poly()
+        assert cp == UniPoly(field, oracle.char_poly(p, rows))
+        assert cp.degree == n
+        assert field is not QQ or all(type(c) is Fraction for c in cp.coeffs)
+        a = oracle.matrix(p, rows)
+        for t in range(n):
+            shifted = [[(t if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+            assert cp.eval_scalar(t) == field.of(oracle.det(p, shifted))
 
     @given(a=sq_strategy(QQ, 4, -3, 3))
     @settings(max_examples=15)
     def test_cayley_hamilton(self, a):
         assert horner(a, a.char_poly()).is_zero()
 
-    @given(a=sq_strategy(F5, 3))
-    @settings(max_examples=30)
-    def test_min_poly_divides_char_poly(self, a):
+    @given(matrices(square=True))
+    @settings(max_examples=130, deadline=None)
+    def test_min_poly_matches_the_oracle(self, case):
+        """The oracle's minimal polynomial, the first power of A that is a
+        combination of the powers before it; so also monic, a divisor of
+        the characteristic polynomial and zero at A."""
+        field, rows, n = case
+        a = Matrix(field, rows, ncols=n)
         mp, cp = a.min_poly(), a.char_poly()
+        assert mp == UniPoly(field, oracle.min_poly(field.char, rows))
+        assert mp.leading() == field.one
         assert (cp % mp).is_zero()
         assert horner(a, mp).is_zero()
-        # minimality: no proper monic divisor of mp annihilates
-        assert mp.leading() == F5.one
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_MIN_POLYS))
+    def test_min_poly_of_known_matrices(self, name):
+        field, rows, want = KNOWN_MIN_POLYS[name]
+        rows = [tuple(field.of(c) for c in row) for row in rows]
+        got = Matrix(field, rows, ncols=len(rows)).min_poly()
+        assert got == UniPoly(field, oracle.min_poly(field.char, rows))
+        assert got == want
 
     def test_min_poly_of_projection(self):
         proj = qmat([[1, 0], [0, 0]])
@@ -307,78 +557,10 @@ class TestSubspace:
         assert set(comp) | set(u.pivots) == {0, 1, 2} or len(set(comp)) == 2
 
 
-def assert_canonical_kernel_scalars(values):
-    """Over Q a kernel scalar is an int, or a Fraction of denominator > 1."""
-    for x in values:
-        assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
-
-
-# ints, integral Fractions and non-integral ones, with pivots +-1, +-2, 1/3
-q_entry = st.one_of(
-    st.sampled_from([0, 0, 1, -1, 2, -2]),
-    st.integers(-3, 3),
-    st.integers(-3, 3).map(Fraction),
-    st.sampled_from([Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-5, 2), Fraction(7, 6)]),
-)
-
-
-@st.composite
-def q_rows(draw, m=None, n=None):
-    """Up to 6 x 6 rows, with a dependent row now and then so that ranks
-    below full show up."""
-    m = draw(st.integers(1, 6)) if m is None else m
-    n = draw(st.integers(1, 6)) if n is None else n
-    rows = [[draw(q_entry) for _ in range(n)] for _ in range(m)]
-    if m > 1 and draw(st.booleans()):
-        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
-        f = draw(st.sampled_from([1, -2, Fraction(1, 3)]))
-        rows[i] = [x + f * y for x, y in zip(rows[i], rows[j])] if i != j else [0] * n
-    return rows
-
-
 class TestRationalKernelOracle:
-    """The kernel over Q against the oracle's Fraction elimination and
-    cofactor determinant, which know nothing of kernel scalars, on matrices
-    that mix ints, integral Fractions and non-integral Fractions."""
-
-    @given(rows=q_rows())
-    @settings(max_examples=60, deadline=None)
-    def test_rref_rank_kernel_image(self, rows):
-        m, n = len(rows), len(rows[0])
-        a = Matrix(QQ, rows, n)
-        ref, pivots = oracle.rref(0, rows, n)
-        assert a.rref() == (ref, pivots)
-        assert a.rank() == len(pivots)
-        # the kernel: one vector per free column, in canonical form
-        ker = a.kernel()
-        assert (ker.rows, ker.pivots) == oracle.rref(0, oracle.kernel(0, rows, n), n)
-        for v in ker.rows:
-            assert oracle.apply(0, rows, v) == (0,) * m
-        image = a.image()
-        columns = [[row[j] for row in rows] for j in range(n)]
-        assert (image.rows, image.pivots) == oracle.rref(0, columns, m)
-        for k in (a._k, ker._k, image._k):
-            assert_canonical_kernel_scalars(x for row in k for x in row)
-        # rows inside the elimination may hold a Fraction of denominator 1,
-        # never a float
-        for row in a._rref[0]:
-            assert all(type(x) in (int, Fraction) for x in row)
-
-    @given(rows=q_rows(), data=st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_solve(self, rows, data):
-        m, n = len(rows), len(rows[0])
-        a = Matrix(QQ, rows, n)
-        if data.draw(st.booleans()):
-            b = oracle.apply(0, rows, [data.draw(q_entry) for _ in range(n)])
-        else:
-            b = tuple(Fraction(data.draw(q_entry)) for _ in range(m))
-        # None when inconsistent, else free coordinates zero
-        x = a.solve(b)
-        assert x == oracle.solve(0, rows, n, b)
-        if x is not None:
-            assert oracle.apply(0, rows, x) == b
-            assert all(type(c) is Fraction for c in x)
+    """Intersections over Q against the oracle's Fraction elimination, which
+    knows nothing of kernel scalars, on rows that mix ints, integral
+    Fractions and non-integral Fractions."""
 
     @given(us=q_rows(n=5), vs=q_rows(n=5))
     @settings(max_examples=50, deadline=None)
@@ -392,18 +574,6 @@ class TestRationalKernelOracle:
         for w in both.rows:
             assert rank(us + [w]) == rank(us) and rank(vs + [w]) == rank(vs)
         assert_canonical_kernel_scalars(x for row in both._k for x in row)
-
-    @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_char_poly(self, data):
-        n = data.draw(st.integers(1, 6))
-        rows = data.draw(q_rows(m=n, n=n))
-        cp = Matrix(QQ, rows, n).char_poly()
-        assert cp.degree == n and all(type(c) is Fraction for c in cp.coeffs)
-        # a monic polynomial of degree n is fixed by its values at n points
-        for t in range(n):
-            shifted = [[(t if i == j else 0) - Fraction(x) for j, x in enumerate(row)] for i, row in enumerate(rows)]
-            assert cp.eval_scalar(t) == oracle.det(0, shifted)
 
 
 class TestEchelonFloor:
@@ -495,6 +665,30 @@ class TestKernelIdentities:
         for u, v in ((subspace(), subspace()), (subspace(), Subspace.zero_space(field, n))):
             for a, b in ((u, v), (v, u)):
                 assert a.sum_with(b) == Subspace._span_k(field, n, a._k + b._k)
+
+
+@given(st.sampled_from([QQ, GF(2), GF(5)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_close_is_the_fixed_point_of_its_maps(field, data):
+    """close gives the least span that holds the seeds and is closed under
+    the maps, and a seed set that fills the space asks for no images."""
+    n = data.draw(st.integers(1, 5))
+    entries = st.integers(0, field.p - 1) if field.kind == "Fp" else st.integers(-2, 2)
+    vectors = st.lists(entries, min_size=n, max_size=n)
+    maps = [Matrix(field, rows) for rows in data.draw(st.lists(st.lists(vectors, min_size=n, max_size=n), max_size=2))]
+    seeds = data.draw(st.lists(vectors, max_size=3))
+    calls = []
+
+    def images(v):
+        calls.append(v)
+        return (field._to_k(m._apply_k(v)) for m in maps)
+
+    got = _Echelon(field, n).close([field._to_k(v) for v in seeds], images).subspace()
+    assert got == space(field, n, oracle.close(field.char, n, [m.rows for m in maps], seeds))
+    assert all(got.contains(m.apply(r)) for m in maps for r in got.rows)
+    calls.clear()
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert _Echelon(field, n).close(unit, images).full and calls == []
 
 
 class TestSharedFullSpace:

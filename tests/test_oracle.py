@@ -60,6 +60,53 @@ def test_imports_only_the_standard_library():
     assert "lielab" not in modules
 
 
+# The references that pin internal contracts, each named in the docstring of
+# test_residue_kernel.py, with the local ref_scan through which
+# test_exhaustive_deciders_match_the_point_walk reads ref_scan_exhaustive.
+# Every other check reads the oracle, so a replaced body kept as a reference
+# shows up here.
+CONTRACTS = {
+    "test_residue_kernel.py": {
+        "ref_enum_algebra",
+        "ref_map_equations",
+        "ref_equation_row",
+        "ref_centroid_rows",
+        "ref_scan_exhaustive",
+        "test_exhaustive_deciders_match_the_point_walk.ref_scan",
+    },
+}
+
+
+def references(source):
+    """The qualified name of every function named ref_* in source."""
+    found = set()
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not isinstance(child, ast.ClassDef) and child.name.startswith("ref_"):
+                    found.add(prefix + child.name)
+                walk(child, f"{prefix}{child.name}.")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(source), "")
+    return found
+
+
+def test_the_references_are_the_documented_contracts():
+    tests = Path(__file__).resolve().parent
+    found = {path.name: references(path.read_text()) for path in sorted(tests.rglob("*.py"))}
+    assert {name: refs for name, refs in found.items() if refs} == CONTRACTS
+    doc = ast.get_docstring(ast.parse((tests / "test_residue_kernel.py").read_text()))
+    assert all(name.rsplit(".", 1)[-1] in doc for name in CONTRACTS["test_residue_kernel.py"])
+
+
+def test_reference_scan_sees_nested_definitions():
+    source = "class T:\n    def ref_a(self):\n        def ref_b():\n            pass\n\ndef f():\n    async def ref_c():\n        pass\n"
+    assert references(source) == {"T.ref_a", "T.ref_a.ref_b", "f.ref_c"}
+
+
 @pytest.mark.parametrize("name", sorted(KNOWN))
 def test_known_answer(name):
     assert known_answers(oracle)[name] == KNOWN[name]

@@ -1,33 +1,20 @@
 """Rank, Fitting components, regular elements/algebras, anisotropy,
-and characteristic-polynomial factorization along ideals."""
+and characteristic-polynomial factorization along ideals; the regularity
+layer's answers against ``oracle``."""
 
 import itertools
-import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lielab import regularity
-from lielab.algebra import LieAlgebra, _point_index, _projective_points, direct_sum
+from lielab.algebra import LieAlgebra, StructureError, _point_index, _projective_points, direct_sum, quotient_with_projection
 from lielab.budgets import DEFAULT_SEED, EXHAUSTIVE_CAP, SEARCH_HEIGHT, SEARCH_TRIALS, SYMBOLIC_DIM, BudgetExceeded
-from lielab.catalog import (
-    abelian,
-    canonical_instances,
-    enumerate_tables,
-    gl,
-    heisenberg,
-    make,
-    pgl,
-    r2,
-    sl,
-    strict_upper,
-    su2q,
-)
-from lielab.fields import GF, QQ, UniPoly
+from lielab.catalog import abelian, gl, heisenberg, pgl, r2, sl, strict_upper, su2q
+from lielab.fields import GF, QQ, MultiPoly, UniPoly
 from lielab.linalg import Matrix, Subspace, diagonalize_quadratic, vec_is_zero
 from lielab.regularity import (
     FittingDecomposition,
@@ -45,10 +32,29 @@ from lielab.regularity import (
     relative_rank,
     zero_multiplicity,
     _assert_fitting,
+    _ideal_actions,
     _rank_by_scan,
     _search_schedule,
 )
 from lielab.verdict import RecheckFailed, Verdict
+
+import oracle
+from cases import (
+    FIELDS,
+    census,
+    census_tables,
+    fp_cases,
+    fsquare,
+    input_table,
+    named_cases,
+    oracle_of,
+    params,
+    q_cases,
+    qvec,
+    rescaled,
+    scalars,
+    space,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -56,11 +62,6 @@ F5 = GF(5)
 
 sl2q = sl(QQ, 2)
 SU = su2q()
-
-
-def qvec(*cs):
-    return tuple(QQ.of(c) for c in cs)
-
 
 vec3q = st.tuples(*([st.integers(-6, 6).map(QQ.of)] * 3))
 
@@ -159,14 +160,15 @@ class TestFitting:
         assert dec.nu == 1
 
     def test_fitting_set_rejects_non_commuting(self):
-        from lielab.algebra import StructureError
-
+        """(ad h)^3 e = 8e and (ad h)^3 f = -8f in sl2, so neither {e, h}
+        nor {h, f} is almost commuting; the oracle finds no decomposition."""
         for field in (QQ, F3, F5):
             L = sl(field, 2)
             e, h, f = map(L.basis_vector, range(3))
             for family in ([e, h], [h, e], [h, f]):
                 with pytest.raises(StructureError, match="not almost commuting"):
                     fitting_set(L, family)
+                assert oracle.fitting(oracle_of(L), family) is None
             assert fitting_set(L, [h, L.bracket(e, f)]).nu == 1
 
     def test_fitting_set_rejects_empty(self):
@@ -407,21 +409,8 @@ class TestAnisotropy:
         assert v.evidence == {"rank": 1, "scanned": 3 + 26 + 10, "height": 1, "trials": 10, "seed": 5}
 
 
-
-INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
-
-
-def _named_tables():
-    """The canonical instances and the benchmark tables, up to the symbolic budget."""
-    named = list(canonical_instances())
-    for path in sorted(INPUTS.glob("*.json")):
-        named.append((path.stem, LieAlgebra.from_json_dict(json.loads(path.read_text()))))
-    return [(name, L) for name, L in named if L.dim <= SYMBOLIC_DIM]
-
-
-NAMED = _named_tables()
-FP_NAMED = [(name, L) for name, L in NAMED if L.field.kind == "Fp" and L.field.p**L.dim <= EXHAUSTIVE_CAP]
-Q_NAMED = [(name, L) for name, L in NAMED if L.field.kind == "Q"]
+# the canonical instances and the benchmark tables, up to the symbolic budget
+NAMED = [(name, L) for name, L in named_cases() if L.dim <= SYMBOLIC_DIM]
 
 
 def symbolic_nu(L, x):
@@ -431,15 +420,6 @@ def symbolic_nu(L, x):
     return next(i for i in range(L.dim + 1) if g.value(i, xk))
 
 
-def _rescaled(L, scales):
-    """L in the basis b_i / s_i, so that integer constants become fractions."""
-    table = {
-        (i, j): {k: c * scales[k] / (scales[i] * scales[j]) for k, c in coeffs.items()}
-        for (i, j), coeffs in L.table.items()
-    }
-    return LieAlgebra(L.field, L.labels, table)
-
-
 class TestScansReadTheExpansion:
     """Where ``rank`` has expanded the a_i from the table rows, the scans
     read nu off them (nu(x) is the least i with a_i(x) != 0), and every
@@ -447,22 +427,23 @@ class TestScansReadTheExpansion:
 
     @pytest.mark.parametrize("p,valid", [(2, 120), (3, 1431)])
     def test_nu_on_every_line_of_the_census(self, p, valid):
+        """The symbolic nu, the Hessenberg nu and the oracle's nu."""
         field = GF(p)
         lines = list(_projective_points(field, 3))
-        count = 0
-        for t in enumerate_tables(3, field):
-            if t.jacobi_ok:
-                count += 1
-                L = t.algebra()
-                assert [symbolic_nu(L, x) for x in lines] == [zero_multiplicity(L, x) for x in lines], t.coeffs
-        assert count == valid
+        tables = census_tables(3, field)
+        assert len(tables) == valid
+        for t in tables:
+            L = t.algebra()
+            A = oracle_of(L)
+            hessenberg = [zero_multiplicity(L, x) for x in lines]
+            assert [symbolic_nu(L, x) for x in lines] == hessenberg == [oracle.nu(A, x) for x in lines], t.coeffs
 
-    @pytest.mark.parametrize("name,L", FP_NAMED, ids=[c[0] for c in FP_NAMED])
+    @pytest.mark.parametrize("name,L", params(fp_cases(NAMED)))
     def test_nu_on_every_line_of_the_fp_tables(self, name, L):
         for x in _projective_points(L.field, L.dim):
             assert symbolic_nu(L, x) == zero_multiplicity(L, x), x
 
-    @pytest.mark.parametrize("name,L", Q_NAMED, ids=[c[0] for c in Q_NAMED])
+    @pytest.mark.parametrize("name,L", params(q_cases(NAMED)))
     def test_nu_at_the_schedule_points_over_q(self, name, L):
         """The first points of the search schedule, and seeded points with
         64-bit coordinates (the schedule's trials, reached here at height 0)."""
@@ -472,7 +453,7 @@ class TestScansReadTheExpansion:
         for x in points:
             assert symbolic_nu(L, x) == zero_multiplicity(L, x), x
 
-    @pytest.mark.parametrize("name,L", NAMED, ids=[c[0] for c in NAMED])
+    @pytest.mark.parametrize("name,L", params(NAMED))
     def test_table_rows_give_the_coefficients_of_the_ad_family(self, name, L):
         ads = [L.ad_basis(i) for i in range(L.dim)]
         assert generic_char_poly(L).coeffs == tuple(linear_family_char_coeffs(L.field, ads, L.dim))
@@ -481,7 +462,7 @@ class TestScansReadTheExpansion:
     def test_table_rows_with_fractions(self, L):
         """Non-integral constants: the rows are scaled by the lcm of their
         denominators before the integer expansion, and back after it."""
-        M = _rescaled(L, [Fraction(k + 2, 3 - k % 2) for k in range(L.dim)])
+        M = rescaled(L, [Fraction(k + 2, 3 - k % 2) for k in range(L.dim)])
         ads = [M.ad_basis(i) for i in range(M.dim)]
         assert generic_char_poly(M).coeffs == tuple(linear_family_char_coeffs(QQ, ads, M.dim))
         assert generic_char_poly(M).formal_rank() == generic_char_poly(L).formal_rank()
@@ -504,7 +485,7 @@ class TestScansReadTheExpansion:
         ],
     )
     def test_a_corrupted_a_rank_raises(self, a_rank):
-        L = LieAlgebra.from_json_dict(json.loads((INPUTS / "sl2f5.json").read_text()))
+        L = input_table("sl2f5")
         assert L.labels == ("e", "h", "f") and rank(L) == 1
         self._corrupt(generic_char_poly(L), 1, a_rank)
         with pytest.raises(RecheckFailed):
@@ -513,7 +494,7 @@ class TestScansReadTheExpansion:
     def test_a_corrupted_rank_scan_term_raises(self):
         """sl3/F3 needs a scan (n - r = 6 >= p), and its first line E32 has
         nu = 8: a term x_8^6 added to a_2 makes the scan stop there."""
-        L = LieAlgebra.from_json_dict(json.loads((INPUTS / "sl3f3.json").read_text()))
+        L = input_table("sl3f3")
         g = generic_char_poly(L)
         first = (0,) * 7 + (6,)
         assert first not in g.terms[2] and zero_multiplicity(L, L.basis_vector(7)) == 8
@@ -524,7 +505,7 @@ class TestScansReadTheExpansion:
     def test_rank_scan_rechecks_its_line(self, monkeypatch):
         """The first line meeting the bound gets one Hessenberg nu, and the
         lines before it (the first has nu = 4 on pgl3/F3) none."""
-        L = LieAlgebra.from_json_dict(json.loads((INPUTS / "pgl3f3.json").read_text()))
+        L = input_table("pgl3f3")
         seen = []
         real = regularity.zero_multiplicity
         monkeypatch.setattr(regularity, "zero_multiplicity", lambda L, x: seen.append(x) or real(L, x))
@@ -559,11 +540,9 @@ class TestLineWalk:
             return scan(L, mode, seed, fails, **known)
 
         monkeypatch.setattr(regularity, "_scan", recording)
-        for t in enumerate_tables(3, F3):
-            if t.jacobi_ok:
-                L = t.algebra()
-                for decide in (is_regular_algebra, is_anisotropic, is_nilpotent_free):
-                    decide(L, mode="exhaustive")
+        for L in census(3, F3):
+            for decide in (is_regular_algebra, is_anisotropic, is_nilpotent_free):
+                decide(L, mode="exhaustive")
         assert len(predicates) == 3 * (1431 - 27)
         units = [c for c in F3.elements() if c]
         for fails in predicates:
@@ -668,24 +647,6 @@ class TestDefiniteA1Certificate:
 
 
 class TestFactorizationAlongIdeals:
-    @given(x=st.tuples(st.integers(-5, 5).map(QQ.of), st.integers(-5, 5).map(QQ.of)))
-    @settings(max_examples=40)
-    def test_r2_chi_factors(self, x):
-        L = r2(QQ)
-        ideal = Subspace.from_vectors(QQ, 2, [L.basis_vector(1)])
-        chi_i, chi_q, chi_l = char_poly_factorization(L, ideal, x)
-        assert chi_i * chi_q == chi_l
-
-    @given(x=st.tuples(*([st.integers(-4, 4).map(QQ.of)] * 6)))
-    @settings(max_examples=25)
-    def test_double_sl2_chi_factors(self, x):
-        L = direct_sum(sl2q, sl2q)
-        ideal = Subspace.from_vectors(
-            QQ, 6, [L.basis_vector(0), L.basis_vector(1), L.basis_vector(2)]
-        )
-        chi_i, chi_q, chi_l = char_poly_factorization(L, ideal, x)
-        assert chi_i * chi_q == chi_l
-
     def test_relative_rank_adds_up(self):
         L = r2(QQ)
         ideal = Subspace.from_vectors(QQ, 2, [L.basis_vector(1)])
@@ -699,6 +660,220 @@ class TestFactorizationAlongIdeals:
         ri, rq = relative_rank(D, summand)
         assert (ri, rq) == (1, 1)
         assert ri + rq == rank(D)
+
+
+# -- the regularity layer against the oracle -------------------------------------
+
+
+def _first_nonzero(poly):
+    return next(i for i, c in enumerate(poly.coeffs) if c)
+
+
+def test_zero_multiplicity_sl2_f5_every_point():
+    F5 = GF(5)
+    L = sl(F5, 2)
+    A = oracle_of(L)
+    for x in itertools.product(tuple(F5.elements()), repeat=L.dim):
+        nu = zero_multiplicity(L, x)
+        assert nu == _first_nonzero(L.ad(x).char_poly())
+        assert nu == oracle.nu(A, x)
+
+
+def test_zero_multiplicity_pgl3_f3_every_point():
+    F3 = GF(3)
+    L = pgl(F3, 3)
+    A = oracle_of(L)
+    elements = tuple(F3.elements())
+    for idx, x in enumerate(itertools.product(elements, repeat=L.dim)):
+        nu = zero_multiplicity(L, x)
+        assert nu == _first_nonzero(L.ad(x).char_poly()), x
+        if idx % 97 == 0:
+            assert nu == oracle.nu(A, x), x
+
+
+def _decomposition(dec):
+    return dec.null, dec.one, dec.nu
+
+
+def _oracle_decomposition(L, A, xs):
+    null, one, nu = oracle.fitting(A, xs)
+    return space(L.field, L.dim, null), space(L.field, L.dim, one), nu
+
+
+def _seeded_points(L, count, seed=24):
+    """Nonzero points with coordinates in -2..2, the same on every run."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        x = tuple(L.field.of(rng.randint(-2, 2)) for _ in range(L.dim))
+        if any(x):
+            points.append(x)
+    return points
+
+
+@pytest.mark.parametrize("name,L", params(named_cases()))
+def test_zero_multiplicity_at_seeded_points(name, L):
+    A = oracle_of(L)
+    for x in [L.basis_vector(i) for i in range(L.dim)] + _seeded_points(L, 4):
+        assert zero_multiplicity(L, x) == oracle.nu(A, x), x
+
+
+def test_fitting_of_every_census_witness():
+    """All 1 404 refuted dimension-3 tables over F3; every witness has nu = 3,
+    so the kernel and image of each (ad x)^3 skip elimination."""
+    witnesses = 0
+    for t in census_tables(3, F3):
+        L = t.algebra()
+        verdict = is_regular_algebra(L, mode="exhaustive")
+        if verdict.is_refuted:
+            witnesses += 1
+            got = fitting_set(L, [verdict.witness])
+            assert got.nu == 3
+            assert _decomposition(got) == _oracle_decomposition(L, oracle_of(L), [verdict.witness]), t.coeffs
+    assert witnesses == 1404
+
+
+def _nilpotent_basis_vectors(L):
+    return [v for v in map(L.basis_vector, range(L.dim)) if (L.ad(v) ** L.dim).is_zero()]
+
+
+@pytest.mark.parametrize("name,L", params(named_cases()))
+def test_fitting_of_ad_nilpotent_basis_vectors(name, L):
+    """Each basis vector with a nilpotent ad alone, and, in a nilpotent
+    algebra, the whole basis as one family."""
+    A = oracle_of(L)
+    vectors = _nilpotent_basis_vectors(L)
+    for v in vectors:
+        assert _decomposition(fitting_set(L, [v])) == _oracle_decomposition(L, A, [v]), v
+    if len(vectors) == L.dim:
+        assert _decomposition(fitting_set(L, vectors)) == _oracle_decomposition(L, A, vectors)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5)], ids=["Q", "F3", "F5"])
+def test_fitting_of_a_family_with_one_nilpotent_member(field):
+    """x central in the Heisenberg summand (ad x = 0) and y the x of r2
+    ([x, y] = y), which commute: one power is zero and the other is not."""
+    L = direct_sum(heisenberg(field, 1), r2(field))
+    x = L.basis_vector(L.labels.index("z.1"))
+    y = L.basis_vector(L.labels.index("x.2"))
+    assert (L.ad(x) ** L.dim).is_zero() and not (L.ad(y) ** L.dim).is_zero()
+    for family in ([x, y], [y, x]):
+        got = fitting_set(L, family)
+        assert _decomposition(got) == _oracle_decomposition(L, oracle_of(L), family)
+        assert got.nu == L.dim - 1
+
+
+def _first_summand(L):
+    return Subspace.from_vectors(L.field, L.dim, [L.basis_vector(i) for i in range(L.dim // 2)])
+
+
+ACTION_CASES = {
+    "r2-q-line-y": (lambda: r2(QQ), lambda L: Subspace.from_vectors(QQ, 2, [L.basis_vector(1)])),
+    "sl2+sl2-q-summand": (lambda: direct_sum(sl(QQ, 2), sl(QQ, 2)), _first_summand),
+    "r2-f3-commutant": (lambda: r2(GF(3)), LieAlgebra.commutant),
+    "gl2-q-commutant": (lambda: gl(QQ, 2), LieAlgebra.commutant),
+    "heisenberg2-q-center": (lambda: heisenberg(QQ, 2), LieAlgebra.center),
+    "gl3-f5-center": (lambda: gl(GF(5), 3), LieAlgebra.center),
+}
+
+
+def _action_case(name):
+    build, ideal_of = ACTION_CASES[name]
+    L = build()
+    return L, ideal_of(L)
+
+
+def _oracle_actions(L, ideal):
+    """The oracle's inner and outer action matrices of every basis vector."""
+    A = oracle_of(L)
+    actions = [oracle.ideal_actions(A, ideal.rows, b) for b in oracle.identity(A.p, A.n)]
+    return [inner for inner, _ in actions], [outer for _, outer in actions]
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_CASES))
+def test_quotient_action_matches_coset_loop(name):
+    L, ideal = _action_case(name)
+    assert 0 < ideal.dim < L.dim
+    inner, outer = _oracle_actions(L, ideal)
+    quot, project = quotient_with_projection(L, ideal)
+    assert [quot.ad(project(L.basis_vector(m))) for m in range(L.dim)] == [fsquare(L.field, m) for m in outer]
+    if L.dim <= SYMBOLIC_DIM:
+        coeffs = [oracle.linear_family_char_coeffs(L.field.char, m, L.dim) for m in (inner, outer)]
+        want = tuple(next(k for k, a in enumerate(c) if a) for c in coeffs)
+        assert relative_rank(L, ideal) == want
+    else:
+        with pytest.raises(BudgetExceeded):
+            relative_rank(L, ideal)
+    for x in [L.basis_vector(i) for i in range(L.dim)] + [tuple(L.field.of(i + 1) for i in range(L.dim))]:
+        chi_i, chi_q, chi_l = char_poly_factorization(L, ideal, x)
+        assert chi_q == UniPoly(L.field, oracle.char_poly(L.field.char, oracle.combine(L.field.char, outer, x)))
+        assert chi_i * chi_q == chi_l
+
+
+@pytest.mark.parametrize("name", sorted(ACTION_CASES))
+def test_ideal_actions_match_the_per_basis_matrices(name):
+    """The matrices themselves, not only their characteristic polynomials,
+    which a transposed restriction would keep."""
+    L, ideal = _action_case(name)
+    inner, outer = _oracle_actions(L, ideal)
+    for m in range(L.dim):
+        assert _ideal_actions(L, ideal, L.basis_vector(m)) == (fsquare(L.field, inner[m]), fsquare(L.field, outer[m]))
+
+
+ACTION_ALGEBRAS = {name: _action_case(name) for name in sorted(ACTION_CASES)}
+ACTION_MATRICES = {name: _oracle_actions(*case) for name, case in ACTION_ALGEBRAS.items()}
+
+
+@given(st.sampled_from(sorted(ACTION_ALGEBRAS)), st.data())
+@settings(max_examples=125, deadline=None)
+def test_char_poly_factorization_matches_the_combined_matrices(name, data):
+    """chi on the ideal, on the quotient and on L are the oracle's, and the
+    first two multiply to the third."""
+    L, ideal = ACTION_ALGEBRAS[name]
+    p = L.field.char
+    x = tuple(L.field.of(c) for c in data.draw(st.lists(st.integers(-5, 5), min_size=L.dim, max_size=L.dim)))
+    want = tuple(oracle.char_poly(p, oracle.combine(p, mats, x)) for mats in ACTION_MATRICES[name])
+    want += (oracle.char_poly(p, oracle.ad(oracle_of(L), x)),)
+    chi_i, chi_q, chi_l = char_poly_factorization(L, ideal, x)
+    assert (chi_i, chi_q, chi_l) == tuple(UniPoly(L.field, c) for c in want)
+    assert chi_i * chi_q == chi_l
+
+
+@pytest.mark.parametrize(
+    "L,witness_of,message",
+    [
+        (sl(QQ, 2), lambda L: L.basis_vector(1), "is not t"),
+        (gl(QQ, 2), lambda L: L.center().rows[0], "ad x is zero"),
+    ],
+    ids=["not-nilpotent", "central"],
+)
+def test_nilpotent_free_refutation_is_rechecked(monkeypatch, L, witness_of, message):
+    """A scan that returns a forged witness: one whose ad is not nilpotent,
+    and one that is central."""
+    witness = witness_of(L)
+    monkeypatch.setattr(regularity, "_scan", lambda L, mode, seed, fails, **known: Verdict.refuted(witness))
+    with pytest.raises(RecheckFailed, match=message):
+        is_nilpotent_free(L)
+
+
+@st.composite
+def families(draw):
+    """(field, mats, nvars): nvars square matrices of one size d, including
+    d = 0 and nvars = 0, with fractional entries over Q."""
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(0, 3))
+    d = draw(st.integers(0, 4)) if nvars else 0
+    entry = st.one_of(st.just(field.zero), scalars(field))
+    mats = [Matrix(field, [[draw(entry) for _ in range(d)] for _ in range(d)], ncols=d) for _ in range(nvars)]
+    return field, mats, nvars
+
+
+@given(families())
+@settings(max_examples=100, deadline=None)
+def test_linear_family_char_coeffs_matches_reference(case):
+    field, mats, nvars = case
+    want = oracle.linear_family_char_coeffs(field.char, [m.rows for m in mats], nvars)
+    assert linear_family_char_coeffs(field, mats, nvars) == [MultiPoly(field, nvars, t) for t in want]
 
 
 _SABOTAGED_FITTING = """
