@@ -80,13 +80,12 @@ def q_rows(draw, m=None, n=None):
 
 
 @st.composite
-def _field_matrices(draw, square):
-    """(field, rows, ncols) in field scalars: full-rank-ish or forced
+def _field_matrices(draw, field, square):
+    """(rows, ncols) in field scalars: full-rank-ish or forced
     rank-deficient, including the empty shapes 0x0, m x 0 and 0 x n; when
     not square, also sparse and wide like the equation systems (up to
     12 x 24, at most three nonzeros in a fresh row, some rows sums of two
     earlier ones)."""
-    field = draw(st.sampled_from(FIELDS))
     entry = scalars(field)
     if not square and draw(st.booleans()):
         n = draw(st.integers(1, 24))
@@ -100,7 +99,7 @@ def _field_matrices(draw, square):
             for col in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
                 row[col] = field.of(draw(entry))
             rows.append(tuple(row))
-        return field, rows, n
+        return rows, n
     m = draw(st.integers(0, 6))
     n = m if square else draw(st.integers(0, 6))
     if draw(st.booleans()) and m and n:
@@ -111,25 +110,37 @@ def _field_matrices(draw, square):
         rows = [[sum(c * b[j] for c, b in zip(cr, base)) for j in range(n)] for cr in coef]
     else:
         rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
-    return field, [tuple(field.of(c) for c in row) for row in rows], n
+    return [tuple(field.of(c) for c in row) for row in rows], n
 
 
 @st.composite
-def matrices(draw, square=False):
-    """(field, rows, ncols), the matrices of every kernel test against the
-    oracle: a quarter of the time rows over Q of q_entry as a caller may
+def matrices(draw, field, square=False):
+    """(rows, ncols) over field, the matrices of every kernel test against
+    the oracle: over Q two times in three rows of q_entry as a caller may
     pass them, else those of _field_matrices; when square, a quarter of
     these nilpotent (strictly upper triangular, then its rows and columns
     permuted)."""
-    if draw(st.integers(0, 3)) == 0:
+    if field is QQ and draw(st.integers(0, 2)) < 2:
         n = draw(st.integers(1, 6))
-        return QQ, draw(q_rows(m=n if square else None, n=n)), n
-    field, rows, n = draw(_field_matrices(square))
+        return draw(q_rows(m=n if square else None, n=n)), n
+    rows, n = draw(_field_matrices(field, square))
     if square and n and draw(st.integers(0, 3)) == 0:
         perm = draw(st.permutations(range(n)))
         upper = [[rows[i][j] if i < j else field.zero for j in range(n)] for i in range(n)]
         rows = [tuple(upper[perm[i]][perm[j]] for j in range(n)) for i in range(n)]
-    return field, rows, n
+    return rows, n
+
+
+# Each kernel test against the oracle runs once per field, so that a failure
+# names its field.
+per_field = pytest.mark.parametrize("field", FIELDS, ids=str)
+
+
+def share(total, field):
+    """A field's examples of a sweep of total, its share when one sweep drew
+    the field: 3/8 for Q (rows of q_entry and field scalars), 1/8 for each
+    F_p.  The shares of the six fields add up to total or more."""
+    return -(-total * (3 if field is QQ else 1) // 8)
 
 
 def entries(field):
@@ -267,60 +278,70 @@ def test_kernel_producers_store_what_the_constructor_makes(field, data):
 # -- the kernel against the oracle ---------------------------------------------------
 
 
-@given(matrices())
-@settings(max_examples=480, deadline=None)
-def test_rref_rank_kernel_image_match_the_oracle(case):
+@per_field
+def test_rref_rank_kernel_image_match_the_oracle(field):
     """On each matrix and on the zero matrix of its shape: the reduced
     echelon form and rank; the kernel, one vector per free column, each
     killed by the matrix; the image, the span of the columns; all in the
     oracle's canonical echelon basis.  Over Q every stored scalar is a
     canonical kernel scalar, and the rows inside the elimination may hold a
     Fraction of denominator 1, never a float."""
-    field, rows, n = case
-    p, m = field.char, len(rows)
-    for mat in (Matrix(field, rows, ncols=n), Matrix(field, [[0] * n for _ in rows], ncols=n)):
-        want, pivots = oracle.rref(p, mat.rows, n)
-        assert mat.rref() == (frows(field, want), pivots)
-        assert mat.rank() == len(pivots)
-        ker, image = mat.kernel(), mat.image()
-        ker_rows = oracle.kernel(p, mat.rows, n)
-        assert ker == space(field, n, ker_rows)
-        ker_ref, ker_pivots = oracle.rref(p, ker_rows, n)
-        assert (ker.rows, ker.pivots) == (frows(field, ker_ref), ker_pivots)
-        assert ker.dim + mat.rank() == n and ker.ambient == n
-        assert all(not any(oracle.apply(p, mat.rows, v)) for v in ker.rows)
-        assert all(vec_is_zero(mat.apply(v)) for v in ker.basis())
-        assert image == space(field, m, oracle.image(p, mat.rows, n))
-        columns, column_pivots = oracle.rref(p, [[row[j] for row in mat.rows] for j in range(n)], m)
-        assert (image.rows, image.pivots) == (frows(field, columns), column_pivots)
-        assert image.dim == mat.rank() and image.ambient == m
-        if field is QQ:
-            for k in (mat._k, ker._k, image._k):
-                assert_canonical_kernel_scalars(x for row in k for x in row)
-        for row in mat._rref[0]:
-            assert all(type(x) in (int, Fraction) for x in row)
+
+    @given(matrices(field))
+    @settings(max_examples=share(480, field), deadline=None)
+    def check(case):
+        rows, n = case
+        p, m = field.char, len(rows)
+        for mat in (Matrix(field, rows, ncols=n), Matrix(field, [[0] * n for _ in rows], ncols=n)):
+            want, pivots = oracle.rref(p, mat.rows, n)
+            assert mat.rref() == (frows(field, want), pivots)
+            assert mat.rank() == len(pivots)
+            ker, image = mat.kernel(), mat.image()
+            ker_rows = oracle.kernel(p, mat.rows, n)
+            assert ker == space(field, n, ker_rows)
+            ker_ref, ker_pivots = oracle.rref(p, ker_rows, n)
+            assert (ker.rows, ker.pivots) == (frows(field, ker_ref), ker_pivots)
+            assert ker.dim + mat.rank() == n and ker.ambient == n
+            assert all(not any(oracle.apply(p, mat.rows, v)) for v in ker.rows)
+            assert all(vec_is_zero(mat.apply(v)) for v in ker.basis())
+            assert image == space(field, m, oracle.image(p, mat.rows, n))
+            columns, column_pivots = oracle.rref(p, [[row[j] for row in mat.rows] for j in range(n)], m)
+            assert (image.rows, image.pivots) == (frows(field, columns), column_pivots)
+            assert image.dim == mat.rank() and image.ambient == m
+            if field is QQ:
+                for k in (mat._k, ker._k, image._k):
+                    assert_canonical_kernel_scalars(x for row in k for x in row)
+            for row in mat._rref[0]:
+                assert all(type(x) in (int, Fraction) for x in row)
+
+    check()
 
 
-@given(matrices(), st.data())
-@settings(max_examples=220, deadline=None)
-def test_solve_matches_the_oracle(case, data):
+@per_field
+def test_solve_matches_the_oracle(field):
     """None when inconsistent, else the solution with every free unknown
     zero; a right-hand side in the image of a random x has one."""
-    field, rows, n = case
     p, entry = field.char, entries(field)
-    consistent = data.draw(st.booleans())
-    if consistent:
-        b = fvec(field, oracle.apply(p, rows, [data.draw(entry) for _ in range(n)]))
-    else:
-        b = tuple(data.draw(entry) for _ in rows)
-    mat = Matrix(field, rows, ncols=n)
-    got = mat.solve(b)
-    want = oracle.solve(p, rows, n, b)
-    assert got == (None if want is None else fvec(field, want))
-    assert got is not None or not consistent
-    if got is not None:
-        assert fvec(field, oracle.apply(p, rows, got)) == b and mat.apply(got) == b
-        assert field is not QQ or all(type(c) is Fraction for c in got)
+
+    @given(matrices(field), st.data())
+    @settings(max_examples=share(220, field), deadline=None)
+    def check(case, data):
+        rows, n = case
+        consistent = data.draw(st.booleans())
+        if consistent:
+            b = fvec(field, oracle.apply(p, rows, [data.draw(entry) for _ in range(n)]))
+        else:
+            b = tuple(data.draw(entry) for _ in rows)
+        mat = Matrix(field, rows, ncols=n)
+        got = mat.solve(b)
+        want = oracle.solve(p, rows, n, b)
+        assert got == (None if want is None else fvec(field, want))
+        assert got is not None or not consistent
+        if got is not None:
+            assert fvec(field, oracle.apply(p, rows, got)) == b and mat.apply(got) == b
+            assert field is not QQ or all(type(c) is Fraction for c in got)
+
+    check()
 
 
 def test_empty_shapes():
@@ -347,20 +368,25 @@ def test_product_and_apply_match_reference(case):
     assert _in_field(field, [got])
 
 
-@given(matrices(square=True))
-@example((QQ, [[1, 1], [0, 1]], 2))
-@settings(max_examples=200, deadline=None)
-def test_power_matches_the_oracle_and_repeated_products(case):
+@per_field
+def test_power_matches_the_oracle_and_repeated_products(field):
     """A^k for k = 0..max(2n, 5): the product of k copies of A, starting
     from the identity, and the oracle's power, with entries in the field."""
-    field, rows, n = case
-    mat = Matrix(field, rows, ncols=n)
-    want = Matrix.identity(field, n)
-    for k in range(max(2 * n, 5) + 1):
-        got = mat**k
-        assert got == want == fsquare(field, oracle.power(field.char, rows, k)), k
-        assert _in_field(field, got.rows)
-        want = want * mat
+
+    @given(matrices(field, square=True))
+    @example(([[1, 1], [0, 1]], 2))
+    @settings(max_examples=share(200, field), deadline=None)
+    def check(case):
+        rows, n = case
+        mat = Matrix(field, rows, ncols=n)
+        want = Matrix.identity(field, n)
+        for k in range(max(2 * n, 5) + 1):
+            got = mat**k
+            assert got == want == fsquare(field, oracle.power(field.char, rows, k)), k
+            assert _in_field(field, got.rows)
+            want = want * mat
+
+    check()
 
 
 class TestRankSolveKernel:
@@ -416,42 +442,52 @@ KNOWN_MIN_POLYS = {
 
 
 class TestCharAndMinPoly:
-    @given(matrices(square=True))
-    @settings(max_examples=200, deadline=None)
-    def test_char_poly_matches_the_oracle(self, case):
+    @per_field
+    def test_char_poly_matches_the_oracle(self, field):
         """The oracle's cofactor expansion, of degree n; and, since a monic
         polynomial of degree n is fixed by its values at n points, the
         oracle's det(tI - A) at t = 0..n-1.  Over Q every coefficient is a
         Fraction."""
-        field, rows, n = case
         p = field.char
-        cp = Matrix(field, rows, ncols=n).char_poly()
-        assert cp == UniPoly(field, oracle.char_poly(p, rows))
-        assert cp.degree == n
-        assert field is not QQ or all(type(c) is Fraction for c in cp.coeffs)
-        a = oracle.matrix(p, rows)
-        for t in range(n):
-            shifted = [[(t if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
-            assert cp.eval_scalar(t) == field.of(oracle.det(p, shifted))
+
+        @given(matrices(field, square=True))
+        @settings(max_examples=share(200, field), deadline=None)
+        def check(case):
+            rows, n = case
+            cp = Matrix(field, rows, ncols=n).char_poly()
+            assert cp == UniPoly(field, oracle.char_poly(p, rows))
+            assert cp.degree == n
+            assert field is not QQ or all(type(c) is Fraction for c in cp.coeffs)
+            a = oracle.matrix(p, rows)
+            for t in range(n):
+                shifted = [[(t if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(a)]
+                assert cp.eval_scalar(t) == field.of(oracle.det(p, shifted))
+
+        check()
 
     @given(a=sq_strategy(QQ, 4, -3, 3))
     @settings(max_examples=15)
     def test_cayley_hamilton(self, a):
         assert horner(a, a.char_poly()).is_zero()
 
-    @given(matrices(square=True))
-    @settings(max_examples=130, deadline=None)
-    def test_min_poly_matches_the_oracle(self, case):
+    @per_field
+    def test_min_poly_matches_the_oracle(self, field):
         """The oracle's minimal polynomial, the first power of A that is a
         combination of the powers before it; so also monic, a divisor of
         the characteristic polynomial and zero at A."""
-        field, rows, n = case
-        a = Matrix(field, rows, ncols=n)
-        mp, cp = a.min_poly(), a.char_poly()
-        assert mp == UniPoly(field, oracle.min_poly(field.char, rows))
-        assert mp.leading() == field.one
-        assert (cp % mp).is_zero()
-        assert horner(a, mp).is_zero()
+
+        @given(matrices(field, square=True))
+        @settings(max_examples=share(130, field), deadline=None)
+        def check(case):
+            rows, n = case
+            a = Matrix(field, rows, ncols=n)
+            mp, cp = a.min_poly(), a.char_poly()
+            assert mp == UniPoly(field, oracle.min_poly(field.char, rows))
+            assert mp.leading() == field.one
+            assert (cp % mp).is_zero()
+            assert horner(a, mp).is_zero()
+
+        check()
 
     @pytest.mark.parametrize("name", sorted(KNOWN_MIN_POLYS))
     def test_min_poly_of_known_matrices(self, name):
