@@ -7,10 +7,9 @@ coefficients of b_i b_j, and a pair whose product is zero has no
 cell.  One cleaner builds the rows for both kinds of algebra and converts
 each coefficient once.  A Lie algebra fills both orders, ``rows[j][i]``
 being ``rows[i][j]`` negated, and leaves the diagonal empty, so
-antisymmetry is built into the representation; the Jacobi identity is
-checked on every basis triple at construction time (the table enumerator
-uses the unchecked constructor and validates separately).  An associative
-algebra fills the pairs its input names.
+antisymmetry is built into the representation; the constructor checks
+the Jacobi identity on every basis triple, so every LieAlgebra satisfies
+it.  An associative algebra fills the pairs its input names.
 ``table``, the dict {(i, j): {k: c}} in field scalars, is built from the
 rows each time it is read.
 
@@ -196,7 +195,11 @@ class _Presented:
 
 
 class LieAlgebra(_Presented):
-    """Finite-dimensional Lie algebra over Q or F_p given by its table."""
+    """Finite-dimensional Lie algebra over Q or F_p given by its table,
+    which must satisfy Jacobi: a table that fails it raises StructureError.
+    The private ``_validated`` skips that sweep for a table whose Jacobi
+    identity is already known (a closed subspace, a copy) and for
+    ``lielab validate``, which lists the violations."""
 
     __slots__ = ("field", "dim", "labels", "_rows", "_cache")
     _lie = True
@@ -218,20 +221,6 @@ class LieAlgebra(_Presented):
                     f"Jacobi fails on basis triple ({i}, {j}, {k}): defect "
                     f"{[field.to_str(c) for c in defect]}"
                 )
-            self._cache["jacobi"] = True
-
-    @classmethod
-    def unchecked(cls, field: Field, labels: Sequence[str], table) -> "LieAlgebra":
-        """Skip Jacobi validation; used by the bulk table enumerator."""
-        return cls(field, labels, table, _validated=True)
-
-    def _jacobi_holds(self) -> bool:
-        """Whether Jacobi holds on every basis triple: recorded by the
-        checked constructor, and for an ``unchecked`` table found on the
-        first call and kept."""
-        if "jacobi" not in self._cache:
-            self._cache["jacobi"] = not self.jacobi_violations()
-        return self._cache["jacobi"]
 
     # -- basic bracket machinery ------------------------------------------
 
@@ -370,7 +359,7 @@ class LieAlgebra(_Presented):
         """The report, built once; each field is computed when first read."""
         report = self._cache.get("report")
         if report is None:
-            report = self._cache["report"] = StructureReport._on_read(self)
+            report = self._cache["report"] = StructureReport(self)
         return report
 
     def killing_form(self) -> "BilinearForm":
@@ -406,11 +395,8 @@ class LieAlgebra(_Presented):
         }
 
     @classmethod
-    def from_json_dict(cls, obj: dict, *, validate: bool = True) -> "LieAlgebra":
-        field, labels, table = _parse_document(obj, "brackets")
-        if validate:
-            return cls(field, labels, table)
-        return cls.unchecked(field, labels, table)
+    def from_json_dict(cls, obj: dict) -> "LieAlgebra":
+        return cls(*_parse_document(obj, "brackets"))
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim {self.dim} over {self.field!r})"
@@ -452,12 +438,11 @@ class _ReportSource(_Record):
 
 
 class StructureReport(_ReportSource):
-    """Structural invariants of a Lie algebra.
-
-    Built positionally it records the values given.  From
-    ``LieAlgebra.structure_report`` its fields start unset, and reading
-    one computes its group (see ``_REPORT_FILL``).  abelian => nilpotent
-    => solvable is checked whenever both fields of a pair are known.
+    """Structural invariants of a Lie algebra, read from the algebra
+    (``LieAlgebra.structure_report`` keeps one).  Its fields start unset
+    but dim, and reading one computes its group (see ``_REPORT_FILL``).
+    abelian => nilpotent => solvable is checked whenever both fields of a
+    pair are known.
     """
 
     __slots__ = (
@@ -474,39 +459,9 @@ class StructureReport(_ReportSource):
         "semisimple",
     )
 
-    def __init__(
-        self,
-        dim: int,
-        abelian: bool,
-        nilpotent: bool,
-        solvable: bool,
-        nilpotency_class: Optional[int],
-        derived_length: Optional[int],
-        center_dim: int,
-        commutant_dim: int,
-        killing_rank: int,
-        radical_dim: Optional[int],
-        semisimple: Optional[bool],
-    ):
-        self.dim = dim
-        self.abelian = abelian
-        self.nilpotent = nilpotent
-        self.solvable = solvable
-        self.nilpotency_class = nilpotency_class
-        self.derived_length = derived_length
-        self.center_dim = center_dim
-        self.commutant_dim = commutant_dim
-        self.killing_rank = killing_rank
-        self.radical_dim = radical_dim
-        self.semisimple = semisimple
-        self._check()
-
-    @classmethod
-    def _on_read(cls, L: LieAlgebra) -> "StructureReport":
-        report = cls.__new__(cls)
-        report._algebra = L
-        report.dim = L.dim
-        return report
+    def __init__(self, L: LieAlgebra):
+        self._algebra = L
+        self.dim = L.dim
 
     def __getattr__(self, name: str):
         # reached only when the slot `name` is still unset
@@ -887,10 +842,10 @@ def _square_matrices(field: Field, n: int, space: Subspace) -> List[Matrix]:
 
 
 def _killing_route(L: LieAlgebra) -> bool:
-    """Whether L has a nondegenerate Killing form and a table on which
-    Jacobi is known to hold: then every derivation is inner and
-    H^2(L, K) = 0 (see ``derivation_algebra`` and ``h2_trivial``)."""
-    return L.killing_form().nondegenerate and L._jacobi_holds()
+    """Whether L has a nondegenerate Killing form: then every derivation
+    is inner and H^2(L, K) = 0 (see ``derivation_algebra`` and
+    ``h2_trivial``)."""
+    return L.killing_form().nondegenerate
 
 
 def _derivation_space(L: LieAlgebra) -> Subspace:
@@ -904,16 +859,14 @@ def _derivation_space(L: LieAlgebra) -> Subspace:
         _recheck(kernel.dim == n, "ad must be injective on an algebra with a nondegenerate Killing form")
         return kernel
     ads = [_ad_rows(L, i) for i in range(n)]
-    floor = n - L.center().dim if L._jacobi_holds() else 0
-    kernel = _Echelon(field, n * n, _coboundary_rows(L, 1, ads), floor).kernel()
-    if floor:
-        # the floor took ad L to lie in the solutions: each flattened ad b_i
-        # reduces to zero against them
-        flat = ({r * n + s: c for r, row in enumerate(ad) for s, c in row} for ad in ads)
-        _recheck(
-            not any(_reduce(w, kernel._pivot_rows, field.char) for w in flat),
-            "ad b_i must solve the derivation equations where Jacobi holds",
-        )
+    kernel = _Echelon(field, n * n, _coboundary_rows(L, 1, ads), n - L.center().dim).kernel()
+    # the floor took ad L to lie in the solutions: each flattened ad b_i
+    # reduces to zero against them
+    flat = ({r * n + s: c for r, row in enumerate(ad) for s, c in row} for ad in ads)
+    _recheck(
+        not any(_reduce(w, kernel._pivot_rows, field.char) for w in flat),
+        "ad b_i must solve the derivation equations",
+    )
     return kernel
 
 
@@ -923,29 +876,28 @@ def derivation_algebra(L: LieAlgebra) -> Tuple[LieAlgebra, List[Matrix]]:
     The matrix basis is the reduced echelon basis of the derivations
     flattened row by row, unique for the space, so both routes give the
     same matrices.  When ``_killing_route`` holds (a nondegenerate Killing
-    form kappa on a table where Jacobi holds) it is read off the n
-    flattened ad b_i in one elimination, because then Der L = ad L in any
-    characteristic: M = ad L is an ideal of D = Der L, and kappa_D on M is
-    the Killing form of M, which is kappa through ad; so D = M + M^perp
-    with [M^perp, M] = 0, and for delta in M^perp,
-    ad(delta x) = [delta, ad x] = 0 puts delta x in the center, which is 0.
+    form kappa) it is read off the n flattened ad b_i in one elimination,
+    because then Der L = ad L in any characteristic: M = ad L is an ideal
+    of D = Der L, and kappa_D on M is the Killing form of M, which is
+    kappa through ad; so D = M + M^perp with [M^perp, M] = 0, and for
+    delta in M^perp, ad(delta x) = [delta, ad x] = 0 puts delta x in the
+    center, which is 0.
     Every other table solves D[b_i, b_j] = [D b_i, b_j] + [b_i, D b_j]
     over all pairs, dD = 0 on C^1(L, L) (``_coboundary_rows``).  Among
     them is psl3 over F_3: its Killing form is 0, and it has 14
     derivations, not the 8 that the ``der-psl3f3`` check carries over from
-    characteristic 0.  Where Jacobi holds, ad L lies in
-    Der L, so the solve has the floor n - dim Z(L) (see ``_Echelon``)
-    and ends once Der L = ad L is certain (pgl3 over F_3); on an
-    ``unchecked`` table that breaks Jacobi the floor is 0.
+    characteristic 0.  Jacobi puts ad L in Der L, so the solve has the
+    floor n - dim Z(L) (see ``_Echelon``) and ends once Der L = ad L is
+    certain (pgl3 over F_3).
 
     Two checks run here and raise ``RecheckFailed``: on the Killing route
-    that ad is injective, on the solver route with a floor that every
-    ad b_i solves the system.  The result's field, dim and labels are set
-    here, its structure constants (``_derivation_table``) on the first
-    read of its table (``_DerivationAlgebra``).  Their two checks, that
-    each commutator of derivations stays in the solution space and the
-    checked constructor's Jacobi sweep, run then, so their
-    ``StructureError`` surfaces at that first read, not in this call.
+    that ad is injective, on the solver route that every ad b_i solves the
+    system.  The result's field, dim and labels are set here, its
+    structure constants (``_derivation_table``) on the first read of its
+    table (``_DerivationAlgebra``).  Their two checks, that each
+    commutator of derivations stays in the solution space and the checked
+    constructor's Jacobi sweep, run then, so their ``StructureError``
+    surfaces at that first read, not in this call.
     """
     kernel = _derivation_space(L)
     mats = _square_matrices(L.field, L.dim, kernel)
@@ -983,8 +935,8 @@ class _DerivationAlgebra(LieAlgebra):
     """Der L as ``derivation_algebra`` returns it.  Field, dim and labels
     D0, D1, ... are set at once; the table's rows (the ``_rows`` slot)
     start unset, and the first read builds them by ``_derivation_table``
-    through the checked constructor, which records ``jacobi``: the
-    fill-on-read of ``StructureReport``."""
+    through the checked constructor: the fill-on-read of
+    ``StructureReport``."""
 
     __slots__ = ("_space", "_mats")
 
@@ -999,9 +951,8 @@ class _DerivationAlgebra(LieAlgebra):
         # reached only while the slot `name` is unset
         if name != "_rows":
             raise AttributeError(name)
-        checked = LieAlgebra(self.field, self.labels, _derivation_table(self.field, self._space, self._mats))
-        self._cache.update(checked._cache)
-        self._rows = checked._rows
+        table = _derivation_table(self.field, self._space, self._mats)
+        self._rows = LieAlgebra(self.field, self.labels, table)._rows
         return self._rows
 
 
@@ -1252,11 +1203,11 @@ def coboundary_space(L: LieAlgebra) -> Subspace:
 def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]:
     """dim H^2(L, K) and cocycle representatives of a basis modulo B^2.
 
-    When ``_killing_route`` holds (a nondegenerate Killing form kappa on a
-    table where Jacobi holds) the answer is (0, []) in any characteristic:
-    kappa(D x, y) = omega(x, y) defines a linear D for each 2-cocycle
-    omega, the cocycle identity makes D a kappa-skew derivation, which is
-    inner (``derivation_algebra``), and for D = ad a,
+    When ``_killing_route`` holds (a nondegenerate Killing form kappa) the
+    answer is (0, []) in any characteristic: kappa(D x, y) = omega(x, y)
+    defines a linear D for each 2-cocycle omega, the cocycle identity
+    makes D a kappa-skew derivation, which is inner
+    (``derivation_algebra``), and for D = ad a,
     omega(x, y) = kappa(a, [x, y]) is a coboundary.  Every other table
     compares Z^2 with B^2.  Among them is psl3 over F_3: its Killing form
     is 0, and its H^2 has dimension 7, not the 1 that the ``h2-psl3f3``
@@ -1264,13 +1215,10 @@ def h2_trivial(L: LieAlgebra) -> Tuple[int, List[Dict[Tuple[int, int], Scalar]]]
     Z^2, so B^2 comes first and Z^2, the kernel of d on C^2(L, K)
     (``_coboundary_rows``), is solved with the floor dim B^2 (``_Echelon``):
     where H^2 = 0 (gl3 over Q and over F_5) the solve ends once Z^2 = B^2
-    is certain.  A table on which Jacobi fails (built ``unchecked``) has
-    no H^2 and raises StructureError.
+    is certain.
     """
     if _killing_route(L):
         return 0, []
-    if not L._jacobi_holds():
-        raise StructureError("H^2 needs a table on which Jacobi holds")
     b2 = coboundary_space(L)
     z2 = _Echelon(L.field, b2.ambient, _coboundary_rows(L, 2), b2.dim).kernel()
     dim = z2.dim - b2.dim

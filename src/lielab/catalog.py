@@ -190,13 +190,13 @@ def abelian(field: Field, n: int) -> LieAlgebra:
     return LieAlgebra(field, tuple(f"a{i + 1}" for i in range(n)), {})
 
 
-def heisenberg(field: Field, m: int) -> LieAlgebra:
-    """Dimension 2m + 1: [x_i, y_i] = z, all else zero."""
-    if m < 1:
-        raise ValueError("heisenberg needs m >= 1")
-    _check_size(f"heisenberg({m})", 2 * m + 1)
-    labels = tuple(f"x{i + 1}" for i in range(m)) + tuple(f"y{i + 1}" for i in range(m)) + ("z",)
-    table = {(i, m + i): {2 * m: 1} for i in range(m)}
+def heisenberg(field: Field, n: int) -> LieAlgebra:
+    """Dimension 2n + 1: [x_i, y_i] = z, all else zero."""
+    if n < 1:
+        raise ValueError("heisenberg needs n >= 1")
+    _check_size(f"heisenberg({n})", 2 * n + 1)
+    labels = tuple(f"x{i + 1}" for i in range(n)) + tuple(f"y{i + 1}" for i in range(n)) + ("z",)
+    table = {(i, n + i): {2 * n: 1} for i in range(n)}
     return LieAlgebra(field, labels, table)
 
 
@@ -468,12 +468,14 @@ class EnumTable(_Record):
         self.jacobi_ok = jacobi_ok
 
     def algebra(self) -> LieAlgebra:
-        """The algebra, built without re-validating Jacobi: the t-th pair
-        i < j in order gets the t-th slice of dim coefficients."""
+        """The algebra: the t-th pair i < j in order gets the t-th slice of
+        dim coefficients.  It goes through the Jacobi sweep whatever
+        ``jacobi_ok`` says, so a table that breaks Jacobi raises
+        StructureError."""
         n, cs = self.dim, self.coeffs
         pairs = combinations(range(n), 2)
         table = {pair: cs[t * n : (t + 1) * n] for t, pair in enumerate(pairs)}
-        return LieAlgebra.unchecked(self.field, tuple(f"b{t + 1}" for t in range(n)), table)
+        return LieAlgebra(self.field, tuple(f"b{t + 1}" for t in range(n)), table)
 
 
 def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:

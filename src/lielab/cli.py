@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .algebra import (
     AssocAlgebra,
     LieAlgebra,
+    _parse_document,
     canonical_dumps,
     central_extension,
     centroid,
@@ -103,12 +104,14 @@ def _parse_payload(path: str) -> dict:
     return obj
 
 
-def _load_any(path: str, *, validate: bool = True):
+def _load_any(path: str, *, checked: bool = True):
+    """The algebra of a table file.  ``checked=False`` skips the Jacobi
+    sweep of a Lie table, for ``lielab validate`` to list its violations."""
     obj = _parse_payload(path)
     try:
         if "products" in obj:
             return AssocAlgebra.from_json_dict(obj)
-        return LieAlgebra.from_json_dict(obj, validate=validate)
+        return LieAlgebra(*_parse_document(obj, "brackets"), _validated=not checked)
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(f"invalid algebra file: {exc}") from exc
 
@@ -145,7 +148,7 @@ def _str_rows(field: Field, rows) -> List[List[str]]:
 
 
 def cmd_validate(args) -> Tuple[int, dict]:
-    alg = _load_any(args.algebra, validate=False)
+    alg = _load_any(args.algebra, checked=False)
     if isinstance(alg, AssocAlgebra):
         return 0, {"valid": True, "kind": "associative", "dim": alg.dim}
     bad = alg.jacobi_violations()

@@ -201,7 +201,8 @@ def _restrict_lie(L: LieAlgebra, S: Subspace) -> Optional[LieAlgebra]:
             entry = {k: c for k, c in enumerate(coords) if c}
             if entry:
                 table[(i, j)] = entry
-    return LieAlgebra.unchecked(L.field, tuple(f"s{t + 1}" for t in range(d)), table)
+    # a subalgebra of a Lie algebra satisfies Jacobi
+    return LieAlgebra(L.field, tuple(f"s{t + 1}" for t in range(d)), table, _validated=True)
 
 
 def proper_subalgebras(L: LieAlgebra) -> Iterator[Tuple[Subspace, LieAlgebra]]:

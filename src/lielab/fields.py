@@ -350,6 +350,27 @@ def common_denominator(cs: Iterable[Fraction]) -> int:
 # univariate polynomials
 
 
+def _join_terms(field: Field, terms: Iterable[Tuple[Scalar, str]]) -> str:
+    """The sum of (coefficient, monomial) terms in the order given, zero
+    coefficients left out: the monomial alone for 1, negated for -1, the
+    coefficient alone for the empty monomial, a minus sign written as the
+    joiner " - "; "0" when no term is left."""
+    out = ""
+    for c, monom in terms:
+        if not c:
+            continue
+        part = field.to_str(c)
+        if monom:
+            part = monom if part == "1" else f"-{monom}" if part == "-1" else f"{part}*{monom}"
+        if not out:
+            out = part
+        elif part.startswith("-"):
+            out += f" - {part[1:]}"
+        else:
+            out += f" + {part}"
+    return out or "0"
+
+
 class UniPoly:
     """Dense univariate polynomial over a fixed field.
 
@@ -483,28 +504,8 @@ class UniPoly:
         return f"UniPoly({self.field!r}, {list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            cs = self.field.to_str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                base = "t" if i == 1 else f"t^{i}"
-                if cs == "1":
-                    parts.append(base)
-                elif cs == "-1":
-                    parts.append(f"-{base}")
-                else:
-                    parts.append(f"{cs}*{base}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
+        powers = ("" if i == 0 else "t" if i == 1 else f"t^{i}" for i in range(self.degree, -1, -1))
+        return _join_terms(self.field, zip(reversed(self.coeffs), powers))
 
 
 # --- gcd machinery --------------------------------------------------------
@@ -675,28 +676,11 @@ class MultiPoly:
         return hash((self.field, self.nvars, tuple(self.sorted_terms())))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for exps, c in reversed(self.sorted_terms()):
-            monom = "*".join(
-                f"x{i+1}" if e == 1 else f"x{i+1}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            cs = self.field.to_str(c)
-            if not monom:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append(monom)
-            elif cs == "-1":
-                parts.append(f"-{monom}")
-            else:
-                parts.append(f"{cs}*{monom}")
-        out = parts[0]
-        for part in parts[1:]:
-            out += f" - {part[1:]}" if part.startswith("-") else f" + {part}"
-        return out
+        terms = [
+            (c, "*".join(f"x{i+1}" if e == 1 else f"x{i+1}^{e}" for i, e in enumerate(exps) if e))
+            for exps, c in reversed(self.sorted_terms())
+        ]
+        return _join_terms(self.field, terms)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.field!r}, {self.nvars}, {self.terms!r})"

@@ -42,8 +42,11 @@ def input_tables():
 
 
 def named_cases():
-    """The canonical instances, then the benchmark tables."""
-    return list(canonical_instances()) + input_tables()
+    """The canonical instances, then the benchmark tables; a table named
+    like a canonical instance is named by its file (``su2q.json``)."""
+    canonical = canonical_instances()
+    taken = {name for name, _ in canonical}
+    return canonical + [(f"{name}.json" if name in taken else name, L) for name, L in input_tables()]
 
 
 def fp_cases(named):
@@ -75,7 +78,8 @@ def fresh(source):
     """A new algebra on the table of a LieAlgebra or an EnumTable, so no
     cached answer carries over."""
     if isinstance(source, LieAlgebra):
-        return LieAlgebra.unchecked(source.field, source.labels, source.table)
+        # a copy of a LieAlgebra satisfies Jacobi: the sweep would only repeat
+        return LieAlgebra(source.field, source.labels, source.table, _validated=True)
     return source.algebra()
 
 

@@ -540,6 +540,43 @@ def derived_series(A):
     return _series(A, lambda s: bracket_span(A, s, s))
 
 
+# -- the definite a_1 of a dimension-3 algebra over Q ---------------------------
+
+
+def a1_gram(A):
+    """The Gram matrix of a_1, the coefficient of t in det(tI - ad x), by
+    polarization: a_1(b_i) on the diagonal and
+    (a_1(b_i + b_j) - a_1(b_i) - a_1(b_j)) / 2 off it."""
+    units = identity(A.p, A.n)
+
+    def a1(x):
+        return char_poly(A.p, ad(A, x))[1]
+
+    q = [a1(u) for u in units]
+    return tuple(
+        tuple(q[i] if i == j else (a1(_axpy(A.p, u, -1, v)) - q[i] - q[j]) / 2 for j, v in enumerate(units))
+        for i, u in enumerate(units)
+    )
+
+
+def definite_a1(A):
+    """(the diagonal, positive, a_2 identically zero) when a_1 is definite,
+    else None.  It needs rank 1 (a_1 is the first coefficient of
+    det(tI - ad x) not identically zero) and the leading principal minors
+    d_1, d_2, d_3 of a_1's Gram matrix nonzero with d_1, d_2 / d_1, d_3 / d_2
+    of one sign: that is the diagonal."""
+    coeffs = linear_family_char_coeffs(A.p, [ad(A, b) for b in identity(A.p, A.n)], A.n)
+    if coeffs[0] or not coeffs[1]:
+        return None
+    gram = a1_gram(A)
+    minors = [det(A.p, [row[:k] for row in gram[:k]]) for k in range(1, A.n + 1)]
+    if not all(minors):
+        return None
+    diagonal = tuple(m / before for m, before in zip(minors, [1] + minors))
+    signs = {d > 0 for d in diagonal}
+    return (diagonal, signs.pop(), not coeffs[2]) if len(signs) == 1 else None
+
+
 # -- psl3 over F_3 from 3 x 3 matrices -------------------------------------------
 #
 # The one source of this table that does not come from lielab: psl3 over F_3

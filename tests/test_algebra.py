@@ -2,9 +2,11 @@
 quotients, extensions, and second cohomology; the structure layer's answers
 against ``oracle``."""
 
+import inspect
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +45,7 @@ from lielab.algebra import (
     tensor_commutative,
 )
 from lielab.catalog import (
+    EnumTable,
     QuaternionAlgebra,
     abelian,
     canonical_instances,
@@ -97,8 +100,8 @@ class TestConstruction:
         bad = {(0, 1): {2: QQ.one}, (0, 2): {0: QQ.one}, (1, 2): {1: QQ.one}}
         with pytest.raises(StructureError):
             LieAlgebra(QQ, ("a", "b", "c"), bad)
-        # unchecked defers, violations surface on demand
-        L = LieAlgebra.unchecked(QQ, ("a", "b", "c"), bad)
+        # built past the sweep, the violations surface on demand
+        L = LieAlgebra(QQ, ("a", "b", "c"), bad, _validated=True)
         assert L.jacobi_violations()
 
     def test_table_index_bounds(self):
@@ -112,6 +115,60 @@ class TestConstruction:
     def test_scalars_coerced(self):
         L = LieAlgebra(QQ, ("x", "y"), {(0, 1): {1: 1}})
         assert L.bracket(L.basis_vector(0), L.basis_vector(1)) == L.basis_vector(1)
+
+
+class TestEveryAlgebraSatisfiesJacobi:
+    """The checked constructor is the only public way to a LieAlgebra, so
+    every decision may assume Jacobi and none asks whether it holds."""
+
+    def test_every_builder_refuses_a_table_breaking_jacobi(self):
+        # sl3 over Q with [E12, E23] = 2 E13
+        S = sl(QQ, 3)
+        labels, table = S.labels, S.table
+        table[(0, 2)] = {1: QQ.of(2)}
+        L = LieAlgebra(QQ, labels, table, _validated=True)
+        assert len(L.jacobi_violations()) == 5
+        coeffs = tuple(c for i, j in itertools.combinations(range(8), 2) for c in L.basis_bracket(i, j))
+        builders = {
+            "constructor": lambda: LieAlgebra(QQ, labels, table),
+            "from_json_dict": lambda: LieAlgebra.from_json_dict(L.to_json_dict()),
+            "EnumTable.algebra": lambda: EnumTable(8, QQ, coeffs, False).algebra(),
+            # a table wrongly flagged valid goes through the sweep too
+            "EnumTable.algebra flagged": lambda: EnumTable(8, QQ, coeffs, True).algebra(),
+            "quotient": lambda: quotient(L, Subspace.from_vectors(QQ, 8, [])),
+            "direct_sum": lambda: direct_sum(abelian(QQ, 1), L),
+        }
+        for name, build in builders.items():
+            with pytest.raises(StructureError, match="Jacobi fails"):
+                build()
+                pytest.fail(name)
+
+    def test_no_unchecked_builder_and_no_jacobi_question(self):
+        assert not hasattr(LieAlgebra, "unchecked")
+        assert "validate" not in inspect.signature(LieAlgebra.from_json_dict).parameters
+        source = Path(algebra.__file__).parent
+        assert not [path.name for path in source.glob("*.py") if "_jacobi_holds" in path.read_text()]
+
+    def test_a_report_is_read_from_an_algebra_only(self):
+        assert list(inspect.signature(StructureReport).parameters) == ["L"]
+        with pytest.raises(TypeError):
+            StructureReport(1, True, False, True, None, None, 1, 0, 0, None, None)
+        L = sl(QQ, 2)
+        assert StructureReport(L) == fresh(L).structure_report()
+
+    @pytest.mark.parametrize("build,der_dim", [(lambda: sl(QQ, 3), 8), (lambda: gl(QQ, 3), 9)], ids=["sl3@Q", "gl3@Q"])
+    def test_decisions_never_sweep_jacobi(self, build, der_dim, monkeypatch):
+        # both routes of Der and H^2, simplicity and the report read L's
+        # table without testing it again
+        L = build()
+        calls = []
+        check = LieAlgebra.jacobi_violations
+        monkeypatch.setattr(LieAlgebra, "jacobi_violations", lambda self: calls.append(self) or check(self))
+        assert derivation_algebra(L)[0].dim == der_dim
+        assert h2_trivial(L) == (0, [])
+        is_simple(L)
+        L.structure_report().to_json_dict()
+        assert calls == []
 
 
 class TestBracket:
@@ -211,27 +268,28 @@ class TestSeries:
 
 
 def _eager_report(L):
-    """The report built positionally from L's series, center and Killing
-    form, the way every field used to be computed at once."""
-    lcs, ds = L.lower_central_series(), L.derived_series()
-    nilpotent, solvable = lcs[-1].is_zero(), ds[-1].is_zero()
-    commutant = L.commutant()
-    killing = L.killing_form()
-    killing_rank = killing.gram.rank()
-    rational = L.field.kind == "Q"
-    return StructureReport(
-        L.dim,
-        commutant.is_zero(),
-        nilpotent,
-        solvable,
-        len(lcs) - 1 if nilpotent else None,
-        len(ds) - 1 if solvable else None,
-        L.center().dim,
-        commutant.dim,
-        killing_rank,
-        killing.orthogonal_of(commutant).dim if rational else None,
-        killing_rank == L.dim if rational else None,
-    )
+    """Every field of L's report, in the report's order, from the oracle's
+    series, center and Killing form."""
+    A, p, n = oracle_of(L), L.field.char, L.dim
+    full = oracle.identity(p, n)
+    lcs, ds = oracle.lower_central_series(A), oracle.derived_series(A)
+    commutant = oracle.bracket_span(A, full, full)
+    center = oracle.kernel(p, [row for b in full for row in oracle.ad(A, b)], n)
+    gram = oracle.killing(A)
+    killing_rank = oracle.rank(p, gram, n)
+    return {
+        "dim": n,
+        "abelian": not commutant,
+        "nilpotent": not lcs[-1],
+        "solvable": not ds[-1],
+        "nilpotency_class": None if lcs[-1] else len(lcs) - 1,
+        "derived_length": None if ds[-1] else len(ds) - 1,
+        "center_dim": len(center),
+        "commutant_dim": len(commutant),
+        "killing_rank": killing_rank,
+        "radical_dim": None if p else len(oracle.kernel(p, [oracle.apply(p, gram, u) for u in commutant], n)),
+        "semisimple": None if p else killing_rank == n,
+    }
 
 
 _REPORT_FIELDS = StructureReport.__slots__
@@ -239,17 +297,19 @@ _REPORT_FIELDS = StructureReport.__slots__
 
 class TestLazyReport:
     """Each field of structure_report is computed when first read, and
-    equals the field of the eager positional record in any read order."""
+    equals the oracle's value in any read order."""
 
     @staticmethod
     def _check_orders(L, orders):
-        want = _eager_report(fresh(L))
+        want = _eager_report(L)
+        shown = "StructureReport(" + ", ".join(f"{name}={value!r}" for name, value in want.items()) + ")"
+        other = StructureReport(fresh(L))
         for order in orders:
             report = fresh(L).structure_report()
             for name in order:
-                assert getattr(report, name) == getattr(want, name), (L, order, name)
-            assert report == want and repr(report) == repr(want)
-            assert list(report.to_json_dict().items()) == list(want.to_json_dict().items())
+                assert getattr(report, name) == want[name], (L, order, name)
+            assert report == other and repr(report) == shown
+            assert list(report.to_json_dict().items()) == list(want.items())
 
     @staticmethod
     def _orders(seed, shuffles):
@@ -709,8 +769,6 @@ class TestSerialization:
         }
         with pytest.raises(StructureError):
             LieAlgebra.from_json_dict(data)
-        lax = LieAlgebra.from_json_dict(data, validate=False)
-        assert lax.jacobi_violations()
 
 
 class TestCohomology:
@@ -832,34 +890,6 @@ class TestKillingRoute:
         assert got == mats and der.dim == der_dim
         assert h2_trivial(L)[0] == z2.dim - b2.dim == h2_dim
 
-    def test_table_breaking_jacobi_keeps_the_solver(self):
-        # sl3 over Q with [E12, E23] = 2 E13: the Killing form stays
-        # nondegenerate, but ad L is not made of derivations
-        S = sl(QQ, 3)
-        table = S.table
-        table[(0, 2)] = {1: QQ.of(2)}
-        L = LieAlgebra.unchecked(QQ, S.labels, table)
-        assert L.killing_form().nondegenerate and not L._jacobi_holds()
-        assert not algebra._killing_route(L)
-        mats, z2, b2 = _solved(L)
-        assert derivation_algebra(L)[1] == mats and len(mats) == 2
-        # B^2 does not lie in Z^2 here, so Z^2 / B^2 is not defined
-        assert (z2.dim, b2.dim) == (4, 8)
-        with pytest.raises(StructureError):
-            h2_trivial(L)
-
-    def test_jacobi_is_recorded_or_checked_once(self, monkeypatch):
-        S = sl(QQ, 3)
-        assert S._cache["jacobi"] is True
-        L = LieAlgebra.unchecked(QQ, S.labels, S.table)
-        assert "jacobi" not in L._cache
-        calls = []
-        check = LieAlgebra.jacobi_violations
-        monkeypatch.setattr(LieAlgebra, "jacobi_violations", lambda self: calls.append(self) or check(self))
-        assert derivation_algebra(L)[0].dim == 8 and h2_trivial(L) == (0, [])
-        # once on L; the table of Der L is validated by the checked constructor
-        assert [c for c in calls if c is L] == [L]
-
 
 def _no_table(*args):
     raise AssertionError("the structure constants of Der L were built")
@@ -892,7 +922,11 @@ class TestDerivationTableOnRead:
             assert der.labels[0] == "D0" and mats[0].n == L.dim
         monkeypatch.setattr(algebra, "_derivation_table", lambda *a: built.append(a) or table(*a))
         assert der.table == oracle.structure_constants(L.field.char, L.dim, [m.rows for m in mats]) == der.table
-        assert len(built) == 1 and der._cache["jacobi"] is True
+        assert len(built) == 1
+        # the checked constructor swept the new table once
+        sweeps = []
+        monkeypatch.setattr(algebra, "_jacobi_defects", lambda *a: sweeps.append(a) or iter(()))
+        assert derivation_algebra(fresh(L))[0].table == der.table and len(sweeps) == 1
 
     def test_a_space_not_closed_raises_on_read(self, monkeypatch):
         # sl3 has no subalgebra of dimension 7
@@ -924,7 +958,7 @@ class TestDerivationTableOnRead:
         # the coboundary rows without their ad terms leave ad L out of the
         # solutions that the floor took to hold it
         L = build()
-        assert not algebra._killing_route(L) and L._jacobi_holds()
+        assert not algebra._killing_route(L)
         rows = algebra._coboundary_rows
         monkeypatch.setattr(
             algebra, "_coboundary_rows", lambda L, k, ads=None: rows(L, k, [[[] for _ in ad] for ad in ads])
@@ -946,7 +980,7 @@ class TestDerivationTableOnRead:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout.splitlines() == [
             "raised: commutator of derivations left the solution space",
-            "raised: ad b_i must solve the derivation equations where Jacobi holds",
+            "raised: ad b_i must solve the derivation equations",
         ]
 
 
@@ -1038,10 +1072,11 @@ def _floored_systems(L):
 
 
 _FLOOR_INPUTS = [(name, L) for name, L in INPUT_CASES if L.dim <= 15]
+# the canonical instances and the benchmark tables up to dimension 15
+_FLOOR_CASES = [(name, L) for name, L in named_cases() if L.dim <= 15]
 _PERFECT = [
     (name, L)
-    for name, L in canonical_instances()
-    + _FLOOR_INPUTS
+    for name, L in _FLOOR_CASES
     + [
         ("sl2+sl2@Q", direct_sum(sl(QQ, 2), sl(QQ, 2))),
         ("sl2(Q(sqrt2))", tensor_commutative(sl(QQ, 2), _quadratic_field(2))),
@@ -1067,7 +1102,7 @@ class TestFloors:
 
     @pytest.mark.parametrize(
         "name,L",
-        params(canonical_instances() + _FLOOR_INPUTS),
+        params(_FLOOR_CASES),
     )
     def test_floor_keeps_the_basis(self, name, L, monkeypatch):
         self._check(L, monkeypatch)
@@ -1095,15 +1130,6 @@ class TestFloors:
         # the solve stops at rank ambient - floor with rows left unread
         run(fresh(dict(_FLOOR_INPUTS)[name]))
         assert floor_spy == [(floor, rank, True)]
-
-    def test_table_breaking_jacobi_has_no_der_floor(self, floor_spy):
-        # ad L is not made of derivations here, so Der solves in full
-        S = sl(QQ, 3)
-        table = S.table
-        table[(0, 2)] = {1: QQ.of(2)}
-        L = LieAlgebra.unchecked(QQ, S.labels, table)
-        assert len(derivation_algebra(L)[1]) == 2
-        assert floor_spy == []
 
 
 class TestCommutant:
@@ -1134,7 +1160,7 @@ class TestCommutant:
     def test_the_perfect_cases(self):
         assert sorted(n for n, _ in _PERFECT) == [
             "psl3@F3", "psl3f3", "sl2(Q(sqrt2))", "sl2+sl2@Q", "sl2@F5", "sl2@Q",
-            "sl2f5", "sl3f3", "sl3q", "sl4q", "su2q", "su2q",
+            "sl2f5", "sl3f3", "sl3q", "sl4q", "su2q", "su2q.json",
         ]
 
     def test_sl5_is_certified_by_its_centroid(self):
@@ -1321,19 +1347,19 @@ TABLE_CASES = [
 
 
 @st.composite
-def tables(draw):
-    """A catalog table, as it is or with up to three entries changed, which
-    mostly breaks Jacobi."""
+def perturbed_tables(draw):
+    """A catalog table, and that table as it is or with up to three entries
+    changed, which mostly breaks Jacobi."""
     L = draw(st.sampled_from(TABLE_CASES))
     table = {key: dict(coeffs) for key, coeffs in L.table.items()}
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, L.dim - 2))
         j = draw(st.integers(i + 1, L.dim - 1))
         table.setdefault((i, j), {})[draw(st.integers(0, L.dim - 1))] = draw(scalars(L.field))
-    return LieAlgebra.unchecked(L.field, L.labels, table)
+    return L, LieAlgebra(L.field, L.labels, table, _validated=True)
 
 
-@given(tables(), st.data())
+@given(perturbed_tables().map(lambda pair: pair[1]), st.data())
 @settings(max_examples=80, deadline=None)
 def test_sparse_primitives_match_dense_loops(L, data):
     """Every Jacobi triple with its defect vector, and bracket and ad at
@@ -1350,7 +1376,7 @@ def _with_changed_constant(L, value):
     key = sorted(table)[3]
     k = min(table[key])
     table[key][k] = table[key][k] + value
-    return LieAlgebra.unchecked(L.field, L.labels, table)
+    return LieAlgebra(L.field, L.labels, table, _validated=True)
 
 
 def _kernel_triples(field, n, rows):
@@ -1613,13 +1639,18 @@ def _assert_structure_layer(L):
     assert L.killing_form().invariant == oracle.is_invariant(A, gram.rows)
     assert L.lower_central_series() == [space(field, n, s) for s in oracle.lower_central_series(A)]
     assert L.derived_series() == [space(field, n, s) for s in oracle.derived_series(A)]
-    D, mats = derivation_algebra(L)
-    want = oracle.structure_constants(A.p, n, [m.rows for m in mats])
-    assert D.table == {key: dict(zip(cs, fvec(field, cs.values()))) for key, cs in want.items()}
     if n <= 8:
         ads = [L.ad_basis(i) for i in range(n)]
         want = oracle.linear_family_char_coeffs(A.p, [a.rows for a in ads], n)
         assert linear_family_char_coeffs(field, ads, n) == [MultiPoly(field, n, t) for t in want]
+
+
+def _assert_der(L):
+    """Der's structure constants are the oracle's commutators of the
+    matrices derivation_algebra returns."""
+    D, mats = derivation_algebra(L)
+    want = oracle.structure_constants(L.field.char, L.dim, [m.rows for m in mats])
+    assert D.table == {key: dict(zip(cs, fvec(L.field, cs.values()))) for key, cs in want.items()}
 
 
 def sparse_vectors(field, n):
@@ -1627,15 +1658,24 @@ def sparse_vectors(field, n):
     return st.lists(st.one_of(st.just(field.zero), scalars(field)), min_size=n, max_size=n).map(tuple)
 
 
-@given(tables(), st.data())
+@given(perturbed_tables(), st.data())
 @settings(max_examples=40, deadline=None)
-def test_structure_layer_matches_reference(L, data):
-    """Killing Gram, invariance, both series, Der structure constants and
-    the symbolic coefficients of the ad family equal the oracle's on
-    catalog tables and on tables with up to three constants changed, and
-    so do the sparse bracket and bracket span on sparse vectors."""
+def test_structure_layer_matches_reference(pair, data):
+    """Killing Gram, invariance, both series and the symbolic coefficients
+    of the ad family equal the oracle's on catalog tables and on tables
+    with up to three constants changed, and so do the sparse bracket and
+    bracket span on sparse vectors.  Der's structure constants do too, on
+    the drawn table where it satisfies Jacobi and otherwise on its catalog
+    table in a drawn basis b_i / s_i, which keeps Jacobi and changes the
+    constants: Der is defined on Lie algebras only."""
+    base, L = pair
     _assert_structure_layer(L)
     A = oracle_of(L)
+    if oracle.jacobi_defects(A):
+        nonzero = scalars(L.field).filter(lambda s: s != L.field.zero)
+        _assert_der(rescaled(base, data.draw(st.lists(nonzero, min_size=L.dim, max_size=L.dim))))
+    else:
+        _assert_der(L)
     x, y = (data.draw(sparse_vectors(L.field, L.dim)) for _ in range(2))
     assert L.bracket(x, y) == fvec(L.field, oracle.bracket(A, x, y))
     a, b = (
@@ -1663,6 +1703,7 @@ def test_structure_layer_on_fixed_cases(name, L):
     """Dimension 0, abelian, nilpotent and ℚ tables with non-integer constants
     (which exercise the denominator clearing) beside the canonical instances."""
     _assert_structure_layer(L)
+    _assert_der(L)
 
 
 def test_identity_form_on_sl2_is_not_invariant():

@@ -222,6 +222,7 @@ class TestCatalog:
             (["sl", "--a", "5", "--b", "7"], "sl takes n, not a"),
             (["sl", "--n", "3", "--b", "7"], "sl takes n, not b"),
             (["su2q", "--a", "-1"], "su2q takes no parameters, not a"),
+            (["heisenberg", "--n", "0"], "heisenberg needs n >= 1"),
         ],
     )
     def test_emit_checks_parameters_and_field(self, capsys, argv, message):

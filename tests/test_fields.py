@@ -315,6 +315,38 @@ class TestMultiPoly:
         assert f.scale(QQ.of(-2)).eval(p) == QQ.of(-2) * f.eval(p)
 
 
+@pytest.mark.parametrize(
+    "field,coeffs,shown",
+    [
+        (QQ, (), "0"),
+        (QQ, (0, 1), "t"),
+        (QQ, (-3, 0, 1), "t^2 - 3"),
+        (QQ, (Fraction(1, 2), -1, 0, -1), "-t^3 - t + 1/2"),
+        (QQ, (0, 0, Fraction(-2, 3), 2), "2*t^3 - 2/3*t^2"),
+        (QQ, (-1,), "-1"),
+        (F5, (4, 1, 3), "3*t^2 + t + 4"),
+        (F5, (0, 0, 1), "t^2"),
+    ],
+)
+def test_unipoly_str(field, coeffs, shown):
+    assert str(UniPoly(field, coeffs)) == shown
+
+
+@pytest.mark.parametrize(
+    "field,nvars,terms,shown",
+    [
+        (QQ, 2, {}, "0"),
+        (QQ, 3, {(1, 0, 0): 1, (0, 1, 1): -1, (0, 0, 0): Fraction(-5, 2)}, "-x2*x3 + x1 - 5/2"),
+        (QQ, 3, {(2, 0, 0): 3, (1, 1, 0): -2, (0, 0, 2): Fraction(1, 3)}, "1/3*x3^2 - 2*x1*x2 + 3*x1^2"),
+        (QQ, 2, {(0, 0): -1}, "-1"),
+        (F5, 2, {(1, 0): 4, (0, 2): 1, (0, 0): 2}, "x2^2 + 4*x1 + 2"),
+        (F5, 2, {(3, 1): 2}, "2*x1^3*x2"),
+    ],
+)
+def test_multipoly_str(field, nvars, terms, shown):
+    assert str(MultiPoly(field, nvars, terms)) == shown
+
+
 class TestForeignScalars:
     """``field.of`` is the one door for a scalar: a polynomial refuses a
     scalar of another field, wherever it is handed one."""

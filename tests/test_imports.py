@@ -260,8 +260,11 @@ class TestRecords:
             "center_dim", "commutant_dim", "killing_rank", "radical_dim", "semisimple",
         ]
         assert (d["dim"], d["semisimple"]) == (3, True)
+        # a report is read from an algebra; a wrong value set on it is caught
+        report = lielab.StructureReport(lielab.sl(lielab.QQ, 2))
+        report.abelian = True
         with pytest.raises(lielab.StructureError, match="abelian but not nilpotent"):
-            lielab.StructureReport(1, True, False, True, None, None, 1, 0, 0, None, None)
+            report.nilpotent
 
     def test_enum_table_positional(self):
         F3 = lielab.GF(3)

@@ -17,6 +17,8 @@ SOURCE = Path(oracle.__file__).read_text()
 # algebra of dimension 3 ([x, y] = z)
 SL2 = [-2, 0, 0, 0, 1, 0, 0, 0, -2]
 HEISENBERG1 = [0, 0, 1, 0, 0, 0, 0, 0, 0]
+# su2 as the trace-zero quaternions: [i, j] = 2k, [i, k] = -2j, [j, k] = 2i
+SU2Q = [0, 0, 2, 0, -2, 0, 2, 0, 0]
 # the companion matrix of t^3 - 2t + 5
 COMPANION = [[0, 0, -5], [1, 0, 2], [0, 1, 0]]
 
@@ -30,6 +32,8 @@ KNOWN = {
     "charpoly-companion": (5, -2, 0, 1),
     # ad e is nilpotent on sl2, ad h has the eigenvalues 2, 0, -2
     "nu-sl2": (3, 1),
+    # ad x has the eigenvalues 0 and +-2i|x| on su2, so a_1(x) = 4|x|^2
+    "a1-su2q": ((4, 4, 4), True, True),
 }
 
 
@@ -45,6 +49,7 @@ def known_answers(o):
         "h2-psl3f3": len(o.cocycles(psl3)) - len(o.coboundaries(psl3)),
         "charpoly-companion": o.char_poly(0, COMPANION),
         "nu-sl2": (o.nu(sl2, (1, 0, 0)), o.nu(sl2, (0, 1, 0))),
+        "a1-su2q": o.definite_a1(o.from_coefficients(0, 3, SU2Q)),
     }
 
 
@@ -63,8 +68,8 @@ def test_imports_only_the_standard_library():
 # The references that pin internal contracts, each named in the docstring of
 # test_residue_kernel.py, with the local ref_scan through which
 # test_exhaustive_deciders_match_the_point_walk reads ref_scan_exhaustive.
-# Every other check reads the oracle, so a replaced body kept as a reference
-# shows up here.
+# Every other check reads the oracle, so a replaced body kept as a reference,
+# named ref_* or reference_*, shows up here.
 CONTRACTS = {
     "test_residue_kernel.py": {
         "ref_enum_algebra",
@@ -78,13 +83,13 @@ CONTRACTS = {
 
 
 def references(source):
-    """The qualified name of every function named ref_* in source."""
+    """The qualified name of every function named ref_* or reference_* in source."""
     found = set()
 
     def walk(node, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not isinstance(child, ast.ClassDef) and child.name.startswith("ref_"):
+                if not isinstance(child, ast.ClassDef) and child.name.startswith(("ref_", "reference_")):
                     found.add(prefix + child.name)
                 walk(child, f"{prefix}{child.name}.")
             else:
@@ -105,6 +110,7 @@ def test_the_references_are_the_documented_contracts():
 def test_reference_scan_sees_nested_definitions():
     source = "class T:\n    def ref_a(self):\n        def ref_b():\n            pass\n\ndef f():\n    async def ref_c():\n        pass\n"
     assert references(source) == {"T.ref_a", "T.ref_a.ref_b", "f.ref_c"}
+    assert references("def reference_a():\n    pass\ndef refer():\n    pass\n") == {"reference_a"}
 
 
 @pytest.mark.parametrize("name", sorted(KNOWN))

@@ -15,7 +15,7 @@ from lielab.algebra import LieAlgebra, StructureError, _point_index, _projective
 from lielab.budgets import DEFAULT_SEED, EXHAUSTIVE_CAP, SEARCH_HEIGHT, SEARCH_TRIALS, SYMBOLIC_DIM, BudgetExceeded
 from lielab.catalog import abelian, gl, heisenberg, pgl, r2, sl, strict_upper, su2q
 from lielab.fields import GF, QQ, MultiPoly, UniPoly
-from lielab.linalg import Matrix, Subspace, diagonalize_quadratic, vec_is_zero
+from lielab.linalg import Matrix, Subspace, vec_is_zero
 from lielab.regularity import (
     FittingDecomposition,
     ad_char_coeffs,
@@ -276,7 +276,7 @@ class TestFitting:
         n = data.draw(st.integers(1, 4))
         entry = st.integers(-3, 3)
         table = {(i, j): [data.draw(entry) for _ in range(n)] for i in range(n) for j in range(i + 1, n)}
-        L = LieAlgebra.unchecked(field, [f"b{i}" for i in range(n)], table)
+        L = LieAlgebra(field, [f"b{i}" for i in range(n)], table, _validated=True)
         x = L._k_vector([field.of(data.draw(entry)) for _ in range(n)])
         assert not any((L.ad(x) ** n)._apply_k(x))
 
@@ -565,36 +565,6 @@ def solvable_tables(count, seed):
         yield LieAlgebra(QQ, ("x", "y", "z"), {(0, 1): {1: a, 2: c}, (0, 2): {1: b, 2: d}})
 
 
-def reference_a1_gram(L):
-    """The Gram matrix of a_1 read off the symbolic expansion: x_i^2 on
-    the diagonal, half of x_i x_j off it."""
-    rows = [[QQ.zero] * 3 for _ in range(3)]
-    for exps, c in generic_char_poly(L).coeffs[1].terms.items():
-        hot = [i for i, e in enumerate(exps) if e]
-        if len(hot) == 1:
-            rows[hot[0]][hot[0]] = c
-        else:
-            i, j = hot
-            rows[i][j] = rows[j][i] = c / 2
-    return Matrix(QQ, rows, 3)
-
-
-def reference_certificate(L, with_a2):
-    """The definite-form certificate as read from the symbolic polynomials:
-    rank 1, a definite a_1, and for anisotropy a_2 identically zero."""
-    if rank(L) != 1:
-        return None
-    if with_a2 and not generic_char_poly(L).coeffs[2].is_zero():
-        return None
-    diag = diagonalize_quadratic(reference_a1_gram(L))
-    signs = {d > 0 for d in diag}
-    if not all(diag) or len(signs) != 1:
-        return None
-    evidence = {"rank": 1, "a2": "0"} if with_a2 else {"rank": 1}
-    evidence.update(diagonal=[QQ.to_str(d) for d in diag], sign="positive" if signs.pop() else "negative")
-    return Verdict.certified("definite-quadratic-form", **evidence)
-
-
 ORACLE_TABLES = (
     [("su2q", SU), ("sl2q", sl2q)]
     + [(f"quaternion({a},{b})", quaternion_lie(a, b)) for a in range(-6, 7) for b in range(-6, 7) if a and b]
@@ -608,7 +578,7 @@ class TestDefiniteA1Certificate:
         for name, L in ORACLE_TABLES:
             tau = [L.ad_basis(i).trace() for i in range(3)]
             moved += any(tau)
-            assert regularity._a1_gram(L, tau) == reference_a1_gram(L), name
+            assert regularity._a1_gram(L, tau) == fsquare(QQ, oracle.a1_gram(oracle_of(L))), name
         assert moved >= 250  # the tau term is exercised
 
     def test_verdicts_match_the_symbolic_route(self, monkeypatch):
@@ -617,13 +587,16 @@ class TestDefiniteA1Certificate:
         monkeypatch.setattr(regularity, "_scan", lambda L, mode, seed, fails, **known: Verdict.inconclusive(**known))
         certified = set()
         for name, L in ORACLE_TABLES:
+            want = oracle.definite_a1(oracle_of(L))
             for decide, with_a2 in ((is_regular_algebra, False), (is_anisotropic, True), (is_nilpotent_free, True)):
                 got = decide(L, "certificate")
-                ref = reference_certificate(L, with_a2)
-                if ref is None:
+                if want is None or (with_a2 and not want[2]):
                     assert got.certificate != "definite-quadratic-form", (name, decide.__name__)
                 else:
-                    assert got == ref, (name, decide.__name__)
+                    diagonal, positive, _ = want
+                    evidence = {"rank": 1, "a2": "0"} if with_a2 else {"rank": 1}
+                    evidence.update(diagonal=[QQ.to_str(d) for d in diagonal], sign="positive" if positive else "negative")
+                    assert got == Verdict.certified("definite-quadratic-form", **evidence), (name, decide.__name__)
                     certified.add(name)
         negative = {f"quaternion({a},{b})" for a in range(-6, 0) for b in range(-6, 0)}
         assert certified == negative | {"su2q"}

@@ -47,7 +47,7 @@ def ref_enum_algebra(t):
                     entry[k] = c
             if entry:
                 table[(i, j)] = entry
-    return LieAlgebra.unchecked(t.field, tuple(f"b{s + 1}" for s in range(t.dim)), table)
+    return LieAlgebra(t.field, tuple(f"b{s + 1}" for s in range(t.dim)), table, _validated=True)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=["F2", "F3"])
