@@ -312,9 +312,8 @@ def rank(L: LieAlgebra) -> int:
             # a_0 .. a_{r-1} vanish identically, so nu >= r everywhere
             result = _rank_by_scan(L, r)
     elif L.field.kind == "Q":
-        # the deciding grid {0..n}^n has (n+1)^n >= 10^9 points above the
-        # symbolic budget, more than EXHAUSTIVE_CAP allows
-        raise BudgetExceeded(f"rank grid needs {(n + 1) ** n} points, over the cap {EXHAUSTIVE_CAP}")
+        # over Q the rank is read only off the symbolic expansion
+        raise BudgetExceeded(f"rank over Q needs dim <= SYMBOLIC_DIM = {SYMBOLIC_DIM}, got dim {n}")
     else:
         result = _rank_by_scan(L)
     L._cache["rank"] = result
@@ -516,6 +515,15 @@ def is_regular_algebra(
     certificate: dimension-3 definite-quadratic-form route, else search.
     Nilpotent algebras short-circuit in every mode: rank = dim forces
     every zero-multiplicity to the minimum.
+
+    Only when ``rank`` exceeds its budget, and only in search and
+    certificate mode, the search schedule looks for a nonzero x with
+    (ad x)^dim = 0, the test of ``is_nilpotent_free``.  Such an x has
+    nu(x) = dim, while a non-nilpotent algebra has rank < dim (Engel), so
+    x refutes with evidence ``reason`` "ad-nilpotent", ``nu`` and
+    ``scanned``, after the Hessenberg ``zero_multiplicity`` rechecks
+    chi_{ad x} = t^dim.  A walk that finds none raises the rank's
+    BudgetExceeded; exhaustive mode raises it at once.
     """
     if mode not in ("exhaustive", "search", "certificate"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -527,7 +535,16 @@ def is_regular_algebra(
     if mode == "exhaustive":
         # before the rank, whose budget error would hide the bad usage
         _require_finite_field(L)
-    r = rank(L)
+    try:
+        r = rank(L)
+    except BudgetExceeded:
+        if mode == "exhaustive":
+            raise
+        verdict = _scan(L, mode, seed, lambda x: _is_ad_nilpotent(L, x), reason="ad-nilpotent", nu=n)
+        if not verdict.is_refuted:
+            raise
+        _recheck(zero_multiplicity(L, verdict.witness) == n, "witness recheck failed: chi_{ad x} is not t^dim")
+        return verdict
     if mode == "certificate":
         cert = _definite_a1(L)
         if cert is not None:
@@ -629,10 +646,15 @@ def is_anisotropic(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_S
     return verdict
 
 
+def _is_ad_nilpotent(L: LieAlgebra, x: Vector) -> bool:
+    """(ad x)^dim = 0."""
+    return (L.ad(x) ** L.dim).is_zero()
+
+
 def is_nilpotent_free(L: LieAlgebra, mode: str = "search", *, seed: int = DEFAULT_SEED) -> Verdict:
     """Does every element with nilpotent ad lie in the center?  A refuting
     x is rechecked by routes the scan does not take: chi_{ad x} = t^n, ad x != 0."""
-    verdict = _aniso_like(L, mode, seed, lambda x: (L.ad(x) ** L.dim).is_zero() and not L.center().contains(x))
+    verdict = _aniso_like(L, mode, seed, lambda x: _is_ad_nilpotent(L, x) and not L.center().contains(x))
     if verdict.is_refuted:
         _recheck(zero_multiplicity(L, verdict.witness) == L.dim, "witness recheck failed: chi_{ad x} is not t^dim")
         _recheck(not L.ad(verdict.witness).is_zero(), "witness recheck failed: ad x is zero")

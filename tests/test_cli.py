@@ -544,7 +544,27 @@ class TestBenchmarkInputs:
         path = next(p for p in INPUT_PATHS if p.stem == "sl4q")
         code, out = run(capsys, ["commutator", str(path), "--form", "killing", "--target=" + ",".join(["1"] + ["0"] * 14)])
         assert code == 2
-        assert list(out) == ["note"] and "over the cap" in out["note"]
+        assert out == {"note": "rank over Q needs dim <= SYMBOLIC_DIM = 8, got dim 15"}
+
+    @pytest.mark.parametrize("path", INPUT_PATHS, ids=lambda p: p.stem)
+    def test_regular_answers_every_table(self, capsys, path):
+        """No benchmark table ends in a budget note: where the rank is out
+        of budget, an ad-nilpotent witness refutes.  Certificate mode
+        answers every table; search mode answers all but su2q, which is
+        regular, so its search can only be inconclusive."""
+        for mode in ("certificate", "search"):
+            code, out = run(capsys, ["regular", str(path), "--mode", mode])
+            assert list(out) == ["mode", "regular"], out
+            if mode == "certificate" or path.stem != "su2q":
+                assert code in {0, 1}, (mode, out)
+            if out["regular"]["evidence"].get("reason") == "ad-nilpotent":
+                assert out["regular"]["evidence"]["nu"] == json.loads(path.read_text())["dim"]
+
+    def test_exhaustive_regular_keeps_the_rank_budget(self, capsys):
+        path = next(p for p in INPUT_PATHS if p.stem == "gl3f5")
+        code, out = run(capsys, ["regular", str(path), "--mode", "exhaustive"])
+        assert code == 2
+        assert out == {"mode": "exhaustive", "note": "rank scan needs 1953125 points, over the cap 1000000"}
 
 
 class TestHuman:

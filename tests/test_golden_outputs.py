@@ -37,16 +37,16 @@ ANALYZE_SHA256 = {
 # are read where the benchmark keeps them and are not modified
 INPUTS = Path(__file__).resolve().parent.parent / "perfbench" / "inputs"
 INPUT_ANALYZE_SHA256 = {
-    "gl3f5": "93a24c5bc6f550bf97c284c11f6f6ce961af5b95a29c9cee2a1a1cf7edc2bfec",
-    "gl3q": "24af8001a2f2a5b061fd9b836d097e7793d4fa79bf6919bf6133197edd4c2146",
+    "gl3f5": "e4267d4619ae26c9eae919729295a944439948c4b40a9568acfb7de7a5c7c1d9",
+    "gl3q": "1cad1ae0afc6bd657d07828e08c8e7aea981d077c551b0992968f1b1ee949913",
     "heisenberg2q": "4ebc15943a1562493cafb6deac2407e4dab5ecec9cb3d7f0089e32a64496680d",
     "pgl3f3": "2cd7a7bb3284f52219ecc2dae69bbfd5e65576ef40fa6fed6304a5785061617e",
     "psl3f3": "98b490fbae5ed7a3f2418fb0c2ba0e33750ca56bc2adae3ddd456b6372689061",
     "sl2f5": "0958e54727c2689ff41bbb9d8d0be50c6e03e4a5da5b68bb9b82770d1275adb3",
     "sl3f3": "1a6b8e4695347eb4a1288cdaa19b048abdad192e92f772ab22c20f3cedd37489",
     "sl3q": "4f6a42d828060da24799ceb2d99ee9ba0da5404b99a1298b6978c39a3670ac1d",
-    "sl4q": "a3e94cf2dd93d81c26d8d92af187d51c27fe8f355f41791c1a9f4066c6a6b044",
-    "sl5q": "17264cd73540274abf8496aa30f32c5d1b7c4ea1329eb37abd29e7b0475f4332",
+    "sl4q": "1e3677276381b7de7e18f7372cc73b4d2707851f5f005ccb26b051edbce445b4",
+    "sl5q": "6f55a52f1f26b89e8e4952678cb2a65d638ad55e23fe401724fc71ffd7d2cfac",
     "strict_upper5q": "6a572e8fc67453c14133d20a675eb92ac506c69158f61c53677cad5284d4878f",
     "su2q": "1ecb14671c91cb32330679ce3092b03658dd9d572cc83727f03dec28203ca0cd",
 }

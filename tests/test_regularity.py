@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from lielab import regularity
 from lielab.algebra import LieAlgebra, StructureError, _point_index, _projective_points, direct_sum, quotient_with_projection
-from lielab.budgets import DEFAULT_SEED, EXHAUSTIVE_CAP, SEARCH_HEIGHT, SEARCH_TRIALS, SYMBOLIC_DIM, BudgetExceeded
+from lielab.budgets import DEFAULT_SEED, SEARCH_HEIGHT, SEARCH_TRIALS, SYMBOLIC_DIM, BudgetExceeded
 from lielab.catalog import abelian, gl, heisenberg, pgl, r2, sl, strict_upper, su2q
 from lielab.fields import GF, QQ, MultiPoly, UniPoly
 from lielab.linalg import Matrix, Subspace, vec_is_zero
@@ -92,12 +92,11 @@ class TestRank:
             assert _rank_by_scan(L) == rank(L)
 
     def test_rational_rank_beyond_symbolic_budget_is_over_the_cap(self):
-        # rank over Q has no route above SYMBOLIC_DIM: the smallest deciding
-        # grid there, {0..n}^n with n = SYMBOLIC_DIM + 1, is over the cap
+        # rank over Q is read only off the symbolic expansion, so it has
+        # no route above SYMBOLIC_DIM
         n = SYMBOLIC_DIM + 1
-        assert (n + 1) ** n > EXHAUSTIVE_CAP
         L = direct_sum(sl(QQ, 3), abelian(QQ, n - 8))  # sl3 has dimension 8
-        with pytest.raises(BudgetExceeded, match=f"rank grid needs {(n + 1) ** n} points, over the cap"):
+        with pytest.raises(BudgetExceeded, match=rf"^rank over Q needs dim <= SYMBOLIC_DIM = {SYMBOLIC_DIM}, got dim {n}$"):
             rank(L)
 
     def test_nilpotent_means_full_rank(self):
@@ -338,6 +337,56 @@ class TestRegularAlgebras:
     def test_r2_f3_not_regular_but_small(self):
         v = is_regular_algebra(r2(F3), mode="exhaustive")
         assert v.is_refuted
+
+
+def _rank_out_of_budget():
+    """Every table here is non-nilpotent with no rank within budget."""
+    named = [(name, input_table(name)) for name in ("gl3f5", "gl3q", "sl4q", "sl5q")]
+    return named + [("sl3q+abelian1", direct_sum(sl(QQ, 3), abelian(QQ, 1)))]
+
+
+class TestAdNilpotentWitness:
+    """When the rank is out of budget, search and certificate mode refute
+    with a nonzero ad-nilpotent x: nu(x) = dim, and a non-nilpotent
+    algebra has rank < dim."""
+
+    @pytest.mark.parametrize("name,L", params(_rank_out_of_budget()))
+    @pytest.mark.parametrize("mode", ["search", "certificate"])
+    def test_refuted_by_an_element_of_full_nu(self, name, L, mode):
+        with pytest.raises(BudgetExceeded):
+            rank(L)
+        v = is_regular_algebra(L, mode=mode)
+        assert v.is_refuted
+        assert v.evidence["reason"] == "ad-nilpotent" and v.evidence["nu"] == L.dim
+        assert sorted(v.evidence) == ["nu", "reason", "scanned"] and v.evidence["scanned"] >= 1
+        A = oracle_of(L)
+        assert oracle.nu(A, oracle.vector(A.p, v.witness)) == L.dim
+        # the lower central series stops at a nonzero term: L is not nilpotent
+        assert oracle.lower_central_series(A)[-1]
+
+    def test_a_predicate_that_accepts_a_non_nilpotent_point_fails_the_recheck(self, monkeypatch):
+        real = regularity._is_ad_nilpotent
+        monkeypatch.setattr(regularity, "_is_ad_nilpotent", lambda L, x: not real(L, x))
+        with pytest.raises(RecheckFailed, match=r"chi_\{ad x\} is not t\^dim"):
+            is_regular_algebra(input_table("sl4q"))
+
+    @pytest.mark.parametrize("mode", ["search", "certificate"])
+    def test_a_walk_that_finds_none_raises_the_rank_budget(self, monkeypatch, mode):
+        # su2q is anisotropic, so the sum of three has no nonzero
+        # ad-nilpotent element; a shortened schedule keeps the walk brief
+        monkeypatch.setattr(regularity, "SEARCH_POINTS_CAP", 30)
+        monkeypatch.setattr(regularity, "SEARCH_TRIALS", 5)
+        L = direct_sum(direct_sum(SU, SU), SU)
+        with pytest.raises(BudgetExceeded) as by_rank:
+            rank(L)
+        with pytest.raises(BudgetExceeded) as by_regular:
+            is_regular_algebra(L, mode=mode)
+        assert str(by_regular.value) == str(by_rank.value) == f"rank over Q needs dim <= SYMBOLIC_DIM = {SYMBOLIC_DIM}, got dim 9"
+
+    def test_exhaustive_mode_raises_the_rank_budget(self):
+        L = input_table("gl3f5")
+        with pytest.raises(BudgetExceeded, match=r"^rank scan needs 1953125 points, over the cap 1000000$"):
+            is_regular_algebra(L, mode="exhaustive")
 
 
 class TestAnisotropy:
