@@ -40,7 +40,6 @@ _EXPORTS = {
     "catalog": (
         "QuaternionAlgebra",
         "abelian",
-        "canonical_instances",
         "enumerate_tables",
         "gl",
         "heisenberg",
@@ -62,7 +61,6 @@ _EXPORTS = {
         "commutator_search",
         "fitting_orthogonality",
         "is_minimal_non",
-        "orthogonal_complement",
         "quaternion_commutator",
         "rank1_commutator",
     ),
@@ -71,7 +69,6 @@ _EXPORTS = {
     "regularity": (
         "FittingDecomposition",
         "GenericCharPoly",
-        "ad_char_coeffs",
         "char_poly_factorization",
         "fitting",
         "fitting_set",

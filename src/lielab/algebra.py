@@ -269,20 +269,6 @@ class LieAlgebra(_Presented):
             self._cache["commutant"] = Subspace._span_k(self.field, n, vecs)
         return self._cache["commutant"]
 
-    def centralizer(self, x: Sequence) -> Subspace:
-        return self.ad(x).kernel()
-
-    def normalizer(self, space: Subspace) -> Subspace:
-        """{y : [y, s] in S for all s in S}."""
-        rows = []
-        for s in space.rows:
-            images = [space.reduce(self.bracket(self.basis_vector(m), s)) for m in range(self.dim)]
-            for coord in range(self.dim):
-                row = [images[m][coord] for m in range(self.dim)]
-                if any(row):
-                    rows.append(row)
-        return Matrix(self.field, rows, ncols=self.dim).kernel()
-
     def bracket_span(self, a: Subspace, b: Subspace) -> Subspace:
         vecs = [self._product_k(u, v) for u in a._k for v in b._k]
         return Subspace._span_k(self.field, self.dim, vecs)
@@ -299,21 +285,6 @@ class LieAlgebra(_Presented):
             lambda v: (to_k(self._product_k(b, v)) for b in basis),
         ).subspace()
 
-    def subalgebra_generated(self, vectors: Sequence[Sequence]) -> Subspace:
-        """Smallest subalgebra containing the vectors: the closure
-        (``_Echelon.close``) that brackets each kept vector with a dense
-        snapshot of the echelon rows when it is taken.  Of two kept
-        vectors, the later one taken finds the other in the span of its
-        snapshot, so their bracket lies in the result."""
-        n, zero, to_k = self.dim, self.field._k_zero, self.field._to_k
-        ech = _Echelon(self.field, n)
-
-        def images(v: list) -> Iterator[list]:
-            rows = [_dense(row, n, zero) for row in ech.rows.values()]
-            return (to_k(self._product_k(v, row)) for row in rows)
-
-        return ech.close(map(self._k_vector, vectors), images).subspace()
-
     def is_ideal(self, space: Subspace) -> bool:
         """Whether [b_i, u] lies in the space for every b_i and every
         echelon row u, bracketed in kernel scalars (``_product_k``); a
@@ -325,13 +296,6 @@ class LieAlgebra(_Presented):
             raise ValueError(f"subspace of a dim {space.ambient} space in a dim {n} algebra")
         units = [[int(t == i) for t in range(n)] for i in range(n)]
         return all(space.contains(self._product_k(b, u)) for b in units for u in space._k)
-
-    def is_subalgebra(self, space: Subspace) -> bool:
-        return all(
-            space.contains(self.bracket(u, v))
-            for a, u in enumerate(space.rows)
-            for v in space.rows[a + 1 :]
-        )
 
     # -- reports -------------------------------------------------------------
 
@@ -529,19 +493,6 @@ class BilinearForm:
             if any(x % p if p else x for x in acc.values()):
                 return False
         return True
-
-    def evaluate(self, x: Sequence, y: Sequence) -> Scalar:
-        xv = self.algebra.coerce_vector(x)
-        yv = self.algebra.coerce_vector(y)
-        acc = self.algebra.field.zero
-        for i, xi in enumerate(xv):
-            if not xi:
-                continue
-            row = self.gram.rows[i]
-            for j, yj in enumerate(yv):
-                if yj and row[j]:
-                    acc = acc + xi * row[j] * yj
-        return acc
 
     def orthogonal_of(self, space: Subspace) -> Subspace:
         rows = [self.gram.apply(u) for u in space.rows]

@@ -527,21 +527,3 @@ def enumerate_tables(dim: int, field: Field) -> Iterator[EnumTable]:
         for (vec, _, _), d in zip(blocks, defects):
             yield EnumTable(dim, field, prefix + vec, not any(x % p for x in d))
 
-
-def canonical_instances() -> List[Tuple[str, LieAlgebra]]:
-    """The fixed cross-field instance list used by invariant sweeps."""
-    F3, F5 = GF(3), GF(5)
-    return [
-        ("abelian3@Q", abelian(QQ, 3)),
-        ("heisenberg1@Q", heisenberg(QQ, 1)),
-        ("heisenberg2@Q", heisenberg(QQ, 2)),
-        ("r2@Q", r2(QQ)),
-        ("r2@F3", r2(F3)),
-        ("sl2@Q", sl(QQ, 2)),
-        ("sl2@F5", sl(F5, 2)),
-        ("gl2@Q", gl(QQ, 2)),
-        ("su2q", su2q()),
-        ("strict_upper4@Q", strict_upper(QQ, 4)),
-        ("psl3@F3", psl(F3, 3)),
-        ("pgl3@F3", pgl(F3, 3)),
-    ]

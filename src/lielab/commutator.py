@@ -48,11 +48,6 @@ def _require_geometry(L: LieAlgebra, form: BilinearForm) -> None:
         raise ValueError("form must be nondegenerate")
 
 
-def orthogonal_complement(form: BilinearForm, space: Subspace) -> Subspace:
-    """All v with form(u, v) = 0 for every u in the space."""
-    return form.orthogonal_of(space)
-
-
 class FittingOrthogonality(_Record):
     """Both sides of the complement identity for one almost-commuting set."""
 

@@ -396,10 +396,6 @@ class UniPoly:
     def one(cls, field: Field) -> "UniPoly":
         return cls(field, (1,))
 
-    @classmethod
-    def t(cls, field: Field) -> "UniPoly":
-        return cls(field, (0, 1))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -482,13 +478,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly(self.field, [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
-
-    def eval_scalar(self, a):
-        a = self.field.of(a)
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * a + c
-        return acc
 
     def __eq__(self, other) -> bool:
         return (
@@ -576,20 +565,6 @@ class MultiPoly:
         self.nvars = nvars
         self.terms = clean
 
-    @classmethod
-    def zero(cls, field: Field, nvars: int) -> "MultiPoly":
-        return cls(field, nvars, {})
-
-    @classmethod
-    def const(cls, field: Field, nvars: int, c) -> "MultiPoly":
-        return cls(field, nvars, {(0,) * nvars: c})
-
-    @classmethod
-    def variable(cls, field: Field, nvars: int, i: int) -> "MultiPoly":
-        exps = [0] * nvars
-        exps[i] = 1
-        return cls(field, nvars, {tuple(exps): field.one})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -647,19 +622,6 @@ class MultiPoly:
                     term = term * x
             acc = acc + term
         return acc
-
-    def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.terms)
-
-    def is_homogeneous(self, degree: int = None) -> bool:
-        if self.is_zero():
-            return True
-        degs = {sum(e) for e in self.terms}
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda item: _grlex_key(item[0]))

@@ -50,7 +50,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from operator import mul
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar, UniPoly
 
@@ -237,12 +237,6 @@ class Matrix:
         m = len(cols[0])
         return cls(field, [[col[i] for col in cols] for i in range(m)])
 
-    def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.rows)
-
-    def columns(self) -> List[Vector]:
-        return [self.column(j) for j in range(self.n)]
-
     def is_square(self) -> bool:
         return self.m == self.n
 
@@ -327,10 +321,6 @@ class Matrix:
         out = [sum(map(mul, vals, map(v.__getitem__, cols)), zero) for cols, vals in self._nonzero]
         return [x % p for x in out] if p else out
 
-    def transpose(self) -> "Matrix":
-        rows = self._k
-        return Matrix(self.field, [[row[j] for row in rows] for j in range(self.n)], self.m)
-
     def trace(self) -> Scalar:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
@@ -363,10 +353,6 @@ class Matrix:
         echelon form is unique, so growing it row by row gives the same
         rows as any other elimination order."""
         return self._echelon.echelon()
-
-    def rref(self) -> Tuple[Tuple[Vector, ...], Tuple[int, ...]]:
-        rows, pivots = self._rref
-        return tuple(self.field._from_k(r) for r in rows), pivots
 
     def rank(self) -> int:
         return len(self._echelon.rows)
@@ -540,9 +526,6 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient
 
-    def basis(self) -> Tuple[Vector, ...]:
-        return self.rows
-
     @cached_property
     def _pivot_rows(self) -> Dict[int, dict]:
         """The basis rows as sparse rows keyed by pivot, as ``_reduce`` reads them."""
@@ -680,8 +663,7 @@ class _Echelon:
         """Worklist closure: each item whose ``flat(item)`` enlarges the
         span is kept as it is, not reduced, and later adds ``images(item)``
         the same way, until nothing grows or the span is full.  Closed when
-        ``images`` is linear, or spans a kept item's products with the span
-        at the time it is taken (``subalgebra_generated``)."""
+        ``images`` is linear."""
         todo = [item for item in items if self.add(flat(item)) is not None]
         while todo and not self.full:
             for item in images(todo.pop()):

@@ -67,12 +67,6 @@ from .verdict import _recheck, _Record, Verdict
 # characteristic coefficients, symbolic and concrete
 
 
-def ad_char_coeffs(L: LieAlgebra, x: Sequence) -> Tuple[Scalar, ...]:
-    """Coefficients a_0(x)..a_n(x) of chi_{ad x}, ascending."""
-    chi = L.ad(x).char_poly()
-    return tuple(chi.coeff(i) for i in range(L.dim + 1))
-
-
 def zero_multiplicity(L: LieAlgebra, x: Sequence) -> int:
     """Multiplicity of the eigenvalue 0 of ad x = index of first nonzero a_i,
     read off the kernel-scalar coefficients of the Hessenberg char poly
@@ -172,13 +166,12 @@ class GenericCharPoly(_Record):
 
     ``terms[i]`` is a_i as a dict from exponent tuple to nonzero kernel
     scalar, rechecked on construction (one per degree, monic, a_0 = 0,
-    a_i homogeneous of degree n - i); ``coeffs`` are the MultiPoly
-    values, built on first read.  ``value`` evaluates one a_i at a point
-    in kernel scalars, compiling it on its first evaluation.  Equality
-    and repr read the algebra and ``terms`` only.
+    a_i homogeneous of degree n - i).  ``value`` evaluates one a_i at a
+    point in kernel scalars, compiling it on its first evaluation.
+    Equality and repr read the algebra and ``terms`` only.
     """
 
-    __slots__ = ("algebra", "terms", "_coeffs", "_compiled")
+    __slots__ = ("algebra", "terms", "_compiled")
 
     def _values(self) -> tuple:
         return self.algebra, self.terms
@@ -193,15 +186,7 @@ class GenericCharPoly(_Record):
             _recheck(all(sum(e) == n - i for e in a), f"a_{i} must be homogeneous of degree {n - i}")
         self.algebra = algebra
         self.terms = terms
-        self._coeffs = None
         self._compiled: List[Optional[list]] = [None] * (n + 1)
-
-    @property
-    def coeffs(self) -> Tuple[MultiPoly, ...]:
-        if self._coeffs is None:
-            field, n = self.algebra.field, self.algebra.dim
-            self._coeffs = tuple(MultiPoly(field, n, t) for t in self.terms)
-        return self._coeffs
 
     def formal_rank(self) -> int:
         """Least i with a_i not the zero polynomial."""

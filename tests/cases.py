@@ -9,6 +9,7 @@ carries over from one test file, or one test, to the next.
 import json
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from lielab.algebra import LieAlgebra
 from lielab.budgets import EXHAUSTIVE_CAP
-from lielab.catalog import canonical_instances, enumerate_tables
+from lielab.catalog import abelian, enumerate_tables, gl, heisenberg, pgl, psl, r2, sl, strict_upper, su2q
 from lielab.fields import GF, QQ
 from lielab.linalg import Matrix, Subspace
 
@@ -39,6 +40,26 @@ def input_table(name):
 def input_tables():
     """(name, L) for every benchmark table, by file name."""
     return [(path.stem, input_table(path.stem)) for path in INPUT_PATHS]
+
+
+def canonical_instances():
+    """The fixed cross-field instance list of the invariant sweeps and the
+    golden ``analyze`` digests, in their order."""
+    F3, F5 = GF(3), GF(5)
+    return [
+        ("abelian3@Q", abelian(QQ, 3)),
+        ("heisenberg1@Q", heisenberg(QQ, 1)),
+        ("heisenberg2@Q", heisenberg(QQ, 2)),
+        ("r2@Q", r2(QQ)),
+        ("r2@F3", r2(F3)),
+        ("sl2@Q", sl(QQ, 2)),
+        ("sl2@F5", sl(F5, 2)),
+        ("gl2@Q", gl(QQ, 2)),
+        ("su2q", su2q()),
+        ("strict_upper4@Q", strict_upper(QQ, 4)),
+        ("psl3@F3", psl(F3, 3)),
+        ("pgl3@F3", pgl(F3, 3)),
+    ]
 
 
 def named_cases():
@@ -132,6 +153,11 @@ def frows(field, rows):
 def space(field, n, rows):
     """The oracle's reduced echelon rows as a Subspace of field^n."""
     return Subspace(field, n, rows, tuple(next(j for j, c in enumerate(r) if c) for r in rows))
+
+
+def form_value(form, x, y):
+    """x^T G y for the BilinearForm with Gram matrix G."""
+    return sum(map(mul, x, form.gram.apply(y)), form.algebra.field.zero)
 
 
 def fsquare(field, rows):

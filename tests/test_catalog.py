@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from lielab.catalog import (
     QuaternionAlgebra,
     abelian,
-    canonical_instances,
     catalog_names,
     enumerate_tables,
     gl,
@@ -35,7 +34,7 @@ from lielab.fields import GF, QQ
 from lielab.linalg import vec_is_zero
 
 import oracle
-from cases import qvec
+from cases import canonical_instances, qvec
 
 F2 = GF(2)
 F3 = GF(3)

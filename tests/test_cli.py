@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from test_golden_outputs import VERIFY_SHA256
 
 from lielab.algebra import LieAlgebra, StructureError, canonical_dumps
-from lielab.catalog import canonical_instances, heisenberg, sl, su2q
+from lielab.catalog import heisenberg, sl, su2q
 from lielab.cli import main
 from lielab.fields import GF, QQ
 
-from cases import INPUT_PATHS
+from cases import INPUT_PATHS, canonical_instances
 
 GOOD = {
     "field": {"kind": "Q"},
@@ -245,6 +245,30 @@ class TestCatalog:
         assert main(["catalog", "emit", "on", "--n", "6", "--field", "F2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and "exceeds the cap 32" in captured.err
+
+
+
+class TestAssociative:
+    """The associative path: the table of `catalog emit on` validates as
+    associative, and the commands that need a Lie table refuse it."""
+
+    @pytest.fixture
+    def on_file(self, capsys, tmp_path):
+        assert main(["catalog", "emit", "on", "--field", "F3"]) == 0
+        path = tmp_path / "on.json"
+        path.write_text(capsys.readouterr().out)
+        return str(path)
+
+    def test_validate(self, capsys, on_file):
+        assert main(["validate", on_file]) == 0
+        assert capsys.readouterr().out == '{"dim":3,"kind":"associative","valid":true}\n'
+
+    @pytest.mark.parametrize("command", ["rank", "analyze", "regular"])
+    def test_lie_commands_refuse_it(self, capsys, on_file, command):
+        assert main([command, on_file]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: this command needs a Lie algebra table, not an associative one\n"
 
 
 class TestEnumerate:

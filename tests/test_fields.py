@@ -178,10 +178,6 @@ class TestUniPoly:
         assert a * (b + c) == a * b + a * c
         assert (a * b) * c == a * (b * c)
 
-    def test_eval_scalar(self):
-        p = poly([1, 2, 3])  # 1 + 2t + 3t^2
-        assert p.eval_scalar(QQ.of(2)) == Fraction(17)
-
     def test_derivative(self):
         p = poly([5, 1, 0, 2])
         assert p.derivative() == poly([1, 0, 6])
@@ -228,7 +224,7 @@ class TestUniPoly:
 
     def test_squarefree_char_p_pth_power(self):
         # t^5 over F5 has a zero derivative, so gcd(q, q') = q.monic()
-        t = UniPoly.t(F5)
+        t = UniPoly(F5, (0, 1))
         q = t * t * t * t * t
         assert not is_squarefree(q)
 
@@ -259,7 +255,7 @@ class TestRadical:
 
     def test_multiplicity_divisible_by_p(self):
         F3 = GF(3)
-        t = UniPoly.t(F3)
+        t = UniPoly(F3, (0, 1))
         one = UniPoly.one(F3)
         cube = lambda g: g * g * g
         # t^3: zero derivative, the radical of its cube root t
@@ -283,28 +279,18 @@ points3 = st.tuples(rationals, rationals, rationals)
 
 class TestMultiPoly:
     def build(self):
-        x = MultiPoly.variable(QQ, 3, 0)
-        y = MultiPoly.variable(QQ, 3, 1)
-        z = MultiPoly.variable(QQ, 3, 2)
-        return x, y, z
+        return tuple(MultiPoly(QQ, 3, {e: 1}) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
     @given(p=points3)
     def test_eval_is_a_homomorphism(self, p):
         x, y, z = self.build()
         f = x * x + y.scale(QQ.of(3)) - z * x
-        g = z * z - x + MultiPoly.const(QQ, 3, QQ.of(7))
+        g = z * z - x + MultiPoly(QQ, 3, {(0, 0, 0): QQ.of(7)})
         assert (f * g).eval(p) == f.eval(p) * g.eval(p)
         assert (f + g).eval(p) == f.eval(p) + g.eval(p)
 
-    def test_homogeneous_detection(self):
-        x, y, z = self.build()
-        quad = x * x + y * z
-        assert quad.is_homogeneous(2)
-        assert not (quad + x).is_homogeneous()
-        assert quad.total_degree() == 2
-
     def test_zero_and_const(self):
-        z3 = MultiPoly.zero(QQ, 3)
+        z3 = MultiPoly(QQ, 3, {})
         assert z3.is_zero()
         assert z3.eval((QQ.zero,) * 3) == QQ.zero
 
@@ -357,14 +343,12 @@ class TestForeignScalars:
             UniPoly(field, [entry])
         with pytest.raises(TypeError):
             UniPoly.one(field).scale(entry)
-        with pytest.raises(TypeError):
-            UniPoly.t(field).eval_scalar(entry)
 
     @pytest.mark.parametrize("field,entry", [(F5, Fraction(1, 2)), (F5, Fp(1, 7)), (QQ, Fp(1, 5)), (QQ, 0.5)])
     def test_multipoly(self, field, entry):
         with pytest.raises(TypeError):
             MultiPoly(field, 1, {(1,): entry})
         with pytest.raises(TypeError):
-            MultiPoly.variable(field, 1, 0).scale(entry)
+            MultiPoly(field, 1, {(1,): 1}).scale(entry)
         with pytest.raises(TypeError):
-            MultiPoly.variable(field, 1, 0).eval((entry,))
+            MultiPoly(field, 1, {(1,): 1}).eval((entry,))

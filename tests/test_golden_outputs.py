@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 from lielab.algebra import canonical_dumps
-from lielab.catalog import canonical_instances
 from lielab.cli import main, run_verify
+
+from cases import canonical_instances
 
 # sha256 of the canonical `lielab verify` stdout (seed 1729), trailing newline included
 VERIFY_SHA256 = "ad1a565f0bc13e5097c174e701126eb9ebe688f9de2b217b3f6ed7b4eb96c57a"

@@ -3,12 +3,16 @@
 Each module of the package is parsed with ``ast``; a name bound by a
 top-level ``import`` or ``from ... import`` that the module never reads is
 dead code and fails here, naming the module and the name.  So is a
-top-level function or class that no code of the package reads outside the
-definition's own body and that ``lielab.__all__`` does not export, and a
-private method (one leading underscore, not a dunder) of a top-level
-class that no code of the package reads outside the method's own body.
-Dunder functions and methods count as reached: the interpreter calls them
-(``__init__.__getattr__`` is the package's lazy-export hook).
+top-level function or class that nothing reads outside the definition's
+own body and that ``lielab.__all__`` does not export, and a method of a
+top-level class that nothing reads outside its own body.  A read is a
+name or an attribute in the package's code, or a word of a
+``perfbench/*.py`` file read as text, so the benchmark's span targets,
+named in strings, count.  Dunder functions and methods count as reached:
+the interpreter calls them (``__init__.__getattr__`` is the package's
+lazy-export hook).  So does a method that overrides one of a
+standard-library base class: the library calls it (argparse calls
+``cli._Parser.error``).
 
 ``import lielab`` loads no submodule, and ``import lielab.cli`` loads
 neither ``dataclasses`` nor ``inspect``; each is checked in a fresh
@@ -23,6 +27,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import defaultdict
@@ -35,6 +40,7 @@ import lielab
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lielab"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCHMARK = sorted((PACKAGE.parent.parent / "perfbench").glob("*.py"))
 
 
 def _unused_imports(source: str):
@@ -67,17 +73,34 @@ def test_scan_sees_an_unused_import():
     assert _unused_imports("import os\nfrom typing import List, Tuple\nx: Tuple = ()\n") == [(1, "os"), (2, "List")]
 
 
-def _dead_definitions(sources, exported):
+def _dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _library_attributes(base):
+    """The attribute names of a base class written ``module.Class`` with a
+    standard-library module; none for any other base."""
+    if isinstance(base, ast.Attribute) and isinstance(base.value, ast.Name) and base.value.id in sys.stdlib_module_names:
+        return set(dir(getattr(importlib.import_module(base.value.id), base.attr)))
+    return set()
+
+
+def _dead_definitions(sources, exported, texts=()):
     """(module, name) of each top-level function or class of `sources`
     (module name -> source text) that is not in `exported`, and (module,
-    "Class._method") of each private method of a top-level class, whose
-    name is read, as a name or an attribute, nowhere outside its own body."""
+    "Class.method") of each method of a top-level class that does not
+    override a standard-library base's, whose name is read nowhere outside
+    its own body: not as a name or an attribute in `sources`, and not as a
+    word of `texts`.  Dunders count as read."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     reads = defaultdict(list)
     for mod, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, (ast.Name, ast.Attribute)):
                 reads[node.id if isinstance(node, ast.Name) else node.attr].append((mod, node.lineno))
+    for text in texts:
+        for word in re.findall(r"\w+", text):
+            reads[word].append((None, 0))
 
     def unread(mod, d):
         return not [r for r in reads[d.name] if r[0] != mod or not d.lineno <= r[1] <= d.end_lineno]
@@ -87,15 +110,15 @@ def _dead_definitions(sources, exported):
         for d in tree.body:
             if not isinstance(d, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            dunder = d.name.startswith("__") and d.name.endswith("__")
-            if d.name not in exported and not dunder and unread(mod, d):
+            if d.name not in exported and not _dunder(d.name) and unread(mod, d):
                 dead.append((mod, d.name))
             if isinstance(d, ast.ClassDef):
+                inherited = set().union(*map(_library_attributes, d.bases))
                 for m in d.body:
                     if (
                         isinstance(m, ast.FunctionDef)
-                        and m.name.startswith("_")
-                        and not m.name.startswith("__")
+                        and not _dunder(m.name)
+                        and m.name not in inherited
                         and unread(mod, m)
                     ):
                         dead.append((mod, f"{d.name}.{m.name}"))
@@ -103,8 +126,8 @@ def _dead_definitions(sources, exported):
 
 
 def test_no_unreached_definitions():
-    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
-    dead = _dead_definitions(sources, set(lielab.__all__))
+    sources = {p.stem: p.read_text() for p in MODULES}
+    dead = _dead_definitions(sources, set(lielab.__all__), [p.read_text() for p in BENCHMARK])
     assert not dead, "defined but never reached: " + ", ".join(f"{m}.{n}" for m, n in dead)
 
 
@@ -129,7 +152,23 @@ def test_scan_sees_an_unreached_private_method():
             "    def public(self):\n        return 2\n"
         ),
     }
-    assert _dead_definitions(sources, {"Shown"}) == [("a", "Shown._left")]
+    assert _dead_definitions(sources, {"Shown"}) == [("a", "Shown._left"), ("a", "Shown.public")]
+
+
+def test_scan_reads_benchmark_text_and_library_overrides():
+    sources = {
+        "a": (
+            "import argparse\n"
+            "class Shown:\n"
+            "    def spanned(self):\n        return 1\n"
+            "    def unread(self):\n        return 2\n"
+            "class Parser(argparse.ArgumentParser):\n"
+            "    def error(self, message):\n        raise SystemExit(3)\n"
+            "    def exit_code(self):\n        return 3\n"
+        ),
+    }
+    texts = ['SPANS = {"a.spanned": [("a", "Shown", "spanned")]}\n']
+    assert _dead_definitions(sources, {"Shown", "Parser"}, texts) == [("a", "Parser.exit_code"), ("a", "Shown.unread")]
 
 
 def _benchmark_spans(monkeypatch):

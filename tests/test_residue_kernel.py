@@ -20,7 +20,6 @@ import pytest
 from lielab import LieAlgebra, is_anisotropic, is_nilpotent_free, is_regular_algebra, regularity
 from lielab.algebra import _commutant_equations, _map_solutions, centroid, cocycle_space, derivation_algebra
 from lielab.budgets import EXHAUSTIVE_CAP, BudgetExceeded
-from lielab.catalog import canonical_instances
 from lielab.fields import GF
 from lielab.linalg import Matrix
 from lielab.regularity import _rank_by_scan
@@ -108,7 +107,7 @@ def ref_centroid_rows(L):
 # larger benchmark tables (225 unknowns for Der(sl4)) by Matrix.kernel,
 # which test_linalg.py holds to the oracle.
 EQUATION_CASES = (
-    [(name, L, True) for name, L in canonical_instances()]
+    [(name, L, True) for name, L in cases.canonical_instances()]
     + [(name, cases.input_table(name), False) for name in ("sl4q", "gl3f5", "heisenberg2q")]
     + [("census3@F3", None, True)]
 )
